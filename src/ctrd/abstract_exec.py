@@ -8,12 +8,17 @@ value (RVAL); plus the returns-before order (RB), the per-client event sets
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .lattice import lat_join
+from .lattice import GSet, NatMax, lat_join
 from .runtime_local import Action, EventId
-from .syntax import AVA, CON, Duplicated, Label, Location, Plain, UnitVal
+from .syntax import (
+    AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
+    RecordVal, UnitVal, children, pretty, rebuild,
+)
+from .typecheck import check_program
 
 NABLA = "nabla"          # no return value recorded
 Pair = tuple[EventId, EventId]
@@ -312,9 +317,6 @@ def join_of_writes(trace: Iterable, location: Location):
 
 def erase_value(v):
     """Label-erased, JSON-friendly view of a value."""
-    from .lattice import GSet, NatMax
-    from .syntax import BoolVal, Closure, RecordVal, pretty
-
     if isinstance(v, Duplicated):
         return {"duplicated": pretty(v.inner)}
     raw = v.raw
@@ -354,13 +356,10 @@ def con_observation(config) -> dict[str, object]:
 
 
 def _canonical_obs(obs: dict) -> str:
-    import json
     return json.dumps(obs, sort_keys=True)
 
 
 def _check_value_low_equiv(va, vb) -> None:
-    from .syntax import Closure, RecordVal
-
     if va == vb:
         return
     if isinstance(va, Plain) and isinstance(vb, Plain):
@@ -387,27 +386,17 @@ def _check_value_low_equiv(va, vb) -> None:
 
 def check_low_equivalence(ta, tb) -> None:
     """Terms must be identical except in ava-labeled literal constants."""
-    from .syntax import Lit
-
     if isinstance(ta, Lit) and isinstance(tb, Lit):
         _check_value_low_equiv(ta.value, tb.value)
         return
-    if type(ta) is not type(tb):
-        raise ProgramsNotLowEquivalent(f"structure differs: {ta!r} vs {tb!r}")
-    import dataclasses
-    for f in dataclasses.fields(ta):
-        if f.name == "pos":
-            continue
-        a, b = getattr(ta, f.name), getattr(tb, f.name)
-        if f.name == "fields":
-            if len(a) != len(b) or [n for n, _ in a] != [n for n, _ in b]:
-                raise ProgramsNotLowEquivalent("record shapes differ")
-            for (_, fa), (_, fb) in zip(a, b):
-                check_low_equivalence(fa, fb)
-        elif dataclasses.is_dataclass(a) and hasattr(a, "pos") and not isinstance(a, type):
-            check_low_equivalence(a, b)
-        elif a != b:
-            raise ProgramsNotLowEquivalent(f"{f.name} differs: {a!r} vs {b!r}")
+    ka, kb = children(ta), children(tb)
+    # the nodes with their children blanked out: every other field compared
+    shape_a = rebuild(ta, (None,) * len(ka))
+    shape_b = rebuild(tb, (None,) * len(kb))
+    if shape_a != shape_b:
+        raise ProgramsNotLowEquivalent(f"structure differs: {shape_a!r} vs {shape_b!r}")
+    for a, b in zip(ka, kb):
+        check_low_equivalence(a, b)
 
 
 @dataclass
@@ -423,7 +412,6 @@ def check_noninterference(prog_a, prog_b, max_depth: int,
                           servers: Optional[int] = None) -> NifVerdict:
     """Programs that differ only in ava literals must have the same set of
     con observations across every schedule."""
-    from .typecheck import check_program
     from .runtime_cloud import explore, initial_config
 
     if prog_a.servers != prog_b.servers or len(prog_a.clients) != len(prog_b.clients):

@@ -1,8 +1,9 @@
 """Command-line front door: check, run, explore, nif.
 
-Exit codes: 0 success; 1 parse/type diagnostics; 2 I/O failure; 3 a
-requested check failed; 4 deadlock or step/state limit; 5 programs not
-low-equivalent.
+Exit codes: 0 success; 1 parse/type diagnostics, including a program
+nested too deeply to parse; 2 I/O failure; 3 a requested check failed; 4
+deadlock, step/state limit, runtime fault, or nesting too deep to simulate;
+5 programs not low-equivalent.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from .abstract_exec import (
     check_ec, check_sc, con_observation, NotQuiescent,
     ProgramsNotLowEquivalent, project_con, record, check_noninterference,
 )
+from .lattice import GSet, NatMax
 from .parser import ParseError, parse_program
 from .runtime_cloud import (
     StateSpaceLimit, TraceEntry, check_wf, explore, initial_config,
     make_scheduler, run,
 )
 from .runtime_local import Action, CtrdRuntimeError
-from .syntax import Duplicated, Location, pretty
+from .syntax import (
+    BoolVal, Closure, Duplicated, Location, RecordVal, UnitVal, pretty,
+)
 
 
 def _die(code: int, message: str) -> int:
@@ -40,12 +44,14 @@ def _load(path: str):
         return _die(2, f"{path}: {e.strerror or e}")
     try:
         prog = parse_program(src)
+        checked = tc.check_program(prog)
     except ParseError as e:
         return _die(1, f"{path}:{e.pos[0]}:{e.pos[1]}: SyntaxError: {e.message}")
-    try:
-        checked = tc.check_program(prog)
     except tc.CheckError as e:
         return _die(1, e.render(path))
+    except RecursionError:
+        return _die(1, f"{path}: NestingTooDeep: the program nests deeper than the "
+                       f"parser and typechecker can follow")
     return prog, checked
 
 
@@ -53,9 +59,6 @@ def _load(path: str):
 # JSON serialization of traces and reports
 
 def value_json(v) -> object:
-    from .lattice import GSet, NatMax
-    from .syntax import BoolVal, Closure, RecordVal, UnitVal
-
     if v is None:
         return None
     if isinstance(v, Duplicated):
@@ -334,7 +337,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.set_defaults(fn=cmd_nif)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        return _die(4, f"ctrd {args.command}: the program nests deeper than the "
+                       f"simulator can follow")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,12 @@ uploads the whole reachable graph in a single synchronization step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .runtime_local import Action, ClientState, CtrdRuntimeError
 from .syntax import (
-    Closure, CON, Duplicated, Identifier, Label, Lit, Location, Plain,
-    RecordVal, Term, label_join, raise_label, value_locations,
+    CON, Duplicated, Identifier, Label, Lit, Location, Plain, RecordVal, Term,
+    label_join, map_children, map_value, raise_label, value_locations,
 )
 from .typecheck import upgrade
 
@@ -62,37 +62,17 @@ def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
 def rewrite_value(v, mapping: dict[Location, Location]):
     """Replace location occurrences per mapping, through records and
     abstraction bodies."""
-    if isinstance(v, Duplicated):
-        return Duplicated(rewrite_term(v.inner, mapping))
-    raw = v.raw
-    if isinstance(raw, Location):
-        return Plain(mapping.get(raw, raw), v.label)
-    if isinstance(raw, RecordVal):
-        return Plain(RecordVal(tuple((n, rewrite_value(fv, mapping)) for n, fv in raw.fields)),
-                     v.label)
-    if isinstance(raw, Closure):
-        return Plain(replace(raw, body=rewrite_term(raw.body, mapping)), v.label)
-    return v
-
-
-_TERM_FIELDS = ("term", "init", "left", "right", "fn", "arg", "cond", "then",
-                "els", "target", "value", "bound", "body")
+    if isinstance(v, Plain) and isinstance(v.raw, Location):
+        return Plain(mapping.get(v.raw, v.raw), v.label)
+    return map_value(v, lambda t: rewrite_term(t, mapping),
+                     lambda fv: rewrite_value(fv, mapping))
 
 
 def rewrite_term(t: Term, mapping: dict[Location, Location]) -> Term:
     """Structural map over a term rewriting embedded location values."""
-    import dataclasses
-
     if isinstance(t, Lit):
         return Lit(rewrite_value(t.value, mapping), pos=t.pos)
-    out = {}
-    for f in dataclasses.fields(t):
-        val = getattr(t, f.name)
-        if f.name == "fields":   # record term
-            out[f.name] = tuple((n, rewrite_term(ft, mapping)) for n, ft in val)
-        elif f.name in _TERM_FIELDS and val is not None and not isinstance(val, (str,)):
-            out[f.name] = rewrite_term(val, mapping)
-    return dataclasses.replace(t, **out) if out else t
+    return map_children(t, lambda s: rewrite_term(s, mapping))
 
 
 def clone_step(config, client: ClientState, root: Location,

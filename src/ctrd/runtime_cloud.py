@@ -15,14 +15,15 @@ from typing import Callable, Optional, Union
 
 from .clone import clone_step
 from .runtime_local import (
-    Action, Blocked, ClientState, CtrdRuntimeError, EventId, Message,
-    NeedsCloud, Redex, Req, Stepped, Update, decompose, eps, initial_client,
-    merge_values, step_local,
+    Action, Blocked, ClientState, CtrdRuntimeError, EventId, Message, Redex,
+    Req, Stepped, Update, decompose, eps, initial_client, merge_values,
+    step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
     Identifier, Lit, Location, LOC, OAC, Plain, Program, Ref, Term, Type,
-    UNIT, label_join, pretty, raise_label,
+    UNIT, label_join, label_of, pretty, pretty_type, raise_label, subtype,
+    type_join_label,
 )
 from .typecheck import (CheckError, TypeEnv, type_of_value,
                         typecheck as typecheck_term)
@@ -299,20 +300,20 @@ def _client_step(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
             if ident in cfg.id_typing:
                 cfg.store_typing.setdefault(o, cfg.id_typing[ident])
         return cfg, TraceEntry(0, out.rule, out.action, client=cid)
-    if isinstance(out, NeedsCloud):
+    if isinstance(out, Redex):
         return _cloud_redex(cfg, cid, out)
     raise IllegalChoice(f"client {cid} has no enabled local step")
 
 
-def _cloud_redex(cfg: CloudConfig, cid: int, need: NeedsCloud) -> tuple[CloudConfig, TraceEntry]:
+def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, TraceEntry]:
     client = cfg.clients[cid].copy()
     cfg.clients[cid] = client
-    r, eff, rebuild = need.redex, need.effect, need.rebuild
+    r, eff = need.term, need.effect
     pre_common = _common_seq(cfg.servers)
 
     def finish(result: Term, action: Action, rule: str,
                node_count: Optional[int] = None) -> tuple[CloudConfig, TraceEntry]:
-        client.term = rebuild(result)
+        client.term = need.rebuild(result)
         return cfg, TraceEntry(0, rule, action, client=cid, node_count=node_count)
 
     match r:
@@ -459,28 +460,21 @@ def _ava_remote_read(cfg: CloudConfig, cid: int, r: int) -> tuple[CloudConfig, T
     server = cfg.servers[r]
     match d.term:
         case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab == AVA:
-            if o in client.store or o not in server.store:
-                raise IllegalChoice("remote available read premises violated")
-            v = server.store[o]
-            client.store[o] = v
-            result = raise_label(v, AVA)
-            nu = client.fresh_event()
-            act = Action(d.effect, "rd", AVA, nu, o, result,
-                         source=("server", r), snapshot=server.seq)
-            client.term = d.rebuild(Lit(result))
-            return cfg, TraceEntry(0, "E-AVADEREF2", act, client=cid, server=r)
+            rule = "E-AVADEREF2"
         case FlexRead(label=lab, term=Lit(value=Plain(raw=Location() as o))) if lab == AVA:
-            if o in client.store or o not in server.store:
-                raise IllegalChoice("remote flexread premises violated")
-            v = server.store[o]
-            client.store[o] = v
-            result = raise_label(v, AVA)
-            nu = client.fresh_event()
-            act = Action(d.effect, "rd", AVA, nu, o, result,
-                         source=("server", r), snapshot=server.seq)
-            client.term = d.rebuild(Lit(result))
-            return cfg, TraceEntry(0, "E-FLEXRD-AVA", act, client=cid, server=r)
-    raise IllegalChoice(f"client {cid} is not at an available remote read")
+            rule = "E-FLEXRD-AVA"
+        case _:
+            raise IllegalChoice(f"client {cid} is not at an available remote read")
+    if o in client.store or o not in server.store:
+        raise IllegalChoice("remote available read premises violated")
+    v = server.store[o]
+    client.store[o] = v
+    result = raise_label(v, AVA)
+    nu = client.fresh_event()
+    act = Action(d.effect, "rd", AVA, nu, o, result,
+                 source=("server", r), snapshot=server.seq)
+    client.term = d.rebuild(Lit(result))
+    return cfg, TraceEntry(0, rule, act, client=cid, server=r)
 
 
 def _send(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
@@ -533,7 +527,10 @@ def _process_req(cfg: CloudConfig, key: tuple, r: int) -> tuple[CloudConfig, Tra
     local = client.idmap.get(m.ident)
     if local is None:
         raise IllegalChoice(f"requester no longer maps {m.ident}")
-    client.store[local] = raise_label(server.store[o], m.effect)
+    # join, not overwrite: the server may not have seen this client's own
+    # writes yet, and a replica never moves down its lattice
+    client.store[local] = merge_values(client.store[local],
+                                       raise_label(server.store[o], m.effect))
     cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
     return cfg, TraceEntry(0, "E-PROCESS-REQUEST", eps(m.effect),
                            client=m.origin, server=r)
@@ -604,7 +601,8 @@ class _CategoryFair:
     """Rotates over choice categories so every persistently enabled message
     step is eventually taken."""
 
-    def __init__(self, rotate_within: bool):
+    def __init__(self, name: str, rotate_within: bool):
+        self.name = name
         self.cat = 0
         self.rotate_within = rotate_within
         self.counters = [0] * CATEGORY_COUNT
@@ -626,27 +624,13 @@ class _CategoryFair:
         raise IllegalChoice("no choices to pick from")
 
 
-class RoundRobinScheduler(_CategoryFair):
-    name = "round-robin"
-
-    def __init__(self):
-        super().__init__(rotate_within=False)
-
-
-class DrainFairScheduler(_CategoryFair):
-    name = "drain-fair"
-
-    def __init__(self):
-        super().__init__(rotate_within=True)
-
-
 def make_scheduler(name: str, seed: int = 0):
     if name == "random":
         return RandomScheduler(seed)
     if name == "round-robin":
-        return RoundRobinScheduler()
+        return _CategoryFair(name, rotate_within=False)
     if name == "drain-fair":
-        return DrainFairScheduler()
+        return _CategoryFair(name, rotate_within=True)
     raise ValueError(f"unknown scheduler {name!r}")
 
 
@@ -758,7 +742,6 @@ def check_wf(config: CloudConfig) -> WfReport:
     env = TypeEnv(gamma={}, sigma=sigma, ids=ids, effect=LOC, runtime=True)
 
     def check_store(owner: str, store: dict) -> None:
-        from .syntax import type_join_label
         for o in sorted(store, key=lambda loc: loc.sort_key()):
             if o not in sigma:
                 problems.append(f"{owner}: {o} missing from the store typing")
@@ -773,9 +756,10 @@ def check_wf(config: CloudConfig) -> WfReport:
             except CheckError as e:
                 problems.append(f"{owner}: value at {o} untypable: {e.message}")
                 continue
-            if not _subtype(t, want):
+            if not subtype(t, want):
                 problems.append(
-                    f"{owner}: value at {o} has type {_pt(t)}, store typing {_pt(sigma[o])}")
+                    f"{owner}: value at {o} has type {pretty_type(t)}, "
+                    f"store typing {pretty_type(sigma[o])}")
 
     for cid in sorted(config.clients):
         client = config.clients[cid]
@@ -785,10 +769,10 @@ def check_wf(config: CloudConfig) -> WfReport:
                 problems.append(f"client {cid}: {ident} missing from the identifier typing")
             elif o not in sigma:
                 problems.append(f"client {cid}: {ident} maps to untyped {o}")
-            elif not _subtype(sigma[o], ids[ident]):
+            elif not subtype(sigma[o], ids[ident]):
                 problems.append(
-                    f"client {cid}: {ident} maps to {o} of type {_pt(sigma[o])}, "
-                    f"identifier typing {_pt(ids[ident])}")
+                    f"client {cid}: {ident} maps to {o} of type {pretty_type(sigma[o])}, "
+                    f"identifier typing {pretty_type(ids[ident])}")
         for m in client.buffer:
             _check_message(config, m, f"client {cid} buffer", problems)
         try:
@@ -807,8 +791,9 @@ def check_wf(config: CloudConfig) -> WfReport:
             problems.append(f"global map: {ident} maps to untyped {o}")
         elif ident not in ids:
             problems.append(f"global map: {ident} missing from the identifier typing")
-        elif not _subtype(sigma[o], ids[ident]):
-            problems.append(f"global map: {ident} at {o}: {_pt(sigma[o])} vs {_pt(ids[ident])}")
+        elif not subtype(sigma[o], ids[ident]):
+            problems.append(f"global map: {ident} at {o}: "
+                            f"{pretty_type(sigma[o])} vs {pretty_type(ids[ident])}")
 
     return WfReport(not problems, problems)
 
@@ -830,16 +815,6 @@ def _check_message(config: CloudConfig, m: Message, where: str, problems: list[s
     if target is None:
         problems.append(f"{where}: update has no target typing")
         return
-    from .syntax import label_of, type_join_label
-    if not _subtype(type_join_label(tv, label_of(target)), target):
-        problems.append(f"{where}: update payload {_pt(tv)} incompatible with {_pt(target)}")
-
-
-def _subtype(a: Type, b: Type) -> bool:
-    from .syntax import subtype
-    return subtype(a, b)
-
-
-def _pt(t: Type) -> str:
-    from .syntax import pretty_type
-    return pretty_type(t)
+    if not subtype(type_join_label(tv, label_of(target)), target):
+        problems.append(f"{where}: update payload {pretty_type(tv)} "
+                        f"incompatible with {pretty_type(target)}")

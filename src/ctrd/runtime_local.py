@@ -8,15 +8,16 @@ configuration-level stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
 from .syntax import (
     App, Assign, AVA, Await, BoolVal, Clone, Closure, Deref, Duplicated,
     FlexRead, FlexWrite, Identifier, If, Label, LatOp, Let, Lit, Location,
-    LOC, OAC, OrdOp, Plain, Proj, Record, RecordVal, Ref, Restrict, Term,
-    UNIT, Var, is_value, label_join, raise_label,
+    LOC, OAC, OrdOp, Plain, Proj, Record, RecordVal, Ref, Restrict,
+    TERM_FIELDS, Term, UNIT, Var, children, label_join, map_children,
+    raise_label, rebuild as rebuild_node,
 )
 
 
@@ -148,9 +149,19 @@ def initial_client(cid: int, term: Term) -> ClientState:
 
 @dataclass
 class Redex:
+    """The redex, the effect it runs under, and the (node, child index)
+    frames of its evaluation context from the root down."""
+
     term: Term
     effect: Label
-    rebuild: Callable[[Term], Term]
+    path: list[tuple[Term, int]]
+
+    def rebuild(self, result: Term) -> Term:
+        """Plug a term into the evaluation context."""
+        for node, i in reversed(self.path):
+            kids = children(node)
+            result = rebuild_node(node, kids[:i] + (result,) + kids[i + 1:])
+        return result
 
 
 @dataclass
@@ -167,128 +178,46 @@ def decompose(term: Term, idmap, global_ids) -> Decomposition:
     Returns None for values and Blocked for an await whose identifier is
     known neither locally nor globally.
     """
-    return _walk(term, LOC, lambda x: x, idmap, global_ids)
-
-
-def _walk(t: Term, eff: Label, wrap, idmap, global_ids) -> Decomposition:
-    if is_value(t):
+    if term.__class__ is Lit:
         return None
-
-    def sub(inner: Term, attr: str, eff2: Label = None) -> Decomposition:
-        return _walk(inner, eff2 if eff2 is not None else eff,
-                     lambda x: wrap(replace(t, **{attr: x})), idmap, global_ids)
-
-    match t:
-        case Var():
-            return Redex(t, eff, wrap)
-        case Restrict(term=inner, label=lab):
-            if is_value(inner):
-                return Redex(t, eff, wrap)
-            return sub(inner, "term", label_join(eff, lab))
-        case LatOp(left=a, right=b) | OrdOp(left=a, right=b):
-            if not is_value(a):
-                return sub(a, "left")
-            if not is_value(b):
-                return sub(b, "right")
-            return Redex(t, eff, wrap)
-        case App(fn=f, arg=a):
-            if not is_value(f):
-                return sub(f, "fn")
-            if not is_value(a):
-                return sub(a, "arg")
-            return Redex(t, eff, wrap)
-        case If(cond=c):
-            if not is_value(c):
-                return sub(c, "cond")
-            return Redex(t, eff, wrap)
-        case Ref(init=i):
-            if not is_value(i):
-                return sub(i, "init")
-            return Redex(t, eff, wrap)
-        case Await(ident=ident):
-            if ident in idmap or ident in global_ids:
-                return Redex(t, eff, wrap)
-            return Blocked(ident)
-        case Deref(term=inner):
-            if not is_value(inner):
-                return sub(inner, "term")
-            return Redex(t, eff, wrap)
-        case Assign(target=a, value=b):
-            if not is_value(a):
-                return sub(a, "target")
-            if not is_value(b):
-                return sub(b, "value")
-            return Redex(t, eff, wrap)
-        case FlexRead(term=inner):
-            if not is_value(inner):
-                return sub(inner, "term")
-            return Redex(t, eff, wrap)
-        case FlexWrite(target=a, value=b):
-            if not is_value(a):
-                return sub(a, "target")
-            if not is_value(b):
-                return sub(b, "value")
-            return Redex(t, eff, wrap)
-        case Record(fields=fs):
-            for idx, (name, ft) in enumerate(fs):
-                if not is_value(ft):
-                    def wrap_field(x, idx=idx):
-                        new = fs[:idx] + ((fs[idx][0], x),) + fs[idx + 1:]
-                        return wrap(replace(t, fields=new))
-                    return _walk(ft, eff, wrap_field, idmap, global_ids)
-            return Redex(t, eff, wrap)
-        case Proj(term=inner):
-            if not is_value(inner):
-                return sub(inner, "term")
-            return Redex(t, eff, wrap)
-        case Clone(term=inner):
-            if not is_value(inner):
-                return sub(inner, "term")
-            return Redex(t, eff, wrap)
-        case Let(bound=b):
-            if not is_value(b):
-                return sub(b, "bound")
-            return Redex(t, eff, wrap)
-    raise CtrdRuntimeError("Stuck", f"cannot decompose {t!r}")
+    t, eff, path = term, LOC, []
+    while True:
+        cls = t.__class__
+        kids = children(t)
+        strict = TERM_FIELDS[cls][1]
+        for i in range(len(kids) if strict is None else strict):
+            if kids[i].__class__ is not Lit:
+                break
+        else:
+            if cls is Await and t.ident not in idmap and t.ident not in global_ids:
+                return Blocked(t.ident)
+            return Redex(t, eff, path)
+        path.append((t, i))
+        if cls is Restrict:
+            eff = label_join(eff, t.label)
+        t = kids[i]
 
 
 # ---------------------------------------------------------------------------
 # Substitution (call-by-value: substituted terms are closed values)
 
 def subst(t: Term, name: str, value: Term) -> Term:
-    match t:
-        case Var(name=n):
-            return value if n == name else t
-        case Lit(value=Plain(raw=Closure() as c, label=lab)):
-            if c.param == name:
-                return t
-            return Lit(Plain(replace(c, body=subst(c.body, name, value)), lab), pos=t.pos)
-        case Lit():
+    def go(t: Term) -> Term:
+        cls = t.__class__
+        if cls is Var:
+            return value if t.name == name else t
+        if cls is Lit:
+            v = t.value
+            if isinstance(v, Plain) and isinstance(v.raw, Closure) and v.raw.param != name:
+                c = v.raw
+                return Lit(Plain(Closure(c.latent, c.param, c.param_type, go(c.body)),
+                                 v.label), t.pos)
             return t
-        case Let(name=x, bound=b, body=body):
-            nb = subst(b, name, value)
-            nbody = body if x == name else subst(body, name, value)
-            return replace(t, bound=nb, body=nbody)
-        case Restrict(term=s) | Deref(term=s) | FlexRead(term=s) | Proj(term=s) | Clone(term=s):
-            return replace(t, term=subst(s, name, value))
-        case Ref(init=s):
-            return replace(t, init=subst(s, name, value))
-        case LatOp(left=a, right=b) | OrdOp(left=a, right=b):
-            return replace(t, left=subst(a, name, value), right=subst(b, name, value))
-        case App(fn=a, arg=b):
-            return replace(t, fn=subst(a, name, value), arg=subst(b, name, value))
-        case If(cond=c, then=x, els=y):
-            return replace(t, cond=subst(c, name, value), then=subst(x, name, value),
-                           els=subst(y, name, value))
-        case Assign(target=a, value=b):
-            return replace(t, target=subst(a, name, value), value=subst(b, name, value))
-        case FlexWrite(target=a, value=b):
-            return replace(t, target=subst(a, name, value), value=subst(b, name, value))
-        case Record(fields=fs):
-            return replace(t, fields=tuple((n, subst(ft, name, value)) for n, ft in fs))
-        case Await():
-            return t
-    raise CtrdRuntimeError("Stuck", f"cannot substitute into {t!r}")
+        if cls is Let and t.name == name:
+            return Let(name, go(t.bound), t.body, t.pos)
+        return map_children(t, go)
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +231,11 @@ class Stepped:
 
 
 @dataclass
-class NeedsCloud:
-    redex: Term
-    effect: Label
-    rebuild: Callable[[Term], Term]
-
-
-@dataclass
-class BlockedOn:
-    ident: Identifier
-
-
-@dataclass
 class Finished:
     value: object      # LabeledValue
 
 
-LocalOutcome = Union[Stepped, NeedsCloud, BlockedOn, Finished]
+LocalOutcome = Union[Stepped, Redex, Blocked, Finished]
 
 _LAT_FN = {"join": lat_join, "meet": lat_meet}
 _ORD_FN = {"le": lat_leq, "lt": lat_lt}
@@ -349,19 +266,20 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
     """Fire the unique local rule at the client's redex, if one applies.
 
     The input client is never mutated; a stepped outcome carries a fresh
-    state. Distributed redexes come back as NeedsCloud.
+    state. A distributed redex comes back as the decomposition's Redex, an
+    await on an unknown identifier as its Blocked.
     """
     d = decompose(client.term, client.idmap, global_ids)
     if d is None:
         return Finished(client.term.value)
     if isinstance(d, Blocked):
-        return BlockedOn(d.ident)
+        return d
 
-    r, eff, rebuild = d.term, d.effect, d.rebuild
+    r, eff = d.term, d.effect
     c = client.copy()
 
     def done(result: Term, action: Action, rule: str) -> Stepped:
-        c.term = rebuild(result)
+        c.term = d.rebuild(result)
         return Stepped(c, action, rule)
 
     match r:
@@ -437,7 +355,7 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
             if ident in c.idmap:
                 o = c.idmap[ident]
                 return done(Lit(Plain(o, ident.label)), eps(eff), "E-AWAIT1")
-            return NeedsCloud(r, eff, rebuild)
+            return d
 
         case Deref(term=Lit(value=v)):
             if isinstance(v, Duplicated):
@@ -461,10 +379,10 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
                     act = Action(eff, "rd", AVA, nu, o, result,
                                  source=("local", c.cid), snapshot=())
                     return done(Lit(result), act, "E-AVADEREF1")
-                return NeedsCloud(r, eff, rebuild)
+                return d
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "dereference of an oac location")
-            return NeedsCloud(r, eff, rebuild)   # con: served by some replica
+            return d   # con: served by some replica
 
         case Assign(target=Lit(value=vt), value=Lit(value=vv)):
             if isinstance(vt, Duplicated):
@@ -492,10 +410,10 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
                 return done(Lit(Plain(UNIT, AVA)), act, "E-AVAASSIGN")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "assignment to an oac location")
-            return NeedsCloud(r, eff, rebuild)   # con: atomic all-server write
+            return d   # con: atomic all-server write
 
         case FlexRead() | FlexWrite() | Clone() | Ref():
-            return NeedsCloud(r, eff, rebuild)
+            return d
 
         case Var(name=n):
             raise CtrdRuntimeError("Stuck", f"free variable {n!r} at runtime")

@@ -3,12 +3,28 @@ types, and the label / subtyping algebra.
 
 Everything here is immutable; terms double as runtime residuals, so values
 (locations, closures, duplicated markers) are ordinary term literals.
+
+The structure of terms is written down once, in TERM_FIELDS: for each of
+the 17 forms, its term-valued fields in evaluation order and how many of
+them form the strict prefix evaluated before the node reduces. The helpers
+children, rebuild and map_children are derived from that table when the
+module loads, and map_value does the same for the three value forms that
+hold terms or values. Substitution, decomposition, location scanning,
+clone rewriting and the low-equivalence check are written against these
+helpers, so a new form is one table entry. map_children keeps the child
+results in local variables, one branch per child count, and builds the
+tuple for the rebuild only after the recursive calls return; it returns
+the node itself when no child changed. Substitution walks the whole
+residual program on every let and beta step, so a list of results per
+node, or a copy of every unchanged node, shows up as collector work and
+slower long runs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from operator import attrgetter, is_
 from typing import Callable, Optional, Union
 
 from .lattice import GSet, LatticeValue, NatMax
@@ -214,12 +230,6 @@ def map_labels(t: Type, f: Callable[[Label], Label]) -> Type:
         case RecordType(fields=fs, label=lab):
             return RecordType(tuple((n, map_labels(ft, f)) for n, ft in fs), f(lab))
     raise TypeError(f"not a type: {t!r}")
-
-
-def type_labels(t: Type) -> frozenset[Label]:
-    out: set[Label] = set()
-    map_labels(t, lambda lab: (out.add(lab), lab)[1])
-    return frozenset(out)
 
 
 def erase_labels(t: Type) -> Type:
@@ -448,8 +458,103 @@ class Program:
     clients: tuple[tuple[int, Term], ...]
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, Lit)
+# ---------------------------------------------------------------------------
+# Term structure
+
+# A Record's children are the terms of its (name, term) pairs, all strict
+# (None below); its children and rebuild are defined apart.
+TERM_FIELDS: dict[type, tuple[tuple[str, ...], Optional[int]]] = {
+    Var: ((), 0),
+    Lit: ((), 0),
+    Restrict: (("term",), 1),
+    LatOp: (("left", "right"), 2),
+    OrdOp: (("left", "right"), 2),
+    App: (("fn", "arg"), 2),
+    If: (("cond", "then", "els"), 1),
+    Ref: (("init",), 1),
+    Await: ((), 0),
+    Deref: (("term",), 1),
+    Assign: (("target", "value"), 2),
+    FlexRead: (("term",), 1),
+    FlexWrite: (("target", "value"), 2),
+    Record: ((), None),
+    Proj: (("term",), 1),
+    Clone: (("term",), 1),
+    Let: (("bound", "body"), 1),
+}
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[Term], tuple]:
+    if not names:
+        return lambda t: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    return attrgetter(*names)
+
+
+def _maker(cls: type, names: tuple[str, ...]) -> Callable[[Term, tuple], Term]:
+    # constructor arguments in field order: a child index or an attribute name
+    plan = tuple(names.index(f.name) if f.name in names else f.name
+                 for f in dataclass_fields(cls))
+    return lambda t, kids: cls(*[kids[p] if p.__class__ is int else getattr(t, p)
+                                  for p in plan])
+
+
+_CHILDREN = {cls: _getter(names) for cls, (names, _) in TERM_FIELDS.items()}
+_CHILDREN[Record] = lambda t: tuple(s for _, s in t.fields)
+_MAKERS = {cls: _maker(cls, names) for cls, (names, _) in TERM_FIELDS.items()}
+_MAKERS[Record] = lambda t, kids: Record(
+    tuple((n, k) for (n, _), k in zip(t.fields, kids)), t.label, t.pos)
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    """The term's immediate subterms in evaluation order."""
+    return _CHILDREN[t.__class__](t)
+
+
+def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
+    """A node like t with its children replaced, position by position."""
+    return _MAKERS[t.__class__](t, kids)
+
+
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """t with f applied to each child; t itself when f changes none."""
+    kids = children(t)
+    n = len(kids)
+    if n == 1:
+        (a,) = kids
+        x = f(a)
+        return t if x is a else rebuild(t, (x,))
+    if n == 2:
+        a, b = kids
+        x = f(a)
+        y = f(b)
+        return t if x is a and y is b else rebuild(t, (x, y))
+    if n == 3:
+        a, b, c = kids
+        x = f(a)
+        y = f(b)
+        z = f(c)
+        return t if x is a and y is b and z is c else rebuild(t, (x, y, z))
+    new = tuple(map(f, kids))      # a leaf, or a record with many fields
+    return t if all(map(is_, new, kids)) else rebuild(t, new)
+
+
+def map_value(v: LabeledValue, on_term: Callable[[Term], Term],
+              on_value: Callable[[LabeledValue], LabeledValue]) -> LabeledValue:
+    """v with on_term applied to the term it holds (a closure body or a
+    duplicated creation) and on_value to each record field; every other
+    value comes back as it is."""
+    if isinstance(v, Duplicated):
+        return Duplicated(on_term(v.inner))
+    raw = v.raw
+    if isinstance(raw, Closure):
+        return Plain(Closure(raw.latent, raw.param, raw.param_type, on_term(raw.body)),
+                     v.label)
+    if isinstance(raw, RecordVal):
+        return Plain(RecordVal(tuple((n, on_value(fv)) for n, fv in raw.fields)), v.label)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -459,55 +564,28 @@ def refs(t: Term) -> frozenset[Location]:
     """Locations occurring syntactically in a term, through values, records
     and abstraction bodies."""
     out: set[Location] = set()
-    _scan_term(t, out)
+
+    def term(s: Term) -> Term:
+        if s.__class__ is Lit:
+            value(s.value)
+        else:
+            for c in children(s):
+                term(c)
+        return s
+
+    def value(v: LabeledValue) -> LabeledValue:
+        if isinstance(v, Plain) and isinstance(v.raw, Location):
+            out.add(v.raw)
+        else:
+            map_value(v, term, value)
+        return v
+
+    term(t)
     return frozenset(out)
 
 
 def value_locations(v: LabeledValue) -> frozenset[Location]:
-    out: set[Location] = set()
-    _scan_value(v, out)
-    return frozenset(out)
-
-
-def _scan_value(v: LabeledValue, out: set[Location]) -> None:
-    if isinstance(v, Duplicated):
-        _scan_term(v.inner, out)
-        return
-    raw = v.raw
-    if isinstance(raw, Location):
-        out.add(raw)
-    elif isinstance(raw, Closure):
-        _scan_term(raw.body, out)
-    elif isinstance(raw, RecordVal):
-        for _, fv in raw.fields:
-            _scan_value(fv, out)
-
-
-def _scan_term(t: Term, out: set[Location]) -> None:
-    match t:
-        case Var():
-            pass
-        case Lit(value=v):
-            _scan_value(v, out)
-        case Restrict(term=s) | Deref(term=s) | FlexRead(term=s) | Proj(term=s) | Clone(term=s):
-            _scan_term(s, out)
-        case Ref(init=s):
-            _scan_term(s, out)
-        case Await():
-            pass
-        case LatOp(left=a, right=b) | OrdOp(left=a, right=b) | App(fn=a, arg=b) | Assign(target=a, value=b) | FlexWrite(target=a, value=b):
-            _scan_term(a, out)
-            _scan_term(b, out)
-        case If(cond=c, then=a, els=b):
-            _scan_term(c, out)
-            _scan_term(a, out)
-            _scan_term(b, out)
-        case Record(fields=fs):
-            for _, ft in fs:
-                _scan_term(ft, out)
-        case Let(bound=a, body=b):
-            _scan_term(a, out)
-            _scan_term(b, out)
+    return refs(Lit(v))
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +692,3 @@ def pretty_type(t: Type) -> str:
             return f"{{{inner}}}@{lab}"
     raise TypeError(f"not a type: {t!r}")
 
-
-def pretty_program(p: Program) -> str:
-    parts = [f"servers {p.servers};"]
-    for cid, body in p.clients:
-        parts.append(f"client {cid} {{ {pretty(body)} }}")
-    return "\n".join(parts)

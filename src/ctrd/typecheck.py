@@ -18,8 +18,8 @@ from .syntax import (
     LatOp, LatType, Let, Lit, Location, LOC, OAC, OrdOp, Pos, Program,
     Proj, Record, RecordType, RecordVal, Ref, RefType, Restrict, Term, Type,
     UnitType, UnitVal, Var, label_join, label_leq, label_lt, label_of,
-    map_labels, pretty_type, ref_free, refs, same_raw_shape, type_join,
-    type_join_label, with_label,
+    map_labels, pretty_type, ref_free, refs, same_raw_shape, subtype,
+    type_join, type_join_label, with_label,
 )
 from . import lattice
 
@@ -74,7 +74,6 @@ def _fail(kind: ErrorKind, pos: Optional[Pos], message: str) -> CheckError:
 
 
 def _require_subtype(have: Type, want: Type, pos: Optional[Pos], ctx: str) -> None:
-    from .syntax import subtype
     if subtype(have, want):
         return
     kind = ErrorKind.FLOW_VIOLATION if same_raw_shape(have, want) else ErrorKind.MISMATCH

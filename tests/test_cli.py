@@ -99,3 +99,13 @@ def test_servers_override(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out.splitlines()[-1])["quiescent"]
+
+
+def test_deep_program_ends_in_a_diagnostic(tmp_path, capsys):
+    body = "".join(f"let x{i} = nat {i} @loc in " for i in range(5000)) + "unit @loc"
+    path = tmp_path / "deep.ctrd"
+    path.write_text(f"servers 1; client 1 {{ {body} }}")
+    for command in ("check", "run"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NestingTooDeep" in err, err

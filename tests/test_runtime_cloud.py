@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import checked_config, corpus_files, load
+from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
     ClientStep, ConRead, DeliverUpdate, GcUpdate, IllegalChoice, SplitMix64,
@@ -122,6 +123,27 @@ def test_process_request_pushes_state_back():
     _, _, cfg = checked_config(src)
     res = drive(cfg, ["E-AVADEREF1", "E-PROCESS-REQUEST"])
     assert res.status == "quiescent"
+
+
+def test_process_request_never_rolls_the_local_replica_back():
+    # a request answered by a server that has not yet seen the client's own
+    # write joins into the local replica instead of overwriting it
+    src = """servers 2;
+    client 1 { let n = ref@ava(nat 1 @ava, (ava,1)) in let a = (n := nat 4 @ava) in
+               let x = !n in let y = !n in !n }"""
+    answered_early = 0
+    for seed in range(31):
+        _, _, cfg = checked_config(src)
+        res = run(cfg, make_scheduler("random", seed), 1000)
+        assert res.status == "quiescent", seed
+        reads = [e.action.value.raw.n for e in res.trace if e.action.kind == "rd"]
+        assert reads == [4, 4, 4], (seed, reads)
+        assert check_ec(record(res.trace), res.config).ok, seed
+        assert check_wf(res.config).ok, seed
+        rules = [e.rule for e in res.trace]
+        last_delivery = max(i for i, r in enumerate(rules) if r == "E-PROCESS-UPDATE")
+        answered_early += "E-PROCESS-REQUEST" in rules[:last_delivery]
+    assert answered_early   # some schedules answer a request from a lagging server
 
 
 def test_oacref_lands_locally_and_remotely():

@@ -7,7 +7,7 @@ import pytest
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_term
 from ctrd.runtime_local import (
-    Blocked, CtrdRuntimeError, Finished, NeedsCloud, Redex, Stepped, Update,
+    Blocked, CtrdRuntimeError, Finished, Redex, Stepped, Update,
     Req, decompose, initial_client, step_local,
 )
 from ctrd.syntax import (
@@ -180,8 +180,8 @@ def test_deref_duplicated_raises():
 def test_con_redex_is_a_cloud_matter():
     c = client_at("ref@con(nat 1 @con, (con,1))")
     out = step_local(c, {})
-    assert isinstance(out, NeedsCloud)
-    assert isinstance(out.redex, Ref)
+    assert isinstance(out, Redex)
+    assert isinstance(out.term, Ref)
 
 
 def test_step_local_never_mutates_input():
