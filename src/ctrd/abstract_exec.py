@@ -206,6 +206,10 @@ def return_value_of(op: Operation):
 # ---------------------------------------------------------------------------
 # Sequential consistency checker
 
+def _mark(b: bool) -> str:
+    return "OK" if b else "FAIL"
+
+
 @dataclass
 class ScVerdict:
     po_in_vis: bool
@@ -218,13 +222,11 @@ class ScVerdict:
         return (self.po_in_vis and self.ar_vis_closure
                 and self.ar_neg_vis_closure and self.rval_ok)
 
-    def summary(self) -> str:
-        def mark(b: bool) -> str:
-            return "OK" if b else "FAIL"
-        return (f"CHECK sc po_in_vis={mark(self.po_in_vis)} "
-                f"ar_vis={mark(self.ar_vis_closure)} "
-                f"ar_neg_vis={mark(self.ar_neg_vis_closure)} "
-                f"rval={mark(self.rval_ok)}")
+    def summary(self, name: str = "sc") -> str:
+        return (f"CHECK {name} po_in_vis={_mark(self.po_in_vis)} "
+                f"ar_vis={_mark(self.ar_vis_closure)} "
+                f"ar_neg_vis={_mark(self.ar_neg_vis_closure)} "
+                f"rval={_mark(self.rval_ok)}")
 
 
 def check_sc(exec_: AbstractExecution) -> ScVerdict:
@@ -260,11 +262,9 @@ class EcVerdict:
     def ok(self) -> bool:
         return self.eventual_visibility and self.rval_ok and self.converged
 
-    def summary(self) -> str:
-        def mark(b: bool) -> str:
-            return "OK" if b else "FAIL"
-        return (f"CHECK ec eventual_visibility={mark(self.eventual_visibility)} "
-                f"rval={mark(self.rval_ok)} converged={mark(self.converged)}")
+    def summary(self, name: str = "ec") -> str:
+        return (f"CHECK {name} eventual_visibility={_mark(self.eventual_visibility)} "
+                f"rval={_mark(self.rval_ok)} converged={_mark(self.converged)}")
 
 
 def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
@@ -315,26 +315,33 @@ def join_of_writes(trace: Iterable, location: Location):
 # ---------------------------------------------------------------------------
 # Observation and noninterference
 
-def erase_value(v):
-    """Label-erased, JSON-friendly view of a value."""
+def value_json(v, labels: bool = True):
+    """JSON view of a value. With labels=False the consistency labels are
+    erased and unit becomes the bare string "unit"."""
+    if v is None:
+        return None
     if isinstance(v, Duplicated):
         return {"duplicated": pretty(v.inner)}
     raw = v.raw
     if isinstance(raw, NatMax):
-        return {"nat": raw.n}
-    if isinstance(raw, GSet):
-        return {"set": sorted(raw.elems)}
-    if isinstance(raw, BoolVal):
-        return {"bool": raw.value}
-    if isinstance(raw, UnitVal):
-        return "unit"
-    if isinstance(raw, Location):
-        return {"loc": str(raw)}
-    if isinstance(raw, RecordVal):
-        return {"record": {n: erase_value(fv) for n, fv in raw.fields}}
-    if isinstance(raw, Closure):
-        return {"fn": pretty(raw.body)}
-    return {"opaque": str(raw)}
+        form, payload = "nat", raw.n
+    elif isinstance(raw, GSet):
+        form, payload = "set", sorted(raw.elems)
+    elif isinstance(raw, BoolVal):
+        form, payload = "bool", raw.value
+    elif isinstance(raw, UnitVal):
+        if not labels:
+            return "unit"
+        form, payload = "unit", True
+    elif isinstance(raw, Location):
+        form, payload = "loc", str(raw)
+    elif isinstance(raw, RecordVal):
+        form, payload = "record", {n: value_json(fv, labels) for n, fv in raw.fields}
+    elif isinstance(raw, Closure):
+        form, payload = "fn", pretty(raw.body)
+    else:
+        form, payload = "opaque", str(raw)
+    return {"label": str(v.label), form: payload} if labels else {form: payload}
 
 
 def con_observation(config) -> dict[str, object]:
@@ -349,9 +356,10 @@ def con_observation(config) -> dict[str, object]:
             out[str(ident)] = None
             continue
         if any(v != held[0] for v in held[1:]):
-            out[str(ident)] = {"disagreement": [erase_value(v) for v in held]}
+            out[str(ident)] = {"disagreement": [value_json(v, labels=False)
+                                                 for v in held]}
             continue
-        out[str(ident)] = erase_value(held[0])
+        out[str(ident)] = value_json(held[0], labels=False)
     return out
 
 

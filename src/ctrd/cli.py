@@ -1,9 +1,10 @@
 """Command-line front door: check, run, explore, nif.
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply to parse; 2 I/O failure; 3 a requested check failed; 4
-deadlock, step/state limit, runtime fault, or nesting too deep to simulate;
-5 programs not low-equivalent.
+nested too deeply to parse; 2 I/O failure, a bad flag or an unknown --check
+name; 3 a requested check failed; 4 deadlock, step/state limit, runtime
+fault, nesting too deep to simulate, or an explore/nif in which every trace
+was truncated at --max-depth (no verdict); 5 programs not low-equivalent.
 """
 
 from __future__ import annotations
@@ -11,23 +12,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import typecheck as tc
 from .abstract_exec import (
     check_ec, check_sc, con_observation, NotQuiescent,
     ProgramsNotLowEquivalent, project_con, record, check_noninterference,
+    value_json,
 )
-from .lattice import GSet, NatMax
 from .parser import ParseError, parse_program
 from .runtime_cloud import (
     StateSpaceLimit, TraceEntry, check_wf, explore, initial_config,
     make_scheduler, run,
 )
 from .runtime_local import Action, CtrdRuntimeError
-from .syntax import (
-    BoolVal, Closure, Duplicated, Location, RecordVal, UnitVal, pretty,
-)
+from .syntax import Location
 
 
 def _die(code: int, message: str) -> int:
@@ -57,29 +57,6 @@ def _load(path: str):
 
 # ---------------------------------------------------------------------------
 # JSON serialization of traces and reports
-
-def value_json(v) -> object:
-    if v is None:
-        return None
-    if isinstance(v, Duplicated):
-        return {"duplicated": pretty(v.inner)}
-    raw, lab = v.raw, str(v.label)
-    if isinstance(raw, NatMax):
-        return {"label": lab, "nat": raw.n}
-    if isinstance(raw, GSet):
-        return {"label": lab, "set": sorted(raw.elems)}
-    if isinstance(raw, BoolVal):
-        return {"label": lab, "bool": raw.value}
-    if isinstance(raw, UnitVal):
-        return {"label": lab, "unit": True}
-    if isinstance(raw, Location):
-        return {"label": lab, "loc": str(raw)}
-    if isinstance(raw, RecordVal):
-        return {"label": lab, "record": {n: value_json(fv) for n, fv in raw.fields}}
-    if isinstance(raw, Closure):
-        return {"label": lab, "fn": pretty(raw.body)}
-    return {"label": lab, "opaque": str(raw)}
-
 
 def action_json(a: Action) -> dict:
     out = {
@@ -151,38 +128,44 @@ def cmd_check(args) -> int:
     return worst
 
 
+@dataclass
+class Unfinished:
+    """Verdict of a check that needs a quiescent run on one that is not."""
+    error: str
+    ok = False
+
+    def summary(self, name: str) -> str:
+        return f"CHECK {name} FAIL not-quiescent"
+
+
+def _ec(exec_, final):
+    try:
+        return check_ec(exec_, final)
+    except NotQuiescent as e:
+        return Unfinished(str(e))
+
+
+# --check name -> verdict on a recorded history and the final configuration.
+# Checkers are looked up at call time, so wrappers installed on the module
+# globals see every call.
+CHECKS = {
+    "sc": lambda exec_, final: check_sc(exec_),
+    "sc-con": lambda exec_, final: check_sc(project_con(exec_)),
+    "ec": _ec,
+    "wf": lambda exec_, final: check_wf(final),
+}
+
+
+def _check_names(spec: str) -> list[str]:
+    return [c for c in spec.split(",") if c]
+
+
 def _verdicts(checks: list[str], res, exec_) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name in checks:
-        if name == "sc":
-            v = check_sc(exec_)
-            out["sc"] = {"ok": v.ok, "po_in_vis": v.po_in_vis,
-                         "ar_vis_closure": v.ar_vis_closure,
-                         "ar_neg_vis_closure": v.ar_neg_vis_closure,
-                         "rval_ok": v.rval_ok}
-            print(v.summary())
-        elif name == "sc-con":
-            v = check_sc(project_con(exec_))
-            out["sc-con"] = {"ok": v.ok, "po_in_vis": v.po_in_vis,
-                             "ar_vis_closure": v.ar_vis_closure,
-                             "ar_neg_vis_closure": v.ar_neg_vis_closure,
-                             "rval_ok": v.rval_ok}
-            print(v.summary().replace("CHECK sc", "CHECK sc-con"))
-        elif name == "ec":
-            try:
-                v = check_ec(exec_, res.config)
-                out["ec"] = {"ok": v.ok, "eventual_visibility": v.eventual_visibility,
-                             "rval_ok": v.rval_ok, "converged": v.converged}
-                print(v.summary())
-            except NotQuiescent as e:
-                out["ec"] = {"ok": False, "error": str(e)}
-                print(f"CHECK ec FAIL not-quiescent")
-        elif name == "wf":
-            rep = check_wf(res.config)
-            out["wf"] = {"ok": rep.ok, "problems": rep.problems}
-            print(f"CHECK wf {'OK' if rep.ok else 'FAIL ' + rep.problems[0]}")
-        else:
-            raise ValueError(f"unknown check {name!r}")
+        v = CHECKS[name](exec_, res.config)
+        out[name] = {"ok": v.ok, **asdict(v)}
+        print(v.summary(name))
     return out
 
 
@@ -194,15 +177,12 @@ def cmd_run(args) -> int:
     cfg = initial_config(prog, checked.id_types, args.servers)
     sched = (make_scheduler("random", args.seed) if args.seed is not None
              else make_scheduler(args.sched))
-    checks_requested = args.check.split(",") if args.check else []
     try:
-        res = run(cfg, sched, args.max_steps,
-                  wf_each_step="wf" in checks_requested)
+        res = run(cfg, sched, args.max_steps, wf_each_step="wf" in args.check)
     except CtrdRuntimeError as e:
         return _die(4, f"{args.file}: runtime fault: {e}")
     exec_ = record(res.trace)
-    checks = [c for c in (args.check.split(",") if args.check else []) if c]
-    verdicts = _verdicts(checks, res, exec_)
+    verdicts = _verdicts(args.check, res, exec_)
     if args.trace:
         _dump(args.trace, trace_json(res.trace))
     if args.exec_out:
@@ -221,7 +201,7 @@ def cmd_run(args) -> int:
     print(json.dumps(report, sort_keys=True))
     if res.status != "quiescent":
         return 4
-    if any(not v.get("ok", False) for v in verdicts.values()):
+    if any(not v["ok"] for v in verdicts.values()):
         return 3
     return 0
 
@@ -232,31 +212,24 @@ def cmd_explore(args) -> int:
         return loaded
     prog, checked = loaded
     cfg = initial_config(prog, checked.id_types, args.servers)
-    checks = [c for c in (args.check.split(",") if args.check else []) if c]
-    violations = {name: 0 for name in checks}
-    counted = [0]
+    violations = {name: 0 for name in args.check}
 
     def on_trace(trace, final, truncated):
-        counted[0] += 1
         exec_ = record(trace)
-        for name in checks:
-            if name == "sc" and not check_sc(exec_).ok:
-                violations["sc"] += 1
-            elif name == "sc-con" and not check_sc(project_con(exec_)).ok:
-                violations["sc-con"] += 1
-            elif name == "ec" and not truncated:
-                try:
-                    if not check_ec(exec_, final).ok:
-                        violations["ec"] += 1
-                except NotQuiescent:
-                    pass
+        for name in args.check:
+            # explore checks wf at every state; a truncated trace never
+            # reached the state ec judges
+            if name == "wf" or (name == "ec" and truncated):
+                continue
+            if not CHECKS[name](exec_, final).ok:
+                violations[name] += 1
 
     try:
         summary = explore(cfg, args.max_depth, on_trace=on_trace,
-                          check_wf_each="wf" in checks)
+                          check_wf_each="wf" in args.check)
     except StateSpaceLimit as e:
         return _die(4, f"{args.file}: {e}")
-    if "wf" in checks:
+    if "wf" in args.check:
         violations["wf"] = len(summary.wf_violations)
     report = {
         "file": args.file,
@@ -267,7 +240,12 @@ def cmd_explore(args) -> int:
         "violations": violations,
     }
     print(json.dumps(report, sort_keys=True))
-    return 3 if any(violations.values()) else 0
+    if any(violations.values()):
+        return 3
+    if summary.truncated == summary.traces:
+        return _die(4, f"{args.file}: all {summary.traces} traces reached "
+                       f"--max-depth {args.max_depth}; no verdict")
+    return 0
 
 
 def cmd_nif(args) -> int:
@@ -292,7 +270,12 @@ def cmd_nif(args) -> int:
         "truncated": [verdict.truncated_a, verdict.truncated_b],
     }
     print(json.dumps(report, sort_keys=True))
-    return 0 if verdict.equivalent else 3
+    if not verdict.equivalent:
+        return 3
+    if not verdict.observations_a:
+        return _die(4, f"{args.file_a}, {args.file_b}: every trace reached "
+                       f"--max-depth {args.max_depth}; no verdict")
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -318,14 +301,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--trace", default=None, help="write the trace JSON here")
     p.add_argument("--exec", dest="exec_out", default=None,
                    help="write the recorded abstract execution JSON here")
-    p.add_argument("--check", default="", help="comma list: sc,sc-con,ec,wf")
+    p.add_argument("--check", default="", type=_check_names,
+                   help="comma list: " + ",".join(CHECKS))
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("explore", help="exhaustively explore interleavings")
     p.add_argument("file")
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--servers", type=int, default=None)
-    p.add_argument("--check", default="", help="comma list: sc,sc-con,ec,wf")
+    p.add_argument("--check", default="", type=_check_names,
+                   help="comma list: " + ",".join(CHECKS))
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("nif", help="compare con observations of two programs "
@@ -337,6 +322,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.set_defaults(fn=cmd_nif)
 
     args = ap.parse_args(argv)
+    unknown = [c for c in getattr(args, "check", ()) if c not in CHECKS]
+    if unknown:
+        return _die(2, f"ctrd {args.command}: unknown check {unknown[0]!r} "
+                       f"(choose from {', '.join(CHECKS)})")
     try:
         return args.fn(args)
     except RecursionError:

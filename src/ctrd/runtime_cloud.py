@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from enum import IntEnum
+from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
 from .runtime_local import (
@@ -100,78 +101,26 @@ def initial_config(program: Program, id_types: dict[Identifier, Type],
 # ---------------------------------------------------------------------------
 # Step choices
 
-@dataclass(frozen=True)
-class ClientStep:
-    client: int
-
-    def sort_key(self):
-        return (0, self.client, 0, 0)
-
-
-@dataclass(frozen=True)
-class AwaitResolve:
-    client: int
-
-    def sort_key(self):
-        return (1, self.client, 0, 0)
+class Kind(IntEnum):
+    """The rule family of a step choice, in scheduling order."""
+    CLIENT_STEP = 0
+    AWAIT_RESOLVE = 1
+    CON_READ = 2
+    AVA_REMOTE_READ = 3
+    SEND = 4
+    DELIVER_UPDATE = 5
+    PROCESS_REQ = 6
+    GC_UPDATE = 7
 
 
-@dataclass(frozen=True)
-class ConRead:
-    client: int
-    server: int
-
-    def sort_key(self):
-        return (2, self.client, self.server, 0)
-
-
-@dataclass(frozen=True)
-class AvaRemoteRead:
-    client: int
-    server: int
-
-    def sort_key(self):
-        return (3, self.client, self.server, 0)
-
-
-@dataclass(frozen=True)
-class Send:
-    client: int
-
-    def sort_key(self):
-        return (4, self.client, 0, 0)
-
-
-@dataclass(frozen=True)
-class DeliverUpdate:
-    message: tuple      # message key
-    server: int
-
-    def sort_key(self):
-        return (5,) + self.message + (self.server,)
-
-
-@dataclass(frozen=True)
-class ProcessReq:
-    message: tuple
-    server: int
-
-    def sort_key(self):
-        return (6,) + self.message + (self.server,)
-
-
-@dataclass(frozen=True)
-class GcUpdate:
-    message: tuple
-
-    def sort_key(self):
-        return (7,) + self.message + (0,)
-
-
-StepChoice = Union[ClientStep, AwaitResolve, ConRead, AvaRemoteRead, Send,
-                   DeliverUpdate, ProcessReq, GcUpdate]
-
-CATEGORY_COUNT = 8
+class Choice(NamedTuple):
+    """One enabled rule instance. Fields a kind does not use stay at their
+    defaults, so the tuple order (kind, client, message key, server) is the
+    scheduling order."""
+    kind: Kind
+    client: int = 0
+    message: tuple = ()     # message key
+    server: int = 0
 
 
 def _find_message(config: CloudConfig, key: tuple) -> Optional[Message]:
@@ -181,55 +130,51 @@ def _find_message(config: CloudConfig, key: tuple) -> Optional[Message]:
     return None
 
 
-def enabled(config: CloudConfig) -> list[StepChoice]:
+def enabled(config: CloudConfig) -> list[Choice]:
     """Every rule instance whose premises hold, deterministically ordered."""
-    out: list[StepChoice] = []
+    out: list[Choice] = []
+
+    def reads(kind: Kind, cid: int, o: Location) -> None:
+        out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
+                   if o in s.store)
+
     for cid in sorted(config.clients):
         client = config.clients[cid]
         if client.buffer:
-            out.append(Send(cid))
+            out.append(Choice(Kind.SEND, cid))
         d = decompose(client.term, client.idmap, config.global_ids)
         if d is None or isinstance(d, Blocked):
             continue
-        r = d.term
-        match r:
+        match d.term:
             case Await(ident=ident):
                 if ident in client.idmap:
-                    out.append(ClientStep(cid))
+                    out.append(Choice(Kind.CLIENT_STEP, cid))
                 elif ident in config.global_ids:
-                    out.append(AwaitResolve(cid))
-            case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))):
-                if lab == CON:
-                    out.extend(ConRead(cid, i) for i, s in enumerate(config.servers)
-                               if o in s.store)
-                elif lab == AVA and o not in client.store:
-                    out.extend(AvaRemoteRead(cid, i) for i, s in enumerate(config.servers)
-                               if o in s.store)
-                else:
-                    out.append(ClientStep(cid))
-            case FlexRead(term=Lit(value=Plain(raw=Location() as o, label=OAC_)), label=lab) if OAC_ == OAC:
-                if lab == AVA and o not in client.store:
-                    out.extend(AvaRemoteRead(cid, i) for i, s in enumerate(config.servers)
-                               if o in s.store)
-                else:
-                    out.append(ClientStep(cid))
+                    out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+            case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if (
+                    lab == CON or lab == AVA and o not in client.store):
+                reads(Kind.CON_READ if lab == CON else Kind.AVA_REMOTE_READ, cid, o)
+            case FlexRead(term=Lit(value=Plain(raw=Location() as o, label=cell)), label=lab) if (
+                    cell == OAC and lab == AVA and o not in client.store):
+                reads(Kind.AVA_REMOTE_READ, cid, o)
             case _:
-                out.append(ClientStep(cid))
+                out.append(Choice(Kind.CLIENT_STEP, cid))
     all_servers = frozenset(range(len(config.servers)))
     for m in config.mailbox:
+        key = m.key()
         if isinstance(m, Update):
             if m.delivered == all_servers:
-                out.append(GcUpdate(m.key()))
+                out.append(Choice(Kind.GC_UPDATE, message=key))
             else:
-                out.extend(DeliverUpdate(m.key(), r)
+                out.extend(Choice(Kind.DELIVER_UPDATE, message=key, server=r)
                            for r in sorted(all_servers - m.delivered))
         else:
             ident = m.ident
             if ident in config.global_ids and m.origin in config.clients:
                 o = config.global_ids[ident]
-                out.extend(ProcessReq(m.key(), r)
+                out.extend(Choice(Kind.PROCESS_REQ, message=key, server=r)
                            for r, s in enumerate(config.servers) if o in s.store)
-    return sorted(out, key=lambda c: c.sort_key())
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +209,14 @@ def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
 # ---------------------------------------------------------------------------
 # Configuration stepping
 
-def step_cloud(config: CloudConfig, choice: StepChoice) -> tuple[CloudConfig, TraceEntry]:
+def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceEntry]:
     """Apply one enabled rule instance; returns the new configuration and
     the trace record of what fired."""
-    cfg = config.copy()
-    match choice:
-        case ClientStep(client=cid):
-            return _client_step(cfg, cid)
-        case AwaitResolve(client=cid):
-            return _await_resolve(cfg, cid)
-        case ConRead(client=cid, server=r):
-            return _con_read(cfg, cid, r)
-        case AvaRemoteRead(client=cid, server=r):
-            return _ava_remote_read(cfg, cid, r)
-        case Send(client=cid):
-            return _send(cfg, cid)
-        case DeliverUpdate(message=key, server=r):
-            return _deliver_update(cfg, key, r)
-        case ProcessReq(message=key, server=r):
-            return _process_req(cfg, key, r)
-        case GcUpdate(message=key):
-            return _gc_update(cfg, key)
-    raise IllegalChoice(f"unknown choice {choice!r}")
+    return _HANDLERS[choice.kind](config.copy(), choice)
 
 
-def _client_step(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
+def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    cid = ch.client
     client = cfg.clients[cid]
     before_ids = set(client.idmap)
     out = step_local(client, cfg.global_ids)
@@ -415,7 +343,8 @@ def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, 
     raise IllegalChoice(f"no cloud rule applies to {pretty(r)}")
 
 
-def _await_resolve(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
+def _await_resolve(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    cid = ch.client
     client = cfg.clients[cid].copy()
     cfg.clients[cid] = client
     d = decompose(client.term, client.idmap, cfg.global_ids)
@@ -430,54 +359,35 @@ def _await_resolve(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]
     return cfg, TraceEntry(0, "E-AWAIT2", eps(d.effect), client=cid)
 
 
-def _read_redex(cfg: CloudConfig, cid: int):
+def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    """One server answers a consistent read, or an available read of a cell
+    the client holds no replica of yet (which installs one)."""
+    cid, r = ch.client, ch.server
     client = cfg.clients[cid].copy()
     cfg.clients[cid] = client
     d = decompose(client.term, client.idmap, cfg.global_ids)
-    if not isinstance(d, Redex):
-        raise IllegalChoice(f"client {cid} has no redex")
-    return client, d
-
-
-def _con_read(cfg: CloudConfig, cid: int, r: int) -> tuple[CloudConfig, TraceEntry]:
-    client, d = _read_redex(cfg, cid)
-    match d.term:
-        case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab == CON:
-            server = cfg.servers[r]
-            if o not in server.store:
-                raise IllegalChoice(f"server {r} does not hold {o}")
-            result = raise_label(server.store[o], CON)
-            nu = client.fresh_event()
-            act = Action(d.effect, "rd", CON, nu, o, result,
-                         source=("server", r), snapshot=server.seq)
-            client.term = d.rebuild(Lit(result))
-            return cfg, TraceEntry(0, "E-CONDEREF", act, client=cid, server=r)
-    raise IllegalChoice(f"client {cid} is not at a consistent read")
-
-
-def _ava_remote_read(cfg: CloudConfig, cid: int, r: int) -> tuple[CloudConfig, TraceEntry]:
-    client, d = _read_redex(cfg, cid)
-    server = cfg.servers[r]
-    match d.term:
-        case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab == AVA:
-            rule = "E-AVADEREF2"
+    match d.term if isinstance(d, Redex) else None:
+        case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab in (CON, AVA):
+            rule = "E-CONDEREF" if lab == CON else "E-AVADEREF2"
         case FlexRead(label=lab, term=Lit(value=Plain(raw=Location() as o))) if lab == AVA:
             rule = "E-FLEXRD-AVA"
         case _:
-            raise IllegalChoice(f"client {cid} is not at an available remote read")
-    if o in client.store or o not in server.store:
-        raise IllegalChoice("remote available read premises violated")
-    v = server.store[o]
-    client.store[o] = v
-    result = raise_label(v, AVA)
-    nu = client.fresh_event()
-    act = Action(d.effect, "rd", AVA, nu, o, result,
+            raise IllegalChoice(f"client {cid} is not at a server read")
+    server = cfg.servers[r]
+    if ((lab == CON) != (ch.kind == Kind.CON_READ) or o not in server.store
+            or (lab == AVA and o in client.store)):
+        raise IllegalChoice(f"server read premises violated for client {cid} at server {r}")
+    if lab == AVA:
+        client.store[o] = server.store[o]
+    result = raise_label(server.store[o], lab)
+    act = Action(d.effect, "rd", lab, client.fresh_event(), o, result,
                  source=("server", r), snapshot=server.seq)
     client.term = d.rebuild(Lit(result))
     return cfg, TraceEntry(0, rule, act, client=cid, server=r)
 
 
-def _send(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
+def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    cid = ch.client
     client = cfg.clients[cid].copy()
     cfg.clients[cid] = client
     if not client.buffer:
@@ -488,7 +398,8 @@ def _send(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
     return cfg, TraceEntry(0, "E-SEND", eps(LOC), client=cid)
 
 
-def _deliver_update(cfg: CloudConfig, key: tuple, r: int) -> tuple[CloudConfig, TraceEntry]:
+def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    key, r = ch.message, ch.server
     m = _find_message(cfg, key)
     if not isinstance(m, Update) or r in m.delivered:
         raise IllegalChoice(f"update delivery premises violated for {key}")
@@ -514,7 +425,8 @@ def _deliver_update(cfg: CloudConfig, key: tuple, r: int) -> tuple[CloudConfig, 
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)
 
 
-def _process_req(cfg: CloudConfig, key: tuple, r: int) -> tuple[CloudConfig, TraceEntry]:
+def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    key, r = ch.message, ch.server
     m = _find_message(cfg, key)
     if not isinstance(m, Req) or m.ident not in cfg.global_ids:
         raise IllegalChoice(f"request premises violated for {key}")
@@ -536,12 +448,25 @@ def _process_req(cfg: CloudConfig, key: tuple, r: int) -> tuple[CloudConfig, Tra
                            client=m.origin, server=r)
 
 
-def _gc_update(cfg: CloudConfig, key: tuple) -> tuple[CloudConfig, TraceEntry]:
+def _gc_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    key = ch.message
     m = _find_message(cfg, key)
     if not isinstance(m, Update) or m.delivered != frozenset(range(len(cfg.servers))):
         raise IllegalChoice(f"garbage collection premises violated for {key}")
     cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
     return cfg, TraceEntry(0, "E-GC", eps(LOC))
+
+
+_HANDLERS = {
+    Kind.CLIENT_STEP: _client_step,
+    Kind.AWAIT_RESOLVE: _await_resolve,
+    Kind.CON_READ: _server_read,
+    Kind.AVA_REMOTE_READ: _server_read,
+    Kind.SEND: _send,
+    Kind.DELIVER_UPDATE: _deliver_update,
+    Kind.PROCESS_REQ: _process_req,
+    Kind.GC_UPDATE: _gc_update,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +518,7 @@ class RandomScheduler:
     def __init__(self, seed: int):
         self.rng = SplitMix64(seed)
 
-    def pick(self, choices: list[StepChoice]) -> StepChoice:
+    def pick(self, choices: list[Choice]) -> Choice:
         return choices[self.rng.next() % len(choices)]
 
 
@@ -605,16 +530,16 @@ class _CategoryFair:
         self.name = name
         self.cat = 0
         self.rotate_within = rotate_within
-        self.counters = [0] * CATEGORY_COUNT
+        self.counters = [0] * len(Kind)
 
-    def pick(self, choices: list[StepChoice]) -> StepChoice:
-        by_cat: dict[int, list[StepChoice]] = {}
+    def pick(self, choices: list[Choice]) -> Choice:
+        by_cat: dict[int, list[Choice]] = {}
         for ch in choices:
-            by_cat.setdefault(ch.sort_key()[0], []).append(ch)
-        for off in range(CATEGORY_COUNT):
-            cat = (self.cat + off) % CATEGORY_COUNT
+            by_cat.setdefault(ch.kind, []).append(ch)
+        for off in range(len(Kind)):
+            cat = (self.cat + off) % len(Kind)
             if cat in by_cat:
-                self.cat = (cat + 1) % CATEGORY_COUNT
+                self.cat = (cat + 1) % len(Kind)
                 group = by_cat[cat]
                 if self.rotate_within:
                     idx = self.counters[cat] % len(group)
@@ -650,22 +575,23 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
     """Drive the configuration until quiescence, deadlock, or the step cap."""
     trace: list[TraceEntry] = []
     cfg = config
-    for step in range(max_steps):
-        choices = enabled(cfg)
-        if not choices:
-            blocked = any(client_status(cfg, cid) == "blocked" for cid in cfg.clients)
-            return RunResult(cfg, trace, "deadlock" if blocked else "quiescent", step)
+    choices = enabled(cfg)
+    while choices and len(trace) < max_steps:
         cfg, entry = step_cloud(cfg, scheduler.pick(choices))
-        entry.step = step
+        entry.step = len(trace)
         trace.append(entry)
         if wf_each_step:
             report = check_wf(cfg)
             if not report.ok:
                 raise CtrdRuntimeError("Stuck", f"well-formedness lost: {report.problems[0]}")
-    if enabled(cfg):
-        return RunResult(cfg, trace, "step-limit", max_steps)
-    blocked = any(client_status(cfg, cid) == "blocked" for cid in cfg.clients)
-    return RunResult(cfg, trace, "deadlock" if blocked else "quiescent", max_steps)
+        choices = enabled(cfg)
+    if choices:
+        status = "step-limit"
+    elif any(client_status(cfg, cid) == "blocked" for cid in cfg.clients):
+        status = "deadlock"
+    else:
+        status = "quiescent"
+    return RunResult(cfg, trace, status, len(trace))
 
 
 @dataclass
@@ -732,6 +658,9 @@ def explore(config: CloudConfig, max_depth: int,
 class WfReport:
     ok: bool
     problems: list[str]
+
+    def summary(self, name: str = "wf") -> str:
+        return f"CHECK {name} {'OK' if self.ok else 'FAIL ' + self.problems[0]}"
 
 
 def check_wf(config: CloudConfig) -> WfReport:

@@ -9,7 +9,7 @@ from conftest import checked_config, corpus_files, load
 from ctrd.abstract_exec import (
     AbstractExecution, MalformedTrace, NotQuiescent, Operation,
     ProgramsNotLowEquivalent, check_ec, check_low_equivalence,
-    check_noninterference, check_sc, con_observation, erase_value,
+    check_noninterference, check_sc, con_observation, value_json,
     join_of_writes, program_order, project_ava, project_con, record,
     relation_compose, relation_inverse, relation_negate, return_value_of,
 )
@@ -224,10 +224,10 @@ def test_con_observation_deterministic_single_client():
 def test_erase_value_forms():
     from ctrd.lattice import GSet
     from ctrd.syntax import BoolVal, UNIT
-    assert erase_value(Plain(NatMax(3), CON)) == {"nat": 3}
-    assert erase_value(Plain(GSet(frozenset("ab")), AVA)) == {"set": ["a", "b"]}
-    assert erase_value(Plain(BoolVal(False), CON)) == {"bool": False}
-    assert erase_value(Plain(UNIT, CON)) == "unit"
+    assert value_json(Plain(NatMax(3), CON), labels=False) == {"nat": 3}
+    assert value_json(Plain(GSet(frozenset("ab")), AVA), labels=False) == {"set": ["a", "b"]}
+    assert value_json(Plain(BoolVal(False), CON), labels=False) == {"bool": False}
+    assert value_json(Plain(UNIT, CON), labels=False) == "unit"
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,46 @@ def test_deep_program_ends_in_a_diagnostic(tmp_path, capsys):
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "NestingTooDeep" in err, err
+
+
+def test_unknown_check_name_is_a_usage_error(capsys):
+    path = str(CORPUS / "con" / "handoff.ctrd")
+    for command in ("run", "explore"):
+        assert main([command, path, "--check", "sc,foo"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "'foo'" in err, err
+
+
+# client 2 awaits an identifier that only client 1's untaken branch creates
+DEADLOCK = """servers 2;
+client 1 { if nat 1 @loc <= nat 0 @loc
+           then { let c = ref@con(nat 0 @con, (con,2)) in unit @loc }
+           else { unit @loc } }
+client 2 { let p = await((con,2)) in !p }"""
+
+
+def test_deadlocked_leaf_fails_ec_in_run_and_explore(tmp_path, capsys):
+    path = tmp_path / "deadlock.ctrd"
+    path.write_text(DEADLOCK)
+    assert main(["run", str(path), "--check", "ec"]) == 4
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["status"] == "deadlock" and not report["checks"]["ec"]["ok"]
+    assert main(["explore", str(path), "--check", "ec"]) == 3
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["truncated"] == 0 and report["violations"]["ec"] == report["traces"] >= 1
+
+
+def test_every_trace_truncated_is_no_verdict(capsys):
+    code = main(["nif", str(CORPUS / "nif" / "pair2_a.ctrd"),
+                 str(CORPUS / "nif" / "pair2_b.ctrd"), "--max-depth", "3"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 4 and err.count("\n") == 1
+    assert report["equivalent"] and report["truncated"] == [6, 6]
+    code = main(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"),
+                 "--max-depth", "2", "--check", "sc"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 4 and err.count("\n") == 1
+    assert report["truncated"] == report["traces"] == 2
+    assert report["violations"] == {"sc": 0}

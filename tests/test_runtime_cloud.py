@@ -9,8 +9,8 @@ from conftest import checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
-    ClientStep, ConRead, DeliverUpdate, GcUpdate, IllegalChoice, SplitMix64,
-    check_wf, enabled, explore, make_scheduler, quiescent, run, step_cloud,
+    Choice, IllegalChoice, Kind, SplitMix64, check_wf, enabled, explore,
+    make_scheduler, quiescent, run, step_cloud,
 )
 from ctrd.runtime_local import Update
 from ctrd.syntax import AVA, BoolVal, CON, Identifier, Location, Plain
@@ -39,27 +39,30 @@ def test_enabled_partial_delivery_choices():
     _, _, cfg = checked_config("servers 3; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
     res = run(cfg, make_scheduler("drain-fair"), 2)   # avaref + send
     (m,) = res.config.mailbox
-    cfg2, _ = step_cloud(res.config, DeliverUpdate(m.key(), 0))
+    cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=0))
     choices = enabled(cfg2)
-    delivers = [c for c in choices if isinstance(c, DeliverUpdate)]
+    delivers = [c for c in choices if c.kind == Kind.DELIVER_UPDATE]
     assert {c.server for c in delivers} == {1, 2}
-    assert not any(isinstance(c, GcUpdate) for c in choices)
+    assert not any(c.kind == Kind.GC_UPDATE for c in choices)
 
 
 def test_enabled_con_read_per_server():
     src = """servers 3;
     client 1 { let c = ref@con(nat 1 @con, (con,1)) in !c }"""
     _, _, cfg = checked_config(src)
-    cfg, _ = step_cloud(cfg, ClientStep(1))   # conref
-    cfg, _ = step_cloud(cfg, ClientStep(1))   # let
-    reads = [c for c in enabled(cfg) if isinstance(c, ConRead)]
+    cfg, _ = step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))   # conref
+    cfg, _ = step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))   # let
+    reads = [c for c in enabled(cfg) if c.kind == Kind.CON_READ]
     assert {c.server for c in reads} == {0, 1, 2}
+    # the redex decides the read's label; a choice claiming another is refused
+    with pytest.raises(IllegalChoice):
+        step_cloud(cfg, reads[0]._replace(kind=Kind.AVA_REMOTE_READ))
 
 
 def test_illegal_choice_rejected():
     _, _, cfg = checked_config("servers 3; client 1 { unit @loc }")
     with pytest.raises(IllegalChoice):
-        step_cloud(cfg, ClientStep(1))
+        step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +106,17 @@ def test_gc_only_after_full_delivery():
     res = run(cfg, make_scheduler("drain-fair"), 2)
     (m,) = res.config.mailbox
     with pytest.raises(IllegalChoice):
-        step_cloud(res.config, GcUpdate(m.key()))
+        step_cloud(res.config, Choice(Kind.GC_UPDATE, message=m.key()))
     deliveries = 0
     cfg2 = res.config
     while True:
-        delivers = [c for c in enabled(cfg2) if isinstance(c, DeliverUpdate)]
+        delivers = [c for c in enabled(cfg2) if c.kind == Kind.DELIVER_UPDATE]
         if not delivers:
             break
         cfg2, _ = step_cloud(cfg2, delivers[0])
         deliveries += 1
     assert deliveries == 3                      # one per server, never more
-    cfg2, entry = step_cloud(cfg2, GcUpdate(m.key()))
+    cfg2, entry = step_cloud(cfg2, Choice(Kind.GC_UPDATE, message=m.key()))
     assert entry.rule == "E-GC" and cfg2.mailbox == ()
 
 
@@ -184,7 +187,7 @@ def test_flexrd_con_merges_replicas():
 def test_step_cloud_does_not_mutate_input():
     _, _, cfg = checked_config("servers 3; client 1 { ref@con(nat 1 @con, (con,1)) }")
     before = cfg.key()
-    step_cloud(cfg, ClientStep(1))
+    step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
     assert cfg.key() == before
 
 
