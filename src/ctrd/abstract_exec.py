@@ -72,9 +72,6 @@ class AbstractExecution:
         )
 
 
-# Rules that write every server in one atomic step
-_SYNCED_RULES = frozenset(["E-CONREF", "E-OACREF", "E-CONASSIGN",
-                           "E-FLEXWRT-CON", "E-CLONE"])
 _DELIVERY_RULE = "E-PROCESS-UPDATE"
 
 
@@ -121,7 +118,7 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
         prior = exec_.sp.get(i, frozenset())
         exec_.op[nu] = Operation(act.kind, act.label, act.location, act.value,
                                  act.literal_label)
-        if entry.rule in _SYNCED_RULES:
+        if act.synced:
             # A-WRITE-1: all-server write; arbitration inherits the shared log
             if act.snapshot is None:
                 raise MalformedTrace(f"{entry.rule} lacks a log snapshot")
@@ -436,7 +433,7 @@ def check_noninterference(prog_a, prog_b, max_depth: int,
         obs: set[str] = set()
         truncated = [0]
 
-        def on_trace(trace, final, was_truncated, obs=obs, truncated=truncated):
+        def on_trace(exec_, final, was_truncated, obs=obs, truncated=truncated):
             if was_truncated:
                 truncated[0] += 1
             else:

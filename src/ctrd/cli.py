@@ -1,10 +1,11 @@
 """Command-line front door: check, run, explore, nif.
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply to parse; 2 I/O failure, a bad flag or an unknown --check
-name; 3 a requested check failed; 4 deadlock, step/state limit, runtime
-fault, nesting too deep to simulate, or an explore/nif in which every trace
-was truncated at --max-depth (no verdict); 5 programs not low-equivalent.
+nested too deeply to parse; 2 I/O failure (a closed stdout included), a bad
+flag or an unknown --check name; 3 a requested check failed; 4 deadlock,
+step/state limit, runtime fault, nesting too deep to simulate, or an
+explore/nif in which every trace was truncated at --max-depth (no verdict);
+5 programs not low-equivalent.
 """
 
 from __future__ import annotations
@@ -214,8 +215,7 @@ def cmd_explore(args) -> int:
     cfg = initial_config(prog, checked.id_types, args.servers)
     violations = {name: 0 for name in args.check}
 
-    def on_trace(trace, final, truncated):
-        exec_ = record(trace)
+    def on_trace(exec_, final, truncated):
         for name in args.check:
             # explore checks wf at every state; a truncated trace never
             # reached the state ec judges
@@ -327,10 +327,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _die(2, f"ctrd {args.command}: unknown check {unknown[0]!r} "
                        f"(choose from {', '.join(CHECKS)})")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except RecursionError:
         return _die(4, f"ctrd {args.command}: the program nests deeper than the "
                        f"simulator can follow")
+    except BrokenPipeError:
+        return _die(2, f"ctrd {args.command}: stdout was closed before the output "
+                       f"was written")
 
 
 if __name__ == "__main__":

@@ -15,10 +15,11 @@ from enum import IntEnum
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
+# decompose is not called here; the name is kept so that tools wrapping it
+# from outside the package find it where step_local is looked up
 from .runtime_local import (
-    Action, Blocked, ClientState, CtrdRuntimeError, EventId, Message, Redex,
-    Req, Stepped, Update, decompose, eps, initial_client, merge_values,
-    step_local,
+    Action, ClientState, CtrdRuntimeError, EventId, Message, Req, Update,
+    decompose, eps, initial_client, merge_values, step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
@@ -142,15 +143,15 @@ def enabled(config: CloudConfig) -> list[Choice]:
         client = config.clients[cid]
         if client.buffer:
             out.append(Choice(Kind.SEND, cid))
-        d = decompose(client.term, client.idmap, config.global_ids)
-        if d is None or isinstance(d, Blocked):
+        if client.redex is None:
             continue
-        match d.term:
+        match client.redex.term:
             case Await(ident=ident):
                 if ident in client.idmap:
                     out.append(Choice(Kind.CLIENT_STEP, cid))
                 elif ident in config.global_ids:
                     out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+                # otherwise blocked until the identifier is published
             case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if (
                     lab == CON or lab == AVA and o not in client.store):
                 reads(Kind.CON_READ if lab == CON else Kind.AVA_REMOTE_READ, cid, o)
@@ -200,6 +201,17 @@ def _common_seq(servers: list[Server]) -> tuple[EventId, ...]:
     return tuple(sorted(common, key=lambda e: e.sort_key()))
 
 
+def _joined_replicas(config: CloudConfig, o: Location):
+    """The lattice join of every server's replica of o."""
+    states = [s.store[o] for s in config.servers if o in s.store]
+    if len(states) != len(config.servers):
+        raise CtrdRuntimeError("DanglingLocation", f"{o} missing from some server")
+    merged = states[0]
+    for v in states[1:]:
+        merged = merge_values(merged, v)
+    return merged
+
+
 def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
     for s in config.servers:
         s.store[o] = v
@@ -211,37 +223,36 @@ def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
 
 def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceEntry]:
     """Apply one enabled rule instance; returns the new configuration and
-    the trace record of what fired."""
+    the trace record of what fired. The input is copied once, here, and the
+    handler steps that copy in place."""
     return _HANDLERS[choice.kind](config.copy(), choice)
 
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
     client = cfg.clients[cid]
-    before_ids = set(client.idmap)
-    out = step_local(client, cfg.global_ids)
-    if isinstance(out, Stepped):
-        cfg.clients[cid] = out.client
-        # new identifier bindings are fresh allocations; record their typing
-        for ident in set(out.client.idmap) - before_ids:
-            o = out.client.idmap[ident]
-            if ident in cfg.id_typing:
-                cfg.store_typing.setdefault(o, cfg.id_typing[ident])
-        return cfg, TraceEntry(0, out.rule, out.action, client=cid)
-    if isinstance(out, Redex):
-        return _cloud_redex(cfg, cid, out)
-    raise IllegalChoice(f"client {cid} has no enabled local step")
+    if client.redex is None:
+        raise IllegalChoice(f"client {cid} has no enabled local step")
+    bound = len(client.idmap)
+    fired = step_local(client)
+    if fired is None:
+        return _cloud_redex(cfg, cid)
+    # new identifier bindings are fresh allocations; record their typing
+    for ident in list(client.idmap)[bound:]:
+        if ident in cfg.id_typing:
+            cfg.store_typing.setdefault(client.idmap[ident], cfg.id_typing[ident])
+    rule, action = fired
+    return cfg, TraceEntry(0, rule, action, client=cid)
 
 
-def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, TraceEntry]:
-    client = cfg.clients[cid].copy()
-    cfg.clients[cid] = client
-    r, eff = need.term, need.effect
+def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
+    client = cfg.clients[cid]
+    r, eff = client.redex.term, client.redex.effect
     pre_common = _common_seq(cfg.servers)
 
     def finish(result: Term, action: Action, rule: str,
                node_count: Optional[int] = None) -> tuple[CloudConfig, TraceEntry]:
-        client.term = need.rebuild(result)
+        client.plug(result)
         return cfg, TraceEntry(0, rule, action, client=cid, node_count=node_count)
 
     match r:
@@ -291,7 +302,11 @@ def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, 
                 # the buffered (available) write
                 act = Action(eff, "wr", AVA, nu, o, v, literal_label=CON)
                 return finish(Lit(Plain(UNIT, AVA)), act, "E-FLEXWRT-AVA")
-            stamped = raise_label(v, label_join(eff, CON))
+            # join, not overwrite: a flexwrite@ava still in flight is joined
+            # into the servers it reaches later, so every replica must hold
+            # the same join now for them to agree at quiescence
+            stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
+                                  label_join(eff, CON))
             client.store[o] = stamped
             _sync_write(cfg, o, stamped, nu)
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
@@ -313,12 +328,7 @@ def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, 
                              source=("local", cid), snapshot=())
                 return finish(Lit(result), act, "E-FLEXRD-AVA")
             # consistent read: merge every replica, install the merged state
-            states = [s.store[o] for s in cfg.servers if o in s.store]
-            if len(states) != len(cfg.servers):
-                raise CtrdRuntimeError("DanglingLocation", f"{o} missing from some server")
-            merged = states[0]
-            for v2 in states[1:]:
-                merged = merge_values(merged, v2)
+            merged = _joined_replicas(cfg, o)
             for s in cfg.servers:
                 s.store[o] = merged
             client.store[o] = merged
@@ -345,17 +355,16 @@ def _cloud_redex(cfg: CloudConfig, cid: int, need: Redex) -> tuple[CloudConfig, 
 
 def _await_resolve(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
-    client = cfg.clients[cid].copy()
-    cfg.clients[cid] = client
-    d = decompose(client.term, client.idmap, cfg.global_ids)
-    if not isinstance(d, Redex) or not isinstance(d.term, Await):
+    client = cfg.clients[cid]
+    d = client.redex
+    if d is None or not isinstance(d.term, Await):
         raise IllegalChoice(f"client {cid} is not at an await")
     ident = d.term.ident
     if ident not in cfg.global_ids:
         raise IllegalChoice(f"{ident} is not globally bound")
     o = cfg.global_ids[ident]
     client.idmap[ident] = o
-    client.term = d.rebuild(Lit(Plain(o, ident.label)))
+    client.plug(Lit(Plain(o, ident.label)))
     return cfg, TraceEntry(0, "E-AWAIT2", eps(d.effect), client=cid)
 
 
@@ -363,10 +372,9 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
-    client = cfg.clients[cid].copy()
-    cfg.clients[cid] = client
-    d = decompose(client.term, client.idmap, cfg.global_ids)
-    match d.term if isinstance(d, Redex) else None:
+    client = cfg.clients[cid]
+    d = client.redex
+    match d.term if d is not None else None:
         case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab in (CON, AVA):
             rule = "E-CONDEREF" if lab == CON else "E-AVADEREF2"
         case FlexRead(label=lab, term=Lit(value=Plain(raw=Location() as o))) if lab == AVA:
@@ -382,14 +390,13 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     result = raise_label(server.store[o], lab)
     act = Action(d.effect, "rd", lab, client.fresh_event(), o, result,
                  source=("server", r), snapshot=server.seq)
-    client.term = d.rebuild(Lit(result))
+    client.plug(Lit(result))
     return cfg, TraceEntry(0, rule, act, client=cid, server=r)
 
 
 def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
-    client = cfg.clients[cid].copy()
-    cfg.clients[cid] = client
+    client = cfg.clients[cid]
     if not client.buffer:
         raise IllegalChoice(f"client {cid} has an empty buffer")
     m, rest = client.buffer[0], client.buffer[1:]
@@ -434,8 +441,7 @@ def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     server = cfg.servers[r]
     if o not in server.store:
         raise IllegalChoice(f"server {r} does not hold {o}")
-    client = cfg.clients[m.origin].copy()
-    cfg.clients[m.origin] = client
+    client = cfg.clients[m.origin]
     local = client.idmap.get(m.ident)
     if local is None:
         raise IllegalChoice(f"requester no longer maps {m.ident}")
@@ -474,10 +480,11 @@ _HANDLERS = {
 
 def client_status(config: CloudConfig, cid: int) -> str:
     client = config.clients[cid]
-    d = decompose(client.term, client.idmap, config.global_ids)
-    if d is None:
+    if client.redex is None:
         return "done"
-    if isinstance(d, Blocked):
+    t = client.redex.term
+    if t.__class__ is Await and t.ident not in client.idmap \
+            and t.ident not in config.global_ids:
         return "blocked"
     return "ready"
 
@@ -610,8 +617,9 @@ def explore(config: CloudConfig, max_depth: int,
 
     States are deduplicated on (configuration, abstract execution): two
     prefixes landing on the same pair have identical futures for every
-    checker, so one representative subtree suffices. on_trace receives each
-    maximal trace with its final configuration and a truncation flag.
+    checker, so one representative subtree suffices. on_trace receives the
+    abstract execution of each maximal trace, folded along the way, with its
+    final configuration and a truncation flag.
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
@@ -620,7 +628,7 @@ def explore(config: CloudConfig, max_depth: int,
     summary = ExploreSummary()
     seen: set = set()
 
-    def visit(cfg: CloudConfig, exec_: AbstractExecution, trace: tuple, depth: int) -> None:
+    def visit(cfg: CloudConfig, exec_: AbstractExecution, depth: int) -> None:
         key = (cfg.key(), exec_.key())
         if key in seen:
             return
@@ -638,16 +646,15 @@ def explore(config: CloudConfig, max_depth: int,
             summary.traces += 1
             summary.truncated += int(truncated)
             if on_trace is not None:
-                on_trace(list(trace), cfg, truncated)
+                on_trace(exec_, cfg, truncated)
             return
         for choice in choices:
             nxt, entry = step_cloud(cfg, choice)
-            entry.step = depth
             nxt_exec = exec_.copy()
             fold_entry(nxt_exec, entry)
-            visit(nxt, nxt_exec, trace + (entry,), depth + 1)
+            visit(nxt, nxt_exec, depth + 1)
 
-    visit(config, AbstractExecution(), (), 0)
+    visit(config, AbstractExecution(), 0)
     return summary
 
 

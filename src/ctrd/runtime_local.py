@@ -1,9 +1,10 @@
 """Small-step reduction local to one client.
 
-A client is a residual term plus a local store, a FIFO message buffer, and a
-local identifier map. Purely local rules execute here; rules needing servers
-or the global identifier map are surfaced as cloud redexes for the
-configuration-level stepper.
+A client is a residual term with its decomposition into evaluation context
+and redex, plus a local store, a FIFO message buffer, and a local identifier
+map. Purely local rules fire here, in place on the client; redexes needing
+servers or the global identifier map are left to the configuration-level
+stepper.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ Message = Union[Update, Req]
 class ClientState:
     cid: int
     term: Term
+    redex: Optional[Redex]                 # decompose(term), kept by plug
     store: dict[Location, object]          # Location -> LabeledValue
     buffer: tuple[Message, ...]
     idmap: dict[Identifier, Location]
@@ -111,8 +113,14 @@ class ClientState:
     event_counter: int = 0
 
     def copy(self) -> "ClientState":
-        return ClientState(self.cid, self.term, dict(self.store), self.buffer,
+        return ClientState(self.cid, self.term, self.redex, dict(self.store), self.buffer,
                            dict(self.idmap), self.loc_counter, self.event_counter)
+
+    def plug(self, result: Term) -> None:
+        """Replace the redex by result. The only place a client's term
+        changes, so the decomposition is computed once per step."""
+        self.term = self.redex.rebuild(result)
+        self.redex = decompose(self.term)
 
     def fresh_location(self, remote: bool) -> Location:
         self.loc_counter += 1
@@ -141,20 +149,20 @@ class ClientState:
 
 
 def initial_client(cid: int, term: Term) -> ClientState:
-    return ClientState(cid, term, {}, (), {})
+    return ClientState(cid, term, decompose(term), {}, (), {})
 
 
 # ---------------------------------------------------------------------------
 # Decomposition into evaluation context + redex
 
-@dataclass
+@dataclass(frozen=True)
 class Redex:
     """The redex, the effect it runs under, and the (node, child index)
     frames of its evaluation context from the root down."""
 
     term: Term
     effect: Label
-    path: list[tuple[Term, int]]
+    path: tuple[tuple[Term, int], ...]
 
     def rebuild(self, result: Term) -> Term:
         """Plug a term into the evaluation context."""
@@ -164,20 +172,8 @@ class Redex:
         return result
 
 
-@dataclass
-class Blocked:
-    ident: Identifier
-
-
-Decomposition = Union[None, Blocked, Redex]   # None: the term is a value
-
-
-def decompose(term: Term, idmap, global_ids) -> Decomposition:
-    """Locate the leftmost-innermost evaluation position.
-
-    Returns None for values and Blocked for an await whose identifier is
-    known neither locally nor globally.
-    """
+def decompose(term: Term) -> Optional[Redex]:
+    """Locate the leftmost-innermost evaluation position; None for a value."""
     if term.__class__ is Lit:
         return None
     t, eff, path = term, LOC, []
@@ -189,9 +185,7 @@ def decompose(term: Term, idmap, global_ids) -> Decomposition:
             if kids[i].__class__ is not Lit:
                 break
         else:
-            if cls is Await and t.ident not in idmap and t.ident not in global_ids:
-                return Blocked(t.ident)
-            return Redex(t, eff, path)
+            return Redex(t, eff, tuple(path))
         path.append((t, i))
         if cls is Restrict:
             eff = label_join(eff, t.label)
@@ -223,20 +217,6 @@ def subst(t: Term, name: str, value: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Local stepping
 
-@dataclass
-class Stepped:
-    client: ClientState
-    action: Action
-    rule: str
-
-
-@dataclass
-class Finished:
-    value: object      # LabeledValue
-
-
-LocalOutcome = Union[Stepped, Redex, Blocked, Finished]
-
 _LAT_FN = {"join": lat_join, "meet": lat_meet}
 _ORD_FN = {"le": lat_leq, "lt": lat_lt}
 
@@ -262,25 +242,20 @@ def _lat_args(r: Term, a: Term, b: Term):
     return va, vb
 
 
-def step_local(client: ClientState, global_ids) -> LocalOutcome:
+def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
     """Fire the unique local rule at the client's redex, if one applies.
 
-    The input client is never mutated; a stepped outcome carries a fresh
-    state. A distributed redex comes back as the decomposition's Redex, an
-    await on an unknown identifier as its Blocked.
+    The client must not be finished. The rule fires in place on the client,
+    which the caller owns, and (rule, action) comes back. A redex that needs
+    the servers or the global identifier map, an await on an identifier the
+    client does not hold included, leaves the client untouched and returns
+    None.
     """
-    d = decompose(client.term, client.idmap, global_ids)
-    if d is None:
-        return Finished(client.term.value)
-    if isinstance(d, Blocked):
-        return d
+    r, eff = c.redex.term, c.redex.effect
 
-    r, eff = d.term, d.effect
-    c = client.copy()
-
-    def done(result: Term, action: Action, rule: str) -> Stepped:
-        c.term = d.rebuild(result)
-        return Stepped(c, action, rule)
+    def done(result: Term, action: Action, rule: str) -> tuple[str, Action]:
+        c.plug(result)
+        return rule, action
 
     match r:
         case LatOp(op=op, left=a, right=b):
@@ -355,7 +330,7 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
             if ident in c.idmap:
                 o = c.idmap[ident]
                 return done(Lit(Plain(o, ident.label)), eps(eff), "E-AWAIT1")
-            return d
+            return None
 
         case Deref(term=Lit(value=v)):
             if isinstance(v, Duplicated):
@@ -379,10 +354,10 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
                     act = Action(eff, "rd", AVA, nu, o, result,
                                  source=("local", c.cid), snapshot=())
                     return done(Lit(result), act, "E-AVADEREF1")
-                return d
+                return None
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "dereference of an oac location")
-            return d   # con: served by some replica
+            return None   # con: served by some replica
 
         case Assign(target=Lit(value=vt), value=Lit(value=vv)):
             if isinstance(vt, Duplicated):
@@ -410,10 +385,10 @@ def step_local(client: ClientState, global_ids) -> LocalOutcome:
                 return done(Lit(Plain(UNIT, AVA)), act, "E-AVAASSIGN")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "assignment to an oac location")
-            return d   # con: atomic all-server write
+            return None   # con: atomic all-server write
 
         case FlexRead() | FlexWrite() | Clone() | Ref():
-            return d
+            return None
 
         case Var(name=n):
             raise CtrdRuntimeError("Stuck", f"free variable {n!r} at runtime")

@@ -4,6 +4,7 @@ checkers, observations, and noninterference."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import checked_config, corpus_files, load
 from ctrd.abstract_exec import (
@@ -144,6 +145,24 @@ def test_check_sc_negative_control():
     v = check_sc(ex)
     assert not v.ar_vis_closure and not v.ar_neg_vis_closure
     assert not v.ok
+
+
+@st.composite
+def _ar_vis_histories(draw):
+    events = [EventId(draw(st.integers(1, 3)), n) for n in range(draw(st.integers(1, 6)))]
+    pairs = st.sets(st.tuples(st.sampled_from(events), st.sampled_from(events)))
+    return AbstractExecution(op={e: _op("wr", CON, e.n) for e in events},
+                             ar=draw(pairs), vis=draw(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ar_vis_histories())
+def test_check_sc_negative_closure_is_the_contrapositive(ex):
+    # ar^-1 ; not-vis within not-vis says: (b,a) in ar and (a,c) in vis give
+    # (b,c) in vis, which is ar ; vis within vis, when ar and vis relate only
+    # events of the history
+    v = check_sc(ex)
+    assert v.ar_neg_vis_closure == v.ar_vis_closure
 
 
 def test_check_sc_vacuous_on_empty():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 from conftest import CORPUS
@@ -152,3 +154,21 @@ def test_every_trace_truncated_is_no_verdict(capsys):
     assert code == 4 and err.count("\n") == 1
     assert report["truncated"] == report["traces"] == 2
     assert report["violations"] == {"sc": 0}
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under `ctrd run … | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_io_failure(capsys):
+    for argv in (["run", str(CORPUS / "anomaly" / "mixed.ctrd"), "--seed", "0",
+                  "--check", "sc,sc-con"],
+                 ["check", str(CORPUS / "accept" / "listing_fixed.ctrd")]):
+        with contextlib.redirect_stdout(_ClosedPipe()):
+            code = main(argv)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "stdout was closed" in err, err

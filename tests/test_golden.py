@@ -1,11 +1,11 @@
 """Golden outputs: `ctrd run` reproduces committed trace, execution and
-report files byte for byte.
+report files byte for byte, and `ctrd explore` its report and exit code.
 
 The random scheduler indexes into the ordered list of enabled choices, and
 the fair schedulers rotate over its categories, so these files pin the
 choice order as well as the JSON formats. To regenerate one after a
-deliberate format change, run `produce` below and write its result into
-tests/golden/.
+deliberate format change, run `produce` or `produce_explore` below and
+write its result into tests/golden/.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ SCHEDULES = [("seed0", ["--seed", "0"]), ("seed1", ["--seed", "1"]),
              ("drain-fair", ["--sched", "drain-fair"])]
 
 
-def produce(program: str, sched: list[str], workdir: pathlib.Path) -> dict[str, bytes]:
-    """Run one program inside workdir with relative paths, so the report
-    names the same files wherever it runs; returns output name -> bytes."""
+def _ctrd_in(workdir: pathlib.Path, command: str, program: str,
+             args: list[str]) -> dict[str, bytes]:
+    """Run one ctrd command on a copy of a corpus program inside workdir,
+    with relative paths so the report names the same files wherever it
+    runs; returns the exit code and stdout."""
     rel = pathlib.Path("corpus", program + ".ctrd")
     (workdir / rel).parent.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(CORPUS / (program + ".ctrd"), workdir / rel)
@@ -42,14 +44,24 @@ def produce(program: str, sched: list[str], workdir: pathlib.Path) -> dict[str, 
     os.chdir(workdir)
     try:
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["run", str(rel), *sched, "--trace", "trace.json",
-                         "--exec", "exec.json", "--check", "sc,sc-con,ec"])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(rel), *args])
     finally:
         os.chdir(cwd)
-    return {"code": f"{code}\n".encode(), "stdout": out.getvalue().encode(),
-            "trace.json": (workdir / "trace.json").read_bytes(),
+    return {"code": f"{code}\n".encode(), "stdout": out.getvalue().encode()}
+
+
+def produce(program: str, sched: list[str], workdir: pathlib.Path) -> dict[str, bytes]:
+    """`ctrd run` with every check; returns output name -> bytes."""
+    out = _ctrd_in(workdir, "run", program, [*sched, "--trace", "trace.json",
+                                             "--exec", "exec.json", "--check", "sc,sc-con,ec"])
+    return {**out, "trace.json": (workdir / "trace.json").read_bytes(),
             "exec.json": (workdir / "exec.json").read_bytes()}
+
+
+def produce_explore(program: str, workdir: pathlib.Path) -> dict[str, bytes]:
+    """`ctrd explore` with every check at the default depth."""
+    return _ctrd_in(workdir, "explore", program, ["--check", "sc,sc-con,ec"])
 
 
 def golden_name(program: str, tag: str, part: str) -> str:
@@ -62,3 +74,10 @@ def test_run_matches_golden(program, tag, sched, tmp_path):
     for part, data in produce(program, sched, tmp_path).items():
         want = (GOLDEN / golden_name(program, tag, part)).read_bytes()
         assert data == want, f"{golden_name(program, tag, part)} differs"
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_explore_matches_golden(program, tmp_path):
+    for part, data in produce_explore(program, tmp_path).items():
+        want = (GOLDEN / golden_name(program, "explore", part)).read_bytes()
+        assert data == want, f"{golden_name(program, 'explore', part)} differs"

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import checked_config, corpus_files, load
+from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
     Choice, IllegalChoice, Kind, SplitMix64, check_wf, enabled, explore,
     make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import Update
+from ctrd.runtime_local import Update, decompose
 from ctrd.syntax import AVA, BoolVal, CON, Identifier, Location, Plain
 
 
@@ -181,6 +181,21 @@ def test_flexrd_con_merges_replicas():
     assert all(s.store[o].raw == NatMax(6) for s in res.config.servers)
 
 
+def test_flexwrite_con_keeps_a_flexwrite_ava_in_flight():
+    # flexwrite@con installs the join of every replica and its payload, so
+    # an earlier flexwrite@ava delivered afterwards changes no replica's
+    # state and every schedule converges
+    _, _, cfg = checked_config(load(CORPUS / "accept" / "flex_both.ctrd"))
+    for seed in range(10):
+        res = run(cfg, make_scheduler("random", seed), 200)
+        assert res.status == "quiescent", seed
+        assert check_ec(record(res.trace), res.config).ok, seed
+    verdicts = []
+    summary = explore(cfg, 40, on_trace=lambda exec_, final, truncated:
+                      verdicts.append(check_ec(exec_, final).ok))
+    assert summary.truncated == 0 and verdicts and all(verdicts)
+
+
 # ---------------------------------------------------------------------------
 # stepping is pure
 
@@ -189,6 +204,29 @@ def test_step_cloud_does_not_mutate_input():
     before = cfg.key()
     step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
     assert cfg.key() == before
+
+
+@pytest.mark.parametrize("program", ["anomaly/mixed", "clone/chain3_clone",
+                                     "accept/await_pair", "ava/nat_race"])
+def test_every_step_keeps_its_input_and_each_client_decomposition(program):
+    # handlers step the one copy step_cloud makes in place; every choice of
+    # every configuration reachable in a few steps must leave the input as
+    # it was, and every client's cached redex must match its term
+    _, _, cfg = checked_config(load(CORPUS / (program + ".ctrd")))
+    seen, todo = set(), [(cfg, 0)]
+    while todo:
+        cfg, depth = todo.pop()
+        before = cfg.key()
+        if before in seen:
+            continue
+        seen.add(before)
+        for choice in enabled(cfg) if depth < 10 else ():
+            nxt, _ = step_cloud(cfg, choice)
+            assert cfg.key() == before, (program, choice)
+            for c in (*cfg.clients.values(), *nxt.clients.values()):
+                assert c.redex == decompose(c.term), (program, choice, c.cid)
+            todo.append((nxt, depth + 1))
+    assert len(seen) > 6
 
 
 # ---------------------------------------------------------------------------
