@@ -1,16 +1,30 @@
-"""Abstract executions: event histories folded out of traces, finite
-relation algebra, and the sequential / eventual consistency checkers.
+"""Abstract executions: event histories folded out of traces, and the
+sequential / eventual consistency checkers over them.
 
 An abstract execution carries, per event: the operation (OP) and its return
 value (RVAL); plus the returns-before order (RB), the per-client event sets
 (SP), the visibility relation (VIS), and the arbitration order (AR).
+
+Relations are stored as predecessor masks over a dense bit index. With the
+execution's client ids sorted into slots 0..K-1, event n of the client in
+slot s has bit (n - 1) * K + s. The index depends only on the event id, not
+on the order events were folded in, so two interleavings that fold the same
+history give equal masks and equal keys. Bit a of rb_masks[b] is set when
+(a, b) is in RB, and likewise for vis_masks and ar_masks; sp_masks[s] holds
+the events of the client in slot s. Every bit of every mask is below the
+length of the mask lists. The attributes rb, vis and ar are mutable views
+of the same relations as sets of (EventId, EventId) pairs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from collections.abc import MutableSet
+from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import attrgetter, or_
+from typing import Iterable, Iterator, Optional
 
 from .lattice import GSet, NatMax, lat_join
 from .runtime_local import Action, EventId
@@ -20,7 +34,6 @@ from .syntax import (
 )
 from .typecheck import check_program
 
-NABLA = "nabla"          # no return value recorded
 Pair = tuple[EventId, EventId]
 
 
@@ -45,31 +58,194 @@ class Operation:
     literal_label: Optional[Label] = None
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# Bit masks
+
+_CLIENT_N = attrgetter("client", "n")
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(m: int) -> bytes:
+    """Byte i is 1 when bit i of m is set, else 0."""
+    return f"{m:b}".encode()[::-1].translate(_ZERO_ONE)
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The set bits of m, lowest first."""
+    return compress(count(), _flags(m))
+
+
+def _or_rows(rows: list[int], m: int) -> int:
+    """The OR of rows[i] over the set bits i of m (all below len(rows))."""
+    return reduce(or_, compress(rows, _flags(m)), 0)
+
+
+def _successors(rows: list[int]) -> list[int]:
+    """The successor masks of a relation given by its predecessor masks."""
+    succ = [0] * len(rows)
+    for a, m in enumerate(rows):
+        if m:
+            bit = 1 << a
+            for b in _bits(m):
+                succ[b] |= bit
+    return succ
+
+
+def _relation(masks: str) -> property:
+    """A pair-set view of the relation stored in the named mask list;
+    assigning a set of pairs replaces the relation."""
+    return property(lambda self: PairView(self, getattr(self, masks)),
+                    lambda self, pairs: PairView(self, getattr(self, masks)).replace(pairs))
+
+
 class AbstractExecution:
-    op: dict[EventId, Operation] = field(default_factory=dict)
-    rval: dict[EventId, object] = field(default_factory=dict)
-    rb: set[Pair] = field(default_factory=set)
-    sp: dict[int, frozenset[EventId]] = field(default_factory=dict)
-    vis: set[Pair] = field(default_factory=set)
-    ar: set[Pair] = field(default_factory=set)
+    """A history over the events of the given clients (see the module
+    docstring for the mask layout)."""
+
+    __slots__ = ("clients", "_slot", "_bit", "op", "rval",
+                 "sp_masks", "rb_masks", "vis_masks", "ar_masks")
+
+    def __init__(self, clients: Iterable[int] = ()):
+        self.clients = tuple(sorted(set(clients)))
+        self._slot = {c: s for s, c in enumerate(self.clients)}
+        # (client, n) -> 1 << index of every event added so far, shared by
+        # copies: the layout is fixed, so it is a cache and never goes stale
+        self._bit: dict[tuple[int, int], int] = {}
+        self.op: dict[EventId, Operation] = {}
+        self.rval: dict[EventId, object] = {}
+        self.sp_masks = [0] * len(self.clients)
+        self.rb_masks: list[int] = []
+        self.vis_masks: list[int] = []
+        self.ar_masks: list[int] = []
 
     def copy(self) -> "AbstractExecution":
-        return AbstractExecution(dict(self.op), dict(self.rval), set(self.rb),
-                                 dict(self.sp), set(self.vis), set(self.ar))
-
-    def events(self) -> frozenset[EventId]:
-        return frozenset(self.op)
+        new = object.__new__(AbstractExecution)
+        new.clients, new._slot, new._bit = self.clients, self._slot, self._bit
+        new.op, new.rval = dict(self.op), dict(self.rval)
+        new.sp_masks, new.rb_masks = self.sp_masks[:], self.rb_masks[:]
+        new.vis_masks, new.ar_masks = self.vis_masks[:], self.ar_masks[:]
+        return new
 
     def key(self):
-        return (
-            tuple(sorted(self.op.items(), key=lambda kv: kv[0].sort_key())),
-            tuple(sorted(self.rval.items(), key=lambda kv: kv[0].sort_key())),
-            frozenset(self.rb),
-            tuple(sorted((i, s) for i, s in self.sp.items())),
-            frozenset(self.vis),
-            frozenset(self.ar),
-        )
+        index, rval = self.index, self.rval
+        return (tuple(sorted((index(e), op, rval.get(e)) for e, op in self.op.items())),
+                tuple(self.rb_masks), tuple(self.vis_masks), tuple(self.ar_masks))
+
+    def index(self, e: EventId) -> int:
+        slot = self._slot.get(e.client)
+        if slot is None or e.n < 1:
+            raise MalformedTrace(f"event {e} lies outside clients {self.clients}")
+        return (e.n - 1) * len(self.clients) + slot
+
+    def event_at(self, i: int) -> EventId:
+        n, slot = divmod(i, len(self.clients))
+        return EventId(self.clients[slot], n + 1)
+
+    def events_mask(self) -> int:
+        return reduce(or_, self.sp_masks, 0)
+
+    def _grow(self, i: int) -> None:
+        """Extend the relation masks in place to cover bit i."""
+        short = i + 1 - len(self.rb_masks)
+        if short > 0:
+            pad = [0] * short
+            self.rb_masks += pad
+            self.vis_masks += pad
+            self.ar_masks += pad
+
+    def add_event(self, e: EventId, op: Operation) -> tuple[int, int]:
+        """Record a new event; returns its bit index and the mask of its
+        client's earlier events."""
+        if e in self.op:
+            raise MalformedTrace(f"event {e} recorded twice")
+        i = self.index(e)
+        self._grow(i)
+        slot = i % len(self.clients)
+        prior = self.sp_masks[slot]
+        bit = self._bit[e.client, e.n] = 1 << i
+        self.sp_masks[slot] = prior | bit
+        self.op[e] = op
+        return i, prior
+
+    def history_mask(self, events: Iterable[EventId], what: str) -> int:
+        """The mask of events already in the history; MalformedTrace names
+        the first one that is not."""
+        try:
+            m = reduce(or_, map(self._bit.__getitem__, map(_CLIENT_N, events)), 0)
+        except KeyError as missing:
+            raise MalformedTrace(f"{what} names an event outside the history: "
+                                 f"{EventId(*missing.args[0])}") from None
+        stray = m & ~self.events_mask()
+        if stray:
+            e = self.event_at((stray & -stray).bit_length() - 1)
+            raise MalformedTrace(f"{what} names an event outside the history: {e}")
+        return m
+
+    @property
+    def sp(self) -> dict[int, frozenset[EventId]]:
+        """Per-client event sets, for the clients that have events."""
+        return {c: frozenset(map(self.event_at, _bits(m)))
+                for c, m in zip(self.clients, self.sp_masks) if m}
+
+    rb = _relation("rb_masks")
+    vis = _relation("vis_masks")
+    ar = _relation("ar_masks")
+
+
+class PairView(MutableSet):
+    """One relation of an execution as a mutable set of (EventId, EventId)
+    pairs, read and written through its predecessor masks."""
+
+    __slots__ = ("_exec", "_rows")
+
+    def __init__(self, exec_: AbstractExecution, rows: list[int]):
+        self._exec, self._rows = exec_, rows
+
+    @classmethod
+    def _from_iterable(cls, pairs):
+        return set(pairs)
+
+    def _indices(self, pair: Pair) -> Optional[tuple[int, int]]:
+        try:
+            return self._exec.index(pair[0]), self._exec.index(pair[1])
+        except MalformedTrace:
+            return None
+
+    def __contains__(self, pair) -> bool:
+        ij = self._indices(pair)
+        if ij is None or ij[1] >= len(self._rows):
+            return False
+        return bool(self._rows[ij[1]] >> ij[0] & 1)
+
+    def __iter__(self) -> Iterator[Pair]:
+        at = self._exec.event_at
+        for ib, m in enumerate(self._rows):
+            if m:
+                b = at(ib)
+                for ia in _bits(m):
+                    yield at(ia), b
+
+    def __len__(self) -> int:
+        return sum(m.bit_count() for m in self._rows)
+
+    def add(self, pair: Pair) -> None:
+        ij = self._indices(pair)
+        if ij is None:
+            raise MalformedTrace(f"pair {pair!r} lies outside clients {self._exec.clients}")
+        ia, ib = ij
+        self._exec._grow(max(ia, ib))
+        self._rows[ib] |= 1 << ia
+
+    def discard(self, pair: Pair) -> None:
+        if pair in self:
+            ia, ib = self._indices(pair)
+            self._rows[ib] &= ~(1 << ia)
+
+    def replace(self, pairs: Iterable[Pair]) -> None:
+        pairs = list(pairs)     # may iterate this very view
+        self._rows[:] = [0] * len(self._rows)
+        for p in pairs:
+            self.add(p)
 
 
 _DELIVERY_RULE = "E-PROCESS-UPDATE"
@@ -89,16 +265,11 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
         # client's prior events
         if act.snapshot is None:
             raise MalformedTrace(f"read in {entry.rule} lacks a log snapshot")
-        if nu in exec_.op:
-            raise MalformedTrace(f"event {nu} recorded twice")
-        i = entry.client
-        prior = exec_.sp.get(i, frozenset())
-        seen = set(act.snapshot) | prior
-        exec_.op[nu] = Operation("rd", act.label, act.location, act.value,
-                                 act.literal_label)
-        exec_.rb |= {(w, nu) for w in seen}
-        exec_.vis |= {(w, nu) for w in seen}
-        exec_.sp[i] = prior | {nu}
+        seen = exec_.history_mask(act.snapshot, f"read in {entry.rule}")
+        i, prior = exec_.add_event(nu, Operation("rd", act.label, act.location,
+                                                 act.value, act.literal_label))
+        exec_.rb_masks[i] |= seen | prior
+        exec_.vis_masks[i] |= seen | prior
         exec_.rval[nu] = act.value
         return
 
@@ -110,25 +281,20 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
                 raise MalformedTrace(f"delivery of unrecorded event {nu}")
             if act.snapshot is None:
                 raise MalformedTrace("delivery lacks a log snapshot")
-            exec_.ar |= {(w, nu) for w in act.snapshot}
+            exec_.ar_masks[exec_.index(nu)] |= exec_.history_mask(act.snapshot,
+                                                                  "delivery")
             return
-        if nu in exec_.op:
-            raise MalformedTrace(f"event {nu} recorded twice")
-        i = entry.client
-        prior = exec_.sp.get(i, frozenset())
-        exec_.op[nu] = Operation(act.kind, act.label, act.location, act.value,
-                                 act.literal_label)
+        common = 0
         if act.synced:
             # A-WRITE-1: all-server write; arbitration inherits the shared log
             if act.snapshot is None:
                 raise MalformedTrace(f"{entry.rule} lacks a log snapshot")
-            common = set(act.snapshot)
-            exec_.rb |= {(w, nu) for w in common | prior}
-            exec_.ar |= {(w, nu) for w in common}
-        else:
-            # A-WRITE-2: local buffered write; no arbitration yet
-            exec_.rb |= {(w, nu) for w in prior}
-        exec_.sp[i] = prior | {nu}
+            common = exec_.history_mask(act.snapshot, entry.rule)
+        # A-WRITE-2 (not synced): local buffered write; no arbitration yet
+        i, prior = exec_.add_event(nu, Operation(act.kind, act.label, act.location,
+                                                 act.value, act.literal_label))
+        exec_.rb_masks[i] |= common | prior
+        exec_.ar_masks[i] |= common
         exec_.rval[nu] = act.location if act.kind == "ref" else "unit"
         return
 
@@ -136,50 +302,33 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
 
 
 def record(trace: Iterable) -> AbstractExecution:
-    """Build the abstract execution of a full trace."""
-    exec_ = AbstractExecution()
+    """Build the abstract execution of a full trace, over the clients whose
+    events it holds."""
+    trace = list(trace)
+    exec_ = AbstractExecution(e.action.event.client for e in trace
+                              if e.action.event is not None)
     for entry in trace:
         fold_entry(exec_, entry)
     return exec_
 
 
-# ---------------------------------------------------------------------------
-# Finite relation algebra
-
-def relation_compose(r1: set[Pair], r2: set[Pair]) -> set[Pair]:
-    by_left: dict[EventId, set[EventId]] = {}
-    for b, c in r2:
-        by_left.setdefault(b, set()).add(c)
-    return {(a, c) for a, b in r1 for c in by_left.get(b, ())}
-
-
-def relation_inverse(r: set[Pair]) -> set[Pair]:
-    return {(b, a) for a, b in r}
-
-
-def relation_negate(r: set[Pair], universe: frozenset[EventId]) -> set[Pair]:
-    return {(a, b) for a in universe for b in universe} - set(r)
-
-
-def program_order(exec_: AbstractExecution) -> set[Pair]:
-    """Returns-before restricted to same-client pairs."""
-    same: set[Pair] = set()
-    for events in exec_.sp.values():
-        same |= {(a, b) for a in events for b in events if a != b}
-    return exec_.rb & same
-
-
 def project(exec_: AbstractExecution, lab: Label) -> AbstractExecution:
     """Restrict the execution to events at one consistency level."""
-    keep = {e for e, op in exec_.op.items() if op.label == lab}
-    return AbstractExecution(
-        op={e: exec_.op[e] for e in keep},
-        rval={e: v for e, v in exec_.rval.items() if e in keep},
-        rb={(a, b) for a, b in exec_.rb if a in keep and b in keep},
-        sp={i: frozenset(s & keep) for i, s in exec_.sp.items()},
-        vis={(a, b) for a, b in exec_.vis if a in keep and b in keep},
-        ar={(a, b) for a, b in exec_.ar if a in keep and b in keep},
-    )
+    out = AbstractExecution(exec_.clients)
+    out._bit = exec_._bit
+    keep = 0
+    for e, op in exec_.op.items():
+        if op.label == lab:
+            keep |= 1 << exec_.index(e)
+            out.op[e] = op
+    out.rval = {e: v for e, v in exec_.rval.items() if e in out.op}
+    # rows of dropped events are cleared, columns masked by keep
+    kept = _flags(keep).ljust(len(exec_.rb_masks), b"\0")
+    cut = lambda masks: [m & keep if f else 0 for m, f in zip(masks, kept)]
+    out.sp_masks = [m & keep for m in exec_.sp_masks]
+    out.rb_masks, out.vis_masks, out.ar_masks = (
+        cut(exec_.rb_masks), cut(exec_.vis_masks), cut(exec_.ar_masks))
+    return out
 
 
 def project_con(exec_: AbstractExecution) -> AbstractExecution:
@@ -234,13 +383,22 @@ def check_sc(exec_: AbstractExecution) -> ScVerdict:
     arbitration prefixes both positively and negatively; and every recorded
     return value must match the abstract return-value function.
     """
-    universe = exec_.events()
-    po = program_order(exec_)
-    reads = {e for e, op in exec_.op.items() if op.kind == "rd"}
-    po_in_vis = all((a, b) in exec_.vis for a, b in po if b in reads)
-    ar_vis = relation_compose(exec_.ar, exec_.vis) <= exec_.vis
-    neg_vis = relation_negate(exec_.vis, universe)
-    ar_neg_vis = relation_compose(relation_inverse(exec_.ar), neg_vis) <= neg_vis
+    rb, vis, ar, sp = exec_.rb_masks, exec_.vis_masks, exec_.ar_masks, exec_.sp_masks
+    k = len(exec_.clients)
+    reads = [exec_.index(e) for e, op in exec_.op.items() if op.kind == "rd"]
+    # po within vis on reads: a read sees its client's earlier events
+    po_in_vis = not any(rb[c] & sp[c % k] & ~vis[c] & ~(1 << c) for c in reads)
+    # ar ; vis within vis: whatever c sees, c sees its ar-predecessors too
+    # (each distinct row once)
+    ar_vis = not any(_or_rows(ar, v) & ~v for v in set(vis))
+    # ar^-1 ; not-vis within not-vis, with not-vis the complement of vis over
+    # the events: the ar-successors of what an event does not see are events
+    # it does not see. Checked on its own, from successor masks, so that it
+    # fails where relations reach outside the history.
+    events = exec_.events_mask()
+    succ = _successors(ar)
+    ar_neg_vis = not any(_or_rows(succ, u) & ~u
+                         for u in {events & ~vis[c] for c in _bits(events)})
     rval_ok = all(exec_.rval.get(e) == return_value_of(op)
                   for e, op in exec_.op.items())
     return ScVerdict(po_in_vis, ar_vis, ar_neg_vis, rval_ok)

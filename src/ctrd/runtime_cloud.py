@@ -212,6 +212,13 @@ def _joined_replicas(config: CloudConfig, o: Location):
     return merged
 
 
+def _keep_own_writes(client: ClientState, o: Location, v) -> None:
+    """Install v in the client's replica of o by join, not overwrite: the
+    client's own flexwrite@ava may still be buffered or in flight, and a
+    later flexread@ava must not read below it."""
+    client.store[o] = merge_values(client.store[o], v) if o in client.store else v
+
+
 def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
     for s in config.servers:
         s.store[o] = v
@@ -307,7 +314,7 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
             # the same join now for them to agree at quiescence
             stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
                                   label_join(eff, CON))
-            client.store[o] = stamped
+            _keep_own_writes(client, o, stamped)
             _sync_write(cfg, o, stamped, nu)
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
             return finish(Lit(Plain(UNIT, CON)), act, "E-FLEXWRT-CON")
@@ -331,7 +338,7 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
             merged = _joined_replicas(cfg, o)
             for s in cfg.servers:
                 s.store[o] = merged
-            client.store[o] = merged
+            _keep_own_writes(client, o, merged)
             result = Plain(merged.raw, CON)
             act = Action(eff, "rd", CON, nu, o, result,
                          source=("servers",), snapshot=pre_common)
@@ -654,7 +661,7 @@ def explore(config: CloudConfig, max_depth: int,
             fold_entry(nxt_exec, entry)
             visit(nxt, nxt_exec, depth + 1)
 
-    visit(config, AbstractExecution(), 0)
+    visit(config, AbstractExecution(config.clients), 0)
     return summary
 
 

@@ -47,6 +47,10 @@ class Label(enum.Enum):
     OAC = "oac"
     AVA = "ava"
 
+    # members are singletons compared by identity: hash them at C speed,
+    # not through Enum.__hash__
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

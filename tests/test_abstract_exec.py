@@ -1,19 +1,26 @@
-"""Abstract executions: trace folding, relation algebra, the consistency
-checkers, observations, and noninterference."""
+"""Abstract executions: trace folding, the mask representation against
+the pair-set oracle, the consistency checkers, observations, and
+noninterference."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import checked_config, corpus_files, load
+from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import (
     AbstractExecution, MalformedTrace, NotQuiescent, Operation,
     ProgramsNotLowEquivalent, check_ec, check_low_equivalence,
     check_noninterference, check_sc, con_observation, value_json,
-    join_of_writes, program_order, project_ava, project_con, record,
-    relation_compose, relation_inverse, relation_negate, return_value_of,
+    join_of_writes, project_ava, project_con, record, return_value_of,
 )
+from pair_oracle import (
+    PairHistory, mask_history, pairs_of, program_order, relation_compose,
+    relation_inverse, relation_negate,
+)
+import pair_oracle
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
 from ctrd.runtime_cloud import make_scheduler, run
@@ -76,6 +83,39 @@ def test_record_rejects_missing_snapshot():
         record([bad])
 
 
+def _entry(rule, kind, event, snapshot, label=CON, synced=False, client=1):
+    from ctrd.runtime_cloud import TraceEntry
+    from ctrd.runtime_local import Action
+    from ctrd.syntax import LOC
+    act = Action(LOC, kind, label, event, Location(1, 1, True), Plain(NatMax(1), label),
+                 snapshot=snapshot, synced=synced)
+    return TraceEntry(0, rule, act, client=client)
+
+
+def test_record_rejects_read_of_unrecorded_event():
+    w, r = EventId(1, 1), EventId(2, 1)
+    write = _entry("E-CONASSIGN", "wr", w, (), synced=True)
+    record([write, _entry("E-CONDEREF", "rd", r, (w,), client=2)])   # well formed
+    with pytest.raises(MalformedTrace, match="outside the history"):
+        record([_entry("E-CONDEREF", "rd", r, (w,), client=2)])
+    with pytest.raises(MalformedTrace, match="outside the history"):
+        # an event of a client with no event of its own in the trace
+        record([write, _entry("E-CONDEREF", "rd", r, (w, EventId(3, 1)), client=2)])
+
+
+def test_record_rejects_delivery_over_unrecorded_event():
+    u, other = EventId(1, 1), EventId(1, 2)
+    buffered = _entry("E-AVAASSIGN", "wr", u, None, label=AVA)
+    ok = _entry("E-PROCESS-UPDATE", "wr", u, (), label=AVA)
+    record([buffered, ok])
+    bad = _entry("E-PROCESS-UPDATE", "wr", u, (other,), label=AVA)
+    with pytest.raises(MalformedTrace, match="outside the history"):
+        record([buffered, bad])
+    # a synced write's shared log is held to the same rule
+    with pytest.raises(MalformedTrace, match="outside the history"):
+        record([_entry("E-CONASSIGN", "wr", u, (other,), synced=True)])
+
+
 def test_events_recorded_once():
     for path in corpus_files("run"):
         res = run_src(load(path))
@@ -100,10 +140,122 @@ def test_compose_inverse_negate():
 
 
 def test_program_order_is_same_client_rb():
-    ex = AbstractExecution()
+    ex = PairHistory()
     ex.rb = {(E1, E2), (E1, E3)}
     ex.sp = {1: frozenset({E1, E2}), 2: frozenset({E3})}
     assert program_order(ex) == {(E1, E2)}
+
+
+# ---------------------------------------------------------------------------
+# masks against the pair-set oracle
+
+def _random_history(rng: random.Random) -> AbstractExecution:
+    """A history that satisfies every SC clause, then, half the time, one to
+    three pairs of RB, VIS or AR toggled, sometimes against an event outside
+    the history, and a return value spoiled one time in ten."""
+    clients = rng.sample([1, 2, 3], rng.randint(1, 3))
+    queues = {c: [EventId(c, n) for n in range(1, rng.randint(1, 4) + 1)] for c in clients}
+    order = []
+    while any(queues.values()):
+        order.append(queues[rng.choice([c for c in clients if queues[c]])].pop(0))
+    pos = {e: i for i, e in enumerate(order)}
+    op = {e: _op(rng.choice(("rd", "wr", "ref")), CON, e.n) for e in order}
+    rval = {e: return_value_of(o) for e, o in op.items()}
+    if rng.random() < 0.1:
+        rval[rng.choice(order)] = Plain(NatMax(999), CON)
+    before = [(a, b) for a in order for b in order if pos[a] < pos[b]]
+    rels = {
+        "rb": {(a, b) for a, b in before if a.client == b.client or rng.random() < 0.3},
+        "vis": {(a, b) for a, b in before if op[b].kind == "rd"},
+        "ar": {(a, b) for a, b in before if rng.random() < 0.7},
+    }
+    if rng.random() < 0.5:
+        ghost = EventId(clients[0], 9)
+        pool = order + [ghost] * (rng.random() < 0.3)
+        for _ in range(rng.randint(1, 3)):
+            rels[rng.choice(("rb", "vis", "ar"))] ^= {(rng.choice(pool), rng.choice(pool))}
+    return mask_history(op, rval, **rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_check_sc_agrees_with_pair_oracle(rng):
+    ex = _random_history(rng)
+    assert check_sc(ex) == pair_oracle.check_sc(pairs_of(ex))
+
+
+def test_random_histories_pass_and_fail_every_clause():
+    seen = {name: set() for name in ("po_in_vis", "ar_vis_closure",
+                                     "ar_neg_vis_closure", "rval_ok")}
+    for seed in range(300):
+        v = check_sc(_random_history(random.Random(seed)))
+        for name in seen:
+            seen[name].add(getattr(v, name))
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+def _runnable_programs():
+    return sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
+
+
+def test_check_sc_agrees_with_pair_oracle_on_the_corpus():
+    programs = _runnable_programs()
+    assert len(programs) == 45
+    for path in programs:
+        for seed in range(3):
+            res = run_src(load(path), sched="random", seed=seed)
+            for ex in (record(res.trace), project_con(record(res.trace))):
+                assert check_sc(ex) == pair_oracle.check_sc(pairs_of(ex)), (path.name, seed)
+
+
+def test_equal_histories_folded_in_either_order_have_equal_keys():
+    a, b, c = EventId(1, 1), EventId(2, 1), EventId(1, 2)
+    ops = {a: _op("wr", CON, 1), b: _op("wr", CON, 2), c: _op("rd", CON, 3)}
+    keys = []
+    for order in ([a, b, c], [b, a, c]):
+        ex = AbstractExecution([2, 1])
+        for e in order:
+            ex.add_event(e, ops[e])
+            ex.rval[e] = return_value_of(ops[e])
+        ex.rb = ex.vis = {(a, c), (b, c)}
+        ex.ar = {(a, b)}
+        keys.append(ex.key())
+    assert keys[0] == keys[1]
+    ex.ar = {(b, a)}
+    assert ex.key() != keys[0]
+
+
+def test_interleavings_of_independent_steps_reach_one_explored_state():
+    from ctrd.runtime_cloud import Choice, Kind, step_cloud
+    from ctrd.abstract_exec import fold_entry
+    _, _, cfg = checked_config("""servers 2;
+    client 1 { ref@ava(nat 1 @ava, (ava,1)) }
+    client 2 { ref@ava(nat 2 @ava, (ava,2)) }""")
+    keys = []
+    for order in ((1, 2), (2, 1)):
+        c, ex = cfg, AbstractExecution(cfg.clients)
+        for cid in order:
+            c, entry = step_cloud(c, Choice(Kind.CLIENT_STEP, cid))
+            fold_entry(ex, entry)
+        keys.append((c.key(), ex.key()))
+    assert len(ex.op) == 2 and keys[0] == keys[1]
+
+
+def test_pair_view_edits_reach_the_masks():
+    res = run_src(load(corpus_files("con")[0]))
+    ex = project_con(record(res.trace))
+    reads = {e for e, op in ex.op.items() if op.kind == "rd"}
+    po_into_reads = sorted(((a, b) for a, b in ex.vis
+                            if b in reads and a.client == b.client and (a, b) in ex.rb),
+                           key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+    assert po_into_reads and check_sc(ex).ok
+    corrupted = ex.copy()
+    corrupted.vis.discard(po_into_reads[0])
+    assert po_into_reads[0] not in corrupted.vis and po_into_reads[0] in ex.vis
+    assert len(corrupted.vis) == len(ex.vis) - 1
+    assert not check_sc(corrupted).po_in_vis and check_sc(ex).ok
+    corrupted.vis.add(po_into_reads[0])
+    assert corrupted.key() == ex.key() and check_sc(corrupted).ok
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +288,12 @@ def _op(kind, label, n):
 def test_check_sc_negative_control():
     # (a,b) in AR and (b,c) in VIS but (a,c) not visible: prefix closure fails
     a, b, c = EventId(1, 1), EventId(1, 2), EventId(2, 1)
-    ex = AbstractExecution(
+    ex = mask_history(
         op={a: _op("wr", CON, 1), b: _op("wr", CON, 2), c: _op("rd", CON, 3)},
         rval={a: "unit", b: "unit", c: Plain(NatMax(3), CON)},
-        rb=set(), sp={1: frozenset({a, b}), 2: frozenset({c})},
-        vis={(b, c)}, ar={(a, b)},
+        rb=set(), vis={(b, c)}, ar={(a, b)},
     )
+    assert ex.sp == {1: frozenset({a, b}), 2: frozenset({c})}
     v = check_sc(ex)
     assert not v.ar_vis_closure and not v.ar_neg_vis_closure
     assert not v.ok
@@ -149,10 +301,12 @@ def test_check_sc_negative_control():
 
 @st.composite
 def _ar_vis_histories(draw):
-    events = [EventId(draw(st.integers(1, 3)), n) for n in range(draw(st.integers(1, 6)))]
+    # event numbers start at 1, as the runtime numbers them
+    events = [EventId(draw(st.integers(1, 3)), n)
+              for n in range(1, draw(st.integers(1, 6)) + 1)]
     pairs = st.sets(st.tuples(st.sampled_from(events), st.sampled_from(events)))
-    return AbstractExecution(op={e: _op("wr", CON, e.n) for e in events},
-                             ar=draw(pairs), vis=draw(pairs))
+    return mask_history(op={e: _op("wr", CON, e.n) for e in events},
+                        ar=draw(pairs), vis=draw(pairs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,8 +325,8 @@ def test_check_sc_vacuous_on_empty():
 
 def test_check_sc_rval_mismatch_detected():
     a = EventId(1, 1)
-    ex = AbstractExecution(op={a: _op("wr", CON, 1)}, rval={a: Plain(NatMax(9), CON)},
-                           sp={1: frozenset({a})})
+    ex = mask_history(op={a: _op("wr", CON, 1)}, rval={a: Plain(NatMax(9), CON)})
+    assert ex.sp == {1: frozenset({a})}
     assert not check_sc(ex).rval_ok
 
 

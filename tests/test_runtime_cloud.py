@@ -196,6 +196,36 @@ def test_flexwrite_con_keeps_a_flexwrite_ava_in_flight():
     assert summary.truncated == 0 and verdicts and all(verdicts)
 
 
+def test_flexread_ava_reads_its_own_earlier_flexwrite_ava():
+    # flexwrite@con and flexread@con join the servers' state into the
+    # client's replica; installing it over the replica dropped the client's
+    # own flexwrite@ava still buffered or in flight (flex_both.ctrd under
+    # seeds 6 and 8 read 2)
+    from ctrd.lattice import lat_join, lat_leq
+    flexread_con = """servers 3;
+    client 1 {
+      let p = ref@oac(nat 1 @con, (oac,1)) in
+      let w = flexwrite@ava(p, nat 4 @loc) in
+      let r = flexread@con(p) in
+      flexread@ava(p)
+    }"""
+    for src in (load(CORPUS / "accept" / "flex_both.ctrd"), flexread_con):
+        _, _, cfg = checked_config(src)
+        for seed in range(10):
+            res = run(cfg, make_scheduler("random", seed), 200)
+            own: dict = {}
+            reads = 0
+            for e in res.trace:
+                act = e.action
+                key = (e.client, act.location)
+                if e.rule == "E-FLEXWRT-AVA":
+                    own[key] = lat_join(own[key], act.value.raw) if key in own else act.value.raw
+                elif e.rule == "E-FLEXRD-AVA" and key in own:
+                    reads += 1
+                    assert lat_leq(own[key], act.value.raw), (seed, act.value, own[key])
+            assert reads == 1, seed
+
+
 # ---------------------------------------------------------------------------
 # stepping is pure
 
