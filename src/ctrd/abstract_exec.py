@@ -27,7 +27,7 @@ from operator import attrgetter, or_
 from typing import Iterable, Iterator, Optional
 
 from .lattice import GSet, NatMax, lat_join
-from .runtime_local import Action, EventId
+from .runtime_local import Action, EventId, Interned
 from .syntax import (
     AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
     RecordVal, UnitVal, children, pretty, rebuild,
@@ -98,12 +98,14 @@ def _relation(masks: str) -> property:
                     lambda self, pairs: PairView(self, getattr(self, masks)).replace(pairs))
 
 
-class AbstractExecution:
+class AbstractExecution(Interned):
     """A history over the events of the given clients (see the module
-    docstring for the mask layout)."""
+    docstring for the mask layout). key() is built on every call; key_id
+    keeps its interned int, so an execution is interned only once it is
+    no longer folded into or edited."""
 
     __slots__ = ("clients", "_slot", "_bit", "op", "rval",
-                 "sp_masks", "rb_masks", "vis_masks", "ar_masks")
+                 "sp_masks", "rb_masks", "vis_masks", "ar_masks", "_table", "_id")
 
     def __init__(self, clients: Iterable[int] = ()):
         self.clients = tuple(sorted(set(clients)))
@@ -117,6 +119,7 @@ class AbstractExecution:
         self.rb_masks: list[int] = []
         self.vis_masks: list[int] = []
         self.ar_masks: list[int] = []
+        self._table = None
 
     def copy(self) -> "AbstractExecution":
         new = object.__new__(AbstractExecution)
@@ -124,6 +127,7 @@ class AbstractExecution:
         new.op, new.rval = dict(self.op), dict(self.rval)
         new.sp_masks, new.rb_masks = self.sp_masks[:], self.rb_masks[:]
         new.vis_masks, new.ar_masks = self.vis_masks[:], self.ar_masks[:]
+        new._table = None
         return new
 
     def key(self):

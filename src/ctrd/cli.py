@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
 nested too deeply to parse; 2 I/O failure (a closed stdout included), a bad
-flag or an unknown --check name; 3 a requested check failed; 4 deadlock,
+flag, an unknown --check name, --servers below 1, or a CTRD_MAX_STATES that
+is not an integer of at least 1; 3 a requested check failed; 4 deadlock,
 step/state limit, runtime fault, nesting too deep to simulate, or an
 explore/nif in which every trace was truncated at --max-depth (no verdict);
 5 programs not low-equivalent.
@@ -25,7 +26,7 @@ from .abstract_exec import (
 from .parser import ParseError, parse_program
 from .runtime_cloud import (
     StateSpaceLimit, TraceEntry, check_wf, explore, initial_config,
-    make_scheduler, run,
+    make_scheduler, max_states_from_env, run,
 )
 from .runtime_local import Action, CtrdRuntimeError
 from .syntax import Location
@@ -326,6 +327,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if unknown:
         return _die(2, f"ctrd {args.command}: unknown check {unknown[0]!r} "
                        f"(choose from {', '.join(CHECKS)})")
+    servers = getattr(args, "servers", None)
+    if servers is not None and servers < 1:
+        return _die(2, f"ctrd {args.command}: --servers must be at least 1, not {servers}")
+    if args.command in ("explore", "nif"):
+        try:
+            max_states_from_env()
+        except ValueError as e:
+            return _die(2, f"ctrd {args.command}: {e}")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -81,31 +81,31 @@ def clone_step(config, client: ClientState, root: Location,
 
     Allocates a fresh remote location per node, rewrites intra-graph
     location occurrences, stamps every node with the effect joined with
-    con, and prepends one shared event to every server log. Mutates the
-    passed config/client copies in place. Returns (result value, action,
-    node count); a taken identifier yields None for the action.
+    con, and prepends one shared event to every server log. The caller
+    owns the client and has checked that ident is not taken; the servers
+    and maps are mutated through the configuration's private copies.
+    Returns (result value, action, node count).
     """
-    if ident in config.global_ids:
-        return None, None, None     # duplicated-creation path, caller handles
     graph = reachable_graph(root, client.store)
     mapping = {o: client.fresh_location(remote=True)
                for o in sorted(graph.nodes, key=lambda loc: loc.sort_key())}
     nu = client.fresh_event()
     stamp = label_join(effect, CON)
+    servers = config.own_servers()
     for o in graph.nodes:
         fresh = mapping[o]
         moved = raise_label(rewrite_value(graph.nodes[o], mapping), stamp)
-        for s in config.servers:
+        for s in servers:
             s.store[fresh] = moved
         if o in config.store_typing:
-            config.store_typing.setdefault(fresh, upgrade(config.store_typing[o]))
-    for s in config.servers:
+            config.own_store_typing().setdefault(fresh, upgrade(config.store_typing[o]))
+    for s in servers:
         s.seq = (nu,) + s.seq
     fresh_root = mapping[graph.root]
-    config.global_ids[ident] = fresh_root
+    config.own_global_ids()[ident] = fresh_root
     if ident in config.id_typing:
-        config.store_typing.setdefault(fresh_root, config.id_typing[ident])
-    root_value = config.servers[0].store[fresh_root]
+        config.own_store_typing().setdefault(fresh_root, config.id_typing[ident])
+    root_value = servers[0].store[fresh_root]
     action = Action(effect, "ref", CON, nu, fresh_root, root_value,
                     snapshot=pre_common, synced=True)
     return Plain(fresh_root, CON), action, graph.node_count

@@ -12,14 +12,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
 # decompose is not called here; the name is kept so that tools wrapping it
 # from outside the package find it where step_local is looked up
 from .runtime_local import (
-    Action, ClientState, CtrdRuntimeError, EventId, Message, Req, Update,
-    decompose, eps, initial_client, merge_values, step_local,
+    Action, ClientState, CtrdRuntimeError, EventId, Interned, Message, Req,
+    Update, decompose, eps, initial_client, merge_values, sorted_items,
+    step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
@@ -42,48 +44,147 @@ class StateSpaceLimit(Exception):
 # ---------------------------------------------------------------------------
 # Servers and configurations
 
-@dataclass
-class Server:
+@dataclass(slots=True)
+class Server(Interned):
+    """One replica: its store and its event log. Its key is built on the
+    first key() call and kept: a server that has been keyed is never
+    mutated. Configurations share servers, and a step mutates only the
+    private copies that CloudConfig.own_server and own_servers hand it."""
+
     store: dict[Location, object]       # Location -> LabeledValue
     seq: tuple[EventId, ...]            # newest first
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _id: int = field(default=0, init=False, repr=False, compare=False)
 
     def copy(self) -> "Server":
         return Server(dict(self.store), self.seq)
 
     def key(self):
-        return (tuple(sorted(self.store.items(), key=lambda kv: kv[0].sort_key())),
-                self.seq)
+        if self._key is None:
+            self._key = (sorted_items(self.store), self.seq)
+        return self._key
 
 
-@dataclass
+class _BuiltKey(Interned):
+    """A key built from configuration parts that are replaced, never
+    mutated (the mailbox tuple) or copied before they change (the maps)."""
+
+    __slots__ = ("_key", "_table", "_id")
+
+    def __init__(self, key: tuple):
+        self._key, self._table = key, None
+
+    def key(self) -> tuple:
+        return self._key
+
+
 class CloudConfig:
-    clients: dict[int, ClientState]
-    mailbox: tuple[Message, ...]
-    servers: list[Server]
-    global_ids: dict[Identifier, Location]
-    store_typing: dict[Location, Type]
-    id_typing: dict[Identifier, Type]
+    """Clients, the mailbox of in-flight messages, the replica servers, and
+    the global identifier and store typing maps.
+
+    Copy on write: copy() shares every client, every server and both maps
+    with the original, and so does every configuration a step makes. A
+    step mutates a component only after taking a private copy of it
+    through own_client, own_server, own_servers, own_global_ids or
+    own_store_typing; each copies once per configuration and then returns
+    the same copy. The mailbox is a tuple, replaced and never mutated.
+
+    Invariant: a component that has been keyed is never mutated. Clients
+    and servers keep their keys once built, and the configuration keeps the
+    keys of its mailbox and maps until they are reassigned or copied.
+    """
+
+    __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
+                 "_mailbox", "_mailbox_key", "_ids_key", "_typing_key", "_owned")
+
+    def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
+                 servers: list[Server], global_ids: dict[Identifier, Location],
+                 store_typing: dict[Location, Type], id_typing: dict[Identifier, Type]):
+        self.clients = clients
+        self.mailbox = mailbox
+        self.servers = servers
+        self.global_ids = global_ids
+        self.store_typing = store_typing
+        self.id_typing = id_typing          # static; shared
+        self._ids_key = self._typing_key = None
+        self._owned: set = set()
+
+    @property
+    def mailbox(self) -> tuple[Message, ...]:
+        return self._mailbox
+
+    @mailbox.setter
+    def mailbox(self, messages: tuple[Message, ...]) -> None:
+        self._mailbox, self._mailbox_key = messages, None
 
     def copy(self) -> "CloudConfig":
-        return CloudConfig(
-            {cid: c.copy() for cid, c in self.clients.items()},
-            self.mailbox,
-            [s.copy() for s in self.servers],
-            dict(self.global_ids),
-            dict(self.store_typing),
-            self.id_typing,      # static; shared
-        )
+        new = object.__new__(CloudConfig)
+        new.clients, new.servers = dict(self.clients), self.servers[:]
+        new.global_ids, new.store_typing = self.global_ids, self.store_typing
+        new.id_typing = self.id_typing
+        new._mailbox, new._mailbox_key = self._mailbox, self._mailbox_key
+        new._ids_key, new._typing_key = self._ids_key, self._typing_key
+        new._owned = set()
+        return new
 
-    def key(self):
-        return (
-            tuple(self.clients[cid].key() for cid in sorted(self.clients)),
-            tuple(sorted((m.key(), m) for m in self.mailbox)),
-            tuple(s.key() for s in self.servers),
-            tuple(sorted(((i.sort_key(), i), o)
-                         for i, o in self.global_ids.items())),
-            tuple(sorted(((o.sort_key(), o), t)
-                         for o, t in self.store_typing.items())),
-        )
+    # -- private copies, each taken once per configuration ----------------
+
+    def own_client(self, cid: int) -> ClientState:
+        if ("client", cid) not in self._owned:
+            self._owned.add(("client", cid))
+            self.clients[cid] = self.clients[cid].copy()
+        return self.clients[cid]
+
+    def own_server(self, r: int) -> Server:
+        if ("server", r) not in self._owned:
+            self._owned.add(("server", r))
+            self.servers[r] = self.servers[r].copy()
+        return self.servers[r]
+
+    def own_servers(self) -> list[Server]:
+        return [self.own_server(r) for r in range(len(self.servers))]
+
+    def own_global_ids(self) -> dict[Identifier, Location]:
+        if "global_ids" not in self._owned:
+            self._owned.add("global_ids")
+            self.global_ids, self._ids_key = dict(self.global_ids), None
+        return self.global_ids
+
+    def own_store_typing(self) -> dict[Location, Type]:
+        if "store_typing" not in self._owned:
+            self._owned.add("store_typing")
+            self.store_typing, self._typing_key = dict(self.store_typing), None
+        return self.store_typing
+
+    # -- keys ----------------------------------------------------------------
+
+    def _parts(self) -> tuple[_BuiltKey, _BuiltKey, _BuiltKey]:
+        if self._mailbox_key is None:
+            self._mailbox_key = _BuiltKey(tuple(sorted((m.key(), m) for m in self._mailbox)))
+        if self._ids_key is None:
+            self._ids_key = _BuiltKey(tuple(sorted(
+                ((i.sort_key(), i), o) for i, o in self.global_ids.items())))
+        if self._typing_key is None:
+            self._typing_key = _BuiltKey(tuple(sorted(
+                ((o.sort_key(), o), t) for o, t in self.store_typing.items())))
+        return self._mailbox_key, self._ids_key, self._typing_key
+
+    def key(self, table: Optional[dict] = None) -> tuple:
+        """The state key. Without a table, the structural key: the client
+        keys in client order, the sorted mailbox, the server keys and the
+        two sorted maps. With an intern table, the flat tuple of the ints
+        the table gives those same parts, in the same order. For
+        configurations with the same clients and number of servers, flat
+        keys from one table are equal exactly when structural keys are."""
+        mailbox, ids, typing = self._parts()
+        clients = [self.clients[cid] for cid in sorted(self.clients)]
+        if table is None:
+            return (tuple(c.key() for c in clients), mailbox.key(),
+                    tuple(s.key() for s in self.servers), ids.key(), typing.key())
+        return (*[c.key_id(table) for c in clients], mailbox.key_id(table),
+                *[s.key_id(table) for s in self.servers],
+                ids.key_id(table), typing.key_id(table))
 
 
 def initial_config(program: Program, id_types: dict[Identifier, Type],
@@ -191,14 +292,17 @@ class TraceEntry:
     node_count: Optional[int] = None
 
 
+_CLIENT_N = attrgetter("client", "n")
+
+
 def _common_seq(servers: list[Server]) -> tuple[EventId, ...]:
     """Events present in every server's log, deterministically ordered."""
     if not servers:
         return ()
     common = set(servers[0].seq)
     for s in servers[1:]:
-        common &= set(s.seq)
-    return tuple(sorted(common, key=lambda e: e.sort_key()))
+        common.intersection_update(s.seq)
+    return tuple(sorted(common, key=_CLIENT_N))
 
 
 def _joined_replicas(config: CloudConfig, o: Location):
@@ -220,9 +324,15 @@ def _keep_own_writes(client: ClientState, o: Location, v) -> None:
 
 
 def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
-    for s in config.servers:
+    for s in config.own_servers():
         s.store[o] = v
         s.seq = (nu,) + s.seq
+
+
+def _type_location(config: CloudConfig, o: Location, ident: Identifier) -> None:
+    """Record a fresh allocation's typing from its identifier's, once."""
+    if ident in config.id_typing and o not in config.store_typing:
+        config.own_store_typing()[o] = config.id_typing[ident]
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +340,34 @@ def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
 
 def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceEntry]:
     """Apply one enabled rule instance; returns the new configuration and
-    the trace record of what fired. The input is copied once, here, and the
-    handler steps that copy in place."""
+    the trace record of what fired. The input is copied once, here, sharing
+    its components; the handler takes private copies of the components it
+    changes (see CloudConfig) and steps those in place."""
     return _HANDLERS[choice.kind](config.copy(), choice)
 
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
-    client = cfg.clients[cid]
-    if client.redex is None:
+    if cfg.clients[cid].redex is None:
         raise IllegalChoice(f"client {cid} has no enabled local step")
+    client = cfg.own_client(cid)
     bound = len(client.idmap)
     fired = step_local(client)
     if fired is None:
-        return _cloud_redex(cfg, cid)
+        return _cloud_redex(cfg, client)
     # new identifier bindings are fresh allocations; record their typing
     for ident in list(client.idmap)[bound:]:
-        if ident in cfg.id_typing:
-            cfg.store_typing.setdefault(client.idmap[ident], cfg.id_typing[ident])
+        _type_location(cfg, client.idmap[ident], ident)
     rule, action = fired
     return cfg, TraceEntry(0, rule, action, client=cid)
 
 
-def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
-    client = cfg.clients[cid]
+def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
+    """A redex that needs the servers or the global map, on the client the
+    caller owns. Only the synchronized rules compute the common log
+    snapshot they record, and before they write."""
+    cid = client.cid
     r, eff = client.redex.term, client.redex.effect
-    pre_common = _common_seq(cfg.servers)
 
     def finish(result: Term, action: Action, rule: str,
                node_count: Optional[int] = None) -> tuple[CloudConfig, TraceEntry]:
@@ -266,13 +378,13 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
         case Ref(label=lab, init=Lit(value=v), ident=ident) if lab in (CON, OAC):
             if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
+            pre_common = _common_seq(cfg.servers)
             o = client.fresh_location(remote=True)
             nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, lab))
             _sync_write(cfg, o, stamped, nu)
-            cfg.global_ids[ident] = o
-            if ident in cfg.id_typing:
-                cfg.store_typing.setdefault(o, cfg.id_typing[ident])
+            cfg.own_global_ids()[ident] = o
+            _type_location(cfg, o, ident)
             act = Action(eff, "ref", lab, nu, o, v, snapshot=pre_common, synced=True)
             if lab == OAC:
                 # on-demand refs also land in the local store for fast reads
@@ -283,6 +395,7 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
 
         case Assign(target=Lit(value=Plain(raw=Location() as o, label=lab)),
                     value=Lit(value=v)) if lab == CON:
+            pre_common = _common_seq(cfg.servers)
             nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, CON))
             _sync_write(cfg, o, stamped, nu)
@@ -312,6 +425,7 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
             # join, not overwrite: a flexwrite@ava still in flight is joined
             # into the servers it reaches later, so every replica must hold
             # the same join now for them to agree at quiescence
+            pre_common = _common_seq(cfg.servers)
             stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
                                   label_join(eff, CON))
             _keep_own_writes(client, o, stamped)
@@ -335,8 +449,9 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
                              source=("local", cid), snapshot=())
                 return finish(Lit(result), act, "E-FLEXRD-AVA")
             # consistent read: merge every replica, install the merged state
+            pre_common = _common_seq(cfg.servers)
             merged = _joined_replicas(cfg, o)
-            for s in cfg.servers:
+            for s in cfg.own_servers():
                 s.store[o] = merged
             _keep_own_writes(client, o, merged)
             result = Plain(merged.raw, CON)
@@ -349,9 +464,10 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
                 raise CtrdRuntimeError("Stuck", f"clone label {lab} unsupported")
             if isinstance(tv, Duplicated) or not isinstance(tv.raw, Location):
                 raise CtrdRuntimeError("Stuck", "clone of a non-location")
-            result, act, nodes = clone_step(cfg, client, tv.raw, ident, eff, pre_common)
-            if result is None:
+            if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
+            result, act, nodes = clone_step(cfg, client, tv.raw, ident, eff,
+                                            _common_seq(cfg.servers))
             return finish(Lit(result), act, "E-CLONE", node_count=nodes)
 
         case Await(ident=ident):
@@ -362,14 +478,14 @@ def _cloud_redex(cfg: CloudConfig, cid: int) -> tuple[CloudConfig, TraceEntry]:
 
 def _await_resolve(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
-    client = cfg.clients[cid]
-    d = client.redex
+    d = cfg.clients[cid].redex
     if d is None or not isinstance(d.term, Await):
         raise IllegalChoice(f"client {cid} is not at an await")
     ident = d.term.ident
     if ident not in cfg.global_ids:
         raise IllegalChoice(f"{ident} is not globally bound")
     o = cfg.global_ids[ident]
+    client = cfg.own_client(cid)
     client.idmap[ident] = o
     client.plug(Lit(Plain(o, ident.label)))
     return cfg, TraceEntry(0, "E-AWAIT2", eps(d.effect), client=cid)
@@ -379,8 +495,7 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
-    client = cfg.clients[cid]
-    d = client.redex
+    d = cfg.clients[cid].redex
     match d.term if d is not None else None:
         case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab in (CON, AVA):
             rule = "E-CONDEREF" if lab == CON else "E-AVADEREF2"
@@ -390,8 +505,9 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
             raise IllegalChoice(f"client {cid} is not at a server read")
     server = cfg.servers[r]
     if ((lab == CON) != (ch.kind == Kind.CON_READ) or o not in server.store
-            or (lab == AVA and o in client.store)):
+            or (lab == AVA and o in cfg.clients[cid].store)):
         raise IllegalChoice(f"server read premises violated for client {cid} at server {r}")
+    client = cfg.own_client(cid)
     if lab == AVA:
         client.store[o] = server.store[o]
     result = raise_label(server.store[o], lab)
@@ -403,11 +519,10 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
 
 def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     cid = ch.client
-    client = cfg.clients[cid]
-    if not client.buffer:
+    if not cfg.clients[cid].buffer:
         raise IllegalChoice(f"client {cid} has an empty buffer")
-    m, rest = client.buffer[0], client.buffer[1:]
-    client.buffer = rest
+    client = cfg.own_client(cid)
+    m, client.buffer = client.buffer[0], client.buffer[1:]
     cfg.mailbox = cfg.mailbox + (m,)
     return cfg, TraceEntry(0, "E-SEND", eps(LOC), client=cid)
 
@@ -417,10 +532,10 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
     m = _find_message(cfg, key)
     if not isinstance(m, Update) or r in m.delivered:
         raise IllegalChoice(f"update delivery premises violated for {key}")
-    server = cfg.servers[r]
+    server = cfg.own_server(r)
     pre_seq = server.seq
     if m.ident is not None and m.ident not in cfg.global_ids:
-        cfg.global_ids[m.ident] = m.location
+        cfg.own_global_ids()[m.ident] = m.location
         target = m.location
     elif m.ident is not None:
         target = cfg.global_ids[m.ident]
@@ -448,10 +563,10 @@ def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     server = cfg.servers[r]
     if o not in server.store:
         raise IllegalChoice(f"server {r} does not hold {o}")
-    client = cfg.clients[m.origin]
-    local = client.idmap.get(m.ident)
+    local = cfg.clients[m.origin].idmap.get(m.ident)
     if local is None:
         raise IllegalChoice(f"requester no longer maps {m.ident}")
+    client = cfg.own_client(m.origin)
     # join, not overwrite: the server may not have seen this client's own
     # writes yet, and a replica never moves down its lattice
     client.store[local] = merge_values(client.store[local],
@@ -616,6 +731,19 @@ class ExploreSummary:
     wf_violations: list[str] = field(default_factory=list)
 
 
+def max_states_from_env() -> int:
+    """The state budget of explore: CTRD_MAX_STATES, 500000 when unset.
+    ValueError unless it is an integer of at least 1."""
+    raw = os.environ.get("CTRD_MAX_STATES", "500000")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"CTRD_MAX_STATES must be an integer of at least 1, not {raw!r}")
+    return n
+
+
 def explore(config: CloudConfig, max_depth: int,
             on_trace: Optional[Callable] = None,
             check_wf_each: bool = False,
@@ -624,22 +752,28 @@ def explore(config: CloudConfig, max_depth: int,
 
     States are deduplicated on (configuration, abstract execution): two
     prefixes landing on the same pair have identical futures for every
-    checker, so one representative subtree suffices. on_trace receives the
-    abstract execution of each maximal trace, folded along the way, with its
-    final configuration and a truncation flag.
+    checker, so one representative subtree suffices. Deduplication is
+    exact. Each distinct component key and execution key gets a small int
+    from one intern table per call, and a state's key is the flat tuple of
+    those ints (CloudConfig.key). An internal step passes its parent's
+    execution on unchanged. on_trace receives the abstract execution of
+    each maximal trace, folded along the way and possibly shared with other
+    traces, so it must not mutate it, with the final configuration and a
+    truncation flag.
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
     if max_states is None:
-        max_states = int(os.environ.get("CTRD_MAX_STATES", "500000"))
+        max_states = max_states_from_env()
     summary = ExploreSummary()
     seen: set = set()
+    table: dict = {}
 
     def visit(cfg: CloudConfig, exec_: AbstractExecution, depth: int) -> None:
-        key = (cfg.key(), exec_.key())
-        if key in seen:
+        known = len(seen)
+        seen.add((*cfg.key(table), exec_.key_id(table)))
+        if len(seen) == known:
             return
-        seen.add(key)
         summary.states += 1
         if summary.states > max_states:
             raise StateSpaceLimit(f"more than {max_states} states")
@@ -657,6 +791,9 @@ def explore(config: CloudConfig, max_depth: int,
             return
         for choice in choices:
             nxt, entry = step_cloud(cfg, choice)
+            if entry.action.kind == "eps":
+                visit(nxt, exec_, depth + 1)     # A-INTERNAL: no history change
+                continue
             nxt_exec = exec_.copy()
             fold_entry(nxt_exec, entry)
             visit(nxt, nxt_exec, depth + 1)

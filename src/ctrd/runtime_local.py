@@ -9,7 +9,7 @@ stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
@@ -101,8 +101,36 @@ class Req:
 Message = Union[Update, Req]
 
 
-@dataclass
-class ClientState:
+class Interned:
+    """A value whose key() is mapped to a small int by an intern table.
+
+    key_id asks the table once and keeps the int until it is asked about
+    another table. Subclasses have `_table` and `_id` slots, with `_table`
+    None until the first call. An object is interned only once it no longer
+    changes, so the kept int stays exact.
+    """
+
+    __slots__ = ()
+
+    def key_id(self, table: dict) -> int:
+        if self._table is not table:
+            self._id = table.setdefault(self.key(), len(table))
+            self._table = table
+        return self._id
+
+
+def sorted_items(d: dict) -> tuple:
+    """The items of a map keyed by locations or identifiers, in key order."""
+    return tuple(sorted(d.items(), key=lambda kv: kv[0].sort_key()))
+
+
+@dataclass(slots=True)
+class ClientState(Interned):
+    """One client. Its key is built on the first key() call and kept: a
+    client that has been keyed is never mutated. Configurations share
+    clients, and a step mutates only the private copy that
+    CloudConfig.own_client hands it."""
+
     cid: int
     term: Term
     redex: Optional[Redex]                 # decompose(term), kept by plug
@@ -111,6 +139,9 @@ class ClientState:
     idmap: dict[Identifier, Location]
     loc_counter: int = 0
     event_counter: int = 0
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _id: int = field(default=0, init=False, repr=False, compare=False)
 
     def copy(self) -> "ClientState":
         return ClientState(self.cid, self.term, self.redex, dict(self.store), self.buffer,
@@ -137,15 +168,10 @@ class ClientState:
         return hits[0] if hits else None
 
     def key(self):
-        return (
-            self.cid,
-            self.term,
-            tuple(sorted(self.store.items(), key=lambda kv: kv[0].sort_key())),
-            self.buffer,
-            tuple(sorted(self.idmap.items(), key=lambda kv: kv[0].sort_key())),
-            self.loc_counter,
-            self.event_counter,
-        )
+        if self._key is None:
+            self._key = (self.cid, self.term, sorted_items(self.store), self.buffer,
+                         sorted_items(self.idmap), self.loc_counter, self.event_counter)
+        return self._key
 
 
 def initial_client(cid: int, term: Term) -> ClientState:

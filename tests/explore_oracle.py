@@ -1,0 +1,75 @@
+"""The explorer as it stood before interned state keys, kept as a
+differential oracle.
+
+`structural_key` rebuilds a configuration's key from every component on
+every call, reading their fields directly, so no cached key can hide a
+component that was mutated after it was keyed. `explore` is the plain
+depth-first search: it deduplicates on the pair (structural key, execution
+key) and copies and folds the execution on every step, internal ones
+included.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from ctrd.abstract_exec import AbstractExecution, fold_entry
+from ctrd.runtime_cloud import (
+    ExploreSummary, StateSpaceLimit, enabled, step_cloud,
+)
+
+
+def _by_sort_key(d: dict) -> tuple:
+    return tuple(sorted(d.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def client_key(c) -> tuple:
+    return (c.cid, c.term, _by_sort_key(c.store), c.buffer, _by_sort_key(c.idmap),
+            c.loc_counter, c.event_counter)
+
+
+def server_key(s) -> tuple:
+    return (_by_sort_key(s.store), s.seq)
+
+
+def structural_key(cfg) -> tuple:
+    return (
+        tuple(client_key(cfg.clients[cid]) for cid in sorted(cfg.clients)),
+        tuple(sorted((m.key(), m) for m in cfg.mailbox)),
+        tuple(server_key(s) for s in cfg.servers),
+        tuple(sorted(((i.sort_key(), i), o) for i, o in cfg.global_ids.items())),
+        tuple(sorted(((o.sort_key(), o), t) for o, t in cfg.store_typing.items())),
+    )
+
+
+def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
+            max_states: int = 500_000) -> ExploreSummary:
+    """Every interleaving to a depth bound, deduplicated on the structural
+    pair; on_trace(exec_, final config, truncated) per maximal trace."""
+    summary = ExploreSummary()
+    seen: set = set()
+
+    def visit(cfg, exec_: AbstractExecution, depth: int) -> None:
+        key = (structural_key(cfg), exec_.key())
+        if key in seen:
+            return
+        seen.add(key)
+        summary.states += 1
+        if summary.states > max_states:
+            raise StateSpaceLimit(f"more than {max_states} states")
+        choices = enabled(cfg)
+        if not choices or depth >= max_depth:
+            truncated = bool(choices)
+            summary.traces += 1
+            summary.truncated += int(truncated)
+            if on_trace is not None:
+                on_trace(exec_, cfg, truncated)
+            return
+        for choice in choices:
+            nxt, entry = step_cloud(cfg, choice)
+            nxt_exec = exec_.copy()
+            fold_entry(nxt_exec, entry)
+            visit(nxt, nxt_exec, depth + 1)
+
+    visit(config, AbstractExecution(config.clients), 0)
+    return summary

@@ -103,6 +103,32 @@ def test_servers_override(capsys):
     assert json.loads(out.splitlines()[-1])["quiescent"]
 
 
+def test_servers_below_one_is_a_usage_error(capsys):
+    # --servers 0 used to end in an IndexError traceback on flex_both and in
+    # a "quiescent" report with (con,1) null on two_writers
+    flex, con = str(CORPUS / "accept" / "flex_both.ctrd"), str(CORPUS / "con" / "two_writers.ctrd")
+    nif = [str(CORPUS / "nif" / "pair1_a.ctrd"), str(CORPUS / "nif" / "pair1_b.ctrd")]
+    for argv in (["run", flex], ["run", con], ["explore", con], ["nif", *nif]):
+        for n in ("0", "-1"):
+            assert main([*argv, "--servers", n]) == 2, (argv, n)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and "--servers" in err, err
+
+
+def test_bad_state_budget_is_a_usage_error(capsys, monkeypatch):
+    path = str(CORPUS / "con" / "two_writers.ctrd")
+    nif = [str(CORPUS / "nif" / "pair1_a.ctrd"), str(CORPUS / "nif" / "pair1_b.ctrd")]
+    for value in ("abc", "0", "-5", "1.5", ""):
+        monkeypatch.setenv("CTRD_MAX_STATES", value)
+        for argv in (["explore", path], ["nif", *nif]):
+            assert main(argv) == 2, (value, argv)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and "CTRD_MAX_STATES" in err, err
+    monkeypatch.setenv("CTRD_MAX_STATES", "3")
+    assert main(["explore", path]) == 4
+    assert "more than 3 states" in capsys.readouterr().err
+
+
 def test_deep_program_ends_in_a_diagnostic(tmp_path, capsys):
     body = "".join(f"let x{i} = nat {i} @loc in " for i in range(5000)) + "unit @loc"
     path = tmp_path / "deep.ctrd"

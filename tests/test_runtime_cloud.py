@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import explore_oracle
 from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
@@ -231,32 +232,91 @@ def test_flexread_ava_reads_its_own_earlier_flexwrite_ava():
 
 def test_step_cloud_does_not_mutate_input():
     _, _, cfg = checked_config("servers 3; client 1 { ref@con(nat 1 @con, (con,1)) }")
-    before = cfg.key()
+    before = explore_oracle.structural_key(cfg)
     step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
-    assert cfg.key() == before
+    assert explore_oracle.structural_key(cfg) == before
 
 
-@pytest.mark.parametrize("program", ["anomaly/mixed", "clone/chain3_clone",
-                                     "accept/await_pair", "ava/nat_race"])
-def test_every_step_keeps_its_input_and_each_client_decomposition(program):
-    # handlers step the one copy step_cloud makes in place; every choice of
-    # every configuration reachable in a few steps must leave the input as
-    # it was, and every client's cached redex must match its term
+def _replaced(cfg, nxt):
+    """The clients, servers and maps of nxt that are not cfg's own objects."""
+    return ({cid for cid in cfg.clients if nxt.clients[cid] is not cfg.clients[cid]},
+            {r for r, s in enumerate(cfg.servers) if nxt.servers[r] is not s},
+            {name for name in ("global_ids", "store_typing")
+             if getattr(nxt, name) is not getattr(cfg, name)})
+
+
+def _expected_replacements(cfg, choice, entry):
+    """The clients and servers a step of this choice replaces."""
+    everyone = set(range(len(cfg.servers)))
+    match choice.kind:
+        case Kind.CLIENT_STEP:
+            synced = entry.action.synced or entry.rule == "E-FLEXRD-CON"
+            return {choice.client}, everyone if synced else set()
+        case Kind.DELIVER_UPDATE:
+            return set(), {choice.server}
+        case Kind.PROCESS_REQ:
+            return {choice.message[1]}, set()     # the requesting client
+        case Kind.GC_UPDATE:
+            return set(), set()
+        case _:
+            return {choice.client}, set()
+
+
+def _reachable_choices(program: str, max_depth: int = 10):
+    """(configuration, choice) for every choice of every configuration
+    within max_depth steps of the program's initial one, each
+    configuration once by its structural key."""
     _, _, cfg = checked_config(load(CORPUS / (program + ".ctrd")))
     seen, todo = set(), [(cfg, 0)]
     while todo:
         cfg, depth = todo.pop()
-        before = cfg.key()
-        if before in seen:
+        key = explore_oracle.structural_key(cfg)
+        if key in seen:
             continue
-        seen.add(before)
-        for choice in enabled(cfg) if depth < 10 else ():
-            nxt, _ = step_cloud(cfg, choice)
-            assert cfg.key() == before, (program, choice)
-            for c in (*cfg.clients.values(), *nxt.clients.values()):
-                assert c.redex == decompose(c.term), (program, choice, c.cid)
-            todo.append((nxt, depth + 1))
-    assert len(seen) > 6
+        seen.add(key)
+        for choice in enabled(cfg) if depth < max_depth else ():
+            yield cfg, choice
+            todo.append((step_cloud(cfg, choice)[0], depth + 1))
+
+
+@pytest.mark.parametrize("program", ["anomaly/mixed", "clone/chain3_clone",
+                                     "accept/await_pair", "ava/nat_race",
+                                     "accept/ava_gset", "con/two_writers",
+                                     "accept/flex_both"])
+def test_every_step_keeps_its_input_and_each_client_decomposition(program):
+    # step_cloud shares every component of its input with its output, and a
+    # handler copies only what it changes; every choice of every
+    # configuration reachable in a few steps must leave the input as it was
+    # (compared on the structural key, which no cached key can hide), copy
+    # exactly the components its kind changes, keep every client's cached
+    # redex equal to the decomposition of its term, and leave no stale
+    # cached key in its output
+    steps = 0
+    for cfg, choice in _reachable_choices(program):
+        before = explore_oracle.structural_key(cfg)
+        assert cfg.key() == before      # keyed first, as explore keys every state
+        nxt, entry = step_cloud(cfg, choice)
+        assert explore_oracle.structural_key(cfg) == before, (program, choice)
+        clients, servers, maps = _replaced(cfg, nxt)
+        assert (clients, servers) == _expected_replacements(cfg, choice, entry), \
+            (program, choice, entry.rule)
+        # a map is copied exactly when it changes
+        assert maps == {name for name in ("global_ids", "store_typing")
+                        if getattr(nxt, name) != getattr(cfg, name)}, (program, choice)
+        for c in (*cfg.clients.values(), *nxt.clients.values()):
+            assert c.redex == decompose(c.term), (program, choice, c.cid)
+        # the keys cached from cfg agree with the structural key
+        assert nxt.key() == explore_oracle.structural_key(nxt), (program, choice)
+        steps += 1
+    assert steps > 6
+
+
+def test_the_purity_programs_reach_every_kind_of_step():
+    # mixed reaches six kinds, ava_gset adds PROCESS_REQ and two_writers
+    # CON_READ, so every row of _expected_replacements is exercised above
+    kinds = {choice.kind for program in ("anomaly/mixed", "accept/ava_gset", "con/two_writers")
+             for _, choice in _reachable_choices(program)}
+    assert kinds == set(Kind)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +401,16 @@ def test_wf_detects_corrupted_store():
     res = run(cfg, make_scheduler("drain-fair"), 10)
     bad = res.config.copy()
     o = bad.global_ids[Identifier(CON, 1)]
-    bad.servers[0].store[o] = Plain(BoolVal(True), CON)   # Bool at a Lat cell
+    bad.own_server(0).store[o] = Plain(BoolVal(True), CON)   # Bool at a Lat cell
     report = check_wf(bad)
     assert not report.ok
     assert any("server 0" in p for p in report.problems)
+    assert check_wf(res.config).ok
 
 
 def test_wf_detects_untyped_location():
     _, _, cfg = checked_config("servers 3; client 1 { unit @loc }")
     bad = cfg.copy()
-    bad.servers[1].store[Location(9, 9, True)] = Plain(NatMax(1), CON)
+    bad.own_server(1).store[Location(9, 9, True)] = Plain(NatMax(1), CON)
     assert not check_wf(bad).ok
+    assert check_wf(cfg).ok         # the copy shared the server until it took its own

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ctrd.lattice import NatMax
+from explore_oracle import client_key
 from ctrd.parser import parse_term
 from ctrd.runtime_local import (
     CtrdRuntimeError, Redex, Update, Req, decompose, initial_client, step_local,
@@ -181,7 +182,7 @@ def test_deref_duplicated_raises():
 
 def test_con_redex_is_a_cloud_matter():
     c = client_at("ref@con(nat 1 @con, (con,1))")
-    before = c.key()
+    before = client_key(c)
     assert step_local(c) is None
     assert isinstance(c.redex.term, Ref)
-    assert c.key() == before
+    assert client_key(c) == before
