@@ -1,9 +1,10 @@
 """Command-line front door: check, run, explore, nif.
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply to parse; 2 I/O failure (a closed stdout included), a bad
-flag, an unknown --check name, --servers below 1, or a CTRD_MAX_STATES that
-is not an integer of at least 1; 3 a requested check failed; 4 deadlock,
+nested too deeply to parse; 2 I/O failure (a closed stdout or an
+unwritable --trace or --exec file included), a bad flag, an unknown
+--check name, --servers below 1, or a CTRD_MAX_STATES that is not an
+integer of at least 1; 3 a requested check failed; 4 deadlock,
 step/state limit, runtime fault, nesting too deep to simulate, or an
 explore/nif in which every trace was truncated at --max-depth (no verdict);
 5 programs not low-equivalent.
@@ -109,11 +110,16 @@ def execution_json(exec_) -> dict:
     }
 
 
-def _dump(path: Optional[str], payload) -> None:
+def _dump(path: str, payload) -> Optional[int]:
+    """Write payload as JSON to path; None, or exit code 2 with one stderr
+    line when the file cannot be written."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        return _die(2, f"{path}: {e.strerror or e}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +191,10 @@ def cmd_run(args) -> int:
         return _die(4, f"{args.file}: runtime fault: {e}")
     exec_ = record(res.trace)
     verdicts = _verdicts(args.check, res, exec_)
-    if args.trace:
-        _dump(args.trace, trace_json(res.trace))
-    if args.exec_out:
-        _dump(args.exec_out, execution_json(exec_))
+    if args.trace and (failed := _dump(args.trace, trace_json(res.trace))):
+        return failed
+    if args.exec_out and (failed := _dump(args.exec_out, execution_json(exec_))):
+        return failed
     report = {
         "file": args.file,
         "scheduler": sched.name,

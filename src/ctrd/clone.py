@@ -76,15 +76,16 @@ def rewrite_term(t: Term, mapping: dict[Location, Location]) -> Term:
 
 
 def clone_step(config, client: ClientState, root: Location,
-               ident: Identifier, effect: Label, pre_common: tuple):
+               ident: Identifier, effect: Label):
     """Upload the whole reachable graph in one atomic all-server step.
 
     Allocates a fresh remote location per node, rewrites intra-graph
     location occurrences, stamps every node with the effect joined with
-    con, and prepends one shared event to every server log. The caller
-    owns the client and has checked that ident is not taken; the servers
-    and maps are mutated through the configuration's private copies.
-    Returns (result value, action, node count).
+    con, and prepends one shared event to every server log, and so to the
+    common log, whose earlier state the action records. The caller owns the
+    client and has checked that ident is not taken; the servers and maps
+    are mutated through the configuration's private copies. Returns
+    (result value, action, node count).
     """
     graph = reachable_graph(root, client.store)
     mapping = {o: client.fresh_location(remote=True)
@@ -99,8 +100,10 @@ def clone_step(config, client: ClientState, root: Location,
             s.store[fresh] = moved
         if o in config.store_typing:
             config.own_store_typing().setdefault(fresh, upgrade(config.store_typing[o]))
+    pre_common = config.common
     for s in servers:
         s.seq = (nu,) + s.seq
+    config.enter_common(nu)
     fresh_root = mapping[graph.root]
     config.own_global_ids()[ident] = fresh_root
     if ident in config.id_typing:

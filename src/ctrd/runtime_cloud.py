@@ -10,6 +10,7 @@ server at a time.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import attrgetter
@@ -66,6 +67,9 @@ class Server(Interned):
         return self._key
 
 
+_CLIENT_N = attrgetter("client", "n")
+
+
 class _BuiltKey(Interned):
     """A key built from configuration parts that are replaced, never
     mutated (the mailbox tuple) or copied before they change (the maps)."""
@@ -93,10 +97,17 @@ class CloudConfig:
     Invariant: a component that has been keyed is never mutated. Clients
     and servers keep their keys once built, and the configuration keeps the
     keys of its mailbox and maps until they are reassigned or copied.
+
+    common is the tuple of events present in every server's log, in
+    (client, n) order: the snapshot the synchronized rules record. It is
+    kept up to date where an event enters a log (enter_common), replaced
+    and never mutated, and left out of the key because the server logs
+    determine it.
     """
 
     __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
-                 "_mailbox", "_mailbox_key", "_ids_key", "_typing_key", "_owned")
+                 "common", "_mailbox", "_mailbox_key", "_ids_key", "_typing_key",
+                 "_owned")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -107,6 +118,7 @@ class CloudConfig:
         self.global_ids = global_ids
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
+        self.common: tuple[EventId, ...] = ()   # the servers start with empty logs
         self._ids_key = self._typing_key = None
         self._owned: set = set()
 
@@ -122,7 +134,7 @@ class CloudConfig:
         new = object.__new__(CloudConfig)
         new.clients, new.servers = dict(self.clients), self.servers[:]
         new.global_ids, new.store_typing = self.global_ids, self.store_typing
-        new.id_typing = self.id_typing
+        new.id_typing, new.common = self.id_typing, self.common
         new._mailbox, new._mailbox_key = self._mailbox, self._mailbox_key
         new._ids_key, new._typing_key = self._ids_key, self._typing_key
         new._owned = set()
@@ -156,6 +168,12 @@ class CloudConfig:
             self._owned.add("store_typing")
             self.store_typing, self._typing_key = dict(self.store_typing), None
         return self.store_typing
+
+    def enter_common(self, nu: EventId) -> None:
+        """Record that nu has just entered the last server log that lacked
+        it. A late delivery can land mid-tuple, so it goes in by bisection."""
+        i = bisect_right(self.common, (nu.client, nu.n), key=_CLIENT_N)
+        self.common = self.common[:i] + (nu,) + self.common[i:]
 
     # -- keys ----------------------------------------------------------------
 
@@ -292,19 +310,6 @@ class TraceEntry:
     node_count: Optional[int] = None
 
 
-_CLIENT_N = attrgetter("client", "n")
-
-
-def _common_seq(servers: list[Server]) -> tuple[EventId, ...]:
-    """Events present in every server's log, deterministically ordered."""
-    if not servers:
-        return ()
-    common = set(servers[0].seq)
-    for s in servers[1:]:
-        common.intersection_update(s.seq)
-    return tuple(sorted(common, key=_CLIENT_N))
-
-
 def _joined_replicas(config: CloudConfig, o: Location):
     """The lattice join of every server's replica of o."""
     states = [s.store[o] for s in config.servers if o in s.store]
@@ -327,6 +332,7 @@ def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
     for s in config.own_servers():
         s.store[o] = v
         s.seq = (nu,) + s.seq
+    config.enter_common(nu)
 
 
 def _type_location(config: CloudConfig, o: Location, ident: Identifier) -> None:
@@ -364,8 +370,8 @@ def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
 
 def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
     """A redex that needs the servers or the global map, on the client the
-    caller owns. Only the synchronized rules compute the common log
-    snapshot they record, and before they write."""
+    caller owns. The synchronized rules record the common log as it stood
+    before they write."""
     cid = client.cid
     r, eff = client.redex.term, client.redex.effect
 
@@ -378,7 +384,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
         case Ref(label=lab, init=Lit(value=v), ident=ident) if lab in (CON, OAC):
             if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
-            pre_common = _common_seq(cfg.servers)
+            pre_common = cfg.common
             o = client.fresh_location(remote=True)
             nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, lab))
@@ -395,7 +401,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
 
         case Assign(target=Lit(value=Plain(raw=Location() as o, label=lab)),
                     value=Lit(value=v)) if lab == CON:
-            pre_common = _common_seq(cfg.servers)
+            pre_common = cfg.common
             nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, CON))
             _sync_write(cfg, o, stamped, nu)
@@ -425,7 +431,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
             # join, not overwrite: a flexwrite@ava still in flight is joined
             # into the servers it reaches later, so every replica must hold
             # the same join now for them to agree at quiescence
-            pre_common = _common_seq(cfg.servers)
+            pre_common = cfg.common
             stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
                                   label_join(eff, CON))
             _keep_own_writes(client, o, stamped)
@@ -449,14 +455,13 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
                              source=("local", cid), snapshot=())
                 return finish(Lit(result), act, "E-FLEXRD-AVA")
             # consistent read: merge every replica, install the merged state
-            pre_common = _common_seq(cfg.servers)
             merged = _joined_replicas(cfg, o)
             for s in cfg.own_servers():
                 s.store[o] = merged
             _keep_own_writes(client, o, merged)
             result = Plain(merged.raw, CON)
             act = Action(eff, "rd", CON, nu, o, result,
-                         source=("servers",), snapshot=pre_common)
+                         source=("servers",), snapshot=cfg.common)
             return finish(Lit(result), act, "E-FLEXRD-CON")
 
         case Clone(label=lab, term=Lit(value=tv), ident=ident):
@@ -466,8 +471,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
                 raise CtrdRuntimeError("Stuck", "clone of a non-location")
             if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
-            result, act, nodes = clone_step(cfg, client, tv.raw, ident, eff,
-                                            _common_seq(cfg.servers))
+            result, act, nodes = clone_step(cfg, client, tv.raw, ident, eff)
             return finish(Lit(result), act, "E-CLONE", node_count=nodes)
 
         case Await(ident=ident):
@@ -547,8 +551,10 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
         server.store[target] = raise_label(merge_values(m.value, server.store[target]),
                                            m.effect)
     server.seq = (m.event,) + server.seq
-    new_m = Update(m.location, m.ident, m.value, m.origin,
-                   m.delivered | {r}, m.event, m.effect)
+    delivered = m.delivered | {r}
+    if len(delivered) == len(cfg.servers):
+        cfg.enter_common(m.event)
+    new_m = Update(m.location, m.ident, m.value, m.origin, delivered, m.event, m.effect)
     cfg.mailbox = tuple(new_m if x is m else x for x in cfg.mailbox)
     act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=pre_seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)

@@ -221,18 +221,77 @@ def decompose(term: Term) -> Optional[Redex]:
 # ---------------------------------------------------------------------------
 # Substitution (call-by-value: substituted terms are closed values)
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    # most unions add nothing; hand back an operand rather than a new set
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def free_names(t: Term) -> frozenset[str]:
+    """The names subst(t, name, v) would replace somewhere in t.
+
+    A Var gives its name; a closure literal gives the free names of its
+    body less its parameter; every other literal gives none, since subst
+    does not enter duplicated markers or record values; a Let gives the
+    free names of its bound term and those of its body less its own name;
+    every other form gives the union of its children's. Terms are
+    immutable, so the set is computed once per node and kept in the node's
+    __dict__ (outside its dataclass fields, so equality, hashing and repr
+    do not see it).
+    """
+    try:
+        return t._free_names
+    except AttributeError:
+        pass
+    cls = t.__class__
+    if cls is Var:
+        fv = frozenset((t.name,))
+    elif cls is Lit:
+        v = t.value
+        fv = _NO_NAMES
+        if v.__class__ is Plain and v.raw.__class__ is Closure:
+            fv = free_names(v.raw.body)
+            if v.raw.param in fv:
+                fv = fv - {v.raw.param}
+    elif cls is Let:
+        fv = free_names(t.body)
+        if t.name in fv:
+            fv = fv - {t.name}
+        fv = _union(free_names(t.bound), fv)
+    else:
+        fv = _NO_NAMES
+        for c in children(t):
+            fv = _union(fv, free_names(c))
+    t.__dict__["_free_names"] = fv
+    return fv
+
+
 def subst(t: Term, name: str, value: Term) -> Term:
+    """t with the closed value put for every free occurrence of name.
+
+    The value is closed (call-by-value substitutes values, and a program's
+    values carry no free names), so no binder in t can capture it and
+    subst never renames. A subterm in which name is not free, by
+    free_names, comes back as itself without being entered: a step costs
+    the paths to the occurrences it replaces, not the size of t.
+    """
     def go(t: Term) -> Term:
+        if name not in free_names(t):
+            return t
         cls = t.__class__
         if cls is Var:
-            return value if t.name == name else t
-        if cls is Lit:
+            return value
+        if cls is Lit:          # a closure whose parameter is not name
             v = t.value
-            if isinstance(v, Plain) and isinstance(v.raw, Closure) and v.raw.param != name:
-                c = v.raw
-                return Lit(Plain(Closure(c.latent, c.param, c.param_type, go(c.body)),
-                                 v.label), t.pos)
-            return t
+            c = v.raw
+            return Lit(Plain(Closure(c.latent, c.param, c.param_type, go(c.body)),
+                             v.label), t.pos)
         if cls is Let and t.name == name:
             return Let(name, go(t.bound), t.body, t.pos)
         return map_children(t, go)

@@ -14,10 +14,11 @@ clone rewriting and the low-equivalence check are written against these
 helpers, so a new form is one table entry. map_children keeps the child
 results in local variables, one branch per child count, and builds the
 tuple for the rebuild only after the recursive calls return; it returns
-the node itself when no child changed. Substitution walks the whole
-residual program on every let and beta step, so a list of results per
-node, or a copy of every unchanged node, shows up as collector work and
-slower long runs.
+the node itself when no child changed. Substitution maps only the nodes
+on the paths to the occurrences it replaces (runtime_local.free_names
+prunes the rest), but clone rewriting and the low-equivalence check map
+whole terms, so a list of results per node, or a copy of every unchanged
+node, shows up as collector work.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import initial_config
+from ctrd.syntax import Lit, children, map_value
 from ctrd.typecheck import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -24,6 +25,27 @@ def checked_config(src: str, servers: int | None = None):
     prog = parse_program(src)
     checked = check_program(prog)
     return prog, checked, initial_config(prog, checked.id_types, servers)
+
+
+def subterms(t) -> list:
+    """Every subterm, the terms inside literals (closure bodies, duplicated
+    creations, closures in record values) included."""
+    out = []
+
+    def term(s):
+        out.append(s)
+        if isinstance(s, Lit):
+            value(s.value)
+        for c in children(s):
+            term(c)
+        return s
+
+    def value(v):
+        map_value(v, term, value)
+        return v
+
+    term(t)
+    return out
 
 
 @pytest.fixture

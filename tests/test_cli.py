@@ -198,3 +198,14 @@ def test_closed_stdout_is_an_io_failure(capsys):
         assert code == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "stdout was closed" in err, err
+
+
+def test_unwritable_output_file_is_an_io_failure(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "out.json"
+    for flag in ("--trace", "--exec"):
+        code = main(["run", str(CORPUS / "con" / "two_writers.ctrd"), flag, str(missing)])
+        assert code == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == "", flag
+        assert len(captured.err.splitlines()) == 1 and str(missing) in captured.err, \
+            (flag, captured.err)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import explore_oracle
+import step_oracle
 from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
@@ -279,10 +280,11 @@ def _reachable_choices(program: str, max_depth: int = 10):
             todo.append((step_cloud(cfg, choice)[0], depth + 1))
 
 
-@pytest.mark.parametrize("program", ["anomaly/mixed", "clone/chain3_clone",
-                                     "accept/await_pair", "ava/nat_race",
-                                     "accept/ava_gset", "con/two_writers",
-                                     "accept/flex_both"])
+_WALKED = ["anomaly/mixed", "clone/chain3_clone", "accept/await_pair", "ava/nat_race",
+           "accept/ava_gset", "con/two_writers", "accept/flex_both"]
+
+
+@pytest.mark.parametrize("program", _WALKED)
 def test_every_step_keeps_its_input_and_each_client_decomposition(program):
     # step_cloud shares every component of its input with its output, and a
     # handler copies only what it changes; every choice of every
@@ -309,6 +311,24 @@ def test_every_step_keeps_its_input_and_each_client_decomposition(program):
         assert nxt.key() == explore_oracle.structural_key(nxt), (program, choice)
         steps += 1
     assert steps > 6
+
+
+@pytest.mark.parametrize("program", _WALKED)
+def test_common_log_is_what_every_server_log_holds(program):
+    # CloudConfig.common is updated where an event enters a log; on every
+    # reachable configuration it must equal the intersection of the server
+    # logs, and a rule that records it must record it as it stood before
+    # the step
+    grew = False
+    for cfg, choice in _reachable_choices(program):
+        assert cfg.common == step_oracle.common_seq(cfg.servers), (program, choice)
+        nxt, entry = step_cloud(cfg, choice)
+        assert nxt.common == step_oracle.common_seq(nxt.servers), (program, choice, entry.rule)
+        if entry.rule in step_oracle.COMMON_LOG_RULES:
+            assert entry.action.snapshot == step_oracle.common_seq(cfg.servers), \
+                (program, choice, entry.rule)
+        grew |= len(nxt.common) > len(cfg.common)
+    assert grew, program
 
 
 def test_the_purity_programs_reach_every_kind_of_step():

@@ -8,37 +8,17 @@ import importlib.util
 import pathlib
 import typing
 
-from conftest import CORPUS, load
+from conftest import CORPUS, load, subterms
 from ctrd.clone import rewrite_term
 from ctrd.lattice import NatMax
 from ctrd.parser import ParseError, parse_program, parse_term, parse_type
-from ctrd.runtime_local import subst
+from ctrd.runtime_local import free_names, subst
 from ctrd.syntax import (
     Closure, LOC, Let, Lit, Location, Plain, RecordVal, TERM_FIELDS, Term,
-    children, map_children, map_value, rebuild, refs,
+    children, map_children, rebuild, refs,
 )
 
 TERM_FORMS = tuple(TERM_FIELDS)
-
-
-def _subterms(t: Term) -> list[Term]:
-    """Every subterm, closure bodies and duplicated creations included."""
-    out: list[Term] = []
-
-    def term(s):
-        out.append(s)
-        if isinstance(s, Lit):
-            value(s.value)
-        for c in children(s):
-            term(c)
-        return s
-
-    def value(v):
-        map_value(v, term, value)
-        return v
-
-    term(t)
-    return out
 
 
 def _corpus_terms():
@@ -61,7 +41,7 @@ def test_every_term_form_has_a_table_entry():
 def test_rebuild_of_children_is_identity_on_the_corpus():
     seen = set()
     for name, body in _corpus_terms():
-        for t in _subterms(body):
+        for t in subterms(body):
             seen.add(type(t))
             assert rebuild(t, children(t)) == t, (name, t)
             assert map_children(t, lambda s: s) is t, (name, t)
@@ -87,6 +67,13 @@ def test_subst_respects_binders_and_shares_untouched_subterms():
     assert subst(parse_term("!a"), "x", one) == untouched
     pair = parse_term("(!a) \\/ x")
     assert subst(pair, "x", one).left is pair.left
+    # a term in which the name is not free comes back as itself
+    for src in ("!a", "let x = y in x", "fn@loc(x: Lat@loc) => x", "{a = y}@loc . a"):
+        t = parse_term(src)
+        assert "x" not in free_names(t), src
+        assert subst(t, "x", one) is t, src
+    shadowed = parse_term("let y = x in let x = y in x")
+    assert subst(shadowed, "x", one).body is shadowed.body
 
 
 def test_rewrite_reaches_closure_bodies_and_record_fields():
