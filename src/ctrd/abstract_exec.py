@@ -437,8 +437,9 @@ def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
         raise NotQuiescent("eventual-consistency check needs a quiescent run")
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
+    logs = [set(map(_CLIENT_N, s.seq)) for s in config.servers]
     in_all_logs = all(
-        all(e in s.seq for s in config.servers) for e in ava_writes
+        all(_CLIENT_N(e) in log for log in logs) for e in ava_writes
     )
     stores = [
         sorted(s.store.items(), key=lambda kv: kv[0].sort_key())

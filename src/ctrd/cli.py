@@ -8,6 +8,11 @@ integer of at least 1; 3 a requested check failed; 4 deadlock,
 step/state limit, runtime fault, nesting too deep to simulate, or an
 explore/nif in which every trace was truncated at --max-depth (no verdict);
 5 programs not low-equivalent.
+
+Reports go to stdout as one JSON line. `run --trace` writes its file with
+`trace_json`, which lays out each entry from a fixed template in one pass,
+byte for byte as `json.dumps(..., indent=2, sort_keys=True)` would; `run
+--exec` writes the recorded execution through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import typecheck as tc
@@ -26,10 +32,10 @@ from .abstract_exec import (
 )
 from .parser import ParseError, parse_program
 from .runtime_cloud import (
-    StateSpaceLimit, TraceEntry, check_wf, explore, initial_config,
-    make_scheduler, max_states_from_env, run,
+    _CLIENT_N, StateSpaceLimit, TraceEntry, check_wf, explore,
+    initial_config, make_scheduler, max_states_from_env, run,
 )
-from .runtime_local import Action, CtrdRuntimeError
+from .runtime_local import CtrdRuntimeError, EventId
 from .syntax import Location
 
 
@@ -61,35 +67,100 @@ def _load(path: str):
 # ---------------------------------------------------------------------------
 # JSON serialization of traces and reports
 
-def action_json(a: Action) -> dict:
-    out = {
-        "effect": str(a.effect),
-        "op": a.kind,
-        "event": str(a.event) if a.event else None,
-        "location": str(a.location) if a.location else None,
-        "value": value_json(a.value),
-        "source": list(map(str, a.source)) if a.source else None,
-    }
-    if a.label is not None:
-        out["label"] = str(a.label)
-    if a.literal_label is not None:
-        out["literal_label"] = str(a.literal_label)
-    if a.snapshot is not None:
-        out["snapshot"] = [str(e) for e in a.snapshot]
-    if a.synced:
-        out["synced"] = True
-    return out
+class _Memo(dict):
+    """key -> render(key), rendered on the first lookup of the key."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
-def trace_json(trace: list[TraceEntry]) -> list[dict]:
-    out = []
+# One trace entry as json.dumps(..., indent=2, sort_keys=True) lays it out
+# inside the top-level list: keys in sorted order, each optional key's slot
+# holding its whole line (newline, indent, key, value, comma) or nothing.
+_ENTRY = (
+    '  {\n'
+    '    "action": {\n'
+    '      "effect": %s,\n'
+    '      "event": %s,%s%s\n'
+    '      "location": %s,\n'
+    '      "op": %s,%s\n'
+    '      "source": %s,%s\n'
+    '      "value": %s\n'
+    '    },\n'
+    '    "client": %s,%s\n'
+    '    "rule": %s,\n'
+    '    "server": %s,\n'
+    '    "step": %s\n'
+    '  }'
+)
+_ITEM = ",\n        "       # between the items of a list inside an action
+
+
+def _num(n) -> str:
+    return "null" if n is None else repr(n)
+
+
+def _strings(items) -> str:
+    """A list of quoted strings, laid out as a value inside an action."""
+    return f"[\n        {_ITEM.join(items)}\n      ]" if items else "[]"
+
+
+def trace_json(trace: list[TraceEntry]) -> str:
+    """The --trace file: exactly json.dumps of one dict per entry (keys
+    step, rule, client, server, action, and nodes when counted) with
+    indent=2 and sort_keys, plus a final newline, written in one pass. Each
+    event id, snapshot tuple and value is rendered once per call; snapshots
+    and values are keyed by identity, and each is kept alive next to its
+    text so that no id is reused while the call runs."""
+    quoted = _Memo(lambda x: _quote(str(x)))        # labels, op kinds, rules
+    ids = _Memo(lambda key: _quote(str(EventId(*key))))
+    snapshots: dict[int, tuple] = {}
+    values: dict[int, tuple] = {}
+    parts = []
     for e in trace:
-        entry = {"step": e.step, "rule": e.rule, "client": e.client,
-                 "server": e.server, "action": action_json(e.action)}
-        if e.node_count is not None:
-            entry["nodes"] = e.node_count
-        out.append(entry)
-    return out
+        a = e.action
+        snap = a.snapshot
+        if snap is None:
+            snap_line = ""
+        else:
+            hit = snapshots.get(id(snap))
+            if hit is None:
+                text = _strings(list(map(ids.__getitem__, map(_CLIENT_N, snap))))
+                hit = snapshots[id(snap)] = (snap, f'\n      "snapshot": {text},')
+            snap_line = hit[1]
+        v = a.value
+        hit = values.get(id(v))
+        if hit is None:
+            text = json.dumps(value_json(v), indent=2, sort_keys=True)
+            # json.dumps escapes every newline inside a string, so each raw
+            # newline starts a line that moves in by the value's depth
+            hit = values[id(v)] = (v, text.replace("\n", "\n      "))
+        parts.append(_ENTRY % (
+            quoted[a.effect],
+            ids[_CLIENT_N(a.event)] if a.event else "null",
+            "" if a.label is None else f'\n      "label": {quoted[a.label]},',
+            "" if a.literal_label is None
+            else f'\n      "literal_label": {quoted[a.literal_label]},',
+            _quote(str(a.location)) if a.location else "null",
+            quoted[a.kind],
+            snap_line,
+            _strings([_quote(str(x)) for x in a.source]) if a.source else "null",
+            '\n      "synced": true,' if a.synced else "",
+            hit[1],
+            _num(e.client),
+            "" if e.node_count is None else f'\n    "nodes": {e.node_count!r},',
+            quoted[e.rule],
+            _num(e.server),
+            _num(e.step),
+        ))
+    return "[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n"
 
 
 def execution_json(exec_) -> dict:
@@ -110,10 +181,9 @@ def execution_json(exec_) -> dict:
     }
 
 
-def _dump(path: str, payload) -> Optional[int]:
-    """Write payload as JSON to path; None, or exit code 2 with one stderr
-    line when the file cannot be written."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _dump(path: str, text: str) -> Optional[int]:
+    """Write text to path; None, or exit code 2 with one stderr line when
+    the file cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -193,7 +263,9 @@ def cmd_run(args) -> int:
     verdicts = _verdicts(args.check, res, exec_)
     if args.trace and (failed := _dump(args.trace, trace_json(res.trace))):
         return failed
-    if args.exec_out and (failed := _dump(args.exec_out, execution_json(exec_))):
+    if args.exec_out and (failed := _dump(
+            args.exec_out,
+            json.dumps(execution_json(exec_), indent=2, sort_keys=True) + "\n")):
         return failed
     report = {
         "file": args.file,

@@ -233,6 +233,10 @@ class Kind(IntEnum):
     GC_UPDATE = 7
 
 
+# read once: len() of an enum class runs EnumType.__len__ in Python
+_KINDS = len(Kind)
+
+
 class Choice(NamedTuple):
     """One enabled rule instance. Fields a kind does not use stay at their
     defaults, so the tuple order (kind, client, message key, server) is the
@@ -665,16 +669,16 @@ class _CategoryFair:
         self.name = name
         self.cat = 0
         self.rotate_within = rotate_within
-        self.counters = [0] * len(Kind)
+        self.counters = [0] * _KINDS
 
     def pick(self, choices: list[Choice]) -> Choice:
         by_cat: dict[int, list[Choice]] = {}
         for ch in choices:
             by_cat.setdefault(ch.kind, []).append(ch)
-        for off in range(len(Kind)):
-            cat = (self.cat + off) % len(Kind)
+        for off in range(_KINDS):
+            cat = (self.cat + off) % _KINDS
             if cat in by_cat:
-                self.cat = (cat + 1) % len(Kind)
+                self.cat = (cat + 1) % _KINDS
                 group = by_cat[cat]
                 if self.rotate_within:
                     idx = self.counters[cat] % len(group)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import (
-    AbstractExecution, MalformedTrace, NotQuiescent, Operation,
+    AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
     ProgramsNotLowEquivalent, check_ec, check_low_equivalence,
     check_noninterference, check_sc, con_observation, value_json,
     join_of_writes, project_ava, project_con, record, return_value_of,
@@ -360,6 +360,51 @@ def test_check_ec_convergence_and_oracle():
 def test_check_ec_vacuous_without_ava_ops():
     res = run_src(load(corpus_files("con")[0]))
     assert check_ec(record(res.trace), res.config).ok
+
+
+def _check_ec_by_scan(exec_, config) -> EcVerdict:
+    """check_ec as first written: each ava write is looked up by a linear
+    scan of every server log."""
+    ava_writes = {e for e, op in exec_.op.items()
+                  if op.label == AVA and op.kind in ("wr", "ref")}
+    in_all_logs = all(all(e in s.seq for s in config.servers) for e in ava_writes)
+    stores = [sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
+              for s in config.servers]
+    converged = all(st == stores[0] for st in stores[1:])
+    agree = True
+    for o in {exec_.op[e].location for e in ava_writes}:
+        held = [s.store.get(o) for s in config.servers]
+        if any(v is None for v in held) or any(v != held[0] for v in held[1:]):
+            agree = False
+    rval_ok = all(exec_.rval.get(e) == return_value_of(op)
+                  for e, op in exec_.op.items() if op.label == AVA)
+    return EcVerdict(in_all_logs and agree, rval_ok, converged)
+
+
+def test_check_ec_agrees_with_the_log_scan_on_the_corpus():
+    programs = _runnable_programs()
+    dropped = 0
+    for path in programs:
+        for seed in range(3):
+            res = run_src(load(path), sched="random", seed=seed)
+            if res.status != "quiescent":
+                continue
+            ex = record(res.trace)
+            assert check_ec(ex, res.config) == _check_ec_by_scan(ex, res.config), \
+                (path.name, seed)
+            # the same history against a last server that lost one ava write
+            writes = [e for e, op in ex.op.items()
+                      if op.label == AVA and op.kind in ("wr", "ref")]
+            if not writes:
+                continue
+            cfg = res.config.copy()
+            srv = cfg.own_server(len(cfg.servers) - 1)
+            srv.seq = tuple(e for e in srv.seq if e != writes[0])
+            v = check_ec(ex, cfg)
+            assert v == _check_ec_by_scan(ex, cfg), (path.name, seed)
+            assert not v.eventual_visibility
+            dropped += 1
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
