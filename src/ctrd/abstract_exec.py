@@ -23,11 +23,11 @@ from collections.abc import MutableSet
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
-from operator import attrgetter, or_
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .lattice import GSet, NatMax, lat_join
-from .runtime_local import Action, EventId, Interned
+from .runtime_local import _CLIENT_N, Action, EventId, Interned
 from .syntax import (
     AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
     RecordVal, UnitVal, children, pretty, rebuild,
@@ -61,7 +61,6 @@ class Operation:
 # ---------------------------------------------------------------------------
 # Bit masks
 
-_CLIENT_N = attrgetter("client", "n")
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 

@@ -1,13 +1,13 @@
 """Command-line front door: check, run, explore, nif.
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply to parse; 2 I/O failure (a closed stdout or an
-unwritable --trace or --exec file included), a bad flag, an unknown
---check name, --servers below 1, or a CTRD_MAX_STATES that is not an
-integer of at least 1; 3 a requested check failed; 4 deadlock,
-step/state limit, runtime fault, nesting too deep to simulate, or an
-explore/nif in which every trace was truncated at --max-depth (no verdict);
-5 programs not low-equivalent.
+nested too deeply to parse; 2 I/O failure (a program file that is not
+UTF-8 text, a closed stdout or an unwritable --trace or --exec file
+included), a bad flag, an unknown --check name, --servers below 1, or a
+CTRD_MAX_STATES that is not an integer of at least 1; 3 a requested check
+failed; 4 deadlock, step/state limit, runtime fault, nesting too deep to
+simulate, or an explore/nif in which every trace was truncated at
+--max-depth (no verdict); 5 programs not low-equivalent.
 
 Reports go to stdout as one JSON line. `run --trace` writes its file with
 `trace_json`, which lays out each entry from a fixed template in one pass,
@@ -32,10 +32,10 @@ from .abstract_exec import (
 )
 from .parser import ParseError, parse_program
 from .runtime_cloud import (
-    _CLIENT_N, StateSpaceLimit, TraceEntry, check_wf, explore,
+    StateSpaceLimit, TraceEntry, check_wf, explore,
     initial_config, make_scheduler, max_states_from_env, run,
 )
-from .runtime_local import CtrdRuntimeError, EventId
+from .runtime_local import _CLIENT_N, CtrdRuntimeError, EventId
 from .syntax import Location
 
 
@@ -51,6 +51,8 @@ def _load(path: str):
             src = fh.read()
     except OSError as e:
         return _die(2, f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        return _die(2, f"{path}: not UTF-8 text: {e.reason} at byte {e.start}")
     try:
         prog = parse_program(src)
         checked = tc.check_program(prog)

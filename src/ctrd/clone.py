@@ -100,14 +100,10 @@ def clone_step(config, client: ClientState, root: Location,
             s.store[fresh] = moved
         if o in config.store_typing:
             config.own_store_typing().setdefault(fresh, upgrade(config.store_typing[o]))
-    pre_common = config.common
-    for s in servers:
-        s.seq = (nu,) + s.seq
-    config.enter_common(nu)
+    pre_common = config.sync_append(nu)
     fresh_root = mapping[graph.root]
     config.own_global_ids()[ident] = fresh_root
-    if ident in config.id_typing:
-        config.own_store_typing().setdefault(fresh_root, config.id_typing[ident])
+    config.type_location(fresh_root, ident)
     root_value = servers[0].store[fresh_root]
     action = Action(effect, "ref", CON, nu, fresh_root, root_value,
                     snapshot=pre_common, synced=True)

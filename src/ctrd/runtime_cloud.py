@@ -4,7 +4,8 @@ A configuration is a set of clients, a multiset of in-flight messages, a set
 of replica servers, and a global identifier map. Consistent operations touch
 every server in one atomic step (consensus is abstracted to that step);
 available operations go through buffered update messages delivered one
-server at a time.
+server at a time. Only rules that touch the servers or the global map fire
+here; a client step first tries step_local, where all others fire.
 """
 
 from __future__ import annotations
@@ -13,22 +14,21 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
 # decompose is not called here; the name is kept so that tools wrapping it
 # from outside the package find it where step_local is looked up
 from .runtime_local import (
-    Action, ClientState, CtrdRuntimeError, EventId, Interned, Message, Req,
-    Update, decompose, eps, initial_client, merge_values, sorted_items,
-    step_local,
+    _CLIENT_N, Action, ClientState, CtrdRuntimeError, EventId, Interned,
+    Message, Req, Update, cell_operand, decompose, eps, initial_client,
+    join_into, merge_values, sorted_items, step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
-    Identifier, Lit, Location, LOC, OAC, Plain, Program, Ref, Term, Type,
-    UNIT, label_join, label_of, pretty, pretty_type, raise_label, subtype,
-    type_join_label,
+    Identifier, Label, Lit, Location, LOC, OAC, Plain, Program, Ref, Term,
+    Type, UNIT, label_join, label_of, pretty, pretty_type, raise_label,
+    subtype, type_join_label,
 )
 from .typecheck import (CheckError, TypeEnv, type_of_value,
                         typecheck as typecheck_term)
@@ -65,9 +65,6 @@ class Server(Interned):
         if self._key is None:
             self._key = (sorted_items(self.store), self.seq)
         return self._key
-
-
-_CLIENT_N = attrgetter("client", "n")
 
 
 class _BuiltKey(Interned):
@@ -175,6 +172,20 @@ class CloudConfig:
         i = bisect_right(self.common, (nu.client, nu.n), key=_CLIENT_N)
         self.common = self.common[:i] + (nu,) + self.common[i:]
 
+    def type_location(self, o: Location, ident: Identifier) -> None:
+        """Record a fresh allocation's typing from its identifier's, once."""
+        if ident in self.id_typing and o not in self.store_typing:
+            self.own_store_typing()[o] = self.id_typing[ident]
+
+    def sync_append(self, nu: EventId) -> tuple[EventId, ...]:
+        """Prepend nu to every server log at once; returns the common log
+        as it stood before, the snapshot the synchronized rules record."""
+        pre_common = self.common
+        for s in self.own_servers():
+            s.seq = (nu,) + s.seq
+        self.enter_common(nu)
+        return pre_common
+
     # -- keys ----------------------------------------------------------------
 
     def _parts(self) -> tuple[_BuiltKey, _BuiltKey, _BuiltKey]:
@@ -254,35 +265,42 @@ def _find_message(config: CloudConfig, key: tuple) -> Optional[Message]:
     return None
 
 
+def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
+    """(label, location, rule) if a server must answer the client's redex: a
+    con dereference, or an ava read of a cell the client holds no replica of."""
+    match client.redex.term if client.redex is not None else None:
+        case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))):
+            if lab == CON:
+                return CON, o, "E-CONDEREF"
+            if lab == AVA and o not in client.store:
+                return AVA, o, "E-AVADEREF2"
+        case FlexRead(term=Lit(value=Plain(raw=Location() as o, label=Label.OAC)),
+                      label=Label.AVA) if o not in client.store:
+            return AVA, o, "E-FLEXRD-AVA"
+    return None
+
+
 def enabled(config: CloudConfig) -> list[Choice]:
     """Every rule instance whose premises hold, deterministically ordered."""
     out: list[Choice] = []
-
-    def reads(kind: Kind, cid: int, o: Location) -> None:
-        out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
-                   if o in s.store)
-
     for cid in sorted(config.clients):
         client = config.clients[cid]
         if client.buffer:
             out.append(Choice(Kind.SEND, cid))
         if client.redex is None:
             continue
-        match client.redex.term:
-            case Await(ident=ident):
-                if ident in client.idmap:
-                    out.append(Choice(Kind.CLIENT_STEP, cid))
-                elif ident in config.global_ids:
-                    out.append(Choice(Kind.AWAIT_RESOLVE, cid))
-                # otherwise blocked until the identifier is published
-            case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if (
-                    lab == CON or lab == AVA and o not in client.store):
-                reads(Kind.CON_READ if lab == CON else Kind.AVA_REMOTE_READ, cid, o)
-            case FlexRead(term=Lit(value=Plain(raw=Location() as o, label=cell)), label=lab) if (
-                    cell == OAC and lab == AVA and o not in client.store):
-                reads(Kind.AVA_REMOTE_READ, cid, o)
-            case _:
-                out.append(Choice(Kind.CLIENT_STEP, cid))
+        t = client.redex.term
+        if t.__class__ is Await and t.ident not in client.idmap:
+            if t.ident in config.global_ids:
+                out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+            continue   # otherwise blocked until the identifier is published
+        read = _remote_read(client)
+        if read is None:
+            out.append(Choice(Kind.CLIENT_STEP, cid))
+        else:
+            kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
+            out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
+                       if read[1] in s.store)
     all_servers = frozenset(range(len(config.servers)))
     for m in config.mailbox:
         key = m.key()
@@ -325,24 +343,13 @@ def _joined_replicas(config: CloudConfig, o: Location):
     return merged
 
 
-def _keep_own_writes(client: ClientState, o: Location, v) -> None:
-    """Install v in the client's replica of o by join, not overwrite: the
-    client's own flexwrite@ava may still be buffered or in flight, and a
-    later flexread@ava must not read below it."""
-    client.store[o] = merge_values(client.store[o], v) if o in client.store else v
-
-
-def _sync_write(config: CloudConfig, o: Location, v, nu: EventId) -> None:
+def _sync_write(config: CloudConfig, client: ClientState, o: Location, v):
+    """Overwrite every replica of o under the client's next event, logged at
+    every server at once; returns the event and the prior common log."""
+    nu = client.fresh_event()
     for s in config.own_servers():
         s.store[o] = v
-        s.seq = (nu,) + s.seq
-    config.enter_common(nu)
-
-
-def _type_location(config: CloudConfig, o: Location, ident: Identifier) -> None:
-    """Record a fresh allocation's typing from its identifier's, once."""
-    if ident in config.id_typing and o not in config.store_typing:
-        config.own_store_typing()[o] = config.id_typing[ident]
+    return nu, config.sync_append(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +374,16 @@ def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
         return _cloud_redex(cfg, client)
     # new identifier bindings are fresh allocations; record their typing
     for ident in list(client.idmap)[bound:]:
-        _type_location(cfg, client.idmap[ident], ident)
+        cfg.type_location(client.idmap[ident], ident)
     rule, action = fired
     return cfg, TraceEntry(0, rule, action, client=cid)
 
 
 def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
     """A redex that needs the servers or the global map, on the client the
-    caller owns. The synchronized rules record the common log as it stood
-    before they write."""
+    caller owns; step_local has checked its cell operand, if it has one.
+    The synchronized rules record the common log as it stood before they
+    write."""
     cid = client.cid
     r, eff = client.redex.term, client.redex.effect
 
@@ -388,98 +396,55 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
         case Ref(label=lab, init=Lit(value=v), ident=ident) if lab in (CON, OAC):
             if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
-            pre_common = cfg.common
             o = client.fresh_location(remote=True)
-            nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, lab))
-            _sync_write(cfg, o, stamped, nu)
+            nu, pre_common = _sync_write(cfg, client, o, stamped)
             cfg.own_global_ids()[ident] = o
-            _type_location(cfg, o, ident)
+            cfg.type_location(o, ident)
             act = Action(eff, "ref", lab, nu, o, v, snapshot=pre_common, synced=True)
             if lab == OAC:
                 # on-demand refs also land in the local store for fast reads
                 client.store[o] = stamped
                 client.idmap[ident] = o
-                return finish(Lit(Plain(o, OAC)), act, "E-OACREF")
-            return finish(Lit(Plain(o, CON)), act, "E-CONREF")
+            return finish(Lit(Plain(o, lab)), act, "E-OACREF" if lab == OAC else "E-CONREF")
 
         case Assign(target=Lit(value=Plain(raw=Location() as o, label=lab)),
                     value=Lit(value=v)) if lab == CON:
-            pre_common = cfg.common
-            nu = client.fresh_event()
             stamped = raise_label(v, label_join(eff, CON))
-            _sync_write(cfg, o, stamped, nu)
+            nu, pre_common = _sync_write(cfg, client, o, stamped)
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
             return finish(Lit(Plain(UNIT, CON)), act, "E-CONASSIGN")
 
-        case FlexWrite(label=lab, target=Lit(value=tv), value=Lit(value=v)):
-            if isinstance(tv, Duplicated):
-                raise CtrdRuntimeError("DuplicatedIdentifier",
-                                       "flexwrite through a duplicated marker")
-            o = tv.raw
-            if not isinstance(o, Location):
-                raise CtrdRuntimeError("Stuck", "flexwrite to a non-location")
-            nu = client.fresh_event()
-            if lab == AVA:
-                if o in client.store:
-                    merged = merge_values(client.store[o], v)
-                else:
-                    merged = v
-                client.store[o] = raise_label(merged, label_join(eff, AVA))
-                ident = client.getkey(o)
-                client.buffer = client.buffer + (Update(o, ident, v, cid, frozenset(), nu, eff),)
-                # the rule spells the action label con; semantically this is
-                # the buffered (available) write
-                act = Action(eff, "wr", AVA, nu, o, v, literal_label=CON)
-                return finish(Lit(Plain(UNIT, AVA)), act, "E-FLEXWRT-AVA")
+        case FlexWrite(label=Label.CON, target=Lit(value=Plain(raw=o)), value=Lit(value=v)):
             # join, not overwrite: a flexwrite@ava still in flight is joined
             # into the servers it reaches later, so every replica must hold
             # the same join now for them to agree at quiescence
-            pre_common = cfg.common
             stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
                                   label_join(eff, CON))
-            _keep_own_writes(client, o, stamped)
-            _sync_write(cfg, o, stamped, nu)
+            join_into(client.store, o, stamped)
+            nu, pre_common = _sync_write(cfg, client, o, stamped)
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
             return finish(Lit(Plain(UNIT, CON)), act, "E-FLEXWRT-CON")
 
-        case FlexRead(label=lab, term=Lit(value=tv)):
-            if isinstance(tv, Duplicated):
-                raise CtrdRuntimeError("DuplicatedIdentifier",
-                                       "flexread through a duplicated marker")
-            o = tv.raw
-            if not isinstance(o, Location):
-                raise CtrdRuntimeError("Stuck", "flexread of a non-location")
-            nu = client.fresh_event()
-            if lab == AVA:
-                if o not in client.store:
-                    raise IllegalChoice("remote flexread must pick a server")
-                result = raise_label(client.store[o], AVA)
-                act = Action(eff, "rd", AVA, nu, o, result,
-                             source=("local", cid), snapshot=())
-                return finish(Lit(result), act, "E-FLEXRD-AVA")
+        case FlexRead(label=Label.CON, term=Lit(value=Plain(raw=o))):
             # consistent read: merge every replica, install the merged state
             merged = _joined_replicas(cfg, o)
             for s in cfg.own_servers():
                 s.store[o] = merged
-            _keep_own_writes(client, o, merged)
+            join_into(client.store, o, merged)
             result = Plain(merged.raw, CON)
-            act = Action(eff, "rd", CON, nu, o, result,
+            act = Action(eff, "rd", CON, client.fresh_event(), o, result,
                          source=("servers",), snapshot=cfg.common)
             return finish(Lit(result), act, "E-FLEXRD-CON")
 
         case Clone(label=lab, term=Lit(value=tv), ident=ident):
             if lab != CON:
                 raise CtrdRuntimeError("Stuck", f"clone label {lab} unsupported")
-            if isinstance(tv, Duplicated) or not isinstance(tv.raw, Location):
-                raise CtrdRuntimeError("Stuck", "clone of a non-location")
+            o, _ = cell_operand(tv, None, "clone of a non-location")
             if ident in cfg.global_ids:
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
-            result, act, nodes = clone_step(cfg, client, tv.raw, ident, eff)
+            result, act, nodes = clone_step(cfg, client, o, ident, eff)
             return finish(Lit(result), act, "E-CLONE", node_count=nodes)
-
-        case Await(ident=ident):
-            raise IllegalChoice("await resolution is its own choice")
 
     raise IllegalChoice(f"no cloud rule applies to {pretty(r)}")
 
@@ -503,23 +468,18 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
-    d = cfg.clients[cid].redex
-    match d.term if d is not None else None:
-        case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))) if lab in (CON, AVA):
-            rule = "E-CONDEREF" if lab == CON else "E-AVADEREF2"
-        case FlexRead(label=lab, term=Lit(value=Plain(raw=Location() as o))) if lab == AVA:
-            rule = "E-FLEXRD-AVA"
-        case _:
-            raise IllegalChoice(f"client {cid} is not at a server read")
+    read = _remote_read(cfg.clients[cid])
+    if read is None:
+        raise IllegalChoice(f"client {cid} is not at a server read")
+    lab, o, rule = read
     server = cfg.servers[r]
-    if ((lab == CON) != (ch.kind == Kind.CON_READ) or o not in server.store
-            or (lab == AVA and o in cfg.clients[cid].store)):
+    if (lab == CON) != (ch.kind == Kind.CON_READ) or o not in server.store:
         raise IllegalChoice(f"server read premises violated for client {cid} at server {r}")
     client = cfg.own_client(cid)
     if lab == AVA:
         client.store[o] = server.store[o]
     result = raise_label(server.store[o], lab)
-    act = Action(d.effect, "rd", lab, client.fresh_event(), o, result,
+    act = Action(client.redex.effect, "rd", lab, client.fresh_event(), o, result,
                  source=("server", r), snapshot=server.seq)
     client.plug(Lit(result))
     return cfg, TraceEntry(0, rule, act, client=cid, server=r)
@@ -542,18 +502,12 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
         raise IllegalChoice(f"update delivery premises violated for {key}")
     server = cfg.own_server(r)
     pre_seq = server.seq
-    if m.ident is not None and m.ident not in cfg.global_ids:
-        cfg.own_global_ids()[m.ident] = m.location
-        target = m.location
-    elif m.ident is not None:
+    target = m.location
+    if m.ident is not None:
+        if m.ident not in cfg.global_ids:
+            cfg.own_global_ids()[m.ident] = m.location
         target = cfg.global_ids[m.ident]
-    else:
-        target = m.location
-    if target not in server.store:
-        server.store[target] = raise_label(m.value, m.effect)
-    else:
-        server.store[target] = raise_label(merge_values(m.value, server.store[target]),
-                                           m.effect)
+    join_into(server.store, target, raise_label(m.value, m.effect))
     server.seq = (m.event,) + server.seq
     delivered = m.delivered | {r}
     if len(delivered) == len(cfg.servers):
@@ -576,11 +530,9 @@ def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     local = cfg.clients[m.origin].idmap.get(m.ident)
     if local is None:
         raise IllegalChoice(f"requester no longer maps {m.ident}")
-    client = cfg.own_client(m.origin)
     # join, not overwrite: the server may not have seen this client's own
-    # writes yet, and a replica never moves down its lattice
-    client.store[local] = merge_values(client.store[local],
-                                       raise_label(server.store[o], m.effect))
+    # writes yet
+    join_into(cfg.own_client(m.origin).store, local, raise_label(server.store[o], m.effect))
     cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
     return cfg, TraceEntry(0, "E-PROCESS-REQUEST", eps(m.effect),
                            client=m.origin, server=r)
@@ -756,8 +708,7 @@ def max_states_from_env() -> int:
 
 def explore(config: CloudConfig, max_depth: int,
             on_trace: Optional[Callable] = None,
-            check_wf_each: bool = False,
-            max_states: Optional[int] = None) -> ExploreSummary:
+            check_wf_each: bool = False) -> ExploreSummary:
     """Exhaustive interleaving exploration to a depth bound.
 
     States are deduplicated on (configuration, abstract execution): two
@@ -769,12 +720,11 @@ def explore(config: CloudConfig, max_depth: int,
     execution on unchanged. on_trace receives the abstract execution of
     each maximal trace, folded along the way and possibly shared with other
     traces, so it must not mutate it, with the final configuration and a
-    truncation flag.
+    truncation flag. The state budget is max_states_from_env().
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
-    if max_states is None:
-        max_states = max_states_from_env()
+    max_states = max_states_from_env()
     summary = ExploreSummary()
     seen: set = set()
     table: dict = {}

@@ -2,19 +2,20 @@
 
 A client is a residual term with its decomposition into evaluation context
 and redex, plus a local store, a FIFO message buffer, and a local identifier
-map. Purely local rules fire here, in place on the client; redexes needing
-servers or the global identifier map are left to the configuration-level
-stepper.
+map. Every rule that touches only the client's own state, available writes
+and replica reads included, fires here, in place on the client; redexes
+needing the servers or the global identifier map are left to runtime_cloud.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
 from .syntax import (
-    App, Assign, AVA, Await, BoolVal, Clone, Closure, Deref, Duplicated,
+    App, Assign, AVA, Await, BoolVal, Clone, Closure, CON, Deref, Duplicated,
     FlexRead, FlexWrite, Identifier, If, Label, LatOp, Let, Lit, Location,
     LOC, OAC, OrdOp, Plain, Proj, Record, RecordVal, Ref, Restrict,
     TERM_FIELDS, Term, UNIT, Var, children, label_join, map_children,
@@ -42,6 +43,9 @@ class EventId:
 
     def sort_key(self) -> tuple[int, int]:
         return (self.client, self.n)
+
+
+_CLIENT_N = attrgetter("client", "n")
 
 
 # Where a read was served from: ("local", client) | ("server", idx) | ("servers",)
@@ -302,29 +306,54 @@ def subst(t: Term, name: str, value: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Local stepping
 
-_LAT_FN = {"join": lat_join, "meet": lat_meet}
-_ORD_FN = {"le": lat_leq, "lt": lat_lt}
+_OP_FN = {"join": lat_join, "meet": lat_meet,
+          "le": lambda a, b: BoolVal(lat_leq(a, b)),
+          "lt": lambda a, b: BoolVal(lat_lt(a, b))}
 
 
-def merge_values(v1, v2):
-    """Lattice join of two plain lattice values; labels join alongside."""
+def _lattice_apply(fn, v1, v2, r: Optional[Term] = None):
+    """fn on two plain lattice values, labelled with the join of theirs;
+    faults name r, the redex of E-LATOP or E-ORDOP, or a merge if None."""
     if not (isinstance(v1, Plain) and isinstance(v2, Plain)):
-        raise CtrdRuntimeError("DuplicatedIdentifier", "cannot merge a duplicated marker")
+        raise CtrdRuntimeError("DuplicatedIdentifier", "cannot merge a duplicated marker"
+                               if r is None else "lattice operation on a duplicated marker")
     if not isinstance(v1.raw, (NatMax, GSet)) or not isinstance(v2.raw, (NatMax, GSet)):
-        raise CtrdRuntimeError("Stuck", f"cannot merge non-lattice values {v1} and {v2}")
+        raise CtrdRuntimeError("Stuck", f"cannot merge non-lattice values {v1} and {v2}"
+                               if r is None else f"lattice operation on non-lattice values in {r!r}")
     try:
-        return Plain(lat_join(v1.raw, v2.raw), label_join(v1.label, v2.label))
+        return Plain(fn(v1.raw, v2.raw), label_join(v1.label, v2.label))
     except DomainMismatch as e:
         raise CtrdRuntimeError("DomainMismatch", str(e)) from None
 
 
-def _lat_args(r: Term, a: Term, b: Term):
-    va, vb = a.value, b.value
-    if not (isinstance(va, Plain) and isinstance(vb, Plain)):
-        raise CtrdRuntimeError("DuplicatedIdentifier", "lattice operation on a duplicated marker")
-    if not isinstance(va.raw, (NatMax, GSet)) or not isinstance(vb.raw, (NatMax, GSet)):
-        raise CtrdRuntimeError("Stuck", f"lattice operation on non-lattice values in {r!r}")
-    return va, vb
+def merge_values(v1, v2):
+    """Lattice join of two plain lattice values; labels join alongside."""
+    return _lattice_apply(lat_join, v1, v2)
+
+
+def join_into(store: dict, o: Location, v) -> None:
+    """Install v in a replica of o by join: a replica never moves down."""
+    store[o] = merge_values(store[o], v) if o in store else v
+
+
+def cell_operand(v, dup: Optional[str], nonloc: str) -> tuple[Location, Label]:
+    """The location and label of a store operation's cell. A duplicated
+    marker faults with message dup (Stuck with nonloc if dup is None)."""
+    if isinstance(v, Plain) and isinstance(v.raw, Location):
+        return v.raw, v.label
+    if dup is not None and isinstance(v, Duplicated):
+        raise CtrdRuntimeError("DuplicatedIdentifier", dup)
+    raise CtrdRuntimeError("Stuck", nonloc)
+
+
+def _buffered_write(c: ClientState, o: Location, v, eff: Label,
+                    ident: Optional[Identifier]) -> EventId:
+    """E-AVAREF, E-AVAASSIGN and E-FLEXWRT-AVA: join v, stamped, into the
+    client's replica of o and buffer it unstamped under a fresh event."""
+    join_into(c.store, o, raise_label(v, label_join(eff, AVA)))
+    nu = c.fresh_event()
+    c.buffer = c.buffer + (Update(o, ident, v, c.cid, frozenset(), nu, eff),)
+    return nu
 
 
 def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
@@ -332,9 +361,9 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
 
     The client must not be finished. The rule fires in place on the client,
     which the caller owns, and (rule, action) comes back. A redex that needs
-    the servers or the global identifier map, an await on an identifier the
-    client does not hold included, leaves the client untouched and returns
-    None.
+    the servers or the global identifier map, an await on an identifier or
+    an ava read of a cell the client does not hold included, leaves the
+    client untouched and returns None.
     """
     r, eff = c.redex.term, c.redex.effect
 
@@ -343,21 +372,9 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
         return rule, action
 
     match r:
-        case LatOp(op=op, left=a, right=b):
-            va, vb = _lat_args(r, a, b)
-            try:
-                raw = _LAT_FN[op](va.raw, vb.raw)
-            except DomainMismatch as e:
-                raise CtrdRuntimeError("DomainMismatch", str(e)) from None
-            return done(Lit(Plain(raw, label_join(va.label, vb.label))), eps(eff), "E-LATOP")
-
-        case OrdOp(op=op, left=a, right=b):
-            va, vb = _lat_args(r, a, b)
-            try:
-                res = _ORD_FN[op](va.raw, vb.raw)
-            except DomainMismatch as e:
-                raise CtrdRuntimeError("DomainMismatch", str(e)) from None
-            return done(Lit(Plain(BoolVal(res), label_join(va.label, vb.label))), eps(eff), "E-ORDOP")
+        case LatOp(op=op, left=a, right=b) | OrdOp(op=op, left=a, right=b):
+            return done(Lit(_lattice_apply(_OP_FN[op], a.value, b.value, r)), eps(eff),
+                        "E-LATOP" if r.__class__ is LatOp else "E-ORDOP")
 
         case App(fn=Lit(value=vf), arg=Lit() as arg):
             if not (isinstance(vf, Plain) and isinstance(vf.raw, Closure)):
@@ -392,24 +409,20 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                     return done(Lit(raise_label(fv, v.label)), eps(eff), "E-PROJ")
             raise CtrdRuntimeError("Stuck", f"record has no field {name!r}")
 
+        case Ref(label=Label.LOC | Label.AVA, ident=ident) if ident in c.idmap:
+            return done(Lit(Duplicated(r)), eps(eff), "E-REF-DUP")
+
         case Ref(label=Label.LOC, init=Lit(value=v), ident=ident):
-            if ident in c.idmap:
-                return done(Lit(Duplicated(r)), eps(eff), "E-REF-DUP")
             o = c.fresh_location(remote=False)
             c.store[o] = raise_label(v, eff)
             c.idmap[ident] = o
             return done(Lit(Plain(o, LOC)), eps(eff), "E-LOCALREF")
 
         case Ref(label=Label.AVA, init=Lit(value=v), ident=ident):
-            if ident in c.idmap:
-                return done(Lit(Duplicated(r)), eps(eff), "E-REF-DUP")
             o = c.fresh_location(remote=True)
-            nu = c.fresh_event()
-            c.store[o] = raise_label(v, label_join(eff, AVA))
             c.idmap[ident] = o
-            c.buffer = c.buffer + (Update(o, ident, v, c.cid, frozenset(), nu, eff),)
-            act = Action(eff, "ref", AVA, nu, o, v)
-            return done(Lit(Plain(o, AVA)), act, "E-AVAREF")
+            nu = _buffered_write(c, o, v, eff, ident)
+            return done(Lit(Plain(o, AVA)), Action(eff, "ref", AVA, nu, o, v), "E-AVAREF")
 
         case Await(ident=ident):
             if ident in c.idmap:
@@ -418,61 +431,66 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
             return None
 
         case Deref(term=Lit(value=v)):
-            if isinstance(v, Duplicated):
-                raise CtrdRuntimeError("DuplicatedIdentifier",
-                                       "dereference of a duplicated marker")
-            if not (isinstance(v, Plain) and isinstance(v.raw, Location)):
-                raise CtrdRuntimeError("Stuck", "dereference of a non-location")
-            o, lab = v.raw, v.label
+            o, lab = cell_operand(v, "dereference of a duplicated marker",
+                                  "dereference of a non-location")
             if lab == LOC:
                 if o not in c.store:
                     raise CtrdRuntimeError("DanglingLocation", f"{o} not in the local store")
                 return done(Lit(c.store[o]), eps(eff), "E-LOCALDEREF")
             if lab == AVA:
-                if o in c.store:
-                    result = raise_label(c.store[o], AVA)
-                    ident = c.getkey(o)
-                    if ident is None:
-                        raise CtrdRuntimeError("Stuck", f"no identifier for {o}")
-                    nu = c.fresh_event()
-                    c.buffer = c.buffer + (Req(ident, c.cid, eff, nu),)
-                    act = Action(eff, "rd", AVA, nu, o, result,
-                                 source=("local", c.cid), snapshot=())
-                    return done(Lit(result), act, "E-AVADEREF1")
-                return None
+                if o not in c.store:
+                    return None   # a server installs the replica
+                result = raise_label(c.store[o], AVA)
+                ident = c.getkey(o)
+                if ident is None:
+                    raise CtrdRuntimeError("Stuck", f"no identifier for {o}")
+                nu = c.fresh_event()
+                c.buffer = c.buffer + (Req(ident, c.cid, eff, nu),)
+                act = Action(eff, "rd", AVA, nu, o, result,
+                             source=("local", c.cid), snapshot=())
+                return done(Lit(result), act, "E-AVADEREF1")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "dereference of an oac location")
             return None   # con: served by some replica
 
         case Assign(target=Lit(value=vt), value=Lit(value=vv)):
-            if isinstance(vt, Duplicated):
-                raise CtrdRuntimeError("DuplicatedIdentifier",
-                                       "assignment through a duplicated marker")
-            if not (isinstance(vt, Plain) and isinstance(vt.raw, Location)):
-                raise CtrdRuntimeError("Stuck", "assignment to a non-location")
-            o, lab = vt.raw, vt.label
+            o, lab = cell_operand(vt, "assignment through a duplicated marker",
+                                  "assignment to a non-location")
             if lab == LOC:
                 if o not in c.store:
                     raise CtrdRuntimeError("DanglingLocation", f"{o} not in the local store")
                 c.store[o] = raise_label(vv, eff)
                 return done(Lit(Plain(UNIT, LOC)), eps(eff), "E-LOCALASSIGN")
             if lab == AVA:
-                if o in c.store:
-                    merged = merge_values(c.store[o], vv)
-                    ident = c.getkey(o)
-                else:
-                    merged = vv
-                    ident = c.getkey(o)
-                c.store[o] = raise_label(merged, label_join(eff, AVA))
-                nu = c.fresh_event()
-                c.buffer = c.buffer + (Update(o, ident, vv, c.cid, frozenset(), nu, eff),)
-                act = Action(eff, "wr", AVA, nu, o, vv)
-                return done(Lit(Plain(UNIT, AVA)), act, "E-AVAASSIGN")
+                nu = _buffered_write(c, o, vv, eff, c.getkey(o))
+                return done(Lit(Plain(UNIT, AVA)), Action(eff, "wr", AVA, nu, o, vv),
+                            "E-AVAASSIGN")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "assignment to an oac location")
             return None   # con: atomic all-server write
 
-        case FlexRead() | FlexWrite() | Clone() | Ref():
+        case FlexWrite(label=lab, target=Lit(value=vt), value=Lit(value=v)):
+            o, _ = cell_operand(vt, "flexwrite through a duplicated marker",
+                                "flexwrite to a non-location")
+            if lab != AVA:
+                return None   # con: joined into every replica at once
+            nu = _buffered_write(c, o, v, eff, c.getkey(o))
+            # the rule spells the action label con; semantically this is
+            # the buffered (available) write
+            act = Action(eff, "wr", AVA, nu, o, v, literal_label=CON)
+            return done(Lit(Plain(UNIT, AVA)), act, "E-FLEXWRT-AVA")
+
+        case FlexRead(label=lab, term=Lit(value=v)):
+            o, _ = cell_operand(v, "flexread through a duplicated marker",
+                                "flexread of a non-location")
+            if lab != AVA or o not in c.store:
+                return None   # con, or a replica a server must install
+            result = raise_label(c.store[o], AVA)
+            act = Action(eff, "rd", AVA, c.fresh_event(), o, result,
+                         source=("local", c.cid), snapshot=())
+            return done(Lit(result), act, "E-FLEXRD-AVA")
+
+        case Clone() | Ref():
             return None
 
         case Var(name=n):

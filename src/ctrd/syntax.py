@@ -82,13 +82,6 @@ def label_meet(a: Label, b: Label) -> Label:
     return a if _RANK[a] <= _RANK[b] else b
 
 
-def parse_label_name(name: str) -> Label:
-    for lab in LABELS:
-        if lab.value == name:
-            return lab
-    raise ValueError(f"not a label: {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Identifiers and locations
 

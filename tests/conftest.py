@@ -10,6 +10,8 @@ from ctrd.syntax import Lit, children, map_value
 from ctrd.typecheck import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# the corpus programs that typecheck, so run and explore can take them
+RUNNABLE = sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
 
 
 def corpus_files(group: str) -> list[pathlib.Path]:

@@ -22,6 +22,18 @@ def test_check_missing_file():
     assert main(["check", str(CORPUS / "no_such_file.ctrd")]) == 2
 
 
+def test_non_utf8_program_file_is_an_io_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.ctrd"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (["check", str(bad)], ["run", str(bad)], ["explore", str(bad)],
+                 ["nif", str(bad), str(bad)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1 and str(bad) in captured.err, \
+            (argv, captured.err)
+
+
 def test_run_pure_con_sc_passes(capsys):
     code = main(["run", str(CORPUS / "con" / "handoff.ctrd"), "--check", "sc"])
     out = capsys.readouterr().out

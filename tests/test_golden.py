@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import shutil
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, RUNNABLE, checked_config, load
 from ctrd.cli import main
+from ctrd.runtime_cloud import make_scheduler, run
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +32,10 @@ SCHEDULES = [("seed0", ["--seed", "0"]), ("seed1", ["--seed", "1"]),
              ("seed2", ["--seed", "2"]),
              ("round-robin", ["--sched", "round-robin"]),
              ("drain-fair", ["--sched", "drain-fair"])]
+# seed 0 runs that, with the runs above, fire every rule the corpus reaches
+RULE_PROGRAMS = ["accept/ava_gset", "accept/flex_both", "accept/dup_local",
+                 "accept/guard_con", "run/r05_lambda_guard", "run/r06_record",
+                 "run/r10_local_mix"]
 
 
 def _ctrd_in(workdir: pathlib.Path, command: str, program: str,
@@ -68,12 +74,32 @@ def golden_name(program: str, tag: str, part: str) -> str:
     return f"{program.replace('/', '_')}.{tag}.{part}"
 
 
+def assert_run_matches_golden(program: str, tag: str, sched: list[str],
+                              workdir: pathlib.Path) -> None:
+    for part, data in produce(program, sched, workdir).items():
+        want = (GOLDEN / golden_name(program, tag, part)).read_bytes()
+        assert data == want, f"{golden_name(program, tag, part)} differs"
+
+
 @pytest.mark.parametrize("tag,sched", SCHEDULES, ids=[t for t, _ in SCHEDULES])
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_run_matches_golden(program, tag, sched, tmp_path):
-    for part, data in produce(program, sched, tmp_path).items():
-        want = (GOLDEN / golden_name(program, tag, part)).read_bytes()
-        assert data == want, f"{golden_name(program, tag, part)} differs"
+    assert_run_matches_golden(program, tag, sched, tmp_path)
+
+
+@pytest.mark.parametrize("program", RULE_PROGRAMS)
+def test_seed0_run_matches_golden(program, tmp_path):
+    assert_run_matches_golden(program, "seed0", ["--seed", "0"], tmp_path)
+
+
+def test_every_rule_the_corpus_fires_at_seed_0_has_a_golden_trace():
+    golden = {entry["rule"] for path in GOLDEN.glob("*.trace.json")
+              for entry in json.loads(path.read_text())}
+    fired = set()
+    for path in RUNNABLE:
+        _, _, cfg = checked_config(load(path))
+        fired |= {e.rule for e in run(cfg, make_scheduler("random", 0)).trace}
+    assert fired <= golden, sorted(fired - golden)
 
 
 @pytest.mark.parametrize("program", PROGRAMS)

@@ -14,8 +14,9 @@ from ctrd.runtime_cloud import (
     Choice, IllegalChoice, Kind, SplitMix64, check_wf, enabled, explore,
     make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import Update, decompose
-from ctrd.syntax import AVA, BoolVal, CON, Identifier, Location, Plain
+from ctrd.runtime_local import Update, decompose, eps
+from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, Identifier, Lit, LOC,
+                         Location, Plain, Ref)
 
 
 def drive(cfg, rules, max_steps=200, sched=None):
@@ -158,6 +159,25 @@ def test_oacref_lands_locally_and_remotely():
     o = res.config.global_ids[Identifier(OAC, 1)]
     assert o in res.config.clients[1].store
     assert all(o in s.store for s in res.config.servers)
+
+
+@pytest.mark.parametrize("second", ["ref@con(nat 2 @con, (con,1))",
+                                    "clone@con(ref@loc(nat 2 @loc, (loc,1)), (con,1))"])
+def test_con_creation_on_a_taken_identifier_is_a_duplicate(second):
+    src = f"servers 2; client 1 {{ let a = ref@con(nat 1 @con, (con,1)) in {second} }}"
+    _, _, cfg = checked_config(src)
+    taken = None
+    while not (isinstance(taken, (Ref, Clone)) and taken.label == CON
+               and Identifier(CON, 1) in cfg.global_ids):
+        cfg, _ = step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
+        taken = cfg.clients[1].redex.term
+    nxt, entry = step_cloud(cfg, Choice(Kind.CLIENT_STEP, 1))
+    assert (entry.rule, entry.action) == ("E-CONREF-DUP", eps(LOC))
+    assert nxt.clients[1].term == Lit(Duplicated(taken))
+    # nothing is allocated, logged or published
+    assert nxt.global_ids == cfg.global_ids and nxt.common == cfg.common
+    assert [s.key() for s in nxt.servers] == [s.key() for s in cfg.servers]
+    assert nxt.clients[1].event_counter == cfg.clients[1].event_counter
 
 
 def test_await2_resolves_via_global_map():

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from ctrd.lattice import NatMax
+from ctrd.lattice import GSet, NatMax
 from explore_oracle import client_key
 from ctrd.parser import parse_term
 from ctrd.runtime_local import (
-    CtrdRuntimeError, Redex, Update, Req, decompose, initial_client, step_local,
+    CtrdRuntimeError, Redex, Update, Req, decompose, eps, initial_client,
+    merge_values, step_local,
 )
 from ctrd.syntax import (
     AVA, Await, CON, Duplicated, Identifier, LatOp, Lit, Location, LOC, OAC,
-    OrdOp, Plain, Ref, Restrict,
+    OrdOp, Plain, Ref, Restrict, UNIT,
 )
 
 
@@ -76,6 +77,22 @@ def test_latop_joins_values_and_labels():
 def test_ordop_comparison():
     _, v, _ = run_locally("nat 3 @loc <= nat 3 @loc")
     assert v.raw.value is True and v.label == LOC
+
+
+@pytest.mark.parametrize("right,kind", [
+    (Plain(GSet(frozenset({"a"})), LOC), "DomainMismatch"),
+    (Plain(UNIT, LOC), "Stuck"),
+    (Duplicated(Ref(LOC, Lit(Plain(UNIT, LOC)), Identifier(LOC, 1))), "DuplicatedIdentifier"),
+])
+def test_lattice_faults_are_the_same_for_operators_and_merges(right, kind):
+    left = Plain(NatMax(1), LOC)
+    with pytest.raises(CtrdRuntimeError) as exc:
+        merge_values(left, right)
+    assert exc.value.kind == kind
+    for op in (LatOp("join", Lit(left), Lit(right)), OrdOp("le", Lit(left), Lit(right))):
+        with pytest.raises(CtrdRuntimeError) as exc:
+            step_local(initial_client(1, op))
+        assert exc.value.kind == kind, op
 
 
 def test_beta_wraps_body_in_own_label_frame():
@@ -170,6 +187,17 @@ def test_await_resolves_locally():
     src = "let a = ref@loc(nat 1 @loc, (loc,1)) in await((loc,1))"
     c, v, _ = run_locally(src)
     assert v == Plain(c.idmap[Identifier(LOC, 1)], LOC)
+
+
+def test_await_on_own_identifier_fires_await1():
+    c = client_at("let a = ref@ava(nat 1 @ava, (ava,1)) in (await((ava,1)))[con]")
+    step_local(c)   # E-AVAREF
+    step_local(c)   # E-LET
+    o = c.idmap[Identifier(AVA, 1)]
+    store, buffer = dict(c.store), c.buffer
+    assert step_local(c) == ("E-AWAIT1", eps(CON))   # under the frame's effect
+    assert c.term == Restrict(Lit(Plain(o, AVA)), CON)
+    assert (c.store, c.buffer, c.event_counter) == (store, buffer, 1)
 
 
 def test_deref_duplicated_raises():

@@ -6,7 +6,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 import step_oracle
-from conftest import CORPUS, checked_config, load, subterms
+from conftest import CORPUS, RUNNABLE, checked_config, load, subterms
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import enabled, make_scheduler, step_cloud
 from ctrd.runtime_local import CtrdRuntimeError, free_names, subst
@@ -76,9 +76,6 @@ def test_free_names_is_cached_on_the_node():
 
 # ---------------------------------------------------------------------------
 # the common log
-
-RUNNABLE = sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
-
 
 def test_common_log_matches_the_server_logs_on_every_run_step():
     # each step of a seeded run of every runnable corpus program keeps

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trace_oracle
-from conftest import CORPUS, checked_config, load
+from conftest import RUNNABLE, checked_config, load
 from ctrd.cli import trace_json
 from ctrd.lattice import GSet, NatMax
 from ctrd.runtime_cloud import TraceEntry, make_scheduler, run
@@ -32,7 +32,6 @@ def _assert_written_as_oracle(trace: list[TraceEntry]) -> None:
 # ---------------------------------------------------------------------------
 # runs of the corpus
 
-RUNNABLE = sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
 SCHEDULERS = [("random", 0), ("random", 1), ("random", 2),
               ("drain-fair", 0), ("round-robin", 0)]
 
