@@ -26,7 +26,7 @@ from itertools import compress, count
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .lattice import GSet, NatMax, lat_join
+from .lattice import GSet, NatMax
 from .runtime_local import _CLIENT_N, Action, EventId, Interned
 from .syntax import (
     AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
@@ -456,21 +456,6 @@ def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
     return EcVerdict(in_all_logs and agree, rval_ok, converged)
 
 
-def join_of_writes(trace: Iterable, location: Location):
-    """Independent oracle: fold the lattice join over every wr/ref payload
-    targeting a location (delivery entries replay the same events and are
-    skipped)."""
-    acc = None
-    for entry in trace:
-        act = entry.action
-        if act.kind in ("wr", "ref") and act.location == location \
-                and entry.rule != _DELIVERY_RULE:
-            v = act.value
-            if isinstance(v, Plain):
-                acc = v.raw if acc is None else lat_join(acc, v.raw)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Observation and noninterference
 
@@ -515,8 +500,9 @@ def con_observation(config) -> dict[str, object]:
             out[str(ident)] = None
             continue
         if any(v != held[0] for v in held[1:]):
-            out[str(ident)] = {"disagreement": [value_json(v, labels=False)
-                                                 for v in held]}
+            # in JSON order, not server order: servers are interchangeable
+            out[str(ident)] = {"disagreement": sorted(
+                (value_json(v, labels=False) for v in held), key=_canonical_obs)}
             continue
         out[str(ident)] = value_json(held[0], labels=False)
     return out
@@ -595,9 +581,9 @@ def check_noninterference(prog_a, prog_b, max_depth: int,
         obs: set[str] = set()
         truncated = [0]
 
-        def on_trace(exec_, final, was_truncated, obs=obs, truncated=truncated):
+        def on_trace(exec_, final, was_truncated, weight, obs=obs, truncated=truncated):
             if was_truncated:
-                truncated[0] += 1
+                truncated[0] += weight
             else:
                 obs.add(_canonical_obs(con_observation(final)))
 

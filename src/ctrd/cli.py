@@ -296,14 +296,14 @@ def cmd_explore(args) -> int:
     cfg = initial_config(prog, checked.id_types, args.servers)
     violations = {name: 0 for name in args.check}
 
-    def on_trace(exec_, final, truncated):
+    def on_trace(exec_, final, truncated, weight):
         for name in args.check:
             # explore checks wf at every state; a truncated trace never
             # reached the state ec judges
             if name == "wf" or (name == "ec" and truncated):
                 continue
             if not CHECKS[name](exec_, final).ok:
-                violations[name] += 1
+                violations[name] += weight
 
     try:
         summary = explore(cfg, args.max_depth, on_trace=on_trace,
@@ -311,7 +311,7 @@ def cmd_explore(args) -> int:
     except StateSpaceLimit as e:
         return _die(4, f"{args.file}: {e}")
     if "wf" in args.check:
-        violations["wf"] = len(summary.wf_violations)
+        violations["wf"] = summary.wf_problems
     report = {
         "file": args.file,
         "max_depth": args.max_depth,

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from math import factorial
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
@@ -202,18 +204,37 @@ class CloudConfig:
     def key(self, table: Optional[dict] = None) -> tuple:
         """The state key. Without a table, the structural key: the client
         keys in client order, the sorted mailbox, the server keys and the
-        two sorted maps. With an intern table, the flat tuple of the ints
-        the table gives those same parts, in the same order. For
-        configurations with the same clients and number of servers, flat
-        keys from one table are equal exactly when structural keys are."""
+        two sorted maps. With an intern table, the key of the configuration's
+        server-permutation orbit: the ints the table gives those parts, with
+        the servers sorted by id and each partly delivered update naming its
+        servers by sorted position (servers with equal ids sit in the same
+        delivered sets; check_wf). For configurations with the same clients
+        and number of servers, these are equal exactly when one is a server
+        permutation of the other."""
         mailbox, ids, typing = self._parts()
         clients = [self.clients[cid] for cid in sorted(self.clients)]
         if table is None:
             return (tuple(c.key() for c in clients), mailbox.key(),
                     tuple(s.key() for s in self.servers), ids.key(), typing.key())
-        return (*[c.key_id(table) for c in clients], mailbox.key_id(table),
-                *[s.key_id(table) for s in self.servers],
+        server_ids = [s.key_id(table) for s in self.servers]
+        n = len(server_ids)
+        if any(m.__class__ is Update and 0 < len(m.delivered) < n for m in self._mailbox):
+            pos = {r: i for i, r in enumerate(sorted(range(n), key=server_ids.__getitem__))}
+            mailbox_id = table.setdefault(tuple(
+                (k, replace(m, delivered=frozenset(map(pos.get, m.delivered)))
+                 if m.__class__ is Update else m) for k, m in mailbox.key()), len(table))
+        else:
+            mailbox_id = mailbox.key_id(table)
+        return (*[c.key_id(table) for c in clients], mailbox_id, *sorted(server_ids),
                 ids.key_id(table), typing.key_id(table))
+
+    def orbit_size(self, table: dict) -> int:
+        """How many configurations share this one's key(table): n! over m!
+        for each group of m servers with equal keys."""
+        size = factorial(len(self.servers))
+        for m in Counter(s.key_id(table) for s in self.servers).values():
+            size //= factorial(m)
+        return size
 
 
 def initial_config(program: Program, id_types: dict[Identifier, Type],
@@ -687,9 +708,13 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
 
 @dataclass
 class ExploreSummary:
+    """Counts of concrete states, traces and check_wf problems; orbits
+    counts the orbits visited, and wf_violations their problems."""
     states: int = 0
     traces: int = 0
     truncated: int = 0
+    orbits: int = 0
+    wf_problems: int = 0
     wf_violations: list[str] = field(default_factory=list)
 
 
@@ -709,18 +734,23 @@ def max_states_from_env() -> int:
 def explore(config: CloudConfig, max_depth: int,
             on_trace: Optional[Callable] = None,
             check_wf_each: bool = False) -> ExploreSummary:
-    """Exhaustive interleaving exploration to a depth bound.
+    """Exhaustive interleaving exploration to a depth bound, one state per
+    server-permutation orbit.
 
     States are deduplicated on (configuration, abstract execution): two
     prefixes landing on the same pair have identical futures for every
-    checker, so one representative subtree suffices. Deduplication is
-    exact. Each distinct component key and execution key gets a small int
-    from one intern table per call, and a state's key is the flat tuple of
-    those ints (CloudConfig.key). An internal step passes its parent's
-    execution on unchanged. on_trace receives the abstract execution of
-    each maximal trace, folded along the way and possibly shared with other
-    traces, so it must not mutate it, with the final configuration and a
-    truncation flag. The state budget is max_states_from_env().
+    checker, so one representative subtree suffices. The pair is keyed by
+    its orbit under server permutations (CloudConfig.key with a table, ints
+    from one intern table per call). This is exact: the initial
+    configuration is symmetric, every rule treats the servers alike, a
+    state is always reached at the same depth, and no execution, checker or
+    observation sees a server index. Each visited
+    orbit counts as orbit_size concrete states and traces, so the summary
+    is what visiting every state would give. An internal step passes its
+    parent's execution on unchanged. on_trace(exec_, final, truncated,
+    weight) is called per visited maximal trace, standing for weight
+    traces; exec_ may be shared and must not be mutated. The state budget,
+    in concrete states, is max_states_from_env().
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
@@ -734,20 +764,23 @@ def explore(config: CloudConfig, max_depth: int,
         seen.add((*cfg.key(table), exec_.key_id(table)))
         if len(seen) == known:
             return
-        summary.states += 1
+        weight = cfg.orbit_size(table)
+        summary.orbits += 1
+        summary.states += weight
         if summary.states > max_states:
             raise StateSpaceLimit(f"more than {max_states} states")
         if check_wf_each:
             report = check_wf(cfg)
             if not report.ok:
                 summary.wf_violations.extend(report.problems)
+                summary.wf_problems += weight * len(report.problems)
         choices = enabled(cfg)
         if not choices or depth >= max_depth:
             truncated = bool(choices)
-            summary.traces += 1
-            summary.truncated += int(truncated)
+            summary.traces += weight
+            summary.truncated += weight * truncated
             if on_trace is not None:
-                on_trace(exec_, cfg, truncated)
+                on_trace(exec_, cfg, truncated, weight)
             return
         for choice in choices:
             nxt, entry = step_cloud(cfg, choice)
@@ -825,6 +858,11 @@ def check_wf(config: CloudConfig) -> WfReport:
 
     for m in config.mailbox:
         _check_message(config, m, "mailbox", problems)
+        # marked delivered exactly where logged: explore's orbit sizes rest on it
+        for r, server in enumerate(config.servers) if isinstance(m, Update) else ():
+            if (r in m.delivered) != (m.event in server.seq):
+                problems.append(f"mailbox: update {m.event} marked delivered at "
+                                f"server {r} exactly when its log lacks it")
 
     for ident, o in sorted(config.global_ids.items(), key=lambda kv: kv[0].sort_key()):
         if o not in sigma:

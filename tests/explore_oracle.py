@@ -1,5 +1,6 @@
-"""The explorer as it stood before interned state keys, kept as a
-differential oracle.
+"""The explorer as it stood before interned state keys and
+server-permutation orbits, kept as a differential oracle: it visits every
+concrete state.
 
 `structural_key` rebuilds a configuration's key from every component on
 every call, reading their fields directly, so no cached key can hide a
@@ -43,14 +44,24 @@ def structural_key(cfg) -> tuple:
 
 
 def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
-            max_states: int = 500_000) -> ExploreSummary:
+            max_states: int = 500_000, check_depth: bool = False) -> ExploreSummary:
     """Every interleaving to a depth bound, deduplicated on the structural
-    pair; on_trace(exec_, final config, truncated) per maximal trace."""
+    pair; on_trace(exec_, final config, truncated, 1) per maximal trace.
+
+    With check_depth, every arrival at a configuration's structural key,
+    the ones deduplication cuts included, must come at the same depth:
+    AssertionError otherwise. Depth-bounded deduplication is exact only
+    then, and so is counting a truncated orbit by its size."""
     summary = ExploreSummary()
     seen: set = set()
+    depth_of: dict = {}
 
     def visit(cfg, exec_: AbstractExecution, depth: int) -> None:
-        key = (structural_key(cfg), exec_.key())
+        config_key = structural_key(cfg)
+        if check_depth:
+            first = depth_of.setdefault(config_key, depth)
+            assert first == depth, f"a configuration reached at depths {first} and {depth}"
+        key = (config_key, exec_.key())
         if key in seen:
             return
         seen.add(key)
@@ -63,7 +74,7 @@ def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
             summary.traces += 1
             summary.truncated += int(truncated)
             if on_trace is not None:
-                on_trace(exec_, cfg, truncated)
+                on_trace(exec_, cfg, truncated, 1)
             return
         for choice in choices:
             nxt, entry = step_cloud(cfg, choice)

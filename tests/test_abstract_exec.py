@@ -14,7 +14,7 @@ from ctrd.abstract_exec import (
     AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
     ProgramsNotLowEquivalent, check_ec, check_low_equivalence,
     check_noninterference, check_sc, con_observation, value_json,
-    join_of_writes, project_ava, project_con, record, return_value_of,
+    project_ava, project_con, record, return_value_of,
 )
 from pair_oracle import (
     PairHistory, mask_history, pairs_of, program_order, relation_compose,
@@ -26,6 +26,7 @@ from ctrd.parser import parse_program, parse_term
 from ctrd.runtime_cloud import make_scheduler, run
 from ctrd.runtime_local import EventId
 from ctrd.syntax import AVA, CON, Identifier, Location, Plain
+from trace_oracle import join_of_writes
 
 
 def run_src(src: str, sched="drain-fair", max_steps=500, seed=0):
@@ -422,6 +423,20 @@ def test_con_observation_last_write_wins():
             replay[e.action.location] = e.action.value.raw
     o = res.config.global_ids[Identifier(CON, 1)]
     assert replay[o] == NatMax(5)
+
+
+def test_con_observation_does_not_see_server_order():
+    # hand-built: the replicas of a con cell disagree, then the same
+    # configuration with its servers swapped
+    res = run_src("servers 2; client 1 { ref@con(nat 1 @con, (con,1)) }")
+    cfg = res.config.copy()
+    o = cfg.global_ids[Identifier(CON, 1)]
+    cfg.own_server(0).store[o] = Plain(NatMax(5), CON)
+    swapped = cfg.copy()
+    swapped.servers = swapped.servers[::-1]
+    obs = con_observation(cfg)
+    assert obs == {"(con,1)": {"disagreement": [{"nat": 1}, {"nat": 5}]}}
+    assert con_observation(swapped) == obs
 
 
 def test_con_observation_empty_without_con_ids():

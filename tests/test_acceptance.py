@@ -10,17 +10,17 @@ import time
 
 import pytest
 
-from conftest import CORPUS, checked_config, corpus_files, load
+from conftest import CORPUS, canonical_shape, checked_config, corpus_files, load
 from ctrd.abstract_exec import (
-    check_ec, check_noninterference, check_sc, join_of_writes, project_con,
-    record,
+    check_ec, check_noninterference, check_sc, project_con, record,
 )
-from ctrd.clone import canonical_shape, reachable_graph
+from ctrd.clone import reachable_graph
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import explore, make_scheduler, run
 from ctrd.runtime_local import CtrdRuntimeError
 from ctrd.syntax import AVA, CON, Identifier, LOC
 from ctrd.typecheck import CheckError, ErrorKind, check_program
+from trace_oracle import join_of_writes
 
 REJECT_KINDS = {
     "listing_bug": ErrorKind.EFFECT_VIOLATION,          # T-ASSIGN effect premise
@@ -140,7 +140,7 @@ def test_criterion_04_progress_surrogate():
         _, _, cfg = checked_config(load(path))
         finals = []
 
-        def on_trace(exec_, final, truncated, finals=finals):
+        def on_trace(exec_, final, truncated, weight, finals=finals):
             finals.append((final, truncated))
 
         # any Stuck would surface as a CtrdRuntimeError out of explore
@@ -174,7 +174,7 @@ def test_criterion_05_sequential_consistency_for_con():
         _, _, cfg = checked_config(src)
         failures = []
 
-        def on_trace(exec_, final, truncated, failures=failures):
+        def on_trace(exec_, final, truncated, weight, failures=failures):
             exec_con = project_con(exec_)
             v = check_sc(exec_con)
             if not v.ok:
@@ -228,7 +228,7 @@ def test_criterion_07_mixed_history_anomaly():
     _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"))
     witnesses = []
 
-    def on_trace(exec_, final, truncated):
+    def on_trace(exec_, final, truncated, weight):
         full = check_sc(exec_)
         if not full.ok and check_sc(project_con(exec_)).ok:
             witnesses.append(full)

@@ -82,6 +82,17 @@ def test_explore_anomaly_and_pure_con(capsys):
     assert json.loads(out.splitlines()[-1])["violations"]["sc"] == 0
 
 
+def test_explore_counts_every_server_permutation(capsys):
+    # the figures of an explorer that visits every concrete state: the
+    # violations too count each member of a visited orbit
+    code = main(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"), "--servers", "5",
+                 "--max-depth", "24", "--check", "sc,sc-con,ec,wf"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert (report["states"], report["traces"], report["truncated"]) == (2593, 158, 0)
+    assert report["violations"] == {"ec": 0, "sc": 30, "sc-con": 0, "wf": 0}
+
+
 def test_nif_exit_codes(capsys):
     code = main(["nif", str(CORPUS / "nif" / "pair1_a.ctrd"),
                  str(CORPUS / "nif" / "pair1_b.ctrd")])

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import checked_config, load
-from ctrd.clone import canonical_shape, reachable_graph
+from conftest import CORPUS, canonical_shape, checked_config, load
+from ctrd.clone import reachable_graph
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import make_scheduler, run
 from ctrd.runtime_local import CtrdRuntimeError
-from ctrd.syntax import CON, Duplicated, Identifier, Location, LOC, Plain
+from ctrd.syntax import CON, Duplicated, Identifier, Location, LOC, Plain, pretty_type
+from ctrd.typecheck import upgrade
 
 
 def _loc(n):
@@ -98,6 +99,23 @@ def test_clone_is_one_synchronization():
     synced = [e for e in res.trace if e.action.synced]
     assert len(synced) == 1 and synced[0].rule == "E-CLONE"
     assert synced[0].node_count == 2
+
+
+def test_clone_types_every_fresh_node_as_its_local_cell_upgraded():
+    # the fresh root included: its typing comes from the local root's, not
+    # from the identifier it is published under
+    res = _run(load(CORPUS / "clone" / "chain3_clone.ctrd"))
+    cfg = res.config
+    client = cfg.clients[1]
+    local_root = client.idmap[Identifier(LOC, 3)]
+    fresh_root = cfg.global_ids[Identifier(CON, 4)]
+    assert pretty_type(cfg.store_typing[fresh_root]) == "Ref@con Ref@con Lat@con"
+    local = reachable_graph(local_root, client.store)
+    remote = reachable_graph(fresh_root, cfg.servers[0].store)
+    assert len(local.nodes) == len(remote.nodes) == 3
+    for o, fresh in zip(sorted(local.nodes, key=lambda loc: loc.sort_key()),
+                        sorted(remote.nodes, key=lambda loc: loc.sort_key())):
+        assert cfg.store_typing[fresh] == upgrade(cfg.store_typing[o]), (o, fresh)
 
 
 def test_clone_leaves_local_graph_alone():

@@ -6,31 +6,32 @@ from __future__ import annotations
 import pytest
 
 import explore_oracle
-from conftest import CORPUS, checked_config, load
+from conftest import CORPUS, RUNNABLE, checked_config, load
 from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import explore
 
-RUNNABLE = sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
+MIXED = CORPUS / "anomaly" / "mixed.ctrd"
 
 # (program, --servers, --max-depth): every runnable corpus program at the
-# default depth, and the two largest state spaces the benchmark and the
-# baselines use
+# default depth, the two largest state spaces the benchmark and the
+# baselines use, and mixed.ctrd on 2 to 6 servers, so that orbits of every
+# size from 2! to 6! are counted
 CASES = ([(p, None, 12) for p in RUNNABLE]
-         + [(CORPUS / "ava" / "nat_race.ctrd", None, 14),
-            (CORPUS / "anomaly" / "mixed.ctrd", 5, 24)])
+         + [(CORPUS / "ava" / "nat_race.ctrd", None, 14)]
+         + [(MIXED, n, 24) for n in (2, 3, 4, 5, 6)])
 
 
-def _outcome(explore_fn, path, servers: int | None, depth: int):
+def _outcome(explore_fn, path, servers: int | None, depth: int, **options):
     _, _, cfg = checked_config(load(path), servers)
     violations = {name: 0 for name in ("sc", "sc-con", "ec")}
 
-    def on_trace(exec_, final, truncated):
+    def on_trace(exec_, final, truncated, weight):
         # as ctrd explore counts them: ec only judges untruncated traces
         for name in violations:
             if not (name == "ec" and truncated):
-                violations[name] += not CHECKS[name](exec_, final).ok
+                violations[name] += weight * (not CHECKS[name](exec_, final).ok)
 
-    summary = explore_fn(cfg, depth, on_trace=on_trace)
+    summary = explore_fn(cfg, depth, on_trace=on_trace, **options)
     return summary.states, summary.traces, summary.truncated, violations
 
 
@@ -42,5 +43,14 @@ def test_the_cases_cover_the_corpus():
     "path,servers,depth", CASES,
     ids=[f"{p.parent.name}/{p.stem}-s{s or 'p'}-d{d}" for p, s, d in CASES])
 def test_explore_agrees_with_the_structural_oracle(path, servers, depth):
+    # the oracle explores every concrete state and also checks that a
+    # configuration is always reached at the same depth
     assert (_outcome(explore, path, servers, depth)
-            == _outcome(explore_oracle.explore, path, servers, depth))
+            == _outcome(explore_oracle.explore, path, servers, depth, check_depth=True))
+
+
+def test_mixed_on_5_servers_visits_at_most_one_eighth_of_its_states():
+    _, _, cfg = checked_config(load(MIXED), 5)
+    summary = explore(cfg, 24)
+    assert summary.states == 2593
+    assert summary.orbits <= 2593 // 8

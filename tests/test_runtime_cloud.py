@@ -3,6 +3,8 @@ schedulers, quiescence, and well-formedness."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import explore_oracle
@@ -11,12 +13,12 @@ from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
-    Choice, IllegalChoice, Kind, SplitMix64, check_wf, enabled, explore,
-    make_scheduler, quiescent, run, step_cloud,
+    Choice, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf, enabled,
+    explore, make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import Update, decompose, eps
-from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, Identifier, Lit, LOC,
-                         Location, Plain, Ref)
+from ctrd.runtime_local import Update, decompose, eps, initial_client
+from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
+                         LOC, Location, OAC, Plain, Ref)
 
 
 def drive(cfg, rules, max_steps=200, sched=None):
@@ -38,15 +40,31 @@ def test_enabled_empty_when_done():
     assert quiescent(res.config)
 
 
-def test_enabled_partial_delivery_choices():
+def _partly_delivered():
+    """An ava update delivered to server 0 of 3, and the update."""
     _, _, cfg = checked_config("servers 3; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
     res = run(cfg, make_scheduler("drain-fair"), 2)   # avaref + send
     (m,) = res.config.mailbox
     cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=0))
+    return cfg2, cfg2.mailbox[0]
+
+
+def test_enabled_partial_delivery_choices():
+    cfg2, _ = _partly_delivered()
     choices = enabled(cfg2)
     delivers = [c for c in choices if c.kind == Kind.DELIVER_UPDATE]
     assert {c.server for c in delivers} == {1, 2}
     assert not any(c.kind == Kind.GC_UPDATE for c in choices)
+
+
+def test_only_an_oac_cell_is_read_remotely_by_flexread_ava():
+    # hand-built clients at flexread@ava of a cell they hold no replica of:
+    # the typechecker admits only oac cells, and only those go to a server
+    o = Location(2, 1, True)
+    oac = initial_client(1, FlexRead(AVA, Lit(Plain(o, OAC))))
+    assert _remote_read(oac) == (AVA, o, "E-FLEXRD-AVA")
+    for lab in (AVA, CON, LOC):
+        assert _remote_read(initial_client(1, FlexRead(AVA, Lit(Plain(o, lab))))) is None
 
 
 def test_enabled_con_read_per_server():
@@ -213,7 +231,7 @@ def test_flexwrite_con_keeps_a_flexwrite_ava_in_flight():
         assert res.status == "quiescent", seed
         assert check_ec(record(res.trace), res.config).ok, seed
     verdicts = []
-    summary = explore(cfg, 40, on_trace=lambda exec_, final, truncated:
+    summary = explore(cfg, 40, on_trace=lambda exec_, final, truncated, weight:
                       verdicts.append(check_ec(exec_, final).ok))
     assert summary.truncated == 0 and verdicts and all(verdicts)
 
@@ -425,6 +443,18 @@ def test_explore_depth_zero():
     assert s.traces == 1 and s.truncated == 1
 
 
+def test_explore_counts_wf_problems_in_concrete_states():
+    # an untyped cell at every server stays there: each concrete state has
+    # one problem per server, listed once per visited orbit
+    _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"))
+    for r in range(len(cfg.servers)):
+        cfg.own_server(r).store[Location(9, 9, True)] = Plain(NatMax(1), CON)
+    s = explore(cfg, 24, check_wf_each=True)
+    assert s.orbits < s.states
+    assert s.wf_problems == 3 * s.states
+    assert len(s.wf_violations) == 3 * s.orbits
+
+
 # ---------------------------------------------------------------------------
 # well-formedness
 
@@ -446,6 +476,42 @@ def test_wf_detects_corrupted_store():
     assert not report.ok
     assert any("server 0" in p for p in report.problems)
     assert check_wf(res.config).ok
+
+
+def _marked(cfg, m, delivered):
+    """A copy of cfg whose one message is m marked delivered as given."""
+    new = cfg.copy()
+    new.mailbox = (replace(m, delivered=frozenset(delivered)),)
+    return new
+
+
+def test_wf_detects_a_delivery_mark_that_disagrees_with_the_logs():
+    cfg, m = _partly_delivered()
+    assert check_wf(cfg).ok
+    report = check_wf(_marked(cfg, m, {0, 2}))
+    assert report.problems == ["mailbox: update c1:1 marked delivered at server 2 "
+                               "exactly when its log lacks it"]
+    report = check_wf(_marked(cfg, m, ()))
+    assert report.problems == ["mailbox: update c1:1 marked delivered at server 0 "
+                               "exactly when its log lacks it"]
+
+
+def test_server_permutations_share_one_orbit_key():
+    # the same update delivered to server 0 and to server 2: one orbit of
+    # 3 configurations, since the two undelivered servers are alike
+    cfg, m = _partly_delivered()
+    other = _marked(cfg, m, {2})
+    other.servers = [cfg.servers[1], cfg.servers[2], cfg.servers[0]]
+    assert check_wf(other).ok
+    assert other.key() != cfg.key()
+    table: dict = {}
+    assert other.key(table) == cfg.key(table)
+    assert other.orbit_size(table) == cfg.orbit_size(table) == 3
+    # fully delivered: every server is alike, an orbit of one
+    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
+    done, _ = step_cloud(done, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=2))
+    assert done.key(table) != cfg.key(table)
+    assert done.orbit_size(table) == 1
 
 
 def test_wf_detects_untyped_location():

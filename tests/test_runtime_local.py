@@ -12,8 +12,8 @@ from ctrd.runtime_local import (
     merge_values, step_local,
 )
 from ctrd.syntax import (
-    AVA, Await, CON, Duplicated, Identifier, LatOp, Lit, Location, LOC, OAC,
-    OrdOp, Plain, Ref, Restrict, UNIT,
+    AVA, Await, CON, Duplicated, FlexRead, Identifier, LatOp, Lit, Location, LOC,
+    OAC, OrdOp, Plain, Ref, Restrict, UNIT,
 )
 
 
@@ -214,3 +214,18 @@ def test_con_redex_is_a_cloud_matter():
     assert step_local(c) is None
     assert isinstance(c.redex.term, Ref)
     assert client_key(c) == before
+
+
+def test_flexread_ava_without_a_replica_is_a_cloud_matter():
+    # a hand-built client at flexread@ava of an oac cell it holds no
+    # replica of: a server must install one, so nothing fires locally;
+    # with the replica, the read is local
+    o = Location(2, 1, True)
+    c = initial_client(1, FlexRead(AVA, Lit(Plain(o, OAC))))
+    before = client_key(c)
+    assert step_local(c) is None
+    assert client_key(c) == before
+    c.store[o] = Plain(NatMax(3), AVA)
+    rule, act = step_local(c)
+    assert (rule, act.source, c.term) == ("E-FLEXRD-AVA", ("local", 1),
+                                          Lit(Plain(NatMax(3), AVA)))

@@ -8,7 +8,8 @@ servers to --max-depth (24 by default; the longest trace of mixed.ctrd is
 18 steps, so no trace is cut) and times the `explore` call alone with
 `time.perf_counter` (the median of --repeat calls, each on a fresh initial
 configuration). Prints one JSON object with states, traces, truncated
-traces, seconds and states per second for each point.
+traces, the server-permutation orbits explore visited, seconds and states
+per second for each point.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def point(servers: int, max_depth: int, repeat: int) -> dict:
         summary = explore(cfg, max_depth)
         times.append(time.perf_counter() - t0)
     seconds = statistics.median(times)
-    return {"servers": servers, "states": summary.states, "traces": summary.traces,
+    return {"servers": servers, "states": summary.states, "orbits": summary.orbits,
+            "traces": summary.traces,
             "truncated": summary.truncated, "seconds": seconds,
             "states_per_s": summary.states / seconds}
 
