@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .runtime_local import Action, ClientState, CtrdRuntimeError
 from .syntax import (
-    CON, Identifier, Label, Lit, Location, Plain, Term,
+    CON, Duplicated, Identifier, Label, Lit, Location, Plain, RecordVal, Term,
     label_join, map_children, map_value, raise_label, value_locations,
 )
 from .typecheck import upgrade
@@ -107,3 +107,57 @@ def clone_step(config, client: ClientState, root: Location,
     action = Action(effect, "ref", CON, nu, fresh_root, root_value,
                     snapshot=pre_common, synced=True)
     return Plain(fresh_root, CON), action, graph.node_count
+
+
+def canonical_shape(graph: ReferenceGraph):
+    """Graph shape with locations renamed by deterministic traversal order
+    and value labels erased: equal shapes mean isomorphic graphs."""
+    order: dict[Location, int] = {}
+
+    def visit(o: Location) -> None:
+        if o in order:
+            return
+        order[o] = len(order)
+        for succ in _ordered_succs(graph.nodes[o]):
+            visit(succ)
+
+    visit(graph.root)
+    for o in sorted(graph.nodes, key=lambda loc: loc.sort_key()):
+        visit(o)
+
+    def shape_of(v):
+        if isinstance(v, Duplicated):
+            return ("duplicated",)
+        raw = v.raw
+        if isinstance(raw, Location):
+            return ("loc", order[raw])
+        if isinstance(raw, RecordVal):
+            return ("record", tuple((n, shape_of(fv)) for n, fv in raw.fields))
+        return ("raw", raw)
+
+    return tuple(shape_of(graph.nodes[o])
+                 for o in sorted(graph.nodes, key=lambda loc: order[loc]))
+
+
+def _ordered_succs(v) -> list[Location]:
+    """Successor locations in deterministic value-traversal order."""
+    out: list[Location] = []
+
+    def walk(v) -> None:
+        if isinstance(v, Duplicated):
+            return
+        raw = v.raw
+        if isinstance(raw, Location):
+            out.append(raw)
+        elif isinstance(raw, RecordVal):
+            for _, fv in raw.fields:
+                walk(fv)
+
+    walk(v)
+    seen: set[Location] = set()
+    uniq = []
+    for o in out:
+        if o not in seen:
+            seen.add(o)
+            uniq.append(o)
+    return uniq

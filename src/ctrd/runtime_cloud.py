@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from math import factorial
 from typing import Callable, NamedTuple, Optional
@@ -192,7 +192,12 @@ class CloudConfig:
 
     def _parts(self) -> tuple[_BuiltKey, _BuiltKey, _BuiltKey]:
         if self._mailbox_key is None:
-            self._mailbox_key = _BuiltKey(tuple(sorted((m.key(), m) for m in self._mailbox)))
+            # an update's delivered set is left out: which server logs hold
+            # its event decides it (check_wf)
+            self._mailbox_key = _BuiltKey(tuple(sorted(
+                (m.key(), Update(m.location, m.ident, m.value, m.origin, frozenset(),
+                                 m.event, m.effect) if m.__class__ is Update else m)
+                for m in self._mailbox)))
         if self._ids_key is None:
             self._ids_key = _BuiltKey(tuple(sorted(
                 ((i.sort_key(), i), o) for i, o in self.global_ids.items())))
@@ -206,26 +211,18 @@ class CloudConfig:
         keys in client order, the sorted mailbox, the server keys and the
         two sorted maps. With an intern table, the key of the configuration's
         server-permutation orbit: the ints the table gives those parts, with
-        the servers sorted by id and each partly delivered update naming its
-        servers by sorted position (servers with equal ids sit in the same
-        delivered sets; check_wf). For configurations with the same clients
-        and number of servers, these are equal exactly when one is a server
-        permutation of the other."""
+        the mailbox's delivered sets left out and the server ints sorted.
+        For configurations with the same clients and number of servers,
+        these are equal exactly when one is a server permutation of the
+        other, as the server logs decide the delivered sets."""
         mailbox, ids, typing = self._parts()
         clients = [self.clients[cid] for cid in sorted(self.clients)]
         if table is None:
-            return (tuple(c.key() for c in clients), mailbox.key(),
+            return (tuple(c.key() for c in clients),
+                    tuple(sorted((m.key(), m) for m in self._mailbox)),
                     tuple(s.key() for s in self.servers), ids.key(), typing.key())
-        server_ids = [s.key_id(table) for s in self.servers]
-        n = len(server_ids)
-        if any(m.__class__ is Update and 0 < len(m.delivered) < n for m in self._mailbox):
-            pos = {r: i for i, r in enumerate(sorted(range(n), key=server_ids.__getitem__))}
-            mailbox_id = table.setdefault(tuple(
-                (k, replace(m, delivered=frozenset(map(pos.get, m.delivered)))
-                 if m.__class__ is Update else m) for k, m in mailbox.key()), len(table))
-        else:
-            mailbox_id = mailbox.key_id(table)
-        return (*[c.key_id(table) for c in clients], mailbox_id, *sorted(server_ids),
+        return (*[c.key_id(table) for c in clients], mailbox.key_id(table),
+                *sorted(s.key_id(table) for s in self.servers),
                 ids.key_id(table), typing.key_id(table))
 
     def orbit_size(self, table: dict) -> int:
@@ -708,14 +705,13 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
 
 @dataclass
 class ExploreSummary:
-    """Counts of concrete states, traces and check_wf problems; orbits
-    counts the orbits visited, and wf_violations their problems."""
+    """Counts of concrete states, traces and check_wf problems, and of the
+    orbits visited."""
     states: int = 0
     traces: int = 0
     truncated: int = 0
     orbits: int = 0
     wf_problems: int = 0
-    wf_violations: list[str] = field(default_factory=list)
 
 
 def max_states_from_env() -> int:
@@ -744,13 +740,13 @@ def explore(config: CloudConfig, max_depth: int,
     from one intern table per call). This is exact: the initial
     configuration is symmetric, every rule treats the servers alike, a
     state is always reached at the same depth, and no execution, checker or
-    observation sees a server index. Each visited
-    orbit counts as orbit_size concrete states and traces, so the summary
-    is what visiting every state would give. An internal step passes its
-    parent's execution on unchanged. on_trace(exec_, final, truncated,
-    weight) is called per visited maximal trace, standing for weight
-    traces; exec_ may be shared and must not be mutated. The state budget,
-    in concrete states, is max_states_from_env().
+    observation sees a server index. Each visited orbit counts as
+    orbit_size concrete states and traces, so the summary is what visiting
+    every state would give. An internal step passes its parent's execution
+    on unchanged. on_trace(exec_, final, truncated, weight) is called per
+    visited maximal trace, standing for weight traces; exec_ may be shared
+    and must not be mutated. The state budget, in concrete states, is
+    max_states_from_env().
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
@@ -770,10 +766,7 @@ def explore(config: CloudConfig, max_depth: int,
         if summary.states > max_states:
             raise StateSpaceLimit(f"more than {max_states} states")
         if check_wf_each:
-            report = check_wf(cfg)
-            if not report.ok:
-                summary.wf_violations.extend(report.problems)
-                summary.wf_problems += weight * len(report.problems)
+            summary.wf_problems += weight * len(check_wf(cfg).problems)
         choices = enabled(cfg)
         if not choices or depth >= max_depth:
             truncated = bool(choices)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CORPUS, canonical_shape, checked_config, load
-from ctrd.clone import reachable_graph
+from conftest import CORPUS, checked_config, load
+from ctrd.clone import canonical_shape, reachable_graph
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import make_scheduler, run
 from ctrd.runtime_local import CtrdRuntimeError
