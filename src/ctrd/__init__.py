@@ -15,7 +15,7 @@ from .runtime_cloud import (
 )
 from .abstract_exec import (
     AbstractExecution, check_ec, check_noninterference, check_sc,
-    con_observation, project_ava, project_con, record,
+    con_observation, project_con, record,
 )
 from .clone import ReferenceGraph, reachable_graph
 

@@ -338,10 +338,6 @@ def project_con(exec_: AbstractExecution) -> AbstractExecution:
     return project(exec_, CON)
 
 
-def project_ava(exec_: AbstractExecution) -> AbstractExecution:
-    return project(exec_, AVA)
-
-
 def return_value_of(op: Operation):
     """The abstract return-value function: reads return the value, writes
     return unit, creations return the location."""

@@ -18,6 +18,7 @@ sit at atom level so they can appear as operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .lattice import GSet, NatMax
 from .syntax import (
@@ -181,8 +182,7 @@ class _Parser:
 
     def fn(self) -> Term:
         start = self.expect("fn")
-        self.expect("@")
-        latent = self.label()
+        latent = self.at_label()
         self.expect("(")
         param = self.expect("ident").text
         self.expect(":")
@@ -294,7 +294,6 @@ class _Parser:
             return Await(ident, pos=t.pos)
         if t.kind == "flexread":
             self.next()
-            self.expect("@")
             lab = self.flex_label(t.pos, "FlexRead")
             self.expect("(")
             sub = self.term()
@@ -302,7 +301,6 @@ class _Parser:
             return FlexRead(lab, sub, pos=t.pos)
         if t.kind == "flexwrite":
             self.next()
-            self.expect("@")
             lab = self.flex_label(t.pos, "FlexWrite")
             self.expect("(")
             target = self.term()
@@ -314,15 +312,14 @@ class _Parser:
         raise ParseError(t.pos, f"expected a term, found {shown!r}")
 
     def flex_label(self, pos: Pos, what: str) -> Label:
-        lab = self.label()
+        lab = self.at_label()
         if lab not in (Label.CON, Label.AVA):
             raise ParseError(pos, f"{what} label must be con or ava")
         return lab
 
     def ref_or_clone(self) -> Term:
         t = self.next()   # "ref" or "clone"
-        self.expect("@")
-        lab = self.label()
+        lab = self.at_label()
         self.expect("(")
         body = self.term()
         self.expect(",")
@@ -333,50 +330,26 @@ class _Parser:
         return Clone(lab, body, ident, pos=t.pos)
 
     def record(self) -> Term:
-        start = self.expect("{")
-        fields: list[tuple[str, Term]] = []
-        if self.peek().kind != "}":
-            while True:
-                name = self.expect("ident").text
-                self.expect("=")
-                fields.append((name, self.term()))
-                if self.peek().kind == ",":
-                    self.next()
-                else:
-                    break
-        self.expect("}")
-        self.expect("@")
-        lab = self.label()
+        start = self.peek()
+        fields = self.braced(lambda: self.field("=", self.term))
+        lab = self.at_label()
         return Record(tuple(fields), lab, pos=start.pos)
 
     def literal(self) -> Term:
         t = self.next()
         if t.kind == "nat":
             n = self.expect("num")
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             return Lit(Plain(NatMax(int(n.text)), lab), pos=t.pos)
         if t.kind == "set":
-            self.expect("{")
-            elems: list[str] = []
-            if self.peek().kind != "}":
-                while True:
-                    elems.append(self.expect("string").text)
-                    if self.peek().kind == ",":
-                        self.next()
-                    else:
-                        break
-            self.expect("}")
-            self.expect("@")
-            lab = self.label()
+            elems = self.braced(lambda: self.expect("string").text)
+            lab = self.at_label()
             return Lit(Plain(GSet(frozenset(elems)), lab), pos=t.pos)
         if t.kind in ("true", "false"):
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             return Lit(Plain(BoolVal(t.kind == "true"), lab), pos=t.pos)
         if t.kind == "unit":
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             return Lit(Plain(UNIT, lab), pos=t.pos)
         raise ParseError(t.pos, f"expected a literal, found {t.text!r}")
 
@@ -387,6 +360,27 @@ class _Parser:
         n = self.expect("num")
         self.expect(")")
         return Identifier(lab, int(n.text))
+
+    def braced(self, item: Callable) -> list:
+        """`{` item (`,` item)* `}`, or `{}`."""
+        self.expect("{")
+        items = []
+        if self.peek().kind != "}":
+            items.append(item())
+            while self.peek().kind == ",":
+                self.next()
+                items.append(item())
+        self.expect("}")
+        return items
+
+    def field(self, sep: str, value: Callable) -> tuple:
+        name = self.expect("ident").text
+        self.expect(sep)
+        return name, value()
+
+    def at_label(self) -> Label:
+        self.expect("@")
+        return self.label()
 
     def label(self) -> Label:
         t = self.peek()
@@ -402,31 +396,17 @@ class _Parser:
         t = self.peek()
         if t.kind in ("Bool", "Unit", "Lat"):
             self.next()
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             ctor = {"Bool": BoolType, "Unit": UnitType, "Lat": LatType}[t.kind]
             return ctor(lab, pos=t.pos)
         if t.kind == "Ref":
             self.next()
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             content = self.type_()
             return RefType(lab, content, pos=t.pos)
         if t.kind == "{":
-            self.next()
-            fields: list[tuple[str, Type]] = []
-            if self.peek().kind != "}":
-                while True:
-                    name = self.expect("ident").text
-                    self.expect(":")
-                    fields.append((name, self.type_()))
-                    if self.peek().kind == ",":
-                        self.next()
-                    else:
-                        break
-            self.expect("}")
-            self.expect("@")
-            lab = self.label()
+            fields = self.braced(lambda: self.field(":", self.type_))
+            lab = self.at_label()
             return RecordType(tuple(sorted(fields)), lab, pos=t.pos)
         if t.kind == "(":
             self.next()
@@ -436,8 +416,7 @@ class _Parser:
             self.expect("->")
             result = self.type_()
             self.expect(")")
-            self.expect("@")
-            lab = self.label()
+            lab = self.at_label()
             return ArrowType(arg, latent, result, lab, pos=t.pos)
         shown = t.text or "end of input"
         raise ParseError(t.pos, f"expected a type, found {shown!r}")

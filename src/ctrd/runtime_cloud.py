@@ -49,14 +49,13 @@ class StateSpaceLimit(Exception):
 
 @dataclass(slots=True)
 class Server(Interned):
-    """One replica: its store and its event log. Its key is built on the
-    first key() call and kept: a server that has been keyed is never
-    mutated. Configurations share servers, and a step mutates only the
+    """One replica: its store and its event log. A server that has been
+    keyed is never mutated, so the int key_id keeps for its key stays
+    exact. Configurations share servers, and a step mutates only the
     private copies that CloudConfig.own_server and own_servers hand it."""
 
     store: dict[Location, object]       # Location -> LabeledValue
     seq: tuple[EventId, ...]            # newest first
-    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -64,9 +63,7 @@ class Server(Interned):
         return Server(dict(self.store), self.seq)
 
     def key(self):
-        if self._key is None:
-            self._key = (sorted_items(self.store), self.seq)
-        return self._key
+        return (sorted_items(self.store), self.seq)
 
 
 class _BuiltKey(Interned):
@@ -94,8 +91,9 @@ class CloudConfig:
     the same copy. The mailbox is a tuple, replaced and never mutated.
 
     Invariant: a component that has been keyed is never mutated. Clients
-    and servers keep their keys once built, and the configuration keeps the
-    keys of its mailbox and maps until they are reassigned or copied.
+    and servers keep the int of their key in the last intern table asked,
+    and the configuration keeps the keys of its mailbox and maps until they
+    are reassigned or copied.
 
     common is the tuple of events present in every server's log, in
     (client, n) order: the snapshot the synchronized rules record. It is
@@ -206,21 +204,16 @@ class CloudConfig:
                 ((o.sort_key(), o), t) for o, t in self.store_typing.items())))
         return self._mailbox_key, self._ids_key, self._typing_key
 
-    def key(self, table: Optional[dict] = None) -> tuple:
-        """The state key. Without a table, the structural key: the client
-        keys in client order, the sorted mailbox, the server keys and the
-        two sorted maps. With an intern table, the key of the configuration's
-        server-permutation orbit: the ints the table gives those parts, with
-        the mailbox's delivered sets left out and the server ints sorted.
-        For configurations with the same clients and number of servers,
-        these are equal exactly when one is a server permutation of the
-        other, as the server logs decide the delivered sets."""
+    def key(self, table: dict) -> tuple:
+        """The key of the configuration's server-permutation orbit: the ints
+        the intern table gives the clients in client order, the sorted
+        mailbox with its delivered sets left out, the servers (sorted) and
+        the two sorted maps. For configurations with the same clients and
+        number of servers, these are equal exactly when one is a server
+        permutation of the other, as the server logs decide the delivered
+        sets."""
         mailbox, ids, typing = self._parts()
         clients = [self.clients[cid] for cid in sorted(self.clients)]
-        if table is None:
-            return (tuple(c.key() for c in clients),
-                    tuple(sorted((m.key(), m) for m in self._mailbox)),
-                    tuple(s.key() for s in self.servers), ids.key(), typing.key())
         return (*[c.key_id(table) for c in clients], mailbox.key_id(table),
                 *sorted(s.key_id(table) for s in self.servers),
                 ids.key_id(table), typing.key_id(table))

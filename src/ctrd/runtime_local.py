@@ -130,8 +130,8 @@ def sorted_items(d: dict) -> tuple:
 
 @dataclass(slots=True)
 class ClientState(Interned):
-    """One client. Its key is built on the first key() call and kept: a
-    client that has been keyed is never mutated. Configurations share
+    """One client. A client that has been keyed is never mutated, so the
+    int key_id keeps for its key stays exact. Configurations share
     clients, and a step mutates only the private copy that
     CloudConfig.own_client hands it."""
 
@@ -143,7 +143,6 @@ class ClientState(Interned):
     idmap: dict[Identifier, Location]
     loc_counter: int = 0
     event_counter: int = 0
-    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -172,10 +171,8 @@ class ClientState(Interned):
         return hits[0] if hits else None
 
     def key(self):
-        if self._key is None:
-            self._key = (self.cid, self.term, sorted_items(self.store), self.buffer,
-                         sorted_items(self.idmap), self.loc_counter, self.event_counter)
-        return self._key
+        return (self.cid, self.term, sorted_items(self.store), self.buffer,
+                sorted_items(self.idmap), self.loc_counter, self.event_counter)
 
 
 def initial_client(cid: int, term: Term) -> ClientState:

@@ -13,8 +13,8 @@ from conftest import CORPUS, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
-    Choice, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf, enabled,
-    explore, make_scheduler, quiescent, run, step_cloud,
+    Choice, CloudConfig, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf,
+    enabled, explore, make_scheduler, quiescent, run, step_cloud,
 )
 from ctrd.runtime_local import Update, decompose, eps, initial_client
 from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
@@ -284,6 +284,13 @@ def _replaced(cfg, nxt):
              if getattr(nxt, name) is not getattr(cfg, name)})
 
 
+def _rebuilt(cfg):
+    """cfg rebuilt from freshly copied components, none of them keyed."""
+    return CloudConfig({cid: c.copy() for cid, c in cfg.clients.items()}, cfg.mailbox,
+                       [s.copy() for s in cfg.servers], dict(cfg.global_ids),
+                       dict(cfg.store_typing), cfg.id_typing)
+
+
 def _expected_replacements(cfg, choice, entry):
     """The clients and servers a step of this choice replaces."""
     everyone = set(range(len(cfg.servers)))
@@ -330,11 +337,13 @@ def test_every_step_keeps_its_input_and_each_client_decomposition(program):
     # (compared on the structural key, which no cached key can hide), copy
     # exactly the components its kind changes, keep every client's cached
     # redex equal to the decomposition of its term, and leave no stale
-    # cached key in its output
+    # interned key in its output
     steps = 0
+    table: dict = {}
     for cfg, choice in _reachable_choices(program):
         before = explore_oracle.structural_key(cfg)
-        assert cfg.key() == before      # keyed first, as explore keys every state
+        # keyed first, as explore keys every state
+        assert cfg.key(table) == _rebuilt(cfg).key(table), (program, choice)
         nxt, entry = step_cloud(cfg, choice)
         assert explore_oracle.structural_key(cfg) == before, (program, choice)
         clients, servers, maps = _replaced(cfg, nxt)
@@ -345,8 +354,8 @@ def test_every_step_keeps_its_input_and_each_client_decomposition(program):
                         if getattr(nxt, name) != getattr(cfg, name)}, (program, choice)
         for c in (*cfg.clients.values(), *nxt.clients.values()):
             assert c.redex == decompose(c.term), (program, choice, c.cid)
-        # the keys cached from cfg agree with the structural key
-        assert nxt.key() == explore_oracle.structural_key(nxt), (program, choice)
+        # the ints kept by the components nxt shares with cfg are not stale
+        assert nxt.key(table) == _rebuilt(nxt).key(table), (program, choice)
         steps += 1
     assert steps > 6
 
@@ -415,7 +424,8 @@ def test_seeded_runs_reproducible():
         res_a = run(cfg_a, make_scheduler("random", seed), 500)
         res_b = run(cfg_b, make_scheduler("random", seed), 500)
         assert [e.rule for e in res_a.trace] == [e.rule for e in res_b.trace]
-        assert res_a.config.key() == res_b.config.key()
+        assert (explore_oracle.structural_key(res_a.config)
+                == explore_oracle.structural_key(res_b.config))
 
 
 def test_splitmix_reference_values():
@@ -502,7 +512,7 @@ def test_server_permutations_share_one_orbit_key():
     other = _marked(cfg, m, {2})
     other.servers = [cfg.servers[1], cfg.servers[2], cfg.servers[0]]
     assert check_wf(other).ok
-    assert other.key() != cfg.key()
+    assert explore_oracle.structural_key(other) != explore_oracle.structural_key(cfg)
     table: dict = {}
     assert other.key(table) == cfg.key(table)
     assert other.orbit_size(table) == cfg.orbit_size(table) == 3
