@@ -1,18 +1,21 @@
 """Command-line front door: check, run, explore, nif.
 
 Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply to parse; 2 I/O failure (a program file that is not
-UTF-8 text, a closed stdout or an unwritable --trace or --exec file
-included), a bad flag, an unknown --check name, --servers below 1, or a
-CTRD_MAX_STATES that is not an integer of at least 1; 3 a requested check
-failed; 4 deadlock, step/state limit, runtime fault, nesting too deep to
-simulate, or an explore/nif in which every trace was truncated at
---max-depth (no verdict); 5 programs not low-equivalent.
+nested too deeply off its let spines to parse (the front end reads a let
+spine in a loop, and recurses once per level of other nesting); 2 I/O
+failure (a program file that is not UTF-8 text, a closed stdout or an
+unwritable --trace or --exec file included), a bad flag, an unknown
+--check name, --servers below 1, or a CTRD_MAX_STATES that is not an
+integer of at least 1; 3 a requested check failed; 4 deadlock,
+step/state limit, runtime fault, nesting too deep to simulate, or an
+explore/nif in which every trace was truncated at --max-depth (no
+verdict); 5 programs not low-equivalent.
 
 Reports go to stdout as one JSON line. `run --trace` writes its file with
-`trace_json`, which lays out each entry from a fixed template in one pass,
-byte for byte as `json.dumps(..., indent=2, sort_keys=True)` would; `run
---exec` writes the recorded execution through `json.dumps`.
+`trace_json`, which lays out each entry from a fixed template, and each
+value with `_json`, in one pass, byte for byte as `json.dumps(...,
+indent=2, sort_keys=True)` would; `run --exec` writes the recorded
+execution through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -114,6 +117,23 @@ def _strings(items) -> str:
     return f"[\n        {_ITEM.join(items)}\n      ]" if items else "[]"
 
 
+def _json(x, pad: str) -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for the JSON forms that
+    value_json makes, with every line after the first moved in by pad."""
+    cls = x.__class__
+    if cls is str:
+        return _quote(x)
+    if cls is not dict and cls is not list:
+        return "null" if x is None else "true" if x is True else "false" if x is False else repr(x)
+    if not x:
+        return "{}" if cls is dict else "[]"
+    inner = pad + "  "
+    if cls is dict:
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), pad)
+    return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_json(v, inner) for v in x]), pad)
+
+
 def trace_json(trace: list[TraceEntry]) -> str:
     """The --trace file: exactly json.dumps of one dict per entry (keys
     step, rule, client, server, action, and nodes when counted) with
@@ -140,10 +160,7 @@ def trace_json(trace: list[TraceEntry]) -> str:
         v = a.value
         hit = values.get(id(v))
         if hit is None:
-            text = json.dumps(value_json(v), indent=2, sort_keys=True)
-            # json.dumps escapes every newline inside a string, so each raw
-            # newline starts a line that moves in by the value's depth
-            hit = values[id(v)] = (v, text.replace("\n", "\n      "))
+            hit = values[id(v)] = (v, _json(value_json(v), "      "))
         parts.append(_ENTRY % (
             quoted[a.effect],
             ids[_CLIENT_N(a.event)] if a.event else "null",

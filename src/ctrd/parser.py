@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the surface language.
+"""Lexer and recursive-descent parser for the surface language.
 
 Whitespace-insensitive, `//` line comments. Grammar sketch:
 
@@ -13,11 +13,21 @@ Whitespace-insensitive, `//` line comments. Grammar sketch:
 
 The self-delimiting call forms (ref, clone, await, flexread, flexwrite)
 sit at atom level so they can appear as operands.
+
+The lexer is one compiled regular expression, matched once per token
+together with the whitespace and comments before it; lines are counted
+from the newlines it skips. A number is ASCII digits. A token is a tuple
+(kind, text, pos); the list ends in one "eof" token, which the parser
+never moves past.
+
+A let spine, `let x = e in let y = e' in ...`, is read in a loop and
+folded into nested `Let` nodes, so a program may hold any number of lets
+in a row; every other form recurses once per level of nesting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Callable
 
 from .lattice import GSet, NatMax
@@ -43,74 +53,52 @@ KEYWORDS = frozenset(
 
 _LABEL_NAMES = {"loc": Label.LOC, "con": Label.CON, "oac": Label.OAC, "ava": Label.AVA}
 
-_SYMBOLS = ["=>", ":=", "<=", "->", "\\/", "/\\",
-            "(", ")", "{", "}", "[", "]", "@", ",", ":", ";", ".", "!", "=", "<", "-"]
+Token = tuple[str, str, Pos]    # kind ("ident", "num", "string", "eof", a keyword or symbol), text, pos
 
-
-@dataclass
-class Token:
-    kind: str       # "ident" | "nat" | "string" | "eof" | keyword / symbol text
-    text: str
-    pos: Pos
+# one match per token: the whitespace and comments before it, then the
+# token, or no token at the end of the text
+_TOKEN = re.compile(
+    r'((?:[ \t\r\n]+|//[^\n]*)*)(?:'
+    r'([^\W\d]\w*)'                                # a word; see tokenize
+    r'|(=>|:=|<=|->|\\/|/\\|[(){}\[\]@,:;.!=<-])'
+    r'|([0-9]+)'
+    r'|("[^"\n]*")'
+    r'|(.)'                                        # no token starts here
+    r'|\Z)', re.S)
 
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if src[i] == "\n":
-                line += 1
-                col = 1
+    append = toks.append
+    line, bol = 1, 0        # bol: where the current line begins
+    for m in _TOKEN.finditer(src):
+        skip, word, symbol, num, string, other = m.groups()
+        if "\n" in skip:
+            line += skip.count("\n")
+            bol = m.start() + skip.rindex("\n") + 1
+        pos = (line, m.end(1) - bol + 1)
+        if word:
+            if word in KEYWORDS:
+                append((word, word, pos))
+            # \w also admits digits that are not decimal, such as "²",
+            # which cannot start an identifier
+            elif word[0].isalpha() or word[0] == "_":
+                append(("ident", word, pos))
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                advance(1)
-            continue
-        pos = (line, col)
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], pos))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token(word if word in KEYWORDS else "ident", word, pos))
-            advance(j - i)
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and src[j] not in '"\n':
-                j += 1
-            if j >= n or src[j] != '"':
+                raise ParseError(pos, f"unexpected character {word[0]!r}")
+        elif symbol:
+            append((symbol, symbol, pos))
+        elif num:
+            append(("num", num, pos))
+        elif string:
+            append(("string", string[1:-1], pos))
+        elif other:
+            if other == '"':
                 raise ParseError(pos, "unterminated string literal")
-            toks.append(Token("string", src[i + 1:j], pos))
-            advance(j - i + 1)
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token(sym, sym, pos))
-                advance(len(sym))
-                break
+            raise ParseError(pos, f"unexpected character {other!r}")
         else:
-            raise ParseError(pos, f"unexpected character {c!r}")
-    toks.append(Token("eof", "", (line, col)))
+            break
+    append(("eof", "", pos))
     return toks
 
 
@@ -124,74 +112,73 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        self.tok = toks[0]      # the next token
 
     def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+        t = self.tok
+        if t[0] != "eof":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            shown = t.text or "end of input"
-            raise ParseError(t.pos, f"expected {kind!r}, found {shown!r}")
+        t = self.tok
+        if t[0] != kind:
+            shown = t[1] or "end of input"
+            raise ParseError(t[2], f"expected {kind!r}, found {shown!r}")
         return self.next()
 
     # -- programs ----------------------------------------------------------
 
     def program(self) -> Program:
         self.expect("servers")
-        n_tok = self.expect("num")
-        servers = int(n_tok.text)
+        _, n_text, n_pos = self.expect("num")
+        servers = int(n_text)
         if servers < 1:
-            raise ParseError(n_tok.pos, "at least one server is required")
+            raise ParseError(n_pos, "at least one server is required")
         self.expect(";")
         clients: list[tuple[int, Term]] = []
         seen: set[int] = set()
-        while self.peek().kind == "client":
+        while self.tok[0] == "client":
             self.next()
-            cid_tok = self.expect("num")
-            cid = int(cid_tok.text)
+            _, cid_text, cid_pos = self.expect("num")
+            cid = int(cid_text)
             if cid in seen:
-                raise ParseError(cid_tok.pos, f"duplicate client id {cid}")
+                raise ParseError(cid_pos, f"duplicate client id {cid}")
             seen.add(cid)
             self.expect("{")
             body = self.term()
             self.expect("}")
             clients.append((cid, body))
         if not clients:
-            raise ParseError(self.peek().pos, "expected at least one client block")
+            raise ParseError(self.tok[2], "expected at least one client block")
         self.expect("eof")
         return Program(servers, tuple(clients))
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "fn":
-            return self.fn()
-        if t.kind == "if":
-            return self.if_()
-        if t.kind == "let":
+        kind = self.tok[0]
+        if kind == "let":
             return self.let()
+        if kind == "fn":
+            return self.fn()
+        if kind == "if":
+            return self.if_()
         return self.assign()
 
     def fn(self) -> Term:
         start = self.expect("fn")
         latent = self.at_label()
         self.expect("(")
-        param = self.expect("ident").text
+        param = self.expect("ident")[1]
         self.expect(":")
         ty = self.type_()
         self.expect(")")
         self.expect("=>")
         body = self.term()
         # the @-label is the latent write bound; a literal closure is local data
-        return Lit(Plain(Closure(latent, param, ty, body), LOC), pos=start.pos)
+        return Lit(Plain(Closure(latent, param, ty, body), LOC), pos=start[2])
 
     def if_(self) -> Term:
         start = self.expect("if")
@@ -204,112 +191,115 @@ class _Parser:
         self.expect("{")
         els = self.term()
         self.expect("}")
-        return If(cond, then, els, pos=start.pos)
+        return If(cond, then, els, pos=start[2])
 
     def let(self) -> Term:
-        start = self.expect("let")
-        name = self.expect("ident").text
-        self.expect("=")
-        bound = self.term()
-        self.expect("in")
+        """The whole let spine from here: its lets in a loop, then the body,
+        folded right into nested Let nodes."""
+        spine = []
+        while self.tok[0] == "let":
+            pos = self.next()[2]
+            name = self.expect("ident")[1]
+            self.expect("=")
+            bound = self.term()
+            self.expect("in")
+            spine.append((name, bound, pos))
         body = self.term()
-        return Let(name, bound, body, pos=start.pos)
+        for name, bound, pos in reversed(spine):
+            body = Let(name, bound, body, pos=pos)
+        return body
 
     def assign(self) -> Term:
         lhs = self.binop()
-        if self.peek().kind == ":=":
-            op = self.next()
+        if self.tok[0] == ":=":
+            pos = self.next()[2]
             rhs = self.binop()
-            return Assign(lhs, rhs, pos=op.pos)
+            return Assign(lhs, rhs, pos=pos)
         return lhs
 
     def binop(self) -> Term:
         t = self.app()
         while True:
-            k = self.peek().kind
-            if k in ("\\/", "/\\"):
-                op = self.next()
+            kind = self.tok[0]
+            if kind == "\\/" or kind == "/\\":
+                pos = self.next()[2]
                 rhs = self.app()
-                t = LatOp("join" if k == "\\/" else "meet", t, rhs, pos=op.pos)
-            elif k in ("<=", "<"):
-                op = self.next()
+                t = LatOp("join" if kind == "\\/" else "meet", t, rhs, pos=pos)
+            elif kind == "<=" or kind == "<":
+                pos = self.next()[2]
                 rhs = self.app()
-                t = OrdOp("le" if k == "<=" else "lt", t, rhs, pos=op.pos)
+                t = OrdOp("le" if kind == "<=" else "lt", t, rhs, pos=pos)
             else:
                 return t
 
     def app(self) -> Term:
         t = self.prefix()
-        while self._starts_prefix():
+        while self.tok[0] in _PREFIX_START:
             arg = self.prefix()
             t = App(t, arg, pos=arg.pos)
         return t
 
-    def _starts_prefix(self) -> bool:
-        return self.peek().kind in _PREFIX_START
-
     def prefix(self) -> Term:
-        t = self.peek()
-        if t.kind == "!":
-            bang = self.next()
-            return Deref(self.prefix(), pos=bang.pos)
+        if self.tok[0] == "!":
+            pos = self.next()[2]
+            return Deref(self.prefix(), pos=pos)
         out = self.atom()
         while True:
-            k = self.peek().kind
-            if k == ".":
-                dot = self.next()
-                name = self.expect("ident").text
-                out = Proj(out, name, pos=dot.pos)
-            elif k == "[":
-                br = self.next()
+            kind = self.tok[0]
+            if kind == ".":
+                pos = self.next()[2]
+                name = self.expect("ident")[1]
+                out = Proj(out, name, pos=pos)
+            elif kind == "[":
+                pos = self.next()[2]
                 lab = self.label()
                 self.expect("]")
-                out = Restrict(out, lab, pos=br.pos)
+                out = Restrict(out, lab, pos=pos)
             else:
                 return out
 
     def atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "(":
+        kind, text, pos = self.tok
+        if kind == "ident":
+            self.next()
+            return Var(text, pos=pos)
+        if kind == "(":
             self.next()
             inner = self.term()
             self.expect(")")
             return inner
-        if t.kind == "{":
+        if kind == "{":
             return self.record()
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text, pos=t.pos)
-        if t.kind in ("nat", "set", "true", "false", "unit"):
+        if kind in ("nat", "set", "true", "false", "unit"):
             return self.literal()
-        if t.kind == "num":
-            raise ParseError(t.pos, "bare number; write `nat N @label`")
-        if t.kind == "ref" or t.kind == "clone":
+        if kind == "num":
+            raise ParseError(pos, "bare number; write `nat N @label`")
+        if kind == "ref" or kind == "clone":
             return self.ref_or_clone()
-        if t.kind == "await":
+        if kind == "await":
             self.next()
             self.expect("(")
             ident = self.idlit()
             self.expect(")")
-            return Await(ident, pos=t.pos)
-        if t.kind == "flexread":
+            return Await(ident, pos=pos)
+        if kind == "flexread":
             self.next()
-            lab = self.flex_label(t.pos, "FlexRead")
+            lab = self.flex_label(pos, "FlexRead")
             self.expect("(")
             sub = self.term()
             self.expect(")")
-            return FlexRead(lab, sub, pos=t.pos)
-        if t.kind == "flexwrite":
+            return FlexRead(lab, sub, pos=pos)
+        if kind == "flexwrite":
             self.next()
-            lab = self.flex_label(t.pos, "FlexWrite")
+            lab = self.flex_label(pos, "FlexWrite")
             self.expect("(")
             target = self.term()
             self.expect(",")
             value = self.term()
             self.expect(")")
-            return FlexWrite(lab, target, value, pos=t.pos)
-        shown = t.text or "end of input"
-        raise ParseError(t.pos, f"expected a term, found {shown!r}")
+            return FlexWrite(lab, target, value, pos=pos)
+        shown = text or "end of input"
+        raise ParseError(pos, f"expected a term, found {shown!r}")
 
     def flex_label(self, pos: Pos, what: str) -> Label:
         lab = self.at_label()
@@ -318,63 +308,63 @@ class _Parser:
         return lab
 
     def ref_or_clone(self) -> Term:
-        t = self.next()   # "ref" or "clone"
+        kind, _, pos = self.next()   # "ref" or "clone"
         lab = self.at_label()
         self.expect("(")
         body = self.term()
         self.expect(",")
         ident = self.idlit()
         self.expect(")")
-        if t.kind == "ref":
-            return Ref(lab, body, ident, pos=t.pos)
-        return Clone(lab, body, ident, pos=t.pos)
+        if kind == "ref":
+            return Ref(lab, body, ident, pos=pos)
+        return Clone(lab, body, ident, pos=pos)
 
     def record(self) -> Term:
-        start = self.peek()
+        pos = self.tok[2]
         fields = self.braced(lambda: self.field("=", self.term))
         lab = self.at_label()
-        return Record(tuple(fields), lab, pos=start.pos)
+        return Record(tuple(fields), lab, pos=pos)
 
     def literal(self) -> Term:
-        t = self.next()
-        if t.kind == "nat":
-            n = self.expect("num")
+        kind, text, pos = self.next()
+        if kind == "nat":
+            n = self.expect("num")[1]
             lab = self.at_label()
-            return Lit(Plain(NatMax(int(n.text)), lab), pos=t.pos)
-        if t.kind == "set":
-            elems = self.braced(lambda: self.expect("string").text)
+            return Lit(Plain(NatMax(int(n)), lab), pos=pos)
+        if kind == "set":
+            elems = self.braced(lambda: self.expect("string")[1])
             lab = self.at_label()
-            return Lit(Plain(GSet(frozenset(elems)), lab), pos=t.pos)
-        if t.kind in ("true", "false"):
+            return Lit(Plain(GSet(frozenset(elems)), lab), pos=pos)
+        if kind == "true" or kind == "false":
             lab = self.at_label()
-            return Lit(Plain(BoolVal(t.kind == "true"), lab), pos=t.pos)
-        if t.kind == "unit":
+            return Lit(Plain(BoolVal(kind == "true"), lab), pos=pos)
+        if kind == "unit":
             lab = self.at_label()
-            return Lit(Plain(UNIT, lab), pos=t.pos)
-        raise ParseError(t.pos, f"expected a literal, found {t.text!r}")
+            return Lit(Plain(UNIT, lab), pos=pos)
+        raise ParseError(pos, f"expected a literal, found {text!r}")
 
     def idlit(self) -> Identifier:
         self.expect("(")
         lab = self.label()
         self.expect(",")
-        n = self.expect("num")
+        n = self.expect("num")[1]
         self.expect(")")
-        return Identifier(lab, int(n.text))
+        return Identifier(lab, int(n))
 
     def braced(self, item: Callable) -> list:
         """`{` item (`,` item)* `}`, or `{}`."""
         self.expect("{")
         items = []
-        if self.peek().kind != "}":
+        if self.tok[0] != "}":
             items.append(item())
-            while self.peek().kind == ",":
+            while self.tok[0] == ",":
                 self.next()
                 items.append(item())
         self.expect("}")
         return items
 
     def field(self, sep: str, value: Callable) -> tuple:
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         self.expect(sep)
         return name, value()
 
@@ -383,32 +373,33 @@ class _Parser:
         return self.label()
 
     def label(self) -> Label:
-        t = self.peek()
-        if t.kind in _LABEL_NAMES:
-            self.next()
-            return _LABEL_NAMES[t.kind]
-        shown = t.text or "end of input"
-        raise ParseError(t.pos, f"expected a label, found {shown!r}")
+        kind, text, pos = self.tok
+        lab = _LABEL_NAMES.get(kind)
+        if lab is None:
+            shown = text or "end of input"
+            raise ParseError(pos, f"expected a label, found {shown!r}")
+        self.next()
+        return lab
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> Type:
-        t = self.peek()
-        if t.kind in ("Bool", "Unit", "Lat"):
+        kind, _, pos = self.tok
+        if kind in ("Bool", "Unit", "Lat"):
             self.next()
             lab = self.at_label()
-            ctor = {"Bool": BoolType, "Unit": UnitType, "Lat": LatType}[t.kind]
-            return ctor(lab, pos=t.pos)
-        if t.kind == "Ref":
+            ctor = {"Bool": BoolType, "Unit": UnitType, "Lat": LatType}[kind]
+            return ctor(lab, pos=pos)
+        if kind == "Ref":
             self.next()
             lab = self.at_label()
             content = self.type_()
-            return RefType(lab, content, pos=t.pos)
-        if t.kind == "{":
+            return RefType(lab, content, pos=pos)
+        if kind == "{":
             fields = self.braced(lambda: self.field(":", self.type_))
             lab = self.at_label()
-            return RecordType(tuple(sorted(fields)), lab, pos=t.pos)
-        if t.kind == "(":
+            return RecordType(tuple(sorted(fields)), lab, pos=pos)
+        if kind == "(":
             self.next()
             arg = self.type_()
             self.expect("-")
@@ -417,9 +408,9 @@ class _Parser:
             result = self.type_()
             self.expect(")")
             lab = self.at_label()
-            return ArrowType(arg, latent, result, lab, pos=t.pos)
-        shown = t.text or "end of input"
-        raise ParseError(t.pos, f"expected a type, found {shown!r}")
+            return ArrowType(arg, latent, result, lab, pos=pos)
+        shown = self.tok[1] or "end of input"
+        raise ParseError(pos, f"expected a type, found {shown!r}")
 
 
 def parse_program(src: str) -> Program:

@@ -167,7 +167,7 @@ def label_of(t: Type) -> Label:
 
 
 def with_label(t: Type, lab: Label) -> Type:
-    return replace(t, label=lab)
+    return t if t.label is lab else replace(t, label=lab)
 
 
 def type_join_label(t: Type, lab: Label) -> Type:

@@ -69,20 +69,16 @@ class TypeEnv:
                        self.collecting, self.runtime)
 
 
-def _fail(kind: ErrorKind, pos: Optional[Pos], message: str) -> CheckError:
-    return CheckError(kind, pos, message)
-
-
 def _require_subtype(have: Type, want: Type, pos: Optional[Pos], ctx: str) -> None:
     if subtype(have, want):
         return
     kind = ErrorKind.FLOW_VIOLATION if same_raw_shape(have, want) else ErrorKind.MISMATCH
-    raise _fail(kind, pos, f"{ctx}: {pretty_type(have)} is not a subtype of {pretty_type(want)}")
+    raise CheckError(kind, pos, f"{ctx}: {pretty_type(have)} is not a subtype of {pretty_type(want)}")
 
 
 def _expect_lat(t: Type, pos: Optional[Pos], ctx: str) -> LatType:
     if not isinstance(t, LatType):
-        raise _fail(ErrorKind.MISMATCH, pos, f"{ctx}: expected a lattice value, found {pretty_type(t)}")
+        raise CheckError(ErrorKind.MISMATCH, pos, f"{ctx}: expected a lattice value, found {pretty_type(t)}")
     return t
 
 
@@ -93,7 +89,7 @@ def _record_id(env: TypeEnv, ident: Identifier, content: Type, pos: Optional[Pos
             env.ids[ident] = content   # type: ignore[index]
         return
     if known is not None and known != content:
-        raise _fail(
+        raise CheckError(
             ErrorKind.MISMATCH, pos,
             f"identifier {ident} is bound elsewhere with type {pretty_type(known)}, "
             f"here {pretty_type(content)}",
@@ -102,95 +98,47 @@ def _record_id(env: TypeEnv, ident: Identifier, content: Type, pos: Optional[Pos
 
 def typecheck(env: TypeEnv, t: Term) -> Type:
     """Type of t under env; raises CheckError at the first violated premise,
-    leftmost-innermost."""
+    leftmost-innermost. A let spine is typed in a loop, with one copy of
+    gamma for the whole spine."""
+    if t.__class__ is Let:
+        gamma = dict(env.gamma)
+        env = TypeEnv(gamma, env.sigma, env.ids, env.effect, env.collecting, env.runtime)
+        while t.__class__ is Let:
+            gamma[t.name] = typecheck(env, t.bound)
+            t = t.body
     match t:
+        # the commonest forms first
         case Var(name=name, pos=pos):
             if name not in env.gamma:
-                raise _fail(ErrorKind.UNBOUND, pos, f"unbound variable {name!r}")
+                raise CheckError(ErrorKind.UNBOUND, pos, f"unbound variable {name!r}")
             return env.gamma[name]
 
         case Lit(value=v, pos=pos):
             return type_of_value(env, v, pos)
 
-        case Restrict(term=sub, label=lab):
-            # check under the raised effect, join the label onto the result
-            inner = typecheck(env.with_effect(label_join(env.effect, lab)), sub)
-            return type_join_label(inner, lab)
-
-        case LatOp(left=a, right=b, pos=pos):
-            ta = _expect_lat(typecheck(env, a), a.pos or pos, "lattice operation")
-            tb = _expect_lat(typecheck(env, b), b.pos or pos, "lattice operation")
-            return LatType(label_join(ta.label, tb.label))
-
-        case OrdOp(left=a, right=b, pos=pos):
-            # T-RELOP: comparing lattice values yields a boolean at the joined label
-            ta = _expect_lat(typecheck(env, a), a.pos or pos, "order comparison")
-            tb = _expect_lat(typecheck(env, b), b.pos or pos, "order comparison")
-            return BoolType(label_join(ta.label, tb.label))
-
-        case App(fn=f, arg=a, pos=pos):
-            tf = typecheck(env, f)
-            if not isinstance(tf, ArrowType):
-                raise _fail(ErrorKind.MISMATCH, pos, f"applied a non-function of type {pretty_type(tf)}")
-            ta = typecheck(env, a)
-            _require_subtype(ta, tf.arg, pos, "argument")
-            # T-APP: the latent label bounds the caller effect joined with the
-            # function value's own label
-            if not label_leq(label_join(env.effect, tf.label), tf.latent):
-                raise _fail(
-                    ErrorKind.EFFECT_VIOLATION, pos,
-                    f"call under effect {env.effect} with function label {tf.label} "
-                    f"exceeds latent label {tf.latent}",
-                )
-            return type_join_label(tf.result, tf.label)
-
-        case If(cond=c, then=a, els=b, pos=pos):
-            tc = typecheck(env, c)
-            if not isinstance(tc, BoolType):
-                raise _fail(ErrorKind.MISMATCH, c.pos or pos, f"condition has type {pretty_type(tc)}, expected Bool")
-            # branches run under the guard's label: implicit flows are blocked
-            benv = env.with_effect(label_join(env.effect, tc.label))
-            t1 = typecheck(benv, a)
-            t2 = typecheck(benv, b)
-            joined = type_join(t1, t2)
-            if joined is None:
-                raise _fail(
-                    ErrorKind.MISMATCH, pos,
-                    f"branch types differ: {pretty_type(t1)} vs {pretty_type(t2)}",
-                )
-            return type_join_label(joined, tc.label)
-
-        case Ref():
-            return _typecheck_ref(env, t)
-
-        case Await(ident=ident, pos=pos):
-            if ident not in env.ids:
-                raise _fail(ErrorKind.UNBOUND, pos, f"await on unknown identifier {ident}")
-            return RefType(ident.label, env.ids[ident])
-
         case Deref(term=sub, pos=pos):
             ts = typecheck(env, sub)
             if not isinstance(ts, RefType):
-                raise _fail(ErrorKind.MISMATCH, pos, f"dereference of non-reference type {pretty_type(ts)}")
+                raise CheckError(ErrorKind.MISMATCH, pos, f"dereference of non-reference type {pretty_type(ts)}")
             if ts.label == OAC:
-                raise _fail(ErrorKind.OAC_MISUSE, pos, "dereference of an oac reference; use flexread")
+                raise CheckError(ErrorKind.OAC_MISUSE, pos, "dereference of an oac reference; use flexread")
             return type_join_label(ts.content, ts.label)
 
         case Assign(target=lhs, value=rhs, pos=pos):
             tl = typecheck(env, lhs)
             if not isinstance(tl, RefType):
-                raise _fail(ErrorKind.MISMATCH, pos, f"assignment to non-reference type {pretty_type(tl)}")
+                raise CheckError(ErrorKind.MISMATCH, pos, f"assignment to non-reference type {pretty_type(tl)}")
             tr = typecheck(env, rhs)
             _require_subtype(tr, tl.content, pos, "assigned value")
             if not label_leq(env.effect, tl.label):
-                raise _fail(
+                raise CheckError(
                     ErrorKind.EFFECT_VIOLATION, pos,
                     f"assignment to a {tl.label} reference under effect {env.effect}",
                 )
             if tl.label == OAC:
-                raise _fail(ErrorKind.OAC_MISUSE, pos, "assignment to an oac reference; use flexwrite")
+                raise CheckError(ErrorKind.OAC_MISUSE, pos, "assignment to an oac reference; use flexwrite")
             if label_of(tr) == OAC:
-                raise _fail(ErrorKind.OAC_MISUSE, pos, "oac-labeled values cannot be assigned")
+                raise CheckError(ErrorKind.OAC_MISUSE, pos, "oac-labeled values cannot be assigned")
             return UnitType(tl.label)
 
         case FlexRead(label=lab, term=sub, pos=pos):
@@ -203,13 +151,69 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
             _require_oac_ref(ts, pos, "flexwrite")
             tv = typecheck(env, val)
             if label_of(tv) not in (LOC, CON):
-                raise _fail(
+                raise CheckError(
                     ErrorKind.FLOW_VIOLATION, pos,
                     f"flexwrite payload must be labeled loc or con, found {label_of(tv)}",
                 )
             if not isinstance(tv, LatType):
-                raise _fail(ErrorKind.MISMATCH, pos, f"flexwrite payload must be a lattice value, found {pretty_type(tv)}")
+                raise CheckError(ErrorKind.MISMATCH, pos, f"flexwrite payload must be a lattice value, found {pretty_type(tv)}")
             return UnitType(lab)
+
+        case Ref():
+            return _typecheck_ref(env, t)
+
+        case Await(ident=ident, pos=pos):
+            if ident not in env.ids:
+                raise CheckError(ErrorKind.UNBOUND, pos, f"await on unknown identifier {ident}")
+            return RefType(ident.label, env.ids[ident])
+
+        case App(fn=f, arg=a, pos=pos):
+            tf = typecheck(env, f)
+            if not isinstance(tf, ArrowType):
+                raise CheckError(ErrorKind.MISMATCH, pos, f"applied a non-function of type {pretty_type(tf)}")
+            ta = typecheck(env, a)
+            _require_subtype(ta, tf.arg, pos, "argument")
+            # T-APP: the latent label bounds the caller effect joined with the
+            # function value's own label
+            if not label_leq(label_join(env.effect, tf.label), tf.latent):
+                raise CheckError(
+                    ErrorKind.EFFECT_VIOLATION, pos,
+                    f"call under effect {env.effect} with function label {tf.label} "
+                    f"exceeds latent label {tf.latent}",
+                )
+            return type_join_label(tf.result, tf.label)
+
+        case If(cond=c, then=a, els=b, pos=pos):
+            tc = typecheck(env, c)
+            if not isinstance(tc, BoolType):
+                raise CheckError(ErrorKind.MISMATCH, c.pos or pos, f"condition has type {pretty_type(tc)}, expected Bool")
+            # branches run under the guard's label: implicit flows are blocked
+            benv = env.with_effect(label_join(env.effect, tc.label))
+            t1 = typecheck(benv, a)
+            t2 = typecheck(benv, b)
+            joined = type_join(t1, t2)
+            if joined is None:
+                raise CheckError(
+                    ErrorKind.MISMATCH, pos,
+                    f"branch types differ: {pretty_type(t1)} vs {pretty_type(t2)}",
+                )
+            return type_join_label(joined, tc.label)
+
+        case LatOp(left=a, right=b, pos=pos):
+            ta = _expect_lat(typecheck(env, a), a.pos or pos, "lattice operation")
+            tb = _expect_lat(typecheck(env, b), b.pos or pos, "lattice operation")
+            return LatType(label_join(ta.label, tb.label))
+
+        case OrdOp(left=a, right=b, pos=pos):
+            # T-RELOP: comparing lattice values yields a boolean at the joined label
+            ta = _expect_lat(typecheck(env, a), a.pos or pos, "order comparison")
+            tb = _expect_lat(typecheck(env, b), b.pos or pos, "order comparison")
+            return BoolType(label_join(ta.label, tb.label))
+
+        case Restrict(term=sub, label=lab):
+            # check under the raised effect, join the label onto the result
+            inner = typecheck(env.with_effect(label_join(env.effect, lab)), sub)
+            return type_join_label(inner, lab)
 
         case Record(fields=fs, label=lab, pos=pos):
             return typecheck_record(env, fs, lab, pos)
@@ -220,18 +224,14 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
         case Clone(label=lab, term=sub, ident=ident, pos=pos):
             return typecheck_clone(env, sub, lab, ident, pos)
 
-        case Let(name=x, bound=bound, body=body):
-            tb = typecheck(env, bound)
-            return typecheck(env.with_var(x, tb), body)
-
-    raise _fail(ErrorKind.MISMATCH, getattr(t, "pos", None), f"unrecognized term {t!r}")
+    raise CheckError(ErrorKind.MISMATCH, getattr(t, "pos", None), f"unrecognized term {t!r}")
 
 
 def _require_oac_ref(ts: Type, pos: Optional[Pos], what: str) -> None:
     if not isinstance(ts, RefType):
-        raise _fail(ErrorKind.MISMATCH, pos, f"{what} applies to references, found {pretty_type(ts)}")
+        raise CheckError(ErrorKind.MISMATCH, pos, f"{what} applies to references, found {pretty_type(ts)}")
     if ts.label != OAC:
-        raise _fail(ErrorKind.OAC_MISUSE, pos, f"{what} applies to oac references, found a {ts.label} reference")
+        raise CheckError(ErrorKind.OAC_MISUSE, pos, f"{what} applies to oac references, found a {ts.label} reference")
 
 
 def _typecheck_ref(env: TypeEnv, t: Ref) -> Type:
@@ -240,37 +240,37 @@ def _typecheck_ref(env: TypeEnv, t: Ref) -> Type:
     if lab == OAC:
         # on-demand consistency: content must be strictly lower-labeled lattice data
         if not label_lt(label_of(ti), lab):
-            raise _fail(
+            raise CheckError(
                 ErrorKind.FLOW_VIOLATION, pos,
                 f"oac reference content must be labeled strictly below oac, found {label_of(ti)}",
             )
         if not label_leq(env.effect, lab):
-            raise _fail(ErrorKind.EFFECT_VIOLATION, pos, f"oac reference created under effect {env.effect}")
+            raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"oac reference created under effect {env.effect}")
         if not isinstance(ti, LatType):
-            raise _fail(ErrorKind.NON_LATTICE_AVA, pos, f"oac references hold lattice values, found {pretty_type(ti)}")
+            raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"oac references hold lattice values, found {pretty_type(ti)}")
         if ident.label != lab:
-            raise _fail(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
+            raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
         content = type_join_label(ti, lab)
         _record_id(env, ident, content, pos)
         return RefType(lab, content)
 
     if not label_leq(label_of(ti), lab):
-        raise _fail(
+        raise CheckError(
             ErrorKind.FLOW_VIOLATION, pos,
             f"reference content labeled {label_of(ti)} exceeds reference label {lab}",
         )
     if not label_leq(env.effect, lab):
-        raise _fail(ErrorKind.EFFECT_VIOLATION, pos, f"{lab} reference created under effect {env.effect}")
+        raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"{lab} reference created under effect {env.effect}")
     if lab == AVA and not isinstance(ti, LatType):
-        raise _fail(ErrorKind.NON_LATTICE_AVA, pos, f"ava references hold lattice values, found {pretty_type(ti)}")
+        raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"ava references hold lattice values, found {pretty_type(ti)}")
     if label_lt(label_of(ti), lab) and not (len(refs(t.init)) == 0 and ref_free(ti)):
         # storing strictly-lower-labeled content remotely must not upload references
-        raise _fail(
+        raise CheckError(
             ErrorKind.ESCAPING_LOCAL_REF, pos,
             f"content labeled {label_of(ti)} stored under {lab} must not contain references",
         )
     if ident.label != lab:
-        raise _fail(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
+        raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
     content = type_join_label(ti, lab)
     _record_id(env, ident, content, pos)
     return RefType(lab, content)
@@ -280,36 +280,36 @@ def typecheck_record(env: TypeEnv, fs: tuple[tuple[str, Term], ...],
                      lab: Label, pos: Optional[Pos]) -> Type:
     names = [n for n, _ in fs]
     if len(set(names)) != len(names):
-        raise _fail(ErrorKind.MISMATCH, pos, "duplicate record field names")
+        raise CheckError(ErrorKind.MISMATCH, pos, "duplicate record field names")
     typed = tuple(sorted((n, typecheck(env, ft)) for n, ft in fs))
     if lab == OAC:
-        raise _fail(ErrorKind.OAC_MISUSE, pos, "records cannot be labeled oac")
+        raise CheckError(ErrorKind.OAC_MISUSE, pos, "records cannot be labeled oac")
     return RecordType(typed, lab)
 
 
 def typecheck_projection(env: TypeEnv, sub: Term, name: str, pos: Optional[Pos]) -> Type:
     ts = typecheck(env, sub)
     if not isinstance(ts, RecordType):
-        raise _fail(ErrorKind.MISMATCH, pos, f"projection from non-record type {pretty_type(ts)}")
+        raise CheckError(ErrorKind.MISMATCH, pos, f"projection from non-record type {pretty_type(ts)}")
     for n, ft in ts.fields:
         if n == name:
             return type_join_label(ft, ts.label)
-    raise _fail(ErrorKind.UNBOUND, pos, f"record has no field {name!r}")
+    raise CheckError(ErrorKind.UNBOUND, pos, f"record has no field {name!r}")
 
 
 def typecheck_clone(env: TypeEnv, sub: Term, lab: Label, ident: Identifier,
                     pos: Optional[Pos]) -> Type:
     if lab != CON:
-        raise _fail(ErrorKind.OAC_MISUSE, pos, f"clone label must be con, found {lab}")
+        raise CheckError(ErrorKind.OAC_MISUSE, pos, f"clone label must be con, found {lab}")
     ts = typecheck(env, sub)
     if not isinstance(ts, RefType) or ts.label != LOC:
-        raise _fail(ErrorKind.MISMATCH, pos, f"clone applies to local references, found {pretty_type(ts)}")
+        raise CheckError(ErrorKind.MISMATCH, pos, f"clone applies to local references, found {pretty_type(ts)}")
     if not _all_loc(ts.content):
-        raise _fail(ErrorKind.MISMATCH, pos, "clone requires an all-local reference graph")
+        raise CheckError(ErrorKind.MISMATCH, pos, "clone requires an all-local reference graph")
     if not label_leq(env.effect, CON):
-        raise _fail(ErrorKind.EFFECT_VIOLATION, pos, f"clone under effect {env.effect}")
+        raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"clone under effect {env.effect}")
     if ident.label != lab:
-        raise _fail(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
+        raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
     content = upgrade(ts.content)
     _record_id(env, ident, content, pos)
     return RefType(CON, content)
@@ -356,20 +356,20 @@ def type_of_value(env: TypeEnv, v, pos: Optional[Pos]) -> Type:
         return ArrowType(raw.param_type, raw.latent, tb, lab)
     if isinstance(raw, Location):
         if raw not in env.sigma:
-            raise _fail(ErrorKind.UNBOUND, pos, f"location {raw} has no store typing")
+            raise CheckError(ErrorKind.UNBOUND, pos, f"location {raw} has no store typing")
         content = env.sigma[raw]
         return RefType(label_of(content), content)
     if isinstance(raw, RecordVal):
         _no_oac_literal(env, lab, pos)
         typed = tuple(sorted((n, type_of_value(env, fv, pos)) for n, fv in raw.fields))
         return RecordType(typed, lab)
-    raise _fail(ErrorKind.MISMATCH, pos, f"unrecognized value {v!r}")
+    raise CheckError(ErrorKind.MISMATCH, pos, f"unrecognized value {v!r}")
 
 
 def _no_oac_literal(env: TypeEnv, lab: Label, pos: Optional[Pos]) -> None:
     # source restriction only: runtime stamping legitimately produces oac values
     if lab == OAC and not env.runtime:
-        raise _fail(ErrorKind.OAC_MISUSE, pos, "literal values cannot be labeled oac")
+        raise CheckError(ErrorKind.OAC_MISUSE, pos, "literal values cannot be labeled oac")
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +384,23 @@ class ProgramCheck:
 def collect_id_types(program: Program) -> dict[Identifier, Type]:
     """Pre-pass: the whole-program identifier typing.
 
-    Awaits may resolve identifiers created by other clients, so iterate
-    collection to a fixpoint; errors are deferred to the strict pass.
-    """
+    Awaits may resolve identifiers created by other clients, so collect in
+    rounds until every client's pass has finished or a round adds nothing;
+    errors are deferred to the strict pass. A finished client sits out the
+    later rounds: collection only fills missing identifiers, so a rerun
+    would add nothing."""
     ids: dict[Identifier, Type] = {}
+    unfinished = [term for _, term in program.clients]
     for _ in range(len(program.clients) * 4 + 2):
-        before = dict(ids)
-        for _, term in program.clients:
+        known, failed = len(ids), []
+        for term in unfinished:
             env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
             try:
                 typecheck(env, term)
             except CheckError:
-                pass
-        if ids == before:
+                failed.append(term)
+        unfinished = failed
+        if not unfinished or len(ids) == known:
             break
     return ids
 

@@ -1,0 +1,141 @@
+"""The front end as it stood before the one-regex lexer, the let-spine
+loops and the collection pass that reruns only unfinished clients, kept
+as a differential oracle.
+
+`tokenize` walks the text one character at a time and builds a `Token`
+per token; its one change is that a number is ASCII digits only.
+`OracleParser` parses a `let` in two recursive frames, the body through
+`term`, on the parser's own grammar otherwise. `typecheck` types the let
+spine it is given by recursion, with one context copy per `let`, and
+hands every other term to ctrd's typechecker. `collect_id_types` reruns
+every client until the identifier map stops changing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ctrd.parser import KEYWORDS, ParseError, _Parser
+from ctrd.syntax import LOC, Let, Pos
+from ctrd.typecheck import CheckError, ProgramCheck, TypeEnv, typecheck as typecheck_term
+
+_SYMBOLS = ["=>", ":=", "<=", "->", "\\/", "/\\",
+            "(", ")", "{", "}", "[", "]", "@", ",", ":", ";", ".", "!", "=", "<", "-"]
+
+
+@dataclass
+class Token:
+    kind: str       # "ident" | "num" | "string" | "eof" | keyword / symbol text
+    text: str
+    pos: Pos
+
+
+def tokenize(src: str) -> list[Token]:
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if src[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        c = src[i]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                advance(1)
+            continue
+        pos = (line, col)
+        if "0" <= c <= "9":
+            j = i
+            while j < n and "0" <= src[j] <= "9":
+                j += 1
+            toks.append(Token("num", src[i:j], pos))
+            advance(j - i)
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            toks.append(Token(word if word in KEYWORDS else "ident", word, pos))
+            advance(j - i)
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and src[j] not in '"\n':
+                j += 1
+            if j >= n or src[j] != '"':
+                raise ParseError(pos, "unterminated string literal")
+            toks.append(Token("string", src[i + 1:j], pos))
+            advance(j - i + 1)
+            continue
+        for sym in _SYMBOLS:
+            if src.startswith(sym, i):
+                toks.append(Token(sym, sym, pos))
+                advance(len(sym))
+                break
+        else:
+            raise ParseError(pos, f"unexpected character {c!r}")
+    toks.append(Token("eof", "", (line, col)))
+    return toks
+
+
+class OracleParser(_Parser):
+    """The parser's grammar over the oracle's tokens, a let in two frames."""
+
+    def __init__(self, src: str):
+        super().__init__([(t.kind, t.text, t.pos) for t in tokenize(src)])
+
+    def let(self):
+        start = self.expect("let")
+        name = self.expect("ident")[1]
+        self.expect("=")
+        bound = self.term()
+        self.expect("in")
+        body = self.term()
+        return Let(name, bound, body, pos=start[2])
+
+
+def parse_program(src: str):
+    return OracleParser(src).program()
+
+
+def typecheck(env: TypeEnv, t):
+    """A let spine typed by recursion, with one gamma copy per let."""
+    if isinstance(t, Let):
+        tb = typecheck_term(env, t.bound)
+        return typecheck(env.with_var(t.name, tb), t.body)
+    return typecheck_term(env, t)
+
+
+def collect_id_types(program) -> dict:
+    ids: dict = {}
+    for _ in range(len(program.clients) * 4 + 2):
+        before = dict(ids)
+        for _, term in program.clients:
+            env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
+            try:
+                typecheck(env, term)
+            except CheckError:
+                pass
+        if ids == before:
+            break
+    return ids
+
+
+def check_program(program) -> ProgramCheck:
+    ids = collect_id_types(program)
+    client_types = {}
+    for cid, term in program.clients:
+        client_types[cid] = typecheck(TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC), term)
+    return ProgramCheck(client_types, ids)

@@ -153,13 +153,35 @@ def test_bad_state_budget_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_deep_program_ends_in_a_diagnostic(tmp_path, capsys):
-    body = "".join(f"let x{i} = nat {i} @loc in " for i in range(5000)) + "unit @loc"
+    # nesting off the let spine still recurses in the front end
     path = tmp_path / "deep.ctrd"
-    path.write_text(f"servers 1; client 1 {{ {body} }}")
+    path.write_text("servers 1; client 1 { " + "(" * 5000 + "unit @loc" + ")" * 5000 + " }")
     for command in ("check", "run"):
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "NestingTooDeep" in err, err
+
+
+def test_long_let_spine_checks_and_its_run_ends_in_one_line(tmp_path, capsys):
+    body = "".join(f"let x{i} = nat {i} @loc in " for i in range(5000)) + "unit @loc"
+    path = tmp_path / "spine.ctrd"
+    path.write_text(f"servers 1; client 1 {{ {body} }}")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: OK\n"
+    # the simulator still recurses on the residual term
+    assert main(["run", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "nests deeper" in err, err
+
+
+def test_a_digit_that_int_rejects_is_a_syntax_error(tmp_path, capsys):
+    # "²" is a digit to str.isdigit, once lexed as a number
+    path = tmp_path / "sup.ctrd"
+    path.write_text("servers \u00b2;\nclient 1 { unit @loc }\n", encoding="utf-8")
+    for command in ("check", "run"):
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{path}:1:9: SyntaxError: unexpected character '\u00b2'\n"
 
 
 def test_unknown_check_name_is_a_usage_error(capsys):

@@ -4,6 +4,7 @@
     PYTHONPATH=src python3 tools/curve.py explore --servers 2,3 --repeat 1
     PYTHONPATH=src python3 tools/curve.py step --sizes 50,100 --repeat 1
     PYTHONPATH=src python3 tools/curve.py trace --factors 0.5,1 --repeat 1
+    PYTHONPATH=src python3 tools/curve.py front --sizes 50,100 --repeat 1
 
 Every curve is measured the same way. The inputs of every point (a program
 from `bench/gen.py`, used read-only, or from the corpus; parsed,
@@ -32,7 +33,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402
 from ctrd import cli  # noqa: E402
 from ctrd.abstract_exec import check_sc, project_con, record  # noqa: E402
-from ctrd.parser import parse_program  # noqa: E402
+from ctrd.parser import parse_program, tokenize  # noqa: E402
 from ctrd.runtime_cloud import explore, initial_config, make_scheduler, run  # noqa: E402
 from ctrd.typecheck import check_program  # noqa: E402
 
@@ -75,7 +76,8 @@ def sc_curve(args) -> tuple[dict, list]:
     history and on its con projection. The whole history mixes con and ava
     events and fails SC, so its check can stop at the first failed clause;
     the con projection passes, so its check does all the work."""
-    # let-chains of several hundred lets nest deeper than the default limit
+    # the simulator recurses once per let on the residual term, and these
+    # let-chains run to several hundred lets
     sys.setrecursionlimit(20000)
     factors, runs = numbers(args.factors), []
     for k in factors:
@@ -123,9 +125,9 @@ def step_curve(args) -> tuple[dict, list]:
     assign a con cell) under the drain-fair scheduler from a fresh initial
     configuration. A step that cost the same at every length would give a
     flat curve; `drop` is the first point's steps per second over the last
-    point's. The default sizes stop at 480 lets: a few more, and the
-    recursive parser gives up at the default recursion limit, which this
-    curve leaves as it is."""
+    point's. The default sizes stop at 480 lets: near 500, the simulator's
+    walks over the residual term, which recurse once per let, give up at
+    the default recursion limit, which this curve leaves as it is."""
     sizes = numbers(args.sizes, int)
     got = timed([checked(gen.deep_chain(n)) for n in sizes], lambda p: {"run": partial(
         run, initial_config(*p), make_scheduler("drain-fair"), 10 ** 6)}, args.repeat)
@@ -167,12 +169,35 @@ def trace_curve(args) -> tuple[dict, list]:
             "seed": SCHEDULER_SEED}, points
 
 
+def front_curve(args) -> tuple[dict, list]:
+    """parse and typecheck time against the length of a let-chain. Each
+    point parses `gen.deep_chain(N)` and typechecks the parsed program,
+    timed apart. It reports the tokens, tokens per second of parsing (the
+    lexer included) and the parse plus typecheck time per let; `growth` is
+    the last point's time per let over the first point's. The front end
+    reads a let spine in a loop, so the recursion limit stays as it is."""
+    sizes = numbers(args.sizes, int)
+    texts = [gen.deep_chain(n) for n in sizes]
+    got = timed([(text, checked(text)[0]) for text in texts],
+                lambda x: {"parse": partial(parse_program, x[0]),
+                           "check": partial(check_program, x[1])}, args.repeat)
+    points = []
+    for n, text, t in zip(sizes, texts, got):
+        tokens, parse_s, check_s = len(tokenize(text)), t["parse"][1], t["check"][1]
+        points.append({"n": n, "tokens": tokens, "parse_s": parse_s, "check_s": check_s,
+                       "tokens_per_s": tokens / parse_s,
+                       "us_per_let": 1e6 * (parse_s + check_s) / n})
+    return {"program": "bench/gen.deep_chain",
+            "growth": points[-1]["us_per_let"] / points[0]["us_per_let"]}, points
+
+
 # name -> (curve, its flags and their defaults; a flag's type is its default's)
 CURVES = {
     "sc": (sc_curve, {"--factors": "1.3,2.6,5.3,10.6,13.5", "--seed": 7, "--repeat": 3}),
     "explore": (explore_curve, {"--servers": "2,3,4,5,6", "--max-depth": 24, "--repeat": 3}),
     "step": (step_curve, {"--sizes": "50,100,200,400,480", "--repeat": 15}),
     "trace": (trace_curve, {"--factors": "1,2,4", "--repeat": 15}),
+    "front": (front_curve, {"--sizes": "500,1000,2000,5000", "--repeat": 7}),
 }
 
 
