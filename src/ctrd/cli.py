@@ -1,15 +1,17 @@
 """Command-line front door: check, run, explore, nif.
 
-Exit codes: 0 success; 1 parse/type diagnostics, including a program
-nested too deeply off its let spines to parse (the front end reads a let
-spine in a loop, and recurses once per level of other nesting); 2 I/O
+Exit codes: 0 success; 1 parse/type diagnostics, including a number too
+long for int() and a program nested too deeply off its let spines to
+parse (the front end reads a let spine in a loop, and recurses once per
+level of other nesting); 2 I/O
 failure (a program file that is not UTF-8 text, a closed stdout or an
 unwritable --trace or --exec file included), a bad flag, an unknown
 --check name, --servers below 1, or a CTRD_MAX_STATES that is not an
 integer of at least 1; 3 a requested check failed; 4 deadlock,
-step/state limit, runtime fault, nesting too deep to simulate, or an
-explore/nif in which every trace was truncated at --max-depth (no
-verdict); 5 programs not low-equivalent.
+step/state limit, runtime fault, nesting too deep to simulate (the
+simulator substitutes along a let spine in a loop, so only other
+nesting counts), or an explore/nif in which every trace was truncated
+at --max-depth (no verdict); 5 programs not low-equivalent.
 
 Reports go to stdout as one JSON line. `run --trace` writes its file with
 `trace_json`, which lays out each entry from a fixed template, and each

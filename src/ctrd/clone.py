@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .runtime_local import Action, ClientState, CtrdRuntimeError
 from .syntax import (
-    CON, Duplicated, Identifier, Label, Lit, Location, Plain, RecordVal, Term,
-    label_join, map_children, map_value, raise_label, value_locations,
+    CON, Identifier, Label, Lit, Location, Plain, label_join, map_locations,
+    raise_label, value_locations,
 )
 from .typecheck import upgrade
 
@@ -59,22 +59,6 @@ def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
     return ReferenceGraph(root, nodes, edges)
 
 
-def rewrite_value(v, mapping: dict[Location, Location]):
-    """Replace location occurrences per mapping, through records and
-    abstraction bodies."""
-    if isinstance(v, Plain) and isinstance(v.raw, Location):
-        return Plain(mapping.get(v.raw, v.raw), v.label)
-    return map_value(v, lambda t: rewrite_term(t, mapping),
-                     lambda fv: rewrite_value(fv, mapping))
-
-
-def rewrite_term(t: Term, mapping: dict[Location, Location]) -> Term:
-    """Structural map over a term rewriting embedded location values."""
-    if isinstance(t, Lit):
-        return Lit(rewrite_value(t.value, mapping), pos=t.pos)
-    return map_children(t, lambda s: rewrite_term(s, mapping))
-
-
 def clone_step(config, client: ClientState, root: Location,
                ident: Identifier, effect: Label):
     """Upload the whole reachable graph in one atomic all-server step.
@@ -95,7 +79,9 @@ def clone_step(config, client: ClientState, root: Location,
     servers = config.own_servers()
     for o in graph.nodes:
         fresh = mapping[o]
-        moved = raise_label(rewrite_value(graph.nodes[o], mapping), stamp)
+        # every location a node holds is a node too, so mapping has it
+        moved = raise_label(map_locations(Lit(graph.nodes[o]), mapping.__getitem__).value,
+                            stamp)
         for s in servers:
             s.store[fresh] = moved
         if o in config.store_typing:
@@ -107,57 +93,3 @@ def clone_step(config, client: ClientState, root: Location,
     action = Action(effect, "ref", CON, nu, fresh_root, root_value,
                     snapshot=pre_common, synced=True)
     return Plain(fresh_root, CON), action, graph.node_count
-
-
-def canonical_shape(graph: ReferenceGraph):
-    """Graph shape with locations renamed by deterministic traversal order
-    and value labels erased: equal shapes mean isomorphic graphs."""
-    order: dict[Location, int] = {}
-
-    def visit(o: Location) -> None:
-        if o in order:
-            return
-        order[o] = len(order)
-        for succ in _ordered_succs(graph.nodes[o]):
-            visit(succ)
-
-    visit(graph.root)
-    for o in sorted(graph.nodes, key=lambda loc: loc.sort_key()):
-        visit(o)
-
-    def shape_of(v):
-        if isinstance(v, Duplicated):
-            return ("duplicated",)
-        raw = v.raw
-        if isinstance(raw, Location):
-            return ("loc", order[raw])
-        if isinstance(raw, RecordVal):
-            return ("record", tuple((n, shape_of(fv)) for n, fv in raw.fields))
-        return ("raw", raw)
-
-    return tuple(shape_of(graph.nodes[o])
-                 for o in sorted(graph.nodes, key=lambda loc: order[loc]))
-
-
-def _ordered_succs(v) -> list[Location]:
-    """Successor locations in deterministic value-traversal order."""
-    out: list[Location] = []
-
-    def walk(v) -> None:
-        if isinstance(v, Duplicated):
-            return
-        raw = v.raw
-        if isinstance(raw, Location):
-            out.append(raw)
-        elif isinstance(raw, RecordVal):
-            for _, fv in raw.fields:
-                walk(fv)
-
-    walk(v)
-    seen: set[Location] = set()
-    uniq = []
-    for o in out:
-        if o not in seen:
-            seen.add(o)
-            uniq.append(o)
-    return uniq

@@ -12,7 +12,9 @@ Whitespace-insensitive, `//` line comments. Grammar sketch:
               | ref | clone | await | flexread | flexwrite
 
 The self-delimiting call forms (ref, clone, await, flexread, flexwrite)
-sit at atom level so they can appear as operands.
+sit at atom level so they can appear as operands; one method reads them
+all from the _CALLS table. The binary operators are read from the
+inverse of syntax.OPERATORS, which the printer reads too.
 
 The lexer is one compiled regular expression, matched once per token
 together with the whitespace and comments before it; lines are counted
@@ -32,10 +34,10 @@ from typing import Callable
 
 from .lattice import GSet, NatMax
 from .syntax import (
-    App, ArrowType, Assign, Await, BoolType, BoolVal, Clone, Closure, Deref,
-    FlexRead, FlexWrite, Identifier, If, Label, LatOp, LatType, Let, Lit, LOC,
-    OrdOp, Plain, Pos, Program, Proj, Record, RecordType, Ref, RefType,
-    Restrict, Term, Type, UNIT, UnitType, Var,
+    App, ArrowType, Assign, Await, AVA, BoolType, BoolVal, Clone, Closure, CON,
+    Deref, FlexRead, FlexWrite, Identifier, If, Label, LABELS, LatType, Let,
+    Lit, LOC, OPERATORS, Plain, Pos, Program, Proj, Record, RecordType, Ref,
+    RefType, Restrict, Term, Type, UNIT, UnitType, Var,
 )
 
 
@@ -102,10 +104,23 @@ def tokenize(src: str) -> list[Token]:
     return toks
 
 
-_PREFIX_START = frozenset(
-    ["!", "(", "{", "ident", "nat", "set", "true", "false", "unit",
-     "ref", "clone", "await", "flexread", "flexwrite"]
-)
+_LITERALS = ("nat", "set", "true", "false", "unit")
+
+# the self-delimiting call forms: keyword -> (form, the labels its @label
+# admits, or None where it takes none, and its arguments: a term or an
+# identifier literal)
+_CALLS = {
+    "ref": (Ref, LABELS, ("term", "ident")),
+    "clone": (Clone, LABELS, ("term", "ident")),
+    "await": (Await, None, ("ident",)),
+    "flexread": (FlexRead, (CON, AVA), ("term",)),
+    "flexwrite": (FlexWrite, (CON, AVA), ("term", "term")),
+}
+
+# binary operator spelling -> (form, operator name)
+_BINOPS = {sym: (form, op) for op, (form, sym) in OPERATORS.items()}
+
+_PREFIX_START = frozenset(["!", "(", "{", "ident", *_LITERALS, *_CALLS])
 
 
 class _Parser:
@@ -132,8 +147,8 @@ class _Parser:
 
     def program(self) -> Program:
         self.expect("servers")
-        _, n_text, n_pos = self.expect("num")
-        servers = int(n_text)
+        n_pos = self.tok[2]
+        servers = self.number()
         if servers < 1:
             raise ParseError(n_pos, "at least one server is required")
         self.expect(";")
@@ -141,8 +156,8 @@ class _Parser:
         seen: set[int] = set()
         while self.tok[0] == "client":
             self.next()
-            _, cid_text, cid_pos = self.expect("num")
-            cid = int(cid_text)
+            cid_pos = self.tok[2]
+            cid = self.number()
             if cid in seen:
                 raise ParseError(cid_pos, f"duplicate client id {cid}")
             seen.add(cid)
@@ -219,18 +234,11 @@ class _Parser:
 
     def binop(self) -> Term:
         t = self.app()
-        while True:
-            kind = self.tok[0]
-            if kind == "\\/" or kind == "/\\":
-                pos = self.next()[2]
-                rhs = self.app()
-                t = LatOp("join" if kind == "\\/" else "meet", t, rhs, pos=pos)
-            elif kind == "<=" or kind == "<":
-                pos = self.next()[2]
-                rhs = self.app()
-                t = OrdOp("le" if kind == "<=" else "lt", t, rhs, pos=pos)
-            else:
-                return t
+        while self.tok[0] in _BINOPS:
+            form, op = _BINOPS[self.tok[0]]
+            pos = self.next()[2]
+            t = form(op, t, self.app(), pos=pos)
+        return t
 
     def app(self) -> Term:
         t = self.prefix()
@@ -270,54 +278,34 @@ class _Parser:
             return inner
         if kind == "{":
             return self.record()
-        if kind in ("nat", "set", "true", "false", "unit"):
+        if kind in _LITERALS:
             return self.literal()
         if kind == "num":
             raise ParseError(pos, "bare number; write `nat N @label`")
-        if kind == "ref" or kind == "clone":
-            return self.ref_or_clone()
-        if kind == "await":
-            self.next()
-            self.expect("(")
-            ident = self.idlit()
-            self.expect(")")
-            return Await(ident, pos=pos)
-        if kind == "flexread":
-            self.next()
-            lab = self.flex_label(pos, "FlexRead")
-            self.expect("(")
-            sub = self.term()
-            self.expect(")")
-            return FlexRead(lab, sub, pos=pos)
-        if kind == "flexwrite":
-            self.next()
-            lab = self.flex_label(pos, "FlexWrite")
-            self.expect("(")
-            target = self.term()
-            self.expect(",")
-            value = self.term()
-            self.expect(")")
-            return FlexWrite(lab, target, value, pos=pos)
+        if kind in _CALLS:
+            return self.call()
         shown = text or "end of input"
         raise ParseError(pos, f"expected a term, found {shown!r}")
 
-    def flex_label(self, pos: Pos, what: str) -> Label:
-        lab = self.at_label()
-        if lab not in (Label.CON, Label.AVA):
-            raise ParseError(pos, f"{what} label must be con or ava")
-        return lab
-
-    def ref_or_clone(self) -> Term:
-        kind, _, pos = self.next()   # "ref" or "clone"
-        lab = self.at_label()
+    def call(self) -> Term:
+        """A call form: its keyword, its @label if it takes one, and its
+        arguments in parentheses, separated by commas."""
+        kind, _, pos = self.next()
+        form, labels, kinds = _CALLS[kind]
+        args: list = []
+        if labels is not None:
+            lab = self.at_label()
+            if lab not in labels:
+                allowed = " or ".join(map(str, labels))
+                raise ParseError(pos, f"{form.__name__} label must be {allowed}")
+            args.append(lab)
         self.expect("(")
-        body = self.term()
-        self.expect(",")
-        ident = self.idlit()
+        for i, arg in enumerate(kinds):
+            if i:
+                self.expect(",")
+            args.append(self.term() if arg == "term" else self.idlit())
         self.expect(")")
-        if kind == "ref":
-            return Ref(lab, body, ident, pos=pos)
-        return Clone(lab, body, ident, pos=pos)
+        return form(*args, pos=pos)
 
     def record(self) -> Term:
         pos = self.tok[2]
@@ -328,9 +316,9 @@ class _Parser:
     def literal(self) -> Term:
         kind, text, pos = self.next()
         if kind == "nat":
-            n = self.expect("num")[1]
+            n = self.number()
             lab = self.at_label()
-            return Lit(Plain(NatMax(int(n)), lab), pos=pos)
+            return Lit(Plain(NatMax(n), lab), pos=pos)
         if kind == "set":
             elems = self.braced(lambda: self.expect("string")[1])
             lab = self.at_label()
@@ -347,9 +335,16 @@ class _Parser:
         self.expect("(")
         lab = self.label()
         self.expect(",")
-        n = self.expect("num")[1]
+        n = self.number()
         self.expect(")")
-        return Identifier(lab, int(n))
+        return Identifier(lab, n)
+
+    def number(self) -> int:
+        _, text, pos = self.expect("num")
+        try:
+            return int(text)
+        except ValueError:      # more digits than int() converts
+            raise ParseError(pos, f"number too long ({len(text)} digits)") from None
 
     def braced(self, item: Callable) -> list:
         """`{` item (`,` item)* `}`, or `{}`."""

@@ -244,13 +244,26 @@ def free_names(t: Term) -> frozenset[str]:
     every other form gives the union of its children's. Terms are
     immutable, so the set is computed once per node and kept in the node's
     __dict__ (outside its dataclass fields, so equality, hashing and repr
-    do not see it).
+    do not see it). A let spine is walked in a loop, down to its first
+    node with a kept set, and its sets are kept on the way back up.
     """
     try:
         return t._free_names
     except AttributeError:
         pass
     cls = t.__class__
+    if cls is Let:
+        spine = []
+        while t.__class__ is Let and "_free_names" not in t.__dict__:
+            spine.append(t)
+            t = t.body
+        fv = free_names(t)
+        for let in reversed(spine):
+            if let.name in fv:
+                fv = fv - {let.name}
+            fv = _union(free_names(let.bound), fv)
+            let.__dict__["_free_names"] = fv
+        return fv
     if cls is Var:
         fv = frozenset((t.name,))
     elif cls is Lit:
@@ -260,11 +273,6 @@ def free_names(t: Term) -> frozenset[str]:
             fv = free_names(v.raw.body)
             if v.raw.param in fv:
                 fv = fv - {v.raw.param}
-    elif cls is Let:
-        fv = free_names(t.body)
-        if t.name in fv:
-            fv = fv - {t.name}
-        fv = _union(free_names(t.bound), fv)
     else:
         fv = _NO_NAMES
         for c in children(t):
@@ -280,7 +288,9 @@ def subst(t: Term, name: str, value: Term) -> Term:
     values carry no free names), so no binder in t can capture it and
     subst never renames. A subterm in which name is not free, by
     free_names, comes back as itself without being entered: a step costs
-    the paths to the occurrences it replaces, not the size of t.
+    the paths to the occurrences it replaces, not the size of t. A let
+    spine is walked in a loop: down to the first let that binds name or
+    whose body does not hold it free, then rebuilt from there up.
     """
     def go(t: Term) -> Term:
         if name not in free_names(t):
@@ -293,9 +303,21 @@ def subst(t: Term, name: str, value: Term) -> Term:
             c = v.raw
             return Lit(Plain(Closure(c.latent, c.param, c.param_type, go(c.body)),
                              v.label), t.pos)
-        if cls is Let and t.name == name:
-            return Let(name, go(t.bound), t.body, t.pos)
-        return map_children(t, go)
+        if cls is not Let:
+            return map_children(t, go)
+        spine = []              # lets in which name is free, top down
+        while True:
+            spine.append(t)
+            if t.name == name:  # its body is out of the name's scope
+                body = t.body
+                break
+            t = t.body
+            if t.__class__ is not Let or name not in free_names(t):
+                body = go(t)
+                break
+        for let in reversed(spine):
+            body = Let(let.name, go(let.bound), body, let.pos)
+        return body
 
     return go(t)
 

@@ -9,16 +9,16 @@ the 17 forms, its term-valued fields in evaluation order and how many of
 them form the strict prefix evaluated before the node reduces. The helpers
 children, rebuild and map_children are derived from that table when the
 module loads, and map_value does the same for the three value forms that
-hold terms or values. Substitution, decomposition, location scanning,
-clone rewriting and the low-equivalence check are written against these
-helpers, so a new form is one table entry. map_children keeps the child
-results in local variables, one branch per child count, and builds the
-tuple for the rebuild only after the recursive calls return; it returns
-the node itself when no child changed. Substitution maps only the nodes
-on the paths to the occurrences it replaces (runtime_local.free_names
-prunes the rest), but clone rewriting and the low-equivalence check map
-whole terms, so a list of results per node, or a copy of every unchanged
-node, shows up as collector work.
+hold terms or values; both maps return their input when nothing in it
+changed. Substitution, decomposition, map_locations (the one walk over the
+locations a term holds, for refs and the clone upload) and the
+low-equivalence check are written against these helpers, so a new form is
+one table entry. The last two map whole terms, so map_children keeps the
+child results in locals, one branch per child count: a list per node
+would show up as collector work. The printed syntax is a table too:
+TERM_LAYOUT gives each form but Lit and Record its precedence level, a
+format template and the level each child needs, and OPERATORS gives each
+binary operator its form and spelling, for the printer and the parser.
 """
 
 from __future__ import annotations
@@ -542,43 +542,54 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
 def map_value(v: LabeledValue, on_term: Callable[[Term], Term],
               on_value: Callable[[LabeledValue], LabeledValue]) -> LabeledValue:
     """v with on_term applied to the term it holds (a closure body or a
-    duplicated creation) and on_value to each record field; every other
-    value comes back as it is."""
+    duplicated creation) and on_value to each record field; v itself when
+    they change nothing, and every other value comes back as it is."""
     if isinstance(v, Duplicated):
-        return Duplicated(on_term(v.inner))
+        inner = on_term(v.inner)
+        return v if inner is v.inner else Duplicated(inner)
     raw = v.raw
     if isinstance(raw, Closure):
-        return Plain(Closure(raw.latent, raw.param, raw.param_type, on_term(raw.body)),
-                     v.label)
+        body = on_term(raw.body)
+        return v if body is raw.body else Plain(
+            Closure(raw.latent, raw.param, raw.param_type, body), v.label)
     if isinstance(raw, RecordVal):
-        return Plain(RecordVal(tuple((n, on_value(fv)) for n, fv in raw.fields)), v.label)
+        fields = tuple((n, on_value(fv)) for n, fv in raw.fields)
+        same = all(new is old for (_, new), (_, old) in zip(fields, raw.fields))
+        return v if same else Plain(RecordVal(fields), v.label)
     return v
 
 
 # ---------------------------------------------------------------------------
 # Location occurrence
 
+def map_locations(t: Term, f: Callable[[Location], Location]) -> Term:
+    """t with f applied to every location it holds, through values, records
+    and abstraction bodies; t itself when f changes none."""
+    def term(s: Term) -> Term:
+        if s.__class__ is Lit:
+            v = value(s.value)
+            return s if v is s.value else Lit(v, s.pos)
+        return map_children(s, term)
+
+    def value(v: LabeledValue) -> LabeledValue:
+        if isinstance(v, Plain) and isinstance(v.raw, Location):
+            o = f(v.raw)
+            return v if o is v.raw else Plain(o, v.label)
+        return map_value(v, term, value)
+
+    return term(t)
+
+
 def refs(t: Term) -> frozenset[Location]:
     """Locations occurring syntactically in a term, through values, records
     and abstraction bodies."""
     out: set[Location] = set()
 
-    def term(s: Term) -> Term:
-        if s.__class__ is Lit:
-            value(s.value)
-        else:
-            for c in children(s):
-                term(c)
-        return s
+    def see(o: Location) -> Location:
+        out.add(o)
+        return o
 
-    def value(v: LabeledValue) -> LabeledValue:
-        if isinstance(v, Plain) and isinstance(v.raw, Location):
-            out.add(v.raw)
-        else:
-            map_value(v, term, value)
-        return v
-
-    term(t)
+    map_locations(t, see)
     return frozenset(out)
 
 
@@ -591,59 +602,47 @@ def value_locations(v: LabeledValue) -> frozenset[Location]:
 
 _TERM, _ASSIGN, _BINOP, _APP, _PREFIX, _ATOM = range(6)
 
-_LATOP_SYM = {"join": "\\/", "meet": "/\\"}
-_ORDOP_SYM = {"le": "<=", "lt": "<"}
+# the binary operators: name -> (form, spelling)
+OPERATORS = {"join": (LatOp, "\\/"), "meet": (LatOp, "/\\"),
+             "le": (OrdOp, "<="), "lt": (OrdOp, "<")}
+
+# every form but Lit and Record: its level, a str.format template over its
+# printed children ({0}, ...), the node (t) and the operator spelling (op),
+# and the level each child is printed at (a lower one gets parentheses)
+TERM_LAYOUT: dict[type, tuple[int, str, tuple[int, ...]]] = {
+    Var: (_ATOM, "{t.name}", ()),
+    Restrict: (_ATOM, "{0}[{t.label}]", (_ATOM,)),
+    Proj: (_ATOM, "{0}.{t.name}", (_ATOM,)),
+    Deref: (_PREFIX, "!{0}", (_PREFIX,)),
+    App: (_APP, "{0} {1}", (_APP, _PREFIX)),
+    LatOp: (_BINOP, "{0} {op} {1}", (_BINOP, _APP)),
+    OrdOp: (_BINOP, "{0} {op} {1}", (_BINOP, _APP)),
+    Assign: (_ASSIGN, "{0} := {1}", (_BINOP, _BINOP)),
+    If: (_TERM, "if {0} then {{ {1} }} else {{ {2} }}", (_TERM, _TERM, _TERM)),
+    Let: (_TERM, "let {t.name} = {0} in {1}", (_TERM, _TERM)),
+    Ref: (_ATOM, "ref@{t.label}({0}, {t.ident})", (_TERM,)),
+    Clone: (_ATOM, "clone@{t.label}({0}, {t.ident})", (_TERM,)),
+    Await: (_ATOM, "await({t.ident})", ()),
+    FlexRead: (_ATOM, "flexread@{t.label}({0})", (_TERM,)),
+    FlexWrite: (_ATOM, "flexwrite@{t.label}({0}, {1})", (_TERM, _TERM)),
+}
 
 
 def pretty(t: Term, level: int = _TERM) -> str:
     s, lv = _pp(t)
-    if lv < level:
-        return f"({s})"
-    return s
+    return f"({s})" if lv < level else s
 
 
 def _pp(t: Term) -> tuple[str, int]:
-    match t:
-        case Var(name=n):
-            return n, _ATOM
-        case Lit(value=v):
-            return _pp_value(v)
-        case Restrict(term=s, label=lab):
-            return f"{pretty(s, _ATOM)}[{lab}]", _ATOM
-        case Proj(term=s, name=n):
-            return f"{pretty(s, _ATOM)}.{n}", _ATOM
-        case Deref(term=s):
-            return f"!{pretty(s, _PREFIX)}", _PREFIX
-        case App(fn=f, arg=a):
-            return f"{pretty(f, _APP)} {pretty(a, _PREFIX)}", _APP
-        case LatOp(op=op, left=a, right=b):
-            return f"{pretty(a, _BINOP)} {_LATOP_SYM[op]} {pretty(b, _APP)}", _BINOP
-        case OrdOp(op=op, left=a, right=b):
-            return f"{pretty(a, _BINOP)} {_ORDOP_SYM[op]} {pretty(b, _APP)}", _BINOP
-        case Assign(target=a, value=b):
-            return f"{pretty(a, _BINOP)} := {pretty(b, _BINOP)}", _ASSIGN
-        case If(cond=c, then=a, els=b):
-            return (
-                f"if {pretty(c, _TERM)} then {{ {pretty(a, _TERM)} }} "
-                f"else {{ {pretty(b, _TERM)} }}",
-                _TERM,
-            )
-        case Let(name=x, bound=a, body=b):
-            return f"let {x} = {pretty(a, _TERM)} in {pretty(b, _TERM)}", _TERM
-        case Ref(label=lab, init=s, ident=ident):
-            return f"ref@{lab}({pretty(s, _TERM)}, {ident})", _ATOM
-        case Clone(label=lab, term=s, ident=ident):
-            return f"clone@{lab}({pretty(s, _TERM)}, {ident})", _ATOM
-        case Await(ident=ident):
-            return f"await({ident})", _ATOM
-        case FlexRead(label=lab, term=s):
-            return f"flexread@{lab}({pretty(s, _TERM)})", _ATOM
-        case FlexWrite(label=lab, target=a, value=b):
-            return f"flexwrite@{lab}({pretty(a, _TERM)}, {pretty(b, _TERM)})", _ATOM
-        case Record(fields=fs, label=lab):
-            inner = ", ".join(f"{n} = {pretty(ft, _TERM)}" for n, ft in fs)
-            return f"{{{inner}}}@{lab}", _ATOM
-    raise TypeError(f"not a term: {t!r}")
+    cls = t.__class__
+    if cls is Lit:
+        return _pp_value(t.value)
+    if cls is Record:
+        inner = ", ".join(f"{n} = {pretty(ft, _TERM)}" for n, ft in t.fields)
+        return f"{{{inner}}}@{t.label}", _ATOM
+    level, template, needs = TERM_LAYOUT[cls]
+    op = OPERATORS[t.op][1] if cls is LatOp or cls is OrdOp else None
+    return template.format(*map(pretty, children(t), needs), t=t, op=op), level
 
 
 def _pp_value(v: LabeledValue) -> tuple[str, int]:

@@ -17,8 +17,8 @@ from .syntax import (
     CON, Deref, Duplicated, FlexRead, FlexWrite, Identifier, If, Label,
     LatOp, LatType, Let, Lit, Location, LOC, OAC, OrdOp, Pos, Program,
     Proj, Record, RecordType, RecordVal, Ref, RefType, Restrict, Term, Type,
-    UnitType, UnitVal, Var, label_join, label_leq, label_lt, label_of,
-    map_labels, pretty_type, ref_free, refs, same_raw_shape, subtype,
+    UnitType, UnitVal, Var, erase_labels, label_join, label_leq, label_lt,
+    label_of, map_labels, pretty_type, ref_free, refs, same_raw_shape, subtype,
     type_join, type_join_label, with_label,
 )
 from . import lattice
@@ -304,7 +304,7 @@ def typecheck_clone(env: TypeEnv, sub: Term, lab: Label, ident: Identifier,
     ts = typecheck(env, sub)
     if not isinstance(ts, RefType) or ts.label != LOC:
         raise CheckError(ErrorKind.MISMATCH, pos, f"clone applies to local references, found {pretty_type(ts)}")
-    if not _all_loc(ts.content):
+    if erase_labels(ts.content) != ts.content:
         raise CheckError(ErrorKind.MISMATCH, pos, "clone requires an all-local reference graph")
     if not label_leq(env.effect, CON):
         raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"clone under effect {env.effect}")
@@ -313,19 +313,6 @@ def typecheck_clone(env: TypeEnv, sub: Term, lab: Label, ident: Identifier,
     content = upgrade(ts.content)
     _record_id(env, ident, content, pos)
     return RefType(CON, content)
-
-
-def _all_loc(t: Type) -> bool:
-    ok = True
-
-    def look(lab: Label) -> Label:
-        nonlocal ok
-        if lab != LOC:
-            ok = False
-        return lab
-
-    map_labels(t, look)
-    return ok
 
 
 def upgrade(t: Type) -> Type:

@@ -6,7 +6,7 @@ import pytest
 
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import initial_config
-from ctrd.syntax import Lit, children, map_value
+from ctrd.syntax import Duplicated, Lit, Location, RecordVal, children, map_value
 from ctrd.typecheck import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -48,6 +48,55 @@ def subterms(t) -> list:
 
     term(t)
     return out
+
+
+def canonical_shape(graph):
+    """A reference graph's shape with locations renamed by deterministic
+    traversal order and value labels erased: equal shapes mean isomorphic
+    graphs."""
+    order: dict[Location, int] = {}
+
+    def visit(o: Location) -> None:
+        if o in order:
+            return
+        order[o] = len(order)
+        for succ in _ordered_succs(graph.nodes[o]):
+            visit(succ)
+
+    visit(graph.root)
+    for o in sorted(graph.nodes, key=lambda loc: loc.sort_key()):
+        visit(o)
+
+    def shape_of(v):
+        if isinstance(v, Duplicated):
+            return ("duplicated",)
+        raw = v.raw
+        if isinstance(raw, Location):
+            return ("loc", order[raw])
+        if isinstance(raw, RecordVal):
+            return ("record", tuple((n, shape_of(fv)) for n, fv in raw.fields))
+        return ("raw", raw)
+
+    return tuple(shape_of(graph.nodes[o])
+                 for o in sorted(graph.nodes, key=lambda loc: order[loc]))
+
+
+def _ordered_succs(v) -> list[Location]:
+    """Successor locations in deterministic value-traversal order."""
+    out: list[Location] = []
+
+    def walk(v) -> None:
+        if isinstance(v, Duplicated):
+            return
+        raw = v.raw
+        if isinstance(raw, Location):
+            out.append(raw)
+        elif isinstance(raw, RecordVal):
+            for _, fv in raw.fields:
+                walk(fv)
+
+    walk(v)
+    return list(dict.fromkeys(out))
 
 
 @pytest.fixture

@@ -5,7 +5,9 @@ as a differential oracle.
 `tokenize` walks the text one character at a time and builds a `Token`
 per token; its one change is that a number is ASCII digits only.
 `OracleParser` parses a `let` in two recursive frames, the body through
-`term`, on the parser's own grammar otherwise. `typecheck` types the let
+`term`, and reads each call form (ref, clone, await, flexread, flexwrite)
+and each binary operator by a branch of its own; it reads the rest of the
+grammar with the parser's own methods. `typecheck` types the let
 spine it is given by recursion, with one context copy per `let`, and
 hands every other term to ctrd's typechecker. `collect_id_types` reruns
 every client until the identifier map stops changing.
@@ -16,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ctrd.parser import KEYWORDS, ParseError, _Parser
-from ctrd.syntax import LOC, Let, Pos
+from ctrd.syntax import (
+    App, Await, Clone, FlexRead, FlexWrite, Label, LatOp, LOC, Let, OrdOp, Pos,
+    Ref, Var,
+)
 from ctrd.typecheck import CheckError, ProgramCheck, TypeEnv, typecheck as typecheck_term
 
 _SYMBOLS = ["=>", ":=", "<=", "->", "\\/", "/\\",
@@ -90,8 +95,15 @@ def tokenize(src: str) -> list[Token]:
     return toks
 
 
+_PREFIX_START = frozenset(
+    ["!", "(", "{", "ident", "nat", "set", "true", "false", "unit",
+     "ref", "clone", "await", "flexread", "flexwrite"]
+)
+
+
 class OracleParser(_Parser):
-    """The parser's grammar over the oracle's tokens, a let in two frames."""
+    """The parser's grammar over the oracle's tokens, a let in two frames
+    and a branch per call form and per operator."""
 
     def __init__(self, src: str):
         super().__init__([(t.kind, t.text, t.pos) for t in tokenize(src)])
@@ -105,9 +117,99 @@ class OracleParser(_Parser):
         body = self.term()
         return Let(name, bound, body, pos=start[2])
 
+    def binop(self):
+        t = self.app()
+        while True:
+            kind = self.tok[0]
+            if kind == "\\/" or kind == "/\\":
+                pos = self.next()[2]
+                rhs = self.app()
+                t = LatOp("join" if kind == "\\/" else "meet", t, rhs, pos=pos)
+            elif kind == "<=" or kind == "<":
+                pos = self.next()[2]
+                rhs = self.app()
+                t = OrdOp("le" if kind == "<=" else "lt", t, rhs, pos=pos)
+            else:
+                return t
+
+    def app(self):
+        t = self.prefix()
+        while self.tok[0] in _PREFIX_START:
+            arg = self.prefix()
+            t = App(t, arg, pos=arg.pos)
+        return t
+
+    def atom(self):
+        kind, text, pos = self.tok
+        if kind == "ident":
+            self.next()
+            return Var(text, pos=pos)
+        if kind == "(":
+            self.next()
+            inner = self.term()
+            self.expect(")")
+            return inner
+        if kind == "{":
+            return self.record()
+        if kind in ("nat", "set", "true", "false", "unit"):
+            return self.literal()
+        if kind == "num":
+            raise ParseError(pos, "bare number; write `nat N @label`")
+        if kind == "ref" or kind == "clone":
+            return self.ref_or_clone()
+        if kind == "await":
+            self.next()
+            self.expect("(")
+            ident = self.idlit()
+            self.expect(")")
+            return Await(ident, pos=pos)
+        if kind == "flexread":
+            self.next()
+            lab = self.flex_label(pos, "FlexRead")
+            self.expect("(")
+            sub = self.term()
+            self.expect(")")
+            return FlexRead(lab, sub, pos=pos)
+        if kind == "flexwrite":
+            self.next()
+            lab = self.flex_label(pos, "FlexWrite")
+            self.expect("(")
+            target = self.term()
+            self.expect(",")
+            value = self.term()
+            self.expect(")")
+            return FlexWrite(lab, target, value, pos=pos)
+        shown = text or "end of input"
+        raise ParseError(pos, f"expected a term, found {shown!r}")
+
+    def flex_label(self, pos, what: str):
+        lab = self.at_label()
+        if lab not in (Label.CON, Label.AVA):
+            raise ParseError(pos, f"{what} label must be con or ava")
+        return lab
+
+    def ref_or_clone(self):
+        kind, _, pos = self.next()   # "ref" or "clone"
+        lab = self.at_label()
+        self.expect("(")
+        body = self.term()
+        self.expect(",")
+        ident = self.idlit()
+        self.expect(")")
+        if kind == "ref":
+            return Ref(lab, body, ident, pos=pos)
+        return Clone(lab, body, ident, pos=pos)
+
 
 def parse_program(src: str):
     return OracleParser(src).program()
+
+
+def parse_term(src: str):
+    p = OracleParser(src)
+    t = p.term()
+    p.expect("eof")
+    return t
 
 
 def typecheck(env: TypeEnv, t):

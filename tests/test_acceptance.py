@@ -10,11 +10,11 @@ import time
 
 import pytest
 
-from conftest import CORPUS, checked_config, corpus_files, load
+from conftest import CORPUS, canonical_shape, checked_config, corpus_files, load
 from ctrd.abstract_exec import (
     check_ec, check_noninterference, check_sc, project_con, record,
 )
-from ctrd.clone import canonical_shape, reachable_graph
+from ctrd.clone import reachable_graph
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import explore, make_scheduler, run
 from ctrd.runtime_local import CtrdRuntimeError

@@ -168,10 +168,12 @@ def test_long_let_spine_checks_and_its_run_ends_in_one_line(tmp_path, capsys):
     path.write_text(f"servers 1; client 1 {{ {body} }}")
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().out == f"{path}: OK\n"
-    # the simulator still recurses on the residual term
-    assert main(["run", str(path)]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and "nests deeper" in err, err
+    # substitution walks the residual spine in a loop, too
+    trace, exec_ = tmp_path / "trace.json", tmp_path / "exec.json"
+    for flags in ([], ["--trace", str(trace), "--exec", str(exec_), "--check", "sc,ec"]):
+        assert main(["run", str(path), *flags]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and '"steps": 5000' in out.splitlines()[-1], out
 
 
 def test_a_digit_that_int_rejects_is_a_syntax_error(tmp_path, capsys):
@@ -182,6 +184,24 @@ def test_a_digit_that_int_rejects_is_a_syntax_error(tmp_path, capsys):
         assert main([command, str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"{path}:1:9: SyntaxError: unexpected character '\u00b2'\n"
+
+
+def test_a_number_too_long_for_int_is_a_syntax_error(tmp_path, capsys):
+    # int() converts at most 4,300 digits; every number read says so in one line
+    big = "9" * 5000
+    programs = {
+        f"servers {big};\nclient 1 {{ unit @loc }}\n": "1:9",
+        f"servers 1;\nclient {big} {{ unit @loc }}\n": "2:8",
+        f"servers 1;\nclient 1 {{ nat {big} @loc }}\n": "2:16",
+        f"servers 1;\nclient 1 {{ await((con,{big})) }}\n": "2:23",
+    }
+    path = tmp_path / "big.ctrd"
+    for text, at in programs.items():
+        path.write_text(text, encoding="utf-8")
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"{path}:{at}: SyntaxError: number too long (5000 digits)\n"
 
 
 def test_unknown_check_name_is_a_usage_error(capsys):

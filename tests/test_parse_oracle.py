@@ -145,7 +145,9 @@ def test_every_let_of_a_long_spine_keeps_its_position():
 _PIECES = st.sampled_from(
     ["²", "٣", "½", "é", "λ", "_", "x", "7", "0", " ", "\n", "\t", "\r", "\x0b",
      '"', "/", "//", "\\", "@", "(", ")", "{", "}", "[", "]", ";", ":", "=", "<",
-     "-", "!", ".", ",", "let", "in", "x²", "²x", "servers", "😀"])
+     "-", "!", ".", ",", "let", "in", "x²", "²x", "servers", "😀",
+     "ref", "clone", "await", "flexread", "flexwrite", "@con", "@loc", "(con,1)",
+     "\\/", "/\\", "<=", ":="])
 
 
 @st.composite

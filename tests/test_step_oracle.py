@@ -26,8 +26,17 @@ def _closure(param: str, body) -> Lit:
     return Lit(Plain(Closure(LOC, param, LatType(LOC), body), LOC))
 
 
+def _spine(lets, body):
+    for name, bound in reversed(lets):
+        body = Let(name, bound, body)
+    return body
+
+
 def _forms(term):
     return st.one_of(
+        # a let spine: names shadowed part way down, and used deep down;
+        # short enough for the oracle's recursion
+        st.builds(_spine, st.lists(st.tuples(_names, term), min_size=2, max_size=40), term),
         st.builds(Let, _names, term, term),                # shadows when it binds the name
         st.builds(_closure, _names, term),                 # param is or is not the name
         st.builds(lambda a, b: LatOp("join", a, b), term, term),
@@ -61,6 +70,22 @@ def test_pruned_subst_equals_the_full_walk(t, name, value):
     # nodes and on the nodes subst built
     for s in subterms(t) + subterms(got):
         assert free_names(s) == step_oracle.free_names(s), s
+
+
+def test_a_long_spine_is_substituted_in_a_loop():
+    # far deeper than the recursion limit: the lets above the one that
+    # rebinds y get the value, the ones below it come back untouched
+    one = Lit(Plain(NatMax(1), LOC))
+    lets = [(f"x{i}", Var("y")) for i in range(3000)]
+    lets[2000] = ("y", Var("y"))
+    t = _spine(lets, Var("y"))
+    assert free_names(t) == {"y"}
+    got, below = subst(t, "y", one), t
+    for i in range(2001):
+        assert got.name == lets[i][0] and got.bound is one
+        got, below = got.body, below.body
+    assert got is below
+    assert subst(t, "z", one) is t
 
 
 def test_free_names_is_cached_on_the_node():

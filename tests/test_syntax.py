@@ -1,5 +1,6 @@
 """Syntax-level algebra: subtyping, label joins on types, location
-occurrence, parsing, and the pretty-printer round trip."""
+occurrence, parsing, and the pretty-printer round trip; the printer and
+the parser against the oracles in syntax_oracle.py and parse_oracle.py."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parse_oracle
+import syntax_oracle
+from conftest import CORPUS, load, subterms
 from ctrd.lattice import GSet, NatMax
 from ctrd.parser import ParseError, parse_program, parse_term, parse_type
 from ctrd.syntax import (
@@ -278,6 +282,37 @@ _term_st = st.recursive(st.one_of(_literal_st, st.builds(Var, _name_st)),
 @given(_term_st)
 def test_roundtrip_generated_terms(t):
     assert parse_term(pretty(t)) == t
+
+
+LEVELS = range(6)     # term, assign, binop, app, prefix, atom
+
+
+def _parsed_as_oracle(text: str) -> None:
+    got, want = parse_term(text), parse_oracle.parse_term(text)
+    assert got == want
+    assert [(type(s), s.pos) for s in subterms(got)] == \
+        [(type(s), s.pos) for s in subterms(want)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_st)
+def test_generated_terms_print_and_parse_as_the_oracles_do(t):
+    for level in LEVELS:
+        text = pretty(t, level)
+        assert text == syntax_oracle.pretty(t, level), level
+        _parsed_as_oracle(text)
+
+
+def test_corpus_subterms_print_and_parse_as_the_oracles_do():
+    count = 0
+    for path in sorted(CORPUS.rglob("*.ctrd")):
+        for _, body in parse_program(load(path)).clients:
+            for t in subterms(body):
+                for level in LEVELS:
+                    assert pretty(t, level) == syntax_oracle.pretty(t, level), (path, t)
+                _parsed_as_oracle(pretty(t))
+                count += 1
+    assert count == 646
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,14 +8,18 @@ import importlib.util
 import pathlib
 import typing
 
+from hypothesis import given, settings, strategies as st
+
+import syntax_oracle
 from conftest import CORPUS, load, subterms
-from ctrd.clone import rewrite_term
 from ctrd.lattice import NatMax
 from ctrd.parser import ParseError, parse_program, parse_term, parse_type
 from ctrd.runtime_local import free_names, subst
 from ctrd.syntax import (
-    Closure, LOC, Let, Lit, Location, Plain, RecordVal, TERM_FIELDS, Term,
-    children, map_children, rebuild, refs,
+    App, Closure, CON, Deref, Duplicated, Identifier, LABELS, LOC, Let, Lit,
+    Location, Plain, Record, RecordVal, Ref, Restrict, TERM_FIELDS, TERM_LAYOUT,
+    Term, Var, children, map_children, map_locations, pretty, rebuild, refs,
+    value_locations,
 )
 
 TERM_FORMS = tuple(TERM_FIELDS)
@@ -36,6 +40,12 @@ def test_every_term_form_has_a_table_entry():
     for cls, (names, strict) in TERM_FIELDS.items():
         assert set(names) <= {f.name for f in dataclasses.fields(cls)}, cls
         assert strict is None or strict <= len(names), cls
+    # the printer lays out every form but the two it prints itself, with
+    # one level per child
+    assert set(TERM_LAYOUT) == set(TERM_FIELDS) - {Lit, Record}
+    for cls, (level, template, needs) in TERM_LAYOUT.items():
+        assert len(needs) == len(TERM_FIELDS[cls][0]), cls
+        assert all(f"{{{i}}}" in template for i in range(len(needs))), cls
 
 
 def test_rebuild_of_children_is_identity_on_the_corpus():
@@ -84,9 +94,57 @@ def test_rewrite_reaches_closure_bodies_and_record_fields():
     t = parse_term("{a = unit @loc, b = unit @loc}@loc")
     t = rebuild(t, (body, record))
     assert refs(t) == {old}
-    moved = rewrite_term(t, {old: new})
+    moved = map_locations(t, {old: new}.__getitem__)
     assert refs(moved) == {new}
     assert rebuild(moved, children(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# the location walk against the recursive walks in syntax_oracle.py
+
+_locations = st.builds(Location, st.integers(1, 2), st.integers(1, 3), st.booleans())
+
+
+def _location_terms():
+    """Terms whose literals hold locations in every place a value can:
+    bare, in record values, in closure bodies and in duplicated markers."""
+    leaf = st.one_of(st.builds(Var, st.just("x")),
+                     st.builds(lambda o: Lit(Plain(o, LOC)), _locations),
+                     st.just(Lit(Plain(NatMax(1), CON))))
+
+    def forms(term):
+        value = term.filter(lambda t: isinstance(t, Lit)).map(lambda t: t.value)
+        return st.one_of(
+            st.builds(App, term, term),
+            st.builds(Deref, term),
+            st.builds(Restrict, term, st.sampled_from(LABELS)),
+            st.builds(lambda a, b: Let("x", a, b), term, term),
+            st.builds(lambda a, b: Record((("a", a), ("b", b)), LOC), term, term),
+            st.builds(lambda t: Ref(LOC, t, Identifier(LOC, 1)), term),
+            st.builds(lambda t: Lit(Duplicated(t)), term),
+            st.builds(lambda t: Lit(Plain(Closure(LOC, "z", parse_type("Lat@loc"), t), LOC)),
+                      term),
+            st.builds(lambda a, b: Lit(Plain(RecordVal((("f", a), ("g", b))), CON)),
+                      value, value),
+        )
+
+    return st.recursive(leaf, forms, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_location_terms(), st.dictionaries(_locations, _locations, max_size=4))
+def test_map_locations_renames_as_the_recursive_rewrite_does(t, mapping):
+    assert refs(t) == syntax_oracle.refs(t)
+    if isinstance(t, Lit):
+        assert value_locations(t.value) == syntax_oracle.refs(t)
+    moved = map_locations(t, lambda o: mapping.get(o, o))
+    assert moved == syntax_oracle.rewrite_term(t, mapping)
+    for level in range(6):
+        assert pretty(moved, level) == syntax_oracle.pretty(moved, level)
+    # nothing renamed: the term itself comes back
+    if not refs(t) & mapping.keys():
+        assert moved is t
+    assert map_locations(t, lambda o: o) is t
 
 
 def test_bench_tracer_targets_still_resolve():

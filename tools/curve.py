@@ -75,10 +75,9 @@ def sc_curve(args) -> tuple[dict, list]:
     `record` and `project_con` on its trace and `check_sc` on the whole
     history and on its con projection. The whole history mixes con and ava
     events and fails SC, so its check can stop at the first failed clause;
-    the con projection passes, so its check does all the work."""
-    # the simulator recurses once per let on the residual term, and these
-    # let-chains run to several hundred lets
-    sys.setrecursionlimit(20000)
+    the con projection passes, so its check does all the work. These
+    let-chains run to several hundred lets; the simulator walks a let
+    spine in a loop, so the recursion limit stays as it is."""
     factors, runs = numbers(args.factors), []
     for k in factors:
         g = gen.chain_program(args.seed, "curve", gen.scale_mix(gen.HISTORY_MIX, k), False)
@@ -125,9 +124,9 @@ def step_curve(args) -> tuple[dict, list]:
     assign a con cell) under the drain-fair scheduler from a fresh initial
     configuration. A step that cost the same at every length would give a
     flat curve; `drop` is the first point's steps per second over the last
-    point's. The default sizes stop at 480 lets: near 500, the simulator's
-    walks over the residual term, which recurse once per let, give up at
-    the default recursion limit, which this curve leaves as it is."""
+    point's. Substitution and its free-name sets walk the residual let
+    spine in a loop, so any length runs under the default recursion
+    limit, which this curve leaves as it is."""
     sizes = numbers(args.sizes, int)
     got = timed([checked(gen.deep_chain(n)) for n in sizes], lambda p: {"run": partial(
         run, initial_config(*p), make_scheduler("drain-fair"), 10 ** 6)}, args.repeat)
@@ -195,7 +194,7 @@ def front_curve(args) -> tuple[dict, list]:
 CURVES = {
     "sc": (sc_curve, {"--factors": "1.3,2.6,5.3,10.6,13.5", "--seed": 7, "--repeat": 3}),
     "explore": (explore_curve, {"--servers": "2,3,4,5,6", "--max-depth": 24, "--repeat": 3}),
-    "step": (step_curve, {"--sizes": "50,100,200,400,480", "--repeat": 15}),
+    "step": (step_curve, {"--sizes": "50,200,500,1000,2000", "--repeat": 15}),
     "trace": (trace_curve, {"--factors": "1,2,4", "--repeat": 15}),
     "front": (front_curve, {"--sizes": "500,1000,2000,5000", "--repeat": 7}),
 }
