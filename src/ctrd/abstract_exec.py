@@ -22,7 +22,7 @@ import json
 from collections.abc import MutableSet
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -99,12 +99,18 @@ def _relation(masks: str) -> property:
 
 class AbstractExecution(Interned):
     """A history over the events of the given clients (see the module
-    docstring for the mask layout). key() is built on every call; key_id
-    keeps its interned int, so an execution is interned only once it is
-    no longer folded into or edited."""
+    docstring for the mask layout).
 
-    __slots__ = ("clients", "_slot", "_bit", "op", "rval",
-                 "sp_masks", "rb_masks", "vis_masks", "ar_masks", "_table", "_id")
+    key_id interns each event's (index, op, rval) once and keys the
+    execution by the sorted event ints and the rb, vis and ar masks: equal
+    exactly when key(), the structural key built on every call, is equal.
+    The event ints live in a map that copy() passes on, valid for one
+    table; events are only ever added, so a copy folded one step further
+    interns one event. An execution is interned only once it is no longer
+    folded into or edited."""
+
+    __slots__ = ("clients", "_slot", "_bit", "op", "rval", "sp_masks", "rb_masks",
+                 "vis_masks", "ar_masks", "_table", "_id", "_events", "_events_table")
 
     def __init__(self, clients: Iterable[int] = ()):
         self.clients = tuple(sorted(set(clients)))
@@ -118,7 +124,8 @@ class AbstractExecution(Interned):
         self.rb_masks: list[int] = []
         self.vis_masks: list[int] = []
         self.ar_masks: list[int] = []
-        self._table = None
+        self._table = self._events_table = None
+        self._events: dict[EventId, int] = {}
 
     def copy(self) -> "AbstractExecution":
         new = object.__new__(AbstractExecution)
@@ -126,13 +133,27 @@ class AbstractExecution(Interned):
         new.op, new.rval = dict(self.op), dict(self.rval)
         new.sp_masks, new.rb_masks = self.sp_masks[:], self.rb_masks[:]
         new.vis_masks, new.ar_masks = self.vis_masks[:], self.ar_masks[:]
-        new._table = None
+        new._table, new._events_table = None, self._events_table
+        new._events = dict(self._events)
         return new
 
     def key(self):
         index, rval = self.index, self.rval
         return (tuple(sorted((index(e), op, rval.get(e)) for e, op in self.op.items())),
                 tuple(self.rb_masks), tuple(self.vis_masks), tuple(self.ar_masks))
+
+    def key_id(self, table: dict) -> int:
+        if self._table is not table:
+            if self._events_table is not table:
+                self._events, self._events_table = {}, table
+            events, op = self._events, self.op
+            # the events folded since the map was last filled, in order
+            for e in islice(op, len(events), None):
+                events[e] = table.setdefault((self.index(e), op[e], self.rval.get(e)), len(table))
+            self._id = table.setdefault((tuple(sorted(events.values())), tuple(self.rb_masks),
+                                         tuple(self.vis_masks), tuple(self.ar_masks)), len(table))
+            self._table = table
+        return self._id
 
     def index(self, e: EventId) -> int:
         slot = self._slot.get(e.client)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from math import factorial
@@ -24,7 +23,7 @@ from .clone import clone_step
 from .runtime_local import (
     _CLIENT_N, Action, ClientState, CtrdRuntimeError, EventId, Interned,
     Message, Req, Update, cell_operand, decompose, eps, initial_client,
-    join_into, merge_values, sorted_items, step_local,
+    join_into, merge_values, payload_id, sorted_items, step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
@@ -66,19 +65,6 @@ class Server(Interned):
         return (sorted_items(self.store), self.seq)
 
 
-class _BuiltKey(Interned):
-    """A key built from configuration parts that are replaced, never
-    mutated (the mailbox tuple) or copied before they change (the maps)."""
-
-    __slots__ = ("_key", "_table", "_id")
-
-    def __init__(self, key: tuple):
-        self._key, self._table = key, None
-
-    def key(self) -> tuple:
-        return self._key
-
-
 class CloudConfig:
     """Clients, the mailbox of in-flight messages, the replica servers, and
     the global identifier and store typing maps.
@@ -92,8 +78,8 @@ class CloudConfig:
 
     Invariant: a component that has been keyed is never mutated. Clients
     and servers keep the int of their key in the last intern table asked,
-    and the configuration keeps the keys of its mailbox and maps until they
-    are reassigned or copied.
+    and the configuration keeps the ints of its mailbox and maps, for the
+    table in _table, until they are reassigned; copies share them.
 
     common is the tuple of events present in every server's log, in
     (client, n) order: the snapshot the synchronized rules record. It is
@@ -103,8 +89,8 @@ class CloudConfig:
     """
 
     __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
-                 "common", "_mailbox", "_mailbox_key", "_ids_key", "_typing_key",
-                 "_owned")
+                 "common", "_mailbox", "_owned", "_table", "_mailbox_id", "_ids_id",
+                 "_typing_id", "_server_ids")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -116,7 +102,7 @@ class CloudConfig:
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
         self.common: tuple[EventId, ...] = ()   # the servers start with empty logs
-        self._ids_key = self._typing_key = None
+        self._table = self._ids_id = self._typing_id = self._server_ids = None
         self._owned: set = set()
 
     @property
@@ -125,16 +111,16 @@ class CloudConfig:
 
     @mailbox.setter
     def mailbox(self, messages: tuple[Message, ...]) -> None:
-        self._mailbox, self._mailbox_key = messages, None
+        self._mailbox, self._mailbox_id = messages, None
 
     def copy(self) -> "CloudConfig":
         new = object.__new__(CloudConfig)
         new.clients, new.servers = dict(self.clients), self.servers[:]
         new.global_ids, new.store_typing = self.global_ids, self.store_typing
         new.id_typing, new.common = self.id_typing, self.common
-        new._mailbox, new._mailbox_key = self._mailbox, self._mailbox_key
-        new._ids_key, new._typing_key = self._ids_key, self._typing_key
-        new._owned = set()
+        new._mailbox, new._mailbox_id = self._mailbox, self._mailbox_id
+        new._table, new._ids_id, new._typing_id = self._table, self._ids_id, self._typing_id
+        new._owned, new._server_ids = set(), None
         return new
 
     # -- private copies, each taken once per configuration ----------------
@@ -157,13 +143,13 @@ class CloudConfig:
     def own_global_ids(self) -> dict[Identifier, Location]:
         if "global_ids" not in self._owned:
             self._owned.add("global_ids")
-            self.global_ids, self._ids_key = dict(self.global_ids), None
+            self.global_ids, self._ids_id = dict(self.global_ids), None
         return self.global_ids
 
     def own_store_typing(self) -> dict[Location, Type]:
         if "store_typing" not in self._owned:
             self._owned.add("store_typing")
-            self.store_typing, self._typing_key = dict(self.store_typing), None
+            self.store_typing, self._typing_id = dict(self.store_typing), None
         return self.store_typing
 
     def enter_common(self, nu: EventId) -> None:
@@ -188,42 +174,45 @@ class CloudConfig:
 
     # -- keys ----------------------------------------------------------------
 
-    def _parts(self) -> tuple[_BuiltKey, _BuiltKey, _BuiltKey]:
-        if self._mailbox_key is None:
-            # an update's delivered set is left out: which server logs hold
-            # its event decides it (check_wf)
-            self._mailbox_key = _BuiltKey(tuple(sorted(
-                (m.key(), Update(m.location, m.ident, m.value, m.origin, frozenset(),
-                                 m.event, m.effect) if m.__class__ is Update else m)
-                for m in self._mailbox)))
-        if self._ids_key is None:
-            self._ids_key = _BuiltKey(tuple(sorted(
-                ((i.sort_key(), i), o) for i, o in self.global_ids.items())))
-        if self._typing_key is None:
-            self._typing_key = _BuiltKey(tuple(sorted(
-                ((o.sort_key(), o), t) for o, t in self.store_typing.items())))
-        return self._mailbox_key, self._ids_key, self._typing_key
-
     def key(self, table: dict) -> tuple:
-        """The key of the configuration's server-permutation orbit: the ints
-        the intern table gives the clients in client order, the sorted
-        mailbox with its delivered sets left out, the servers (sorted) and
-        the two sorted maps. For configurations with the same clients and
-        number of servers, these are equal exactly when one is a server
+        """The key of the configuration's server-permutation orbit, from the
+        ints the intern table gives its parts: the clients in client order,
+        the mailbox (the sorted payload_id of its messages, delivered sets
+        left out), the servers sorted, and the two sorted maps. A part's
+        int is read where it is kept, so a key costs what the last step
+        changed. For configurations with the same clients and number of
+        servers, keys are equal exactly when one configuration is a server
         permutation of the other, as the server logs decide the delivered
         sets."""
-        mailbox, ids, typing = self._parts()
-        clients = [self.clients[cid] for cid in sorted(self.clients)]
-        return (*[c.key_id(table) for c in clients], mailbox.key_id(table),
-                *sorted(s.key_id(table) for s in self.servers),
-                ids.key_id(table), typing.key_id(table))
+        if self._table is not table:
+            self._table, self._mailbox_id, self._ids_id, self._typing_id = table, None, None, None
+        if self._mailbox_id is None:
+            self._mailbox_id = table.setdefault(
+                tuple(sorted([payload_id(m, table) for m in self._mailbox])), len(table))
+        if self._ids_id is None:
+            self._ids_id = table.setdefault(tuple(sorted(
+                ((i.sort_key(), i), o) for i, o in self.global_ids.items())), len(table))
+        if self._typing_id is None:
+            self._typing_id = table.setdefault(tuple(sorted(
+                ((o.sort_key(), o), t) for o, t in self.store_typing.items())), len(table))
+        clients = self.clients
+        servers = self._server_ids = sorted(
+            [s._id if s._table is table else s.key_id(table) for s in self.servers])
+        return (*[c._id if c._table is table else c.key_id(table)
+                  for c in map(clients.__getitem__, sorted(clients))],
+                self._mailbox_id, *servers, self._ids_id, self._typing_id)
 
     def orbit_size(self, table: dict) -> int:
         """How many configurations share this one's key(table): n! over m!
-        for each group of m servers with equal keys."""
-        size = factorial(len(self.servers))
-        for m in Counter(s.key_id(table) for s in self.servers).values():
-            size //= factorial(m)
+        for each run of m equal ints among the sorted server ints that
+        key(table) built."""
+        if self._table is not table or self._server_ids is None:
+            self.key(table)
+        ids = self._server_ids
+        size, run = factorial(len(ids)), 1
+        for a, b in zip(ids, ids[1:]):
+            run = run + 1 if a == b else 1
+            size //= run
         return size
 
 
@@ -333,7 +322,7 @@ def enabled(config: CloudConfig) -> list[Choice]:
 # ---------------------------------------------------------------------------
 # Trace entries
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     step: int
     rule: str
@@ -520,10 +509,9 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
         target = cfg.global_ids[m.ident]
     join_into(server.store, target, raise_label(m.value, m.effect))
     server.seq = (m.event,) + server.seq
-    delivered = m.delivered | {r}
-    if len(delivered) == len(cfg.servers):
+    new_m = m.delivered_to(r)
+    if len(new_m.delivered) == len(cfg.servers):
         cfg.enter_common(m.event)
-    new_m = Update(m.location, m.ident, m.value, m.origin, delivered, m.event, m.effect)
     cfg.mailbox = tuple(new_m if x is m else x for x in cfg.mailbox)
     act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=pre_seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)
@@ -739,7 +727,9 @@ def explore(config: CloudConfig, max_depth: int,
     on unchanged. on_trace(exec_, final, truncated, weight) is called per
     visited maximal trace, standing for weight traces; exec_ may be shared
     and must not be mutated. The state budget, in concrete states, is
-    max_states_from_env().
+    max_states_from_env(). The search keeps its path on an explicit stack,
+    so its depth is bounded by --max-depth, not by Python's recursion
+    limit.
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
@@ -748,7 +738,11 @@ def explore(config: CloudConfig, max_depth: int,
     seen: set = set()
     table: dict = {}
 
-    def visit(cfg: CloudConfig, exec_: AbstractExecution, depth: int) -> None:
+    # depth-first in pre-order, on an explicit stack: per expanded state, its
+    # execution, the depth of its successors and the choices left to step
+    stack: list = []
+
+    def arrive(cfg: CloudConfig, exec_: AbstractExecution, depth: int) -> None:
         known = len(seen)
         seen.add((*cfg.key(table), exec_.key_id(table)))
         if len(seen) == known:
@@ -768,16 +762,20 @@ def explore(config: CloudConfig, max_depth: int,
             if on_trace is not None:
                 on_trace(exec_, cfg, truncated, weight)
             return
-        for choice in choices:
-            nxt, entry = step_cloud(cfg, choice)
-            if entry.action.kind == "eps":
-                visit(nxt, exec_, depth + 1)     # A-INTERNAL: no history change
-                continue
-            nxt_exec = exec_.copy()
-            fold_entry(nxt_exec, entry)
-            visit(nxt, nxt_exec, depth + 1)
+        stack.append((cfg, exec_, depth + 1, iter(choices)))
 
-    visit(config, AbstractExecution(config.clients), 0)
+    arrive(config, AbstractExecution(config.clients), 0)
+    while stack:
+        cfg, exec_, depth, choices = stack[-1]
+        choice = next(choices, None)
+        if choice is None:
+            stack.pop()
+            continue
+        nxt, entry = step_cloud(cfg, choice)
+        if entry.action.kind != "eps":      # A-INTERNAL: no history change
+            exec_ = exec_.copy()
+            fold_entry(exec_, entry)
+        arrive(nxt, exec_, depth)
     return summary
 
 

@@ -52,10 +52,11 @@ _CLIENT_N = attrgetter("client", "n")
 Source = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Action:
     """One step's observable effect: the running effect label plus an
-    optional rd/wr/ref operation record."""
+    optional rd/wr/ref operation record. Never hashed or keyed, so not
+    frozen: a frozen dataclass pays a call per field to build."""
 
     effect: Label
     kind: str = "eps"                      # "rd" | "wr" | "ref" | "eps"
@@ -75,7 +76,8 @@ def eps(effect: Label) -> Action:
 
 @dataclass(frozen=True)
 class Update:
-    """Buffered asynchronous write: carried until every server has seen it."""
+    """Buffered asynchronous write: carried until every server has seen it.
+    Its payload is every field but delivered (see payload_id)."""
 
     location: Location
     ident: Optional[Identifier]
@@ -87,6 +89,15 @@ class Update:
 
     def key(self) -> tuple[int, int, int]:
         return (0, self.origin, self.event.n)
+
+    def delivered_to(self, r: int) -> "Update":
+        """This update marked delivered at server r too, carrying the int
+        payload_id kept for it: the payload does not change."""
+        new = Update(self.location, self.ident, self.value, self.origin,
+                     self.delivered | {r}, self.event, self.effect)
+        if "_payload_id" in self.__dict__:
+            new.__dict__["_payload_id"] = self.__dict__["_payload_id"]
+        return new
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,32 @@ class Req:
 Message = Union[Update, Req]
 
 
+def payload_id(m: Message, table: dict) -> int:
+    """The int the intern table gives m without its delivered set, which
+    the server logs decide. Kept in m's __dict__, outside its dataclass
+    fields (so equality, hashing and repr still see delivered), until
+    another table is asked; building a message costs nothing for it, and
+    Update.delivered_to hands it on, so a message is hashed once per
+    table however often it is delivered."""
+    held = m.__dict__.get("_payload_id")
+    if held is None or held[0] is not table:
+        payload = m if m.__class__ is Req else (
+            m.location, m.ident, m.value, m.origin, m.event, m.effect)
+        held = m.__dict__["_payload_id"] = (table, table.setdefault(payload, len(table)))
+    return held[1]
+
+
 class Interned:
     """A value whose key() is mapped to a small int by an intern table.
 
-    key_id asks the table once and keeps the int until it is asked about
-    another table. Subclasses have `_table` and `_id` slots, with `_table`
-    None until the first call. An object is interned only once it no longer
-    changes, so the kept int stays exact.
+    explore keys a state by the ints of its parts (collapse compression,
+    Holzmann 1997): a part a step leaves alone keeps its int and is not
+    hashed again. key_id asks the table once and keeps the int until it is
+    asked about another table. Subclasses have `_table` and `_id` slots,
+    with `_table` None until the first call. An object is interned only
+    once it no longer changes, so the kept int stays exact. Clients and
+    servers key their fields, terms and stores included; an execution keys
+    the ints of its events (AbstractExecution.key_id).
     """
 
     __slots__ = ()
@@ -182,10 +212,11 @@ def initial_client(cid: int, term: Term) -> ClientState:
 # ---------------------------------------------------------------------------
 # Decomposition into evaluation context + redex
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Redex:
     """The redex, the effect it runs under, and the (node, child index)
-    frames of its evaluation context from the root down."""
+    frames of its evaluation context from the root down; not frozen, as
+    Action."""
 
     term: Term
     effect: Label

@@ -564,12 +564,23 @@ def map_value(v: LabeledValue, on_term: Callable[[Term], Term],
 
 def map_locations(t: Term, f: Callable[[Location], Location]) -> Term:
     """t with f applied to every location it holds, through values, records
-    and abstraction bodies; t itself when f changes none."""
+    and abstraction bodies; t itself when f changes none. A let spine is
+    walked in a loop: its bound terms top down, then its body, then rebuilt
+    from the bottom up where something changed."""
     def term(s: Term) -> Term:
         if s.__class__ is Lit:
             v = value(s.value)
             return s if v is s.value else Lit(v, s.pos)
-        return map_children(s, term)
+        if s.__class__ is not Let:
+            return map_children(s, term)
+        spine = []
+        while s.__class__ is Let:
+            spine.append((s, term(s.bound)))
+            s = s.body
+        s = term(s)
+        for let, bound in reversed(spine):
+            s = let if bound is let.bound and s is let.body else Let(let.name, bound, s, let.pos)
+        return s
 
     def value(v: LabeledValue) -> LabeledValue:
         if isinstance(v, Plain) and isinstance(v.raw, Location):
@@ -641,6 +652,12 @@ def _pp(t: Term) -> tuple[str, int]:
         inner = ", ".join(f"{n} = {pretty(ft, _TERM)}" for n, ft in t.fields)
         return f"{{{inner}}}@{t.label}", _ATOM
     level, template, needs = TERM_LAYOUT[cls]
+    if cls is Let:      # a spine in a loop; its body needs no parentheses
+        heads = []
+        while t.__class__ is Let:
+            heads.append(template.format(pretty(t.bound, needs[0]), "", t=t))
+            t = t.body
+        return "".join(heads) + pretty(t), level
     op = OPERATORS[t.op][1] if cls is LatOp or cls is OrdOp else None
     return template.format(*map(pretty, children(t), needs), t=t, op=op), level
 

@@ -227,6 +227,35 @@ def test_equal_histories_folded_in_either_order_have_equal_keys():
     assert ex.key() != keys[0]
 
 
+def _folded(order, ops, rvals, table):
+    """An execution holding ops in the given order, keyed in table after
+    each event, as explore keys every state on a path."""
+    ex = AbstractExecution([2, 1])
+    for e in order:
+        ex = ex.copy()
+        ex.add_event(e, ops[e])
+        ex.rval[e] = rvals[e]
+        ex.key_id(table)
+    ex.rb = ex.vis = {(order[0], order[2]), (order[1], order[2])}
+    return ex.copy()    # a keyed execution is not edited; its copy is
+
+
+def test_interned_execution_keys_follow_the_structural_key():
+    a, b, c = EventId(1, 1), EventId(2, 1), EventId(1, 2)
+    ops = {a: _op("wr", CON, 1), b: _op("wr", CON, 2), c: _op("rd", CON, 3)}
+    rvals = {e: return_value_of(op) for e, op in ops.items()}
+    table: dict = {}
+    # the same events folded in either order: one int
+    one, two = _folded([a, b, c], ops, rvals, table), _folded([b, a, c], ops, rvals, table)
+    assert one.key() == two.key() and one.key_id(table) == two.key_id(table)
+    # one return value differs: another int
+    other = _folded([a, b, c], ops, {**rvals, c: Plain(NatMax(4), CON)}, table)
+    assert other.key() != one.key() and other.key_id(table) != one.key_id(table)
+    # a fresh table gives fresh ints, still equal exactly where the keys are
+    fresh: dict = {}
+    assert two.key_id(fresh) == one.key_id(fresh) != other.key_id(fresh)
+
+
 def test_interleavings_of_independent_steps_reach_one_explored_state():
     from ctrd.runtime_cloud import Choice, Kind, step_cloud
     from ctrd.abstract_exec import fold_entry

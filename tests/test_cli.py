@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
+import sys
 
+import syntax_oracle
 from conftest import CORPUS
 from ctrd.cli import main
+from ctrd.parser import parse_program
+from ctrd.syntax import Lit, map_locations, pretty, refs
 
 
 def test_check_accept_and_reject(capsys):
@@ -174,6 +179,80 @@ def test_long_let_spine_checks_and_its_run_ends_in_one_line(tmp_path, capsys):
         assert main(["run", str(path), *flags]) == 0
         out, err = capsys.readouterr()
         assert err == "" and '"steps": 5000' in out.splitlines()[-1], out
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_explore_depth_does_not_spend_the_recursion_limit(tmp_path, capsys):
+    # a record of 300 con assigns: 304 steps deep, each term a few levels
+    # deep; the search keeps its path on a stack of its own
+    fields = ", ".join(f"f{i} = c := nat {i} @con" for i in range(300))
+    path = tmp_path / "wide.ctrd"
+    path.write_text("servers 1; client 1 { let c = ref@con(nat 0 @con, (con,1)) in "
+                    f"{{{fields}}}@loc }}")
+    with _recursion_limit(len(inspect.stack()) + 150):
+        code = main(["explore", str(path), "--max-depth", "1000", "--check", "sc,ec"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    assert (report["states"], report["traces"], report["truncated"]) == (304, 1, 0)
+
+
+def test_explore_of_a_long_let_chain_reaches_quiescence(tmp_path, capsys):
+    # deep_chain(500) of bench/gen.py: 1,003 steps in one path. Hashing a
+    # client's term still recurses once per let, hence the raised limit.
+    body = "".join(f"let x{i} = (c := nat {i} @con) in\n" for i in range(500))
+    path = tmp_path / "chain.ctrd"
+    path.write_text("servers 1;\nclient 1 {\nlet c = ref@con(nat 0 @con, (con,1)) in\n"
+                    + body + "!c\n}\n")
+    with _recursion_limit(2500):
+        code = main(["explore", str(path), "--max-depth", "5000", "--check", "sc,ec"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    assert (report["states"], report["traces"], report["truncated"]) == (1004, 1, 0)
+
+
+def _stored_closure(lets: int) -> str:
+    spine = "".join(f"let a{i} = z in " for i in range(lets)) + "z"
+    return ("servers 1; client 1 { let r = ref@con(fn@loc(z: Lat@loc) => "
+            f"{spine}, (con,1)) in unit @loc }}")
+
+
+def test_a_stored_closure_holding_a_long_let_spine_checks_and_runs(tmp_path, capsys):
+    # the escape check's refs and the printer walk the spine in a loop
+    path = tmp_path / "closure.ctrd"
+    path.write_text(_stored_closure(2000))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: OK\n"
+    assert main(["run", str(path), "--trace", str(tmp_path / "trace.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and '"fn": "let a0 = z in let a1 = z in ' in out
+
+
+def test_a_stored_closure_prints_and_holds_locations_as_the_oracles_say(tmp_path, capsys):
+    text = _stored_closure(100)
+    (_, body), = parse_program(text).clients
+    closure = body.bound.init
+    assert isinstance(closure, Lit)
+    for level in range(6):
+        assert pretty(closure, level) == syntax_oracle.pretty(closure, level)
+    assert refs(body) == syntax_oracle.refs(body) == frozenset()
+    assert map_locations(body, lambda o: o) is body
+    path = tmp_path / "closure.ctrd"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["observation"]["(con,1)"] == {
+        "fn": syntax_oracle.pretty(closure.value.raw.body)}
 
 
 def test_a_digit_that_int_rejects_is_a_syntax_error(tmp_path, capsys):

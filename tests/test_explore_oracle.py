@@ -1,14 +1,20 @@
 """explore against the structural-key explorer of tests/explore_oracle.py:
-the same states, traces, truncated traces and checker violation counts."""
+the same states, traces, truncated traces and checker violation counts,
+and interned keys that are equal exactly where structural keys are."""
 
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import explore_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, load
+from ctrd.abstract_exec import AbstractExecution
 from ctrd.cli import CHECKS
-from ctrd.runtime_cloud import explore
+from ctrd.runtime_cloud import CloudConfig, explore
+from ctrd.runtime_local import Update
 
 MIXED = CORPUS / "anomaly" / "mixed.ctrd"
 
@@ -51,3 +57,44 @@ def test_explore_agrees_with_the_structural_oracle(path, servers, depth):
     if (path, servers) == (MIXED, 5):
         # the reduction visits at most one state in eight
         assert outcome[0] == 2593 and orbits <= 2593 // 8
+
+
+def _orbit_key(cfg) -> tuple:
+    """The structural key of cfg's server-permutation orbit: the servers as
+    a multiset and the mailbox without delivered sets."""
+    clients, mailbox, servers, ids, typing = explore_oracle.structural_key(cfg)
+    mailbox = tuple((k, replace(m, delivered=frozenset()) if isinstance(m, Update) else m)
+                    for k, m in mailbox)
+    return clients, mailbox, frozenset(Counter(servers).items()), ids, typing
+
+
+def _one_to_one(pairs: list) -> bool:
+    return len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(set(pairs))
+
+
+def test_interned_keys_are_equal_exactly_when_structural_keys_are(monkeypatch):
+    # every key explore builds, on arrivals that deduplication cuts too,
+    # against the structural key of the same configuration or execution
+    configs, execs = [], []
+    config_key, exec_key_id = CloudConfig.key, AbstractExecution.key_id
+
+    def key(cfg, table):
+        configs.append((config_key(cfg, table), cfg))
+        return configs[-1][0]
+
+    def key_id(ex, table):
+        execs.append((exec_key_id(ex, table), ex))
+        return execs[-1][0]
+
+    monkeypatch.setattr(CloudConfig, "key", key)
+    monkeypatch.setattr(AbstractExecution, "key_id", key_id)
+    for path, servers, depth in [(p, None, 12) for p in RUNNABLE] + [(MIXED, 3, 24)]:
+        configs.clear()
+        execs.clear()
+        _, _, cfg = checked_config(load(path), servers)
+        summary = explore(cfg, depth)
+        assert len(configs) == len(execs) >= summary.orbits
+        assert _one_to_one([(k, _orbit_key(c)) for k, c in configs]), path
+        # the mailbox on its own: its int follows the messages less delivered
+        assert _one_to_one([(k[len(c.clients)], _orbit_key(c)[1]) for k, c in configs]), path
+        assert _one_to_one([(i, ex.key()) for i, ex in execs]), path

@@ -16,7 +16,7 @@ from ctrd.runtime_cloud import (
     Choice, CloudConfig, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import Update, decompose, eps, initial_client
+from ctrd.runtime_local import EventId, Update, decompose, eps, initial_client, payload_id
 from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
                          LOC, Location, OAC, Plain, Ref)
 
@@ -521,6 +521,26 @@ def test_server_permutations_share_one_orbit_key():
     done, _ = step_cloud(done, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=2))
     assert done.key(table) != cfg.key(table)
     assert done.orbit_size(table) == 1
+
+
+def test_an_update_is_keyed_without_its_delivered_set():
+    # delivered is part of an update's equality, but not of its mailbox key:
+    # the server logs decide it
+    cfg, m = _partly_delivered()
+    other = replace(m, delivered=frozenset({0, 1}))
+    assert other != m
+    table: dict = {}
+    assert payload_id(other, table) == payload_id(m, table)
+    assert _marked(cfg, m, {0, 1}).key(table) == cfg.key(table)
+    # a delivery hands the int on without rehashing the payload
+    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
+    held = done.mailbox[0].__dict__["_payload_id"]
+    assert held[0] is table and held[1] == payload_id(m, table)
+    # a payload that differs in any field is another int
+    for change in ({"location": Location(1, 9, True)}, {"ident": None},
+                   {"value": Plain(NatMax(2), AVA)}, {"origin": 2},
+                   {"event": EventId(1, 2)}, {"effect": CON}):
+        assert payload_id(replace(m, **change), table) != payload_id(m, table), change
 
 
 def test_wf_detects_untyped_location():
