@@ -598,9 +598,9 @@ def check_noninterference(prog_a, prog_b, max_depth: int,
         obs: set[str] = set()
         truncated = [0]
 
-        def on_trace(exec_, final, was_truncated, weight, obs=obs, truncated=truncated):
+        def on_trace(exec_, final, was_truncated, obs=obs, truncated=truncated):
             if was_truncated:
-                truncated[0] += weight
+                truncated[0] += 1
             else:
                 obs.add(_canonical_obs(con_observation(final)))
 

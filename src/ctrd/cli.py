@@ -256,7 +256,8 @@ CHECKS = {
 
 
 def _check_names(spec: str) -> list[str]:
-    return [c for c in spec.split(",") if c]
+    """The names in a comma list, each once, in the order first given."""
+    return list(dict.fromkeys(c for c in spec.split(",") if c))
 
 
 def _verdicts(checks: list[str], res, exec_) -> dict[str, dict]:
@@ -315,14 +316,14 @@ def cmd_explore(args) -> int:
     cfg = initial_config(prog, checked.id_types, args.servers)
     violations = {name: 0 for name in args.check}
 
-    def on_trace(exec_, final, truncated, weight):
+    def on_trace(exec_, final, truncated):
         for name in args.check:
             # explore checks wf at every state; a truncated trace never
             # reached the state ec judges
             if name == "wf" or (name == "ec" and truncated):
                 continue
             if not CHECKS[name](exec_, final).ok:
-                violations[name] += weight
+                violations[name] += 1
 
     try:
         summary = explore(cfg, args.max_depth, on_trace=on_trace,
@@ -332,6 +333,7 @@ def cmd_explore(args) -> int:
     if "wf" in args.check:
         violations["wf"] = summary.wf_problems
     report = {
+        "schema": 2,
         "file": args.file,
         "max_depth": args.max_depth,
         "states": summary.states,

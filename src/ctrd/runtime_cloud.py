@@ -14,7 +14,6 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import factorial
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
@@ -48,10 +47,14 @@ class StateSpaceLimit(Exception):
 
 @dataclass(slots=True)
 class Server(Interned):
-    """One replica: its store and its event log. A server that has been
-    keyed is never mutated, so the int key_id keeps for its key stays
-    exact. Configurations share servers, and a step mutates only the
-    private copies that CloudConfig.own_server and own_servers hand it."""
+    """One replica: its store and its event log, newest first. The key
+    holds the log as a set: every reader of a log (a read's or a
+    delivery's snapshot mask, check_ec, check_wf, the common log) sees only
+    which events it holds, so the order they arrived in is left to run and
+    --trace. A server that has been keyed is never mutated, so the int
+    key_id keeps for its key stays exact. Configurations share servers,
+    and a step mutates only the private copies that CloudConfig.own_server
+    and own_servers hand it."""
 
     store: dict[Location, object]       # Location -> LabeledValue
     seq: tuple[EventId, ...]            # newest first
@@ -62,7 +65,7 @@ class Server(Interned):
         return Server(dict(self.store), self.seq)
 
     def key(self):
-        return (sorted_items(self.store), self.seq)
+        return (sorted_items(self.store), frozenset(self.seq))
 
 
 class CloudConfig:
@@ -90,7 +93,7 @@ class CloudConfig:
 
     __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
                  "common", "_mailbox", "_owned", "_table", "_mailbox_id", "_ids_id",
-                 "_typing_id", "_server_ids")
+                 "_typing_id")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -102,7 +105,7 @@ class CloudConfig:
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
         self.common: tuple[EventId, ...] = ()   # the servers start with empty logs
-        self._table = self._ids_id = self._typing_id = self._server_ids = None
+        self._table = self._ids_id = self._typing_id = None
         self._owned: set = set()
 
     @property
@@ -120,7 +123,7 @@ class CloudConfig:
         new.id_typing, new.common = self.id_typing, self.common
         new._mailbox, new._mailbox_id = self._mailbox, self._mailbox_id
         new._table, new._ids_id, new._typing_id = self._table, self._ids_id, self._typing_id
-        new._owned, new._server_ids = set(), None
+        new._owned = set()
         return new
 
     # -- private copies, each taken once per configuration ----------------
@@ -182,8 +185,8 @@ class CloudConfig:
         int is read where it is kept, so a key costs what the last step
         changed. For configurations with the same clients and number of
         servers, keys are equal exactly when one configuration is a server
-        permutation of the other, as the server logs decide the delivered
-        sets."""
+        permutation of the other up to the order of each server's log, as
+        the server logs decide the delivered sets."""
         if self._table is not table:
             self._table, self._mailbox_id, self._ids_id, self._typing_id = table, None, None, None
         if self._mailbox_id is None:
@@ -196,24 +199,11 @@ class CloudConfig:
             self._typing_id = table.setdefault(tuple(sorted(
                 ((o.sort_key(), o), t) for o, t in self.store_typing.items())), len(table))
         clients = self.clients
-        servers = self._server_ids = sorted(
-            [s._id if s._table is table else s.key_id(table) for s in self.servers])
         return (*[c._id if c._table is table else c.key_id(table)
                   for c in map(clients.__getitem__, sorted(clients))],
-                self._mailbox_id, *servers, self._ids_id, self._typing_id)
-
-    def orbit_size(self, table: dict) -> int:
-        """How many configurations share this one's key(table): n! over m!
-        for each run of m equal ints among the sorted server ints that
-        key(table) built."""
-        if self._table is not table or self._server_ids is None:
-            self.key(table)
-        ids = self._server_ids
-        size, run = factorial(len(ids)), 1
-        for a, b in zip(ids, ids[1:]):
-            run = run + 1 if a == b else 1
-            size //= run
-        return size
+                self._mailbox_id,
+                *sorted([s._id if s._table is table else s.key_id(table) for s in self.servers]),
+                self._ids_id, self._typing_id)
 
 
 def initial_config(program: Program, id_types: dict[Identifier, Type],
@@ -686,17 +676,17 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
 
 @dataclass
 class ExploreSummary:
-    """Counts of concrete states, traces and check_wf problems, and of the
-    orbits visited."""
+    """Counts of the states explore visited, of its maximal traces (the
+    visited states it did not expand), of those cut at the depth bound, and
+    of check_wf problems in the visited states."""
     states: int = 0
     traces: int = 0
     truncated: int = 0
-    orbits: int = 0
     wf_problems: int = 0
 
 
 def max_states_from_env() -> int:
-    """The state budget of explore: CTRD_MAX_STATES, 500000 when unset.
+    """explore's budget of visited states: CTRD_MAX_STATES, 500000 when unset.
     ValueError unless it is an integer of at least 1."""
     raw = os.environ.get("CTRD_MAX_STATES", "500000")
     try:
@@ -712,21 +702,21 @@ def explore(config: CloudConfig, max_depth: int,
             on_trace: Optional[Callable] = None,
             check_wf_each: bool = False) -> ExploreSummary:
     """Exhaustive interleaving exploration to a depth bound, one state per
-    server-permutation orbit.
+    class of states that no checker can tell apart.
 
     States are deduplicated on (configuration, abstract execution): two
     prefixes landing on the same pair have identical futures for every
-    checker, so one representative subtree suffices. The pair is keyed by
-    its orbit under server permutations (CloudConfig.key with a table, ints
-    from one intern table per call). This is exact: the initial
-    configuration is symmetric, every rule treats the servers alike, a
-    state is always reached at the same depth, and no execution, checker or
-    observation sees a server index. Each visited orbit counts as
-    orbit_size concrete states and traces, so the summary is what visiting
-    every state would give. An internal step passes its parent's execution
-    on unchanged. on_trace(exec_, final, truncated, weight) is called per
-    visited maximal trace, standing for weight traces; exec_ may be shared
-    and must not be mutated. The state budget, in concrete states, is
+    checker, so one representative subtree suffices. The configuration is
+    keyed by its orbit under server permutations, with each server's log
+    as a set (CloudConfig.key and Server.key, ints from one intern table
+    per call). This is exact: the initial configuration is symmetric,
+    every rule treats the servers alike and reads a log only through the
+    events it holds, a state is always reached at the same depth, and no
+    execution, checker or observation sees a server index or a log's
+    order. The summary counts what was visited. An internal step passes
+    its parent's execution on unchanged. on_trace(exec_, final, truncated)
+    is called per visited maximal trace; exec_ may be shared and must not
+    be mutated. The state budget, in visited states, is
     max_states_from_env(). The search keeps its path on an explicit stack,
     so its depth is bounded by --max-depth, not by Python's recursion
     limit.
@@ -747,20 +737,18 @@ def explore(config: CloudConfig, max_depth: int,
         seen.add((*cfg.key(table), exec_.key_id(table)))
         if len(seen) == known:
             return
-        weight = cfg.orbit_size(table)
-        summary.orbits += 1
-        summary.states += weight
+        summary.states += 1
         if summary.states > max_states:
             raise StateSpaceLimit(f"more than {max_states} states")
         if check_wf_each:
-            summary.wf_problems += weight * len(check_wf(cfg).problems)
+            summary.wf_problems += len(check_wf(cfg).problems)
         choices = enabled(cfg)
         if not choices or depth >= max_depth:
             truncated = bool(choices)
-            summary.traces += weight
-            summary.truncated += weight * truncated
+            summary.traces += 1
+            summary.truncated += truncated
             if on_trace is not None:
-                on_trace(exec_, cfg, truncated, weight)
+                on_trace(exec_, cfg, truncated)
             return
         stack.append((cfg, exec_, depth + 1, iter(choices)))
 
@@ -842,7 +830,8 @@ def check_wf(config: CloudConfig) -> WfReport:
 
     for m in config.mailbox:
         _check_message(config, m, "mailbox", problems)
-        # marked delivered exactly where logged: explore's orbit sizes rest on it
+        # marked delivered exactly where logged: the mailbox key, which leaves
+        # out delivered sets, rests on it
         for r, server in enumerate(config.servers) if isinstance(m, Update) else ():
             if (r in m.delivered) != (m.event in server.seq):
                 problems.append(f"mailbox: update {m.event} marked delivered at "

@@ -1,23 +1,30 @@
-"""The explorer as it stood before interned state keys and
-server-permutation orbits, kept as a differential oracle: it visits every
-concrete state.
+"""The explorer as it stood before interned state keys, server-permutation
+orbits and log sets, kept as a differential oracle: it visits every
+concrete state, each server's log in the order it was written.
 
 `structural_key` rebuilds a configuration's key from every component on
 every call, reading their fields directly, so no cached key can hide a
 component that was mutated after it was keyed. `explore` is the plain
 depth-first search: it deduplicates on the pair (structural key, execution
 key) and copies and folds the execution on every step, internal ones
-included.
+included. `terminal_outcomes` gives the set of what the checkers can tell
+apart at the end of each maximal trace, the figure that a reduced explorer
+must reproduce.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+from dataclasses import replace
 from typing import Callable, Optional
 
-from ctrd.abstract_exec import AbstractExecution, fold_entry
+from ctrd.abstract_exec import AbstractExecution, con_observation, fold_entry
+from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import (
     ExploreSummary, StateSpaceLimit, enabled, step_cloud,
 )
+from ctrd.runtime_local import Update
 
 
 def _by_sort_key(d: dict) -> tuple:
@@ -43,25 +50,35 @@ def structural_key(cfg) -> tuple:
     )
 
 
+def orbit_key(cfg) -> tuple:
+    """The structural key of cfg's class under server permutations and log
+    orders: the servers as a multiset of (store, log set) and the mailbox
+    without delivered sets."""
+    clients, mailbox, servers, ids, typing = structural_key(cfg)
+    mailbox = tuple((k, replace(m, delivered=frozenset()) if isinstance(m, Update) else m)
+                    for k, m in mailbox)
+    servers = Counter((store, frozenset(seq)) for store, seq in servers)
+    return clients, mailbox, frozenset(servers.items()), ids, typing
+
+
 def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
             max_states: int = 500_000, check_depth: bool = False) -> ExploreSummary:
     """Every interleaving to a depth bound, deduplicated on the structural
-    pair; on_trace(exec_, final config, truncated, 1) per maximal trace.
+    pair; on_trace(exec_, final config, truncated) per maximal trace.
 
-    With check_depth, every arrival at a configuration's structural key,
-    the ones deduplication cuts included, must come at the same depth:
-    AssertionError otherwise. Depth-bounded deduplication is exact only
-    then, and so is counting a truncated orbit by its size."""
+    With check_depth, every arrival at a configuration's orbit_key, the
+    ones deduplication cuts included, must come at the same depth:
+    AssertionError otherwise. Depth-bounded deduplication on that class is
+    exact only then."""
     summary = ExploreSummary()
     seen: set = set()
     depth_of: dict = {}
 
     def visit(cfg, exec_: AbstractExecution, depth: int) -> None:
-        config_key = structural_key(cfg)
         if check_depth:
-            first = depth_of.setdefault(config_key, depth)
+            first = depth_of.setdefault(orbit_key(cfg), depth)
             assert first == depth, f"a configuration reached at depths {first} and {depth}"
-        key = (config_key, exec_.key())
+        key = (structural_key(cfg), exec_.key())
         if key in seen:
             return
         seen.add(key)
@@ -74,7 +91,7 @@ def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
             summary.traces += 1
             summary.truncated += int(truncated)
             if on_trace is not None:
-                on_trace(exec_, cfg, truncated, 1)
+                on_trace(exec_, cfg, truncated)
             return
         for choice in choices:
             nxt, entry = step_cloud(cfg, choice)
@@ -84,3 +101,19 @@ def explore(config, max_depth: int, on_trace: Optional[Callable] = None,
 
     visit(config, AbstractExecution(config.clients), 0)
     return summary
+
+
+def terminal_outcomes(config, max_depth: int, explore_fn: Callable = explore,
+                      **options) -> tuple[set, ExploreSummary]:
+    """The distinct outcomes of explore_fn's maximal traces, and its
+    summary. An outcome is the execution's structural key, the con
+    observation, the truncated flag and the sc, sc-con and ec verdicts."""
+    outcomes: set = set()
+
+    def on_trace(exec_, final, truncated):
+        outcomes.add((exec_.key(), json.dumps(con_observation(final), sort_keys=True),
+                      truncated, *[CHECKS[name](exec_, final).ok
+                                   for name in ("sc", "sc-con", "ec")]))
+
+    summary = explore_fn(config, max_depth, on_trace=on_trace, **options)
+    return outcomes, summary

@@ -140,7 +140,7 @@ def test_criterion_04_progress_surrogate():
         _, _, cfg = checked_config(load(path))
         finals = []
 
-        def on_trace(exec_, final, truncated, weight, finals=finals):
+        def on_trace(exec_, final, truncated, finals=finals):
             finals.append((final, truncated))
 
         # any Stuck would surface as a CtrdRuntimeError out of explore
@@ -174,7 +174,7 @@ def test_criterion_05_sequential_consistency_for_con():
         _, _, cfg = checked_config(src)
         failures = []
 
-        def on_trace(exec_, final, truncated, weight, failures=failures):
+        def on_trace(exec_, final, truncated, failures=failures):
             exec_con = project_con(exec_)
             v = check_sc(exec_con)
             if not v.ok:
@@ -228,7 +228,7 @@ def test_criterion_07_mixed_history_anomaly():
     _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"))
     witnesses = []
 
-    def on_trace(exec_, final, truncated, weight):
+    def on_trace(exec_, final, truncated):
         full = check_sc(exec_)
         if not full.ok and check_sc(project_con(exec_)).ok:
             witnesses.append(full)

@@ -87,15 +87,27 @@ def test_explore_anomaly_and_pure_con(capsys):
     assert json.loads(out.splitlines()[-1])["violations"]["sc"] == 0
 
 
-def test_explore_counts_every_server_permutation(capsys):
-    # the figures of an explorer that visits every concrete state: the
-    # violations too count each member of a visited orbit
+def test_explore_counts_visited_states(capsys):
+    # one state per server permutation and log order: 216 of the 2,593
+    # concrete states, and the one violating outcome of 30 concrete traces
     code = main(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"), "--servers", "5",
                  "--max-depth", "24", "--check", "sc,sc-con,ec,wf"])
     report = json.loads(capsys.readouterr().out)
-    assert code == 3
-    assert (report["states"], report["traces"], report["truncated"]) == (2593, 158, 0)
-    assert report["violations"] == {"ec": 0, "sc": 30, "sc-con": 0, "wf": 0}
+    assert code == 3 and report["schema"] == 2
+    assert (report["states"], report["traces"], report["truncated"]) == (216, 9, 0)
+    assert report["violations"] == {"ec": 0, "sc": 1, "sc-con": 0, "wf": 0}
+
+
+def test_a_repeated_check_name_counts_once(capsys):
+    mixed = str(CORPUS / "anomaly" / "mixed.ctrd")
+    for argv in (["explore", mixed, "--servers", "3", "--max-depth", "24"],
+                 ["run", mixed, "--seed", "0"]):
+        codes, outs = [], []
+        for checks in ("sc,ec", "sc,sc,ec,sc"):
+            codes.append(main([*argv, "--check", checks]))
+            outs.append(capsys.readouterr().out)
+        assert codes[0] == codes[1] and outs[0] == outs[1], argv
+        assert outs[0].count("CHECK sc ") == (argv[0] == "run"), argv
 
 
 def test_nif_exit_codes(capsys):
@@ -316,7 +328,7 @@ def test_every_trace_truncated_is_no_verdict(capsys):
     out, err = capsys.readouterr()
     report = json.loads(out)
     assert code == 4 and err.count("\n") == 1
-    assert report["equivalent"] and report["truncated"] == [6, 6]
+    assert report["equivalent"] and report["truncated"] == [4, 4]
     code = main(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"),
                  "--max-depth", "2", "--check", "sc"])
     out, err = capsys.readouterr()

@@ -1,44 +1,24 @@
 """explore against the structural-key explorer of tests/explore_oracle.py:
-the same states, traces, truncated traces and checker violation counts,
-and interned keys that are equal exactly where structural keys are."""
+the same set of terminal outcomes from fewer states, and interned keys
+that are equal exactly where structural keys of the orbit are."""
 
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 import explore_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, load
 from ctrd.abstract_exec import AbstractExecution
-from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import CloudConfig, explore
-from ctrd.runtime_local import Update
 
 MIXED = CORPUS / "anomaly" / "mixed.ctrd"
 
 # (program, --servers, --max-depth): every runnable corpus program at the
 # default depth, the two largest state spaces the benchmark and the
-# baselines use, and mixed.ctrd on 2 to 6 servers, so that orbits of every
-# size from 2! to 6! are counted
+# baselines use, and mixed.ctrd on 2 to 6 servers
 CASES = ([(p, None, 12) for p in RUNNABLE]
          + [(CORPUS / "ava" / "nat_race.ctrd", None, 14)]
          + [(MIXED, n, 24) for n in (2, 3, 4, 5, 6)])
-
-
-def _outcome(explore_fn, path, servers: int | None, depth: int, **options):
-    _, _, cfg = checked_config(load(path), servers)
-    violations = {name: 0 for name in ("sc", "sc-con", "ec")}
-
-    def on_trace(exec_, final, truncated, weight):
-        # as ctrd explore counts them: ec only judges untruncated traces
-        for name in violations:
-            if not (name == "ec" and truncated):
-                violations[name] += weight * (not CHECKS[name](exec_, final).ok)
-
-    summary = explore_fn(cfg, depth, on_trace=on_trace, **options)
-    return (summary.states, summary.traces, summary.truncated, violations), summary.orbits
 
 
 def test_the_cases_cover_the_corpus():
@@ -49,23 +29,17 @@ def test_the_cases_cover_the_corpus():
     "path,servers,depth", CASES,
     ids=[f"{p.parent.name}/{p.stem}-s{s or 'p'}-d{d}" for p, s, d in CASES])
 def test_explore_agrees_with_the_structural_oracle(path, servers, depth):
-    # the oracle explores every concrete state and also checks that a
-    # configuration is always reached at the same depth
-    outcome, orbits = _outcome(explore, path, servers, depth)
-    assert outcome == _outcome(explore_oracle.explore, path, servers, depth,
-                               check_depth=True)[0]
+    # the oracle explores every concrete state and also checks that each
+    # class explore merges is always reached at the same depth
+    _, _, cfg = checked_config(load(path), servers)
+    outcomes, summary = explore_oracle.terminal_outcomes(cfg, depth, explore)
+    want, every = explore_oracle.terminal_outcomes(cfg, depth, check_depth=True)
+    assert outcomes == want
+    assert summary.states <= every.states and len(outcomes) <= summary.traces
     if (path, servers) == (MIXED, 5):
-        # the reduction visits at most one state in eight
-        assert outcome[0] == 2593 and orbits <= 2593 // 8
-
-
-def _orbit_key(cfg) -> tuple:
-    """The structural key of cfg's server-permutation orbit: the servers as
-    a multiset and the mailbox without delivered sets."""
-    clients, mailbox, servers, ids, typing = explore_oracle.structural_key(cfg)
-    mailbox = tuple((k, replace(m, delivered=frozenset()) if isinstance(m, Update) else m)
-                    for k, m in mailbox)
-    return clients, mailbox, frozenset(Counter(servers).items()), ids, typing
+        # one state in twelve, and one trace per outcome
+        assert (every.states, summary.states) == (2593, 216)
+        assert summary.traces == len(outcomes) == 9
 
 
 def _one_to_one(pairs: list) -> bool:
@@ -93,8 +67,9 @@ def test_interned_keys_are_equal_exactly_when_structural_keys_are(monkeypatch):
         execs.clear()
         _, _, cfg = checked_config(load(path), servers)
         summary = explore(cfg, depth)
-        assert len(configs) == len(execs) >= summary.orbits
-        assert _one_to_one([(k, _orbit_key(c)) for k, c in configs]), path
+        assert len(configs) == len(execs) >= summary.states
+        orbit_key = explore_oracle.orbit_key
+        assert _one_to_one([(k, orbit_key(c)) for k, c in configs]), path
         # the mailbox on its own: its int follows the messages less delivered
-        assert _one_to_one([(k[len(c.clients)], _orbit_key(c)[1]) for k, c in configs]), path
+        assert _one_to_one([(k[len(c.clients)], orbit_key(c)[1]) for k, c in configs]), path
         assert _one_to_one([(i, ex.key()) for i, ex in execs]), path

@@ -36,7 +36,7 @@ def test_con_locations_agree_on_every_reachable_config():
         _, _, cfg = checked_config(load(path))
         seen_disagreement = []
 
-        def on_trace(exec_, final, truncated, weight, seen=seen_disagreement):
+        def on_trace(exec_, final, truncated, seen=seen_disagreement):
             con_locs = {o for o, t in final.store_typing.items() if t.label == CON}
             for o in con_locs:
                 held = [s.store[o] for s in final.servers if o in s.store]

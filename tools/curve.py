@@ -101,9 +101,9 @@ def sc_curve(args) -> tuple[dict, list]:
 
 
 def explore_curve(args) -> tuple[dict, list]:
-    """explore states and time against the number of servers. Each point
-    explores corpus/anomaly/mixed.ctrd with that many servers to
-    --max-depth; the longest trace of mixed.ctrd is 18 steps, so the
+    """explore's visited states and time against the number of servers.
+    Each point explores corpus/anomaly/mixed.ctrd with that many servers
+    to --max-depth; the longest trace of mixed.ctrd is 18 steps, so the
     default of 24 cuts none."""
     prog = checked((ROOT / MIXED).read_text(encoding="utf-8"))
     servers = numbers(args.servers, int)
@@ -112,8 +112,8 @@ def explore_curve(args) -> tuple[dict, list]:
     points = []
     for n, t in zip(servers, got):
         s, secs = t["explore"]
-        points.append({"servers": n, "states": s.states, "orbits": s.orbits,
-                       "traces": s.traces, "truncated": s.truncated, "seconds": secs,
+        points.append({"servers": n, "states": s.states, "traces": s.traces,
+                       "truncated": s.truncated, "seconds": secs,
                        "states_per_s": s.states / secs})
     return {"program": MIXED, "max_depth": args.max_depth}, points
 
