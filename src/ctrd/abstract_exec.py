@@ -5,10 +5,10 @@ An abstract execution carries, per event: the operation (OP) and its return
 value (RVAL); plus the returns-before order (RB), the per-client event sets
 (SP), the visibility relation (VIS), and the arbitration order (AR).
 
-Relations are stored as predecessor masks over a dense bit index. With the
-execution's client ids sorted into slots 0..K-1, event n of the client in
-slot s has bit (n - 1) * K + s. The index depends only on the event id, not
-on the order events were folded in, so two interleavings that fold the same
+Relations are stored as predecessor masks over a dense bit index, the
+layout of runtime_local.event_bit over the execution's sorted client ids,
+which server logs share. The index depends only on the event id, not on
+the order events were folded in, so two interleavings that fold the same
 history give equal masks and equal keys. Bit a of rb_masks[b] is set when
 (a, b) is in RB, and likewise for vis_masks and ar_masks; sp_masks[s] holds
 the events of the client in slot s. Every bit of every mask is below the
@@ -27,7 +27,7 @@ from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .lattice import GSet, NatMax
-from .runtime_local import _CLIENT_N, Action, EventId, Interned
+from .runtime_local import _flags, Action, EventId, Interned, Log, bit_event, event_bit
 from .syntax import (
     AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
     RecordVal, UnitVal, children, pretty, rebuild,
@@ -60,14 +60,6 @@ class Operation:
 
 # ---------------------------------------------------------------------------
 # Bit masks
-
-_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
-
-
-def _flags(m: int) -> bytes:
-    """Byte i is 1 when bit i of m is set, else 0."""
-    return f"{m:b}".encode()[::-1].translate(_ZERO_ONE)
-
 
 def _bits(m: int) -> Iterator[int]:
     """The set bits of m, lowest first."""
@@ -109,15 +101,11 @@ class AbstractExecution(Interned):
     interns one event. An execution is interned only once it is no longer
     folded into or edited."""
 
-    __slots__ = ("clients", "_slot", "_bit", "op", "rval", "sp_masks", "rb_masks",
+    __slots__ = ("clients", "op", "rval", "sp_masks", "rb_masks",
                  "vis_masks", "ar_masks", "_table", "_id", "_events", "_events_table")
 
     def __init__(self, clients: Iterable[int] = ()):
         self.clients = tuple(sorted(set(clients)))
-        self._slot = {c: s for s, c in enumerate(self.clients)}
-        # (client, n) -> 1 << index of every event added so far, shared by
-        # copies: the layout is fixed, so it is a cache and never goes stale
-        self._bit: dict[tuple[int, int], int] = {}
         self.op: dict[EventId, Operation] = {}
         self.rval: dict[EventId, object] = {}
         self.sp_masks = [0] * len(self.clients)
@@ -129,7 +117,7 @@ class AbstractExecution(Interned):
 
     def copy(self) -> "AbstractExecution":
         new = object.__new__(AbstractExecution)
-        new.clients, new._slot, new._bit = self.clients, self._slot, self._bit
+        new.clients = self.clients
         new.op, new.rval = dict(self.op), dict(self.rval)
         new.sp_masks, new.rb_masks = self.sp_masks[:], self.rb_masks[:]
         new.vis_masks, new.ar_masks = self.vis_masks[:], self.ar_masks[:]
@@ -156,14 +144,12 @@ class AbstractExecution(Interned):
         return self._id
 
     def index(self, e: EventId) -> int:
-        slot = self._slot.get(e.client)
-        if slot is None or e.n < 1:
+        if e.client not in self.clients or e.n < 1:
             raise MalformedTrace(f"event {e} lies outside clients {self.clients}")
-        return (e.n - 1) * len(self.clients) + slot
+        return event_bit(self.clients, e)
 
     def event_at(self, i: int) -> EventId:
-        n, slot = divmod(i, len(self.clients))
-        return EventId(self.clients[slot], n + 1)
+        return bit_event(self.clients, i)
 
     def events_mask(self) -> int:
         return reduce(or_, self.sp_masks, 0)
@@ -184,21 +170,20 @@ class AbstractExecution(Interned):
             raise MalformedTrace(f"event {e} recorded twice")
         i = self.index(e)
         self._grow(i)
-        slot = i % len(self.clients)
+        slot = self.clients.index(e.client)
         prior = self.sp_masks[slot]
-        bit = self._bit[e.client, e.n] = 1 << i
-        self.sp_masks[slot] = prior | bit
+        self.sp_masks[slot] = prior | 1 << i
         self.op[e] = op
         return i, prior
 
-    def history_mask(self, events: Iterable[EventId], what: str) -> int:
-        """The mask of events already in the history; MalformedTrace names
-        the first one that is not."""
-        try:
-            m = reduce(or_, map(self._bit.__getitem__, map(_CLIENT_N, events)), 0)
-        except KeyError as missing:
-            raise MalformedTrace(f"{what} names an event outside the history: "
-                                 f"{EventId(*missing.args[0])}") from None
+    def history_mask(self, log: Log, what: str) -> int:
+        """The mask of a recorded log, whose events must all be in the
+        history; MalformedTrace names the lowest one that is not, or a log
+        over other clients than the execution's."""
+        m = log.mask
+        if m and log.clients != self.clients:
+            raise MalformedTrace(f"{what} records a log over clients {log.clients}, "
+                                 f"not {self.clients}")
         stray = m & ~self.events_mask()
         if stray:
             e = self.event_at((stray & -stray).bit_length() - 1)
@@ -326,11 +311,13 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
 
 
 def record(trace: Iterable) -> AbstractExecution:
-    """Build the abstract execution of a full trace, over the clients whose
-    events it holds."""
+    """Build the abstract execution of a full trace, in the layout of the
+    logs it records (a run's: its configuration's clients), or over the
+    clients whose events it holds when no recorded log holds an event."""
     trace = list(trace)
-    exec_ = AbstractExecution(e.action.event.client for e in trace
-                              if e.action.event is not None)
+    exec_ = AbstractExecution(next(
+        (e.action.snapshot.clients for e in trace if e.action.snapshot),
+        [e.action.event.client for e in trace if e.action.event is not None]))
     for entry in trace:
         fold_entry(exec_, entry)
     return exec_
@@ -339,7 +326,6 @@ def record(trace: Iterable) -> AbstractExecution:
 def project(exec_: AbstractExecution, lab: Label) -> AbstractExecution:
     """Restrict the execution to events at one consistency level."""
     out = AbstractExecution(exec_.clients)
-    out._bit = exec_._bit
     keep = 0
     for e, op in exec_.op.items():
         if op.label == lab:
@@ -453,10 +439,8 @@ def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
         raise NotQuiescent("eventual-consistency check needs a quiescent run")
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
-    logs = [set(map(_CLIENT_N, s.seq)) for s in config.servers]
-    in_all_logs = all(
-        all(_CLIENT_N(e) in log for log in logs) for e in ava_writes
-    )
+    common = config.common
+    in_all_logs = all(e in common for e in ava_writes)
     stores = [
         sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
         for s in config.servers

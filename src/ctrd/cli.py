@@ -3,15 +3,15 @@
 Exit codes: 0 success; 1 parse/type diagnostics, including a number too
 long for int() and a program nested too deeply off its let spines to
 parse (the front end reads a let spine in a loop, and recurses once per
-level of other nesting); 2 I/O
-failure (a program file that is not UTF-8 text, a closed stdout or an
-unwritable --trace or --exec file included), a bad flag, an unknown
---check name, --servers below 1, or a CTRD_MAX_STATES that is not an
-integer of at least 1; 3 a requested check failed; 4 deadlock,
-step/state limit, runtime fault, nesting too deep to simulate (the
-simulator substitutes along a let spine in a loop, so only other
-nesting counts), or an explore/nif in which every trace was truncated
-at --max-depth (no verdict); 5 programs not low-equivalent.
+level of other nesting); 2 I/O failure (a program file that is not UTF-8
+text, a closed stdout or an unwritable --trace or --exec file included),
+a bad flag, an unknown --check name, --servers below 1, a negative
+--max-steps or --max-depth, or a CTRD_MAX_STATES that is not an integer
+of at least 1; 3 a requested check failed; 4 deadlock, step/state limit,
+runtime fault, nesting too deep to simulate (the simulator substitutes
+along a let spine in a loop, so only other nesting counts), or an
+explore/nif in which every trace was truncated at --max-depth (no
+verdict); 5 programs not low-equivalent.
 
 Reports go to stdout as one JSON line. `run --trace` writes its file with
 `trace_json`, which lays out each entry from a fixed template, and each
@@ -136,16 +136,24 @@ def _json(x, pad: str) -> str:
     return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_json(v, inner) for v in x]), pad)
 
 
+def _log_key(log) -> object:
+    """A log's key in trace_json: a cell by identity, a base by its events."""
+    return id(log) if log.event is not None else (log.mask, log.clients)
+
+
 def trace_json(trace: list[TraceEntry]) -> str:
     """The --trace file: exactly json.dumps of one dict per entry (keys
     step, rule, client, server, action, and nodes when counted) with
     indent=2 and sort_keys, plus a final newline, written in one pass. Each
-    event id, snapshot tuple and value is rendered once per call; snapshots
-    and values are keyed by identity, and each is kept alive next to its
-    text so that no id is reused while the call runs."""
+    event id, snapshot and value is rendered once per call. Values and log
+    cells are keyed by identity, and each is kept alive next to its text
+    so that no id is reused while the call runs; a base is keyed by its
+    mask and clients, so equal common logs are listed once. A log's items
+    are its events down to the nearest tail already rendered, then that
+    tail's items, or its base's, listed from the base's mask."""
     quoted = _Memo(lambda x: _quote(str(x)))        # labels, op kinds, rules
     ids = _Memo(lambda key: _quote(str(EventId(*key))))
-    snapshots: dict[int, tuple] = {}
+    snapshots: dict[object, tuple] = {}     # _log_key -> (snapshot, items, line)
     values: dict[int, tuple] = {}
     parts = []
     for e in trace:
@@ -154,11 +162,18 @@ def trace_json(trace: list[TraceEntry]) -> str:
         if snap is None:
             snap_line = ""
         else:
-            hit = snapshots.get(id(snap))
+            hit = snapshots.get(_log_key(snap))
             if hit is None:
-                text = _strings(list(map(ids.__getitem__, map(_CLIENT_N, snap))))
-                hit = snapshots[id(snap)] = (snap, f'\n      "snapshot": {text},')
-            snap_line = hit[1]
+                items, cell = [], snap
+                while (key := _log_key(cell)) not in snapshots and cell.event is not None:
+                    items.append(ids[_CLIENT_N(cell.event)])
+                    cell = cell.tail
+                items += ([snapshots[key][1]] if key in snapshots
+                          else map(ids.__getitem__, cell.base_events()))
+                text = _ITEM.join(filter(None, items))   # an empty base lists nothing
+                hit = snapshots[_log_key(snap)] = (
+                    snap, text, f'\n      "snapshot": {_strings([text] if text else ())},')
+            snap_line = hit[2]
         v = a.value
         hit = values.get(id(v))
         if hit is None:
@@ -428,9 +443,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if unknown:
         return _die(2, f"ctrd {args.command}: unknown check {unknown[0]!r} "
                        f"(choose from {', '.join(CHECKS)})")
-    servers = getattr(args, "servers", None)
-    if servers is not None and servers < 1:
-        return _die(2, f"ctrd {args.command}: --servers must be at least 1, not {servers}")
+    for flag, least in (("servers", 1), ("max_steps", 0), ("max_depth", 0)):
+        n = getattr(args, flag, None)
+        if n is not None and n < least:
+            return _die(2, f"ctrd {args.command}: --{flag.replace('_', '-')} must be at "
+                           f"least {least}, not {n}")
     if args.command in ("explore", "nif"):
         try:
             max_states_from_env()

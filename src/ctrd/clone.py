@@ -65,11 +65,11 @@ def clone_step(config, client: ClientState, root: Location,
 
     Allocates a fresh remote location per node, rewrites intra-graph
     location occurrences, stamps every node with the effect joined with
-    con, and prepends one shared event to every server log, and so to the
-    common log, whose earlier state the action records. The caller owns the
-    client and has checked that ident is not taken; the servers and maps
-    are mutated through the configuration's private copies. Returns
-    (result value, action, node count).
+    con, and pushes one shared event onto every server log, and so into
+    the common log, whose earlier state the action records. The caller
+    owns the client and has checked that ident is not taken; the servers
+    and maps are mutated through the configuration's private copies.
+    Returns (result value, action, node count).
     """
     graph = reachable_graph(root, client.store)
     mapping = {o: client.fresh_location(remote=True)

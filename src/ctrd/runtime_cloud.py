@@ -11,16 +11,17 @@ here; a client step first tries step_local, where all others fire.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
+from operator import and_
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
 # decompose is not called here; the name is kept so that tools wrapping it
 # from outside the package find it where step_local is looked up
 from .runtime_local import (
-    _CLIENT_N, Action, ClientState, CtrdRuntimeError, EventId, Interned,
+    Action, ClientState, CtrdRuntimeError, EventId, Interned, Log,
     Message, Req, Update, cell_operand, decompose, eps, initial_client,
     join_into, merge_values, payload_id, sorted_items, step_local,
 )
@@ -47,17 +48,17 @@ class StateSpaceLimit(Exception):
 
 @dataclass(slots=True)
 class Server(Interned):
-    """One replica: its store and its event log, newest first. The key
-    holds the log as a set: every reader of a log (a read's or a
-    delivery's snapshot mask, check_ec, check_wf, the common log) sees only
-    which events it holds, so the order they arrived in is left to run and
-    --trace. A server that has been keyed is never mutated, so the int
-    key_id keeps for its key stays exact. Configurations share servers,
-    and a step mutates only the private copies that CloudConfig.own_server
-    and own_servers hand it."""
+    """One replica: its store and its event log, a Log cell (newest event
+    first) that a step replaces and never mutates. The key holds the log's
+    mask: every reader of a log (a read's or a delivery's snapshot mask,
+    check_ec, check_wf, the common log) sees only which events it holds,
+    so the order they arrived in is left to run and --trace. A server that
+    has been keyed is never mutated, so the int key_id keeps for its key
+    stays exact. Configurations share servers, and a step mutates only the
+    private copies that CloudConfig.own_server and own_servers hand it."""
 
     store: dict[Location, object]       # Location -> LabeledValue
-    seq: tuple[EventId, ...]            # newest first
+    seq: Log                            # newest first
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -65,7 +66,7 @@ class Server(Interned):
         return Server(dict(self.store), self.seq)
 
     def key(self):
-        return (sorted_items(self.store), frozenset(self.seq))
+        return (sorted_items(self.store), self.seq.mask)
 
 
 class CloudConfig:
@@ -84,16 +85,13 @@ class CloudConfig:
     and the configuration keeps the ints of its mailbox and maps, for the
     table in _table, until they are reassigned; copies share them.
 
-    common is the tuple of events present in every server's log, in
-    (client, n) order: the snapshot the synchronized rules record. It is
-    kept up to date where an event enters a log (enter_common), replaced
-    and never mutated, and left out of the key because the server logs
-    determine it.
+    common, the events present in every server's log, is the AND of the
+    server log masks; it is read where a rule records it and left out of
+    the key.
     """
 
     __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
-                 "common", "_mailbox", "_owned", "_table", "_mailbox_id", "_ids_id",
-                 "_typing_id")
+                 "_mailbox", "_owned", "_table", "_mailbox_id", "_ids_id", "_typing_id")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -104,7 +102,6 @@ class CloudConfig:
         self.global_ids = global_ids
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
-        self.common: tuple[EventId, ...] = ()   # the servers start with empty logs
         self._table = self._ids_id = self._typing_id = None
         self._owned: set = set()
 
@@ -120,7 +117,7 @@ class CloudConfig:
         new = object.__new__(CloudConfig)
         new.clients, new.servers = dict(self.clients), self.servers[:]
         new.global_ids, new.store_typing = self.global_ids, self.store_typing
-        new.id_typing, new.common = self.id_typing, self.common
+        new.id_typing = self.id_typing
         new._mailbox, new._mailbox_id = self._mailbox, self._mailbox_id
         new._table, new._ids_id, new._typing_id = self._table, self._ids_id, self._typing_id
         new._owned = set()
@@ -155,24 +152,25 @@ class CloudConfig:
             self.store_typing, self._typing_id = dict(self.store_typing), None
         return self.store_typing
 
-    def enter_common(self, nu: EventId) -> None:
-        """Record that nu has just entered the last server log that lacked
-        it. A late delivery can land mid-tuple, so it goes in by bisection."""
-        i = bisect_right(self.common, (nu.client, nu.n), key=_CLIENT_N)
-        self.common = self.common[:i] + (nu,) + self.common[i:]
+    @property
+    def common(self) -> Log:
+        """The events in every server's log, as a base: the snapshot the
+        synchronized rules record."""
+        return Log.base(reduce(and_, [s.seq.mask for s in self.servers]),
+                        self.servers[0].seq.clients)
 
     def type_location(self, o: Location, ident: Identifier) -> None:
         """Record a fresh allocation's typing from its identifier's, once."""
         if ident in self.id_typing and o not in self.store_typing:
             self.own_store_typing()[o] = self.id_typing[ident]
 
-    def sync_append(self, nu: EventId) -> tuple[EventId, ...]:
-        """Prepend nu to every server log at once; returns the common log
-        as it stood before, the snapshot the synchronized rules record."""
+    def sync_append(self, nu: EventId) -> Log:
+        """Push nu onto every server log at once, one cell each; returns the
+        common log as it stood before, the snapshot the synchronized rules
+        record."""
         pre_common = self.common
         for s in self.own_servers():
-            s.seq = (nu,) + s.seq
-        self.enter_common(nu)
+            s.seq = Log(nu, s.seq)
         return pre_common
 
     # -- keys ----------------------------------------------------------------
@@ -209,10 +207,11 @@ class CloudConfig:
 def initial_config(program: Program, id_types: dict[Identifier, Type],
                    servers: Optional[int] = None) -> CloudConfig:
     n = servers if servers is not None else program.servers
+    empty = Log.base(0, tuple(sorted(cid for cid, _ in program.clients)))
     return CloudConfig(
         clients={cid: initial_client(cid, term) for cid, term in program.clients},
         mailbox=(),
-        servers=[Server({}, ()) for _ in range(n)],
+        servers=[Server({}, empty) for _ in range(n)],
         global_ids={},
         store_typing={},
         id_typing=dict(id_types),
@@ -498,10 +497,8 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
             cfg.own_global_ids()[m.ident] = m.location
         target = cfg.global_ids[m.ident]
     join_into(server.store, target, raise_label(m.value, m.effect))
-    server.seq = (m.event,) + server.seq
+    server.seq = Log(m.event, pre_seq)
     new_m = m.delivered_to(r)
-    if len(new_m.delivered) == len(cfg.servers):
-        cfg.enter_common(m.event)
     cfg.mailbox = tuple(new_m if x is m else x for x in cfg.mailbox)
     act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=pre_seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)

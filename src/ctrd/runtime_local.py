@@ -10,6 +10,7 @@ needing the servers or the global identifier map are left to runtime_cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count, starmap
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -46,6 +47,74 @@ class EventId:
 
 
 _CLIENT_N = attrgetter("client", "n")
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(m: int) -> bytes:
+    """Byte i is 1 when bit i of m is set, else 0."""
+    return f"{m:b}".encode()[::-1].translate(_ZERO_ONE)
+
+
+# An event mask is laid out over a tuple of sorted client ids: event n of
+# the client in slot s of K is bit (n - 1) * K + s, so a client's events
+# are every K-th bit from its slot. Log and AbstractExecution both use it.
+
+def event_bit(clients: tuple[int, ...], e: EventId) -> int:
+    """The bit of e in a mask over clients, which must hold e's client."""
+    return (e.n - 1) * len(clients) + clients.index(e.client)
+
+
+def bit_event(clients: tuple[int, ...], i: int) -> EventId:
+    """The event at bit i of a mask over clients: event_bit's inverse."""
+    n, s = divmod(i, len(clients))
+    return EventId(clients[s], n + 1)
+
+
+class Log:
+    """An event log as a persistent list (Okasaki, Purely Functional Data
+    Structures, 1998): an immutable cell (event, tail) listing its event
+    before its tail's, down to a base, a set of events listed in (client,
+    n) order. A server log grows from an empty base, one cell per event;
+    the common log is a base. Each keeps its length and its events as a
+    mask over the sorted client ids of its configuration (event_bit), so a
+    push, a snapshot and the event set each cost O(1)."""
+
+    __slots__ = ("event", "tail", "len", "mask", "clients")
+
+    def __init__(self, event: EventId, tail: "Log"):
+        self.event, self.tail, self.len, self.clients = event, tail, tail.len + 1, tail.clients
+        self.mask = tail.mask | 1 << event_bit(tail.clients, event)
+
+    @staticmethod
+    def base(mask: int, clients: tuple[int, ...]) -> "Log":
+        log = object.__new__(Log)
+        log.event = log.tail = None
+        log.len, log.mask, log.clients = mask.bit_count(), mask, clients
+        return log
+
+    def __contains__(self, e: EventId) -> bool:
+        return e.client in self.clients and e.n >= 1 and bool(
+            self.mask >> event_bit(self.clients, e) & 1)
+
+    def base_events(self) -> list[tuple[int, int]]:
+        """(client, n) of each event of a base, in (client, n) order: each
+        slot's every K-th bit in turn."""
+        flags, k = _flags(self.mask), len(self.clients)
+        return [(c, n) for s, c in enumerate(self.clients) for n in compress(count(1), flags[s::k])]
+
+    def __iter__(self):
+        cell = self
+        while cell.event is not None:
+            yield cell.event
+            cell = cell.tail
+        yield from starmap(EventId, cell.base_events())
+
+    def __len__(self) -> int:
+        return self.len
+
+
+# what a read served from the client's own store sees of the server logs
+NO_EVENTS = Log.base(0, ())
 
 
 # Where a read was served from: ("local", client) | ("server", idx) | ("servers",)
@@ -65,7 +134,7 @@ class Action:
     location: Optional[Location] = None
     value: Optional[object] = None         # LabeledValue
     source: Optional[Source] = None
-    snapshot: Optional[tuple[EventId, ...]] = None   # server event-log view
+    snapshot: Optional[Log] = None         # seen: a server's cell, the common base, NO_EVENTS
     literal_label: Optional[Label] = None  # as spelled by the rule, when it differs
     synced: bool = False                   # one atomic step across every server
 
@@ -497,7 +566,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                 nu = c.fresh_event()
                 c.buffer = c.buffer + (Req(ident, c.cid, eff, nu),)
                 act = Action(eff, "rd", AVA, nu, o, result,
-                             source=("local", c.cid), snapshot=())
+                             source=("local", c.cid), snapshot=NO_EVENTS)
                 return done(Lit(result), act, "E-AVADEREF1")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "dereference of an oac location")
@@ -537,7 +606,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                 return None   # con, or a replica a server must install
             result = raise_label(c.store[o], AVA)
             act = Action(eff, "rd", AVA, c.fresh_event(), o, result,
-                         source=("local", c.cid), snapshot=())
+                         source=("local", c.cid), snapshot=NO_EVENTS)
             return done(Lit(result), act, "E-FLEXRD-AVA")
 
         case Clone() | Ref():

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import initial_config
+from ctrd.runtime_local import Log
 from ctrd.syntax import Duplicated, Lit, Location, RecordVal, children, map_value
 from ctrd.typecheck import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# bench/gen.py, the benchmark's program generator, loaded by path (bench/
+# is not a package)
+_spec = importlib.util.spec_from_file_location("bench_gen", CORPUS.parent / "bench" / "gen.py")
+gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 # the corpus programs that typecheck, so run and explore can take them
 RUNNABLE = sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
 
@@ -27,6 +35,14 @@ def checked_config(src: str, servers: int | None = None):
     prog = parse_program(src)
     checked = check_program(prog)
     return prog, checked, initial_config(prog, checked.id_types, servers)
+
+
+def log_of(events, clients=(0, 1, 2, 3)) -> Log:
+    """The server log that lists events newest first, over those clients."""
+    log = Log.base(0, tuple(sorted(clients)))
+    for e in reversed(events):
+        log = Log(e, log)
+    return log
 
 
 def subterms(t) -> list:

@@ -37,7 +37,7 @@ def client_key(c) -> tuple:
 
 
 def server_key(s) -> tuple:
-    return (_by_sort_key(s.store), s.seq)
+    return (_by_sort_key(s.store), tuple(s.seq))
 
 
 def structural_key(cfg) -> tuple:

@@ -1,9 +1,10 @@
-"""Substitution and the common log as they stood before pruning and
-before the incremental common log, kept as differential oracles.
+"""Substitution and the server and common logs as they stood before
+pruning and before logs became cells, kept as differential oracles.
 
 `subst` walks the whole term on every call and rebuilds every closure
 literal and shadowing let it passes, whether or not the name occurs.
 `free_names` computes a term's free names from scratch, caching nothing.
+`logs_after` keeps every server's log as a tuple, newest first, and
 `common_seq` intersects every server's log and sorts the result.
 """
 
@@ -46,13 +47,25 @@ def free_names(t) -> frozenset[str]:
     return frozenset().union(*map(free_names, children(t)))
 
 
-def common_seq(servers) -> tuple:
-    """Events present in every server's log, in (client, n) order."""
-    if not servers:
+def logs_after(logs: tuple, entry) -> tuple:
+    """The server logs after one step: a synchronized write prepends its
+    event to every log, and a delivery to its server's."""
+    a = entry.action
+    if a.synced:
+        return tuple((a.event,) + log for log in logs)
+    if entry.rule == "E-PROCESS-UPDATE":
+        return tuple((a.event,) + log if r == entry.server else log
+                     for r, log in enumerate(logs))
+    return logs
+
+
+def common_seq(logs) -> tuple:
+    """Events present in every log, in (client, n) order."""
+    if not logs:
         return ()
-    common = set(servers[0].seq)
-    for s in servers[1:]:
-        common.intersection_update(s.seq)
+    common = set(logs[0])
+    for log in logs[1:]:
+        common.intersection_update(log)
     return tuple(sorted(common, key=attrgetter("client", "n")))
 
 

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, checked_config, corpus_files, load
+from conftest import CORPUS, checked_config, corpus_files, load, log_of
 from explore_oracle import structural_key
 from ctrd.abstract_exec import (
     AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
@@ -96,26 +96,30 @@ def _entry(rule, kind, event, snapshot, label=CON, synced=False, client=1):
 
 def test_record_rejects_read_of_unrecorded_event():
     w, r = EventId(1, 1), EventId(2, 1)
-    write = _entry("E-CONASSIGN", "wr", w, (), synced=True)
-    record([write, _entry("E-CONDEREF", "rd", r, (w,), client=2)])   # well formed
+    write = _entry("E-CONASSIGN", "wr", w, log_of(()), synced=True)
+    record([write, _entry("E-CONDEREF", "rd", r, log_of([w]), client=2)])   # well formed
     with pytest.raises(MalformedTrace, match="outside the history"):
-        record([_entry("E-CONDEREF", "rd", r, (w,), client=2)])
+        record([_entry("E-CONDEREF", "rd", r, log_of([w]), client=2)])
     with pytest.raises(MalformedTrace, match="outside the history"):
         # an event of a client with no event of its own in the trace
-        record([write, _entry("E-CONDEREF", "rd", r, (w, EventId(3, 1)), client=2)])
+        record([write, _entry("E-CONDEREF", "rd", r, log_of([w, EventId(3, 1)]), client=2)])
+    with pytest.raises(MalformedTrace, match="over clients"):
+        # a log whose mask is laid out over other clients
+        record([write, _entry("E-CONDEREF", "rd", r, log_of([w], (1, 2)), client=2),
+                _entry("E-CONDEREF", "rd", EventId(2, 2), log_of([w]), client=2)])
 
 
 def test_record_rejects_delivery_over_unrecorded_event():
     u, other = EventId(1, 1), EventId(1, 2)
     buffered = _entry("E-AVAASSIGN", "wr", u, None, label=AVA)
-    ok = _entry("E-PROCESS-UPDATE", "wr", u, (), label=AVA)
+    ok = _entry("E-PROCESS-UPDATE", "wr", u, log_of(()), label=AVA)
     record([buffered, ok])
-    bad = _entry("E-PROCESS-UPDATE", "wr", u, (other,), label=AVA)
+    bad = _entry("E-PROCESS-UPDATE", "wr", u, log_of([other]), label=AVA)
     with pytest.raises(MalformedTrace, match="outside the history"):
         record([buffered, bad])
     # a synced write's shared log is held to the same rule
     with pytest.raises(MalformedTrace, match="outside the history"):
-        record([_entry("E-CONASSIGN", "wr", u, (other,), synced=True)])
+        record([_entry("E-CONASSIGN", "wr", u, log_of([other]), synced=True)])
 
 
 def test_events_recorded_once():
@@ -398,7 +402,7 @@ def _check_ec_by_scan(exec_, config) -> EcVerdict:
     scan of every server log."""
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
-    in_all_logs = all(all(e in s.seq for s in config.servers) for e in ava_writes)
+    in_all_logs = all(all(e in tuple(s.seq) for s in config.servers) for e in ava_writes)
     stores = [sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
               for s in config.servers]
     converged = all(st == stores[0] for st in stores[1:])
@@ -430,7 +434,7 @@ def test_check_ec_agrees_with_the_log_scan_on_the_corpus():
                 continue
             cfg = res.config.copy()
             srv = cfg.own_server(len(cfg.servers) - 1)
-            srv.seq = tuple(e for e in srv.seq if e != writes[0])
+            srv.seq = log_of([e for e in srv.seq if e != writes[0]], srv.seq.clients)
             v = check_ec(ex, cfg)
             assert v == _check_ec_by_scan(ex, cfg), (path.name, seed)
             assert not v.eventual_visibility

@@ -155,6 +155,22 @@ def test_servers_below_one_is_a_usage_error(capsys):
             assert out == "" and err.count("\n") == 1 and "--servers" in err, err
 
 
+def test_negative_step_and_depth_limits_are_usage_errors(capsys):
+    # --max-steps -1 used to report a step-limit run of 0 steps, and
+    # --max-depth -1 an exploration with no verdict, both with exit 4
+    con = str(CORPUS / "con" / "two_writers.ctrd")
+    nif = [str(CORPUS / "nif" / "pair1_a.ctrd"), str(CORPUS / "nif" / "pair1_b.ctrd")]
+    for argv, flag in ((["run", con], "--max-steps"), (["explore", con], "--max-depth"),
+                       (["nif", *nif], "--max-depth")):
+        for n in ("-1", "-7"):
+            assert main([*argv, flag, n]) == 2, (argv, n)
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and flag in err, err
+        # zero stays valid: no step is taken, so no verdict
+        assert main([*argv, flag, "0"]) == 4, argv
+        capsys.readouterr()
+
+
 def test_bad_state_budget_is_a_usage_error(capsys, monkeypatch):
     path = str(CORPUS / "con" / "two_writers.ctrd")
     nif = [str(CORPUS / "nif" / "pair1_a.ctrd"), str(CORPUS / "nif" / "pair1_b.ctrd")]

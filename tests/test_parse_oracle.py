@@ -4,24 +4,16 @@ character-level, recursive and fixpoint front end in parse_oracle.py."""
 
 from __future__ import annotations
 
-import importlib.util
-import pathlib
-import sys
 from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from conftest import CORPUS, load
+from conftest import CORPUS, gen, load
 from ctrd.parser import ParseError, parse_program, parse_term, tokenize
 from ctrd.syntax import CON, LOC, LatType, Let
 from ctrd.typecheck import CheckError, TypeEnv, check_program, typecheck
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_gen", pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py")
-gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 CORPUS_FILES = sorted(CORPUS.rglob("*.ctrd"))
 GENERATED = [

@@ -170,7 +170,7 @@ def test_ava_deref_local_merges_and_requests():
     kinds = [type(m) for m in c.buffer]
     assert kinds == [Update, Req]
     (rd,) = [a for r, a in actions if r == "E-AVADEREF1"]
-    assert rd.source == ("local", 1) and rd.snapshot == ()
+    assert rd.source == ("local", 1) and list(rd.snapshot) == []
 
 
 def test_ava_assign_merges_with_store():

@@ -1,14 +1,20 @@
-"""Pruned substitution and the incremental common log against the
-oracles in step_oracle.py."""
+"""Pruned substitution, and the log cells and the common log mask,
+against the oracles in step_oracle.py."""
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from hypothesis import given, settings, strategies as st
 
 import step_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, load, subterms
 from ctrd.lattice import NatMax
-from ctrd.runtime_cloud import enabled, make_scheduler, step_cloud
+import ctrd.abstract_exec
+import ctrd.runtime_cloud
+from ctrd.abstract_exec import AbstractExecution, fold_entry
+from ctrd.runtime_cloud import enabled, explore, make_scheduler, step_cloud
 from ctrd.runtime_local import CtrdRuntimeError, free_names, subst
 from ctrd.syntax import (
     App, CON, Closure, Deref, Duplicated, FlexWrite, If, LABELS, LOC, LatOp,
@@ -100,27 +106,85 @@ def test_free_names_is_cached_on_the_node():
 
 
 # ---------------------------------------------------------------------------
-# the common log
+# server logs and the common log
+
+def _check_logs(cfg, logs, where) -> None:
+    """Each server log, listed newest first, is its tuple log, and the
+    common log, listed in (client, n) order, is their intersection."""
+    assert [tuple(s.seq) for s in cfg.servers] == list(logs), where
+    assert [len(s.seq) for s in cfg.servers] == list(map(len, logs)), where
+    assert tuple(cfg.common) == step_oracle.common_seq(logs), where
+
+
+def _check_snapshot(exec_, entry, logs, where) -> None:
+    """The log an entry records is the tuple log its rule saw, and its mask
+    is the OR of the events it lists."""
+    snap = entry.action.snapshot
+    if snap is None:
+        return
+    if entry.rule in step_oracle.COMMON_LOG_RULES:
+        want = step_oracle.common_seq(logs)
+    elif entry.rule == "E-PROCESS-UPDATE" or entry.action.source[0] == "server":
+        want = logs[entry.server]
+    else:
+        want = ()                       # served from the client's own store
+    assert tuple(snap) == want, where
+    assert exec_.history_mask(snap, "snapshot") == \
+        reduce(or_, (1 << exec_.index(e) for e in snap), 0), where
+
 
 def test_common_log_matches_the_server_logs_on_every_run_step():
-    # each step of a seeded run of every runnable corpus program keeps
-    # CloudConfig.common equal to the intersection of the server logs, and
-    # each rule that records it records it as it stood before the step
+    # each step of a seeded run of every runnable corpus program keeps each
+    # server's log cells equal to its tuple log and CloudConfig.common equal
+    # to the intersection of the server logs, and each rule that records a
+    # log records it as it stood before the step, with the mask of the
+    # events it lists
     assert len(RUNNABLE) == 45
     for path in RUNNABLE:
         _, _, initial = checked_config(load(path))
-        name = path.relative_to(CORPUS)
         for seed in range(3):
             cfg, sched = initial, make_scheduler("random", seed)
+            logs = ((),) * len(cfg.servers)
+            exec_ = AbstractExecution(cfg.clients)
             choices = enabled(cfg)
             while choices:
                 try:
-                    nxt, entry = step_cloud(cfg, sched.pick(choices))
+                    cfg, entry = step_cloud(cfg, sched.pick(choices))
                 except CtrdRuntimeError:
                     break
-                if entry.rule in step_oracle.COMMON_LOG_RULES:
-                    assert entry.action.snapshot == step_oracle.common_seq(cfg.servers), \
-                        (name, seed, entry.rule)
-                cfg = nxt
-                assert cfg.common == step_oracle.common_seq(cfg.servers), (name, seed, entry.rule)
+                where = (path.relative_to(CORPUS), seed, entry.rule)
+                _check_snapshot(exec_, entry, logs, where)
+                fold_entry(exec_, entry)
+                logs = step_oracle.logs_after(logs, entry)
+                _check_logs(cfg, logs, where)
                 choices = enabled(cfg)
+
+
+def test_log_cells_match_the_tuple_logs_in_every_explored_state(monkeypatch):
+    _, _, initial = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"), servers=3)
+    # the tuple logs of each configuration and of the step behind each
+    # entry, keyed by id and kept alive beside it
+    logs = {id(initial): (initial, ((),) * 3)}
+    before = {}
+    step, fold = ctrd.runtime_cloud.step_cloud, ctrd.abstract_exec.fold_entry
+    seen = {"steps": 0, "snapshots": 0}
+
+    def checked_step(cfg, choice):
+        nxt, entry = step(cfg, choice)
+        prior = logs[id(cfg)][1]
+        after = step_oracle.logs_after(prior, entry)
+        _check_logs(nxt, after, entry.rule)
+        logs[id(nxt)], before[id(entry)] = (nxt, after), (entry, prior)
+        seen["steps"] += 1
+        return nxt, entry
+
+    def checked_fold(exec_, entry):
+        if entry.action.snapshot is not None:
+            _check_snapshot(exec_, entry, before[id(entry)][1], entry.rule)
+            seen["snapshots"] += 1
+        fold(exec_, entry)
+
+    monkeypatch.setattr(ctrd.runtime_cloud, "step_cloud", checked_step)
+    monkeypatch.setattr(ctrd.abstract_exec, "fold_entry", checked_fold)
+    explore(initial, 24)
+    assert seen["steps"] > 100 and seen["snapshots"] > 50

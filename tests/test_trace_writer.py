@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trace_oracle
-from conftest import RUNNABLE, checked_config, load
+from conftest import RUNNABLE, checked_config, gen, load, log_of
 from ctrd.cli import trace_json
 from ctrd.lattice import GSet, NatMax
 from ctrd.runtime_cloud import TraceEntry, make_scheduler, run
-from ctrd.runtime_local import Action, EventId
+from ctrd.runtime_local import Action, EventId, Log
 from ctrd.syntax import (
     CON, LABELS, BoolVal, Closure, Duplicated, LatOp, LatType, Lit, Location,
     Plain, RecordVal, UNIT, Var,
@@ -46,6 +46,22 @@ def test_corpus_traces_are_written_as_the_oracle_writes_them():
             snapshots += sum(e.action.snapshot is not None for e in res.trace)
             _assert_written_as_oracle(res.trace)
     assert snapshots > 0
+
+
+def test_a_long_generated_run_is_written_as_the_oracle_writes_it():
+    # a benchmark-sized let-chain program: server logs over 100 events
+    # long, whose snapshots are written from their tails' text, and
+    # deliveries that enter the common log behind later events of their
+    # own client, where a listing in (client, n) order cannot just append
+    _, _, cfg = checked_config(gen.chain_program(11000, "long", gen.LONG_MIX, True).text)
+    res = run(cfg, make_scheduler("random", 5), 100_000)
+    assert res.status == "quiescent" and res.steps > 1000
+    commons = [s for e in res.trace if (s := e.action.snapshot) and s.event is None]
+    assert max(len(e.action.snapshot or ()) for e in res.trace) > 100
+    assert any(x.client == e.client and x.n > e.n
+               for before, after in zip(commons, commons[1:])
+               for e in set(after) - set(before) for x in before)
+    _assert_written_as_oracle(res.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +109,21 @@ _sources = st.one_of(
     st.just(("servers",)),
     st.just(()),
 )
-_snapshots = st.lists(_events, max_size=8).map(tuple)
+
+
+@st.composite
+def _snapshot_pools(draw):
+    # bases listed from masks, the common log's form, and cells pushed onto
+    # them and onto one another, so that snapshots share tails and equal
+    # logs need not be the same cells; then a base equal to another but not
+    # the same object, and one with the same mask over other clients, which
+    # lists other events
+    empty = log_of(())
+    masks = draw(st.lists(st.integers(0, (1 << 24) - 1), max_size=3))
+    cells = [empty, *(Log.base(m, empty.clients) for m in masks)]
+    for e in draw(st.lists(_events, max_size=12)):
+        cells.append(Log(e, draw(st.sampled_from(cells))))
+    return cells + [Log.base(m, c) for m in masks[:1] for c in (empty.clients, (1, 3))]
 
 
 @st.composite
@@ -101,9 +131,9 @@ def _traces(draw):
     # entries draw snapshots and values from small pools, so one object is
     # met again later in the trace (the writer renders it once) alongside
     # equal objects that are not the same one
-    snap_pool = draw(st.lists(_snapshots, min_size=1, max_size=3))
+    snap_pool = draw(_snapshot_pools())
     value_pool = draw(st.lists(st.none() | _values, min_size=1, max_size=3))
-    snapshot = st.none() | st.sampled_from(snap_pool) | _snapshots
+    snapshot = st.none() | st.sampled_from(snap_pool)
     value = st.sampled_from(value_pool) | st.none() | _values
     action = st.builds(
         Action, _labels, st.sampled_from(["rd", "wr", "ref", "eps"]),
@@ -135,7 +165,7 @@ _FULL = TraceEntry(
     7, "E-READ-CON",
     Action(CON, "rd", label=CON, event=EventId(1, 2), location=Location(1, 0, True),
            value=Plain(NatMax(3), CON), source=("server", 1),
-           snapshot=(EventId(2, 1), EventId(1, 1)), literal_label=LABELS[3],
+           snapshot=log_of([EventId(2, 1), EventId(1, 1)]), literal_label=LABELS[3],
            synced=True),
     client=1, server=0, node_count=12)
 _ACTION_OFF = {"label": None, "literal_label": None, "snapshot": None,
@@ -173,7 +203,7 @@ def test_zero_counts_are_written():
 
 
 def test_empty_snapshot_and_source_forms():
-    empty = replace(_FULL, action=replace(_FULL.action, snapshot=()))
+    empty = replace(_FULL, action=replace(_FULL.action, snapshot=log_of(())))
     _assert_written_as_oracle([empty])
     assert json.loads(trace_json([empty]))[0]["action"]["snapshot"] == []
     for source in [("local", 0), ("servers",), ()]:
