@@ -431,8 +431,8 @@ class EcVerdict:
 def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
     """Finite-trace surrogate for eventual consistency at quiescence: every
     available write reached every server log, replicas agree everywhere,
-    and a probe read of any available location would see the joined value
-    from any server."""
+    and a probe read of any location an available write landed at would
+    see the joined value from any server."""
     from .runtime_cloud import quiescent
 
     if not quiescent(config):
@@ -446,7 +446,10 @@ def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
         for s in config.servers
     ]
     converged = all(st == stores[0] for st in stores[1:])
-    ava_locs = {op.location for e, op in exec_.op.items() if e in ava_writes}
+    # an update joins into its identifier's published location, which a
+    # client that lost the race to create the identifier does not hold
+    landed = lambda e, o: config.global_ids.get(config.clients[e.client].getkey(o), o)
+    ava_locs = {landed(e, op.location) for e, op in exec_.op.items() if e in ava_writes}
     agree = True
     for o in ava_locs:
         held = [s.store.get(o) for s in config.servers]

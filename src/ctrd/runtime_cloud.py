@@ -22,8 +22,8 @@ from .clone import clone_step
 # from outside the package find it where step_local is looked up
 from .runtime_local import (
     Action, ClientState, CtrdRuntimeError, EventId, Interned, Log,
-    Message, Req, Update, cell_operand, decompose, eps, initial_client,
-    join_into, merge_values, payload_id, sorted_items, step_local,
+    Message, Req, Update, cell_operand, decompose, eps, event_bit, initial_client,
+    join_into, merge_values, message_id, sorted_items, step_local,
 )
 from .syntax import (
     Assign, AVA, Await, Clone, CON, Deref, Duplicated, FlexRead, FlexWrite,
@@ -178,18 +178,18 @@ class CloudConfig:
     def key(self, table: dict) -> tuple:
         """The key of the configuration's server-permutation orbit, from the
         ints the intern table gives its parts: the clients in client order,
-        the mailbox (the sorted payload_id of its messages, delivered sets
-        left out), the servers sorted, and the two sorted maps. A part's
-        int is read where it is kept, so a key costs what the last step
-        changed. For configurations with the same clients and number of
-        servers, keys are equal exactly when one configuration is a server
-        permutation of the other up to the order of each server's log, as
-        the server logs decide the delivered sets."""
+        the mailbox (the sorted message_id of its messages), the servers
+        sorted, and the two sorted maps. A part's int is read where it is
+        kept, so a key costs what the last step changed; a delivery leaves
+        the mailbox and its int untouched. For configurations with the same
+        clients and number of servers, keys are equal exactly when one
+        configuration is a server permutation of the other up to the order
+        of each server's log."""
         if self._table is not table:
             self._table, self._mailbox_id, self._ids_id, self._typing_id = table, None, None, None
         if self._mailbox_id is None:
             self._mailbox_id = table.setdefault(
-                tuple(sorted([payload_id(m, table) for m in self._mailbox])), len(table))
+                tuple(sorted([message_id(m, table) for m in self._mailbox])), len(table))
         if self._ids_id is None:
             self._ids_id = table.setdefault(tuple(sorted(
                 ((i.sort_key(), i), o) for i, o in self.global_ids.items())), len(table))
@@ -290,15 +290,15 @@ def enabled(config: CloudConfig) -> list[Choice]:
             kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
             out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
                        if read[1] in s.store)
-    all_servers = frozenset(range(len(config.servers)))
+    clients = config.servers[0].seq.clients
     for m in config.mailbox:
         key = m.key()
         if isinstance(m, Update):
-            if m.delivered == all_servers:
-                out.append(Choice(Kind.GC_UPDATE, message=key))
-            else:
-                out.extend(Choice(Kind.DELIVER_UPDATE, message=key, server=r)
-                           for r in sorted(all_servers - m.delivered))
+            # an update has landed exactly at the servers whose log holds it
+            bit = 1 << event_bit(clients, m.event)
+            lacking = [Choice(Kind.DELIVER_UPDATE, message=key, server=r)
+                       for r, s in enumerate(config.servers) if not s.seq.mask & bit]
+            out.extend(lacking or [Choice(Kind.GC_UPDATE, message=key)])
         else:
             ident = m.ident
             if ident in config.global_ids and m.origin in config.clients:
@@ -487,7 +487,7 @@ def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
 def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     key, r = ch.message, ch.server
     m = _find_message(cfg, key)
-    if not isinstance(m, Update) or r in m.delivered:
+    if not isinstance(m, Update) or m.event in cfg.servers[r].seq:
         raise IllegalChoice(f"update delivery premises violated for {key}")
     server = cfg.own_server(r)
     pre_seq = server.seq
@@ -498,8 +498,6 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
         target = cfg.global_ids[m.ident]
     join_into(server.store, target, raise_label(m.value, m.effect))
     server.seq = Log(m.event, pre_seq)
-    new_m = m.delivered_to(r)
-    cfg.mailbox = tuple(new_m if x is m else x for x in cfg.mailbox)
     act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=pre_seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)
 
@@ -527,7 +525,7 @@ def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
 def _gc_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     key = ch.message
     m = _find_message(cfg, key)
-    if not isinstance(m, Update) or m.delivered != frozenset(range(len(cfg.servers))):
+    if not isinstance(m, Update) or m.event not in cfg.common:
         raise IllegalChoice(f"garbage collection premises violated for {key}")
     cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
     return cfg, TraceEntry(0, "E-GC", eps(LOC))
@@ -827,12 +825,6 @@ def check_wf(config: CloudConfig) -> WfReport:
 
     for m in config.mailbox:
         _check_message(config, m, "mailbox", problems)
-        # marked delivered exactly where logged: the mailbox key, which leaves
-        # out delivered sets, rests on it
-        for r, server in enumerate(config.servers) if isinstance(m, Update) else ():
-            if (r in m.delivered) != (m.event in server.seq):
-                problems.append(f"mailbox: update {m.event} marked delivered at "
-                                f"server {r} exactly when its log lacks it")
 
     for ident, o in sorted(config.global_ids.items(), key=lambda kv: kv[0].sort_key()):
         if o not in sigma:

@@ -145,28 +145,19 @@ def eps(effect: Label) -> Action:
 
 @dataclass(frozen=True)
 class Update:
-    """Buffered asynchronous write: carried until every server has seen it.
-    Its payload is every field but delivered (see payload_id)."""
+    """Buffered asynchronous write, carried until it is in every server's
+    log. The server logs are the only record of where it has landed, so a
+    message never changes between entering and leaving the mailbox."""
 
     location: Location
     ident: Optional[Identifier]
     value: object                  # LabeledValue, unstamped payload
     origin: int
-    delivered: frozenset[int]
     event: EventId
     effect: Label
 
     def key(self) -> tuple[int, int, int]:
         return (0, self.origin, self.event.n)
-
-    def delivered_to(self, r: int) -> "Update":
-        """This update marked delivered at server r too, carrying the int
-        payload_id kept for it: the payload does not change."""
-        new = Update(self.location, self.ident, self.value, self.origin,
-                     self.delivered | {r}, self.event, self.effect)
-        if "_payload_id" in self.__dict__:
-            new.__dict__["_payload_id"] = self.__dict__["_payload_id"]
-        return new
 
 
 @dataclass(frozen=True)
@@ -185,18 +176,14 @@ class Req:
 Message = Union[Update, Req]
 
 
-def payload_id(m: Message, table: dict) -> int:
-    """The int the intern table gives m without its delivered set, which
-    the server logs decide. Kept in m's __dict__, outside its dataclass
-    fields (so equality, hashing and repr still see delivered), until
-    another table is asked; building a message costs nothing for it, and
-    Update.delivered_to hands it on, so a message is hashed once per
-    table however often it is delivered."""
-    held = m.__dict__.get("_payload_id")
+def message_id(m: Message, table: dict) -> int:
+    """The int the intern table gives m. Kept in m's __dict__, outside its
+    dataclass fields, until another table is asked; building a message
+    costs nothing for it, and a message does not change in flight, so it
+    is hashed once per table however often it is delivered."""
+    held = m.__dict__.get("_message_id")
     if held is None or held[0] is not table:
-        payload = m if m.__class__ is Req else (
-            m.location, m.ident, m.value, m.origin, m.event, m.effect)
-        held = m.__dict__["_payload_id"] = (table, table.setdefault(payload, len(table)))
+        held = m.__dict__["_message_id"] = (table, table.setdefault(m, len(table)))
     return held[1]
 
 
@@ -471,7 +458,7 @@ def _buffered_write(c: ClientState, o: Location, v, eff: Label,
     client's replica of o and buffer it unstamped under a fresh event."""
     join_into(c.store, o, raise_label(v, label_join(eff, AVA)))
     nu = c.fresh_event()
-    c.buffer = c.buffer + (Update(o, ident, v, c.cid, frozenset(), nu, eff),)
+    c.buffer = c.buffer + (Update(o, ident, v, c.cid, nu, eff),)
     return nu
 
 

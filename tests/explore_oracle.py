@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 from typing import Callable, Optional
 
 from ctrd.abstract_exec import AbstractExecution, con_observation, fold_entry
@@ -24,7 +23,6 @@ from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import (
     ExploreSummary, StateSpaceLimit, enabled, step_cloud,
 )
-from ctrd.runtime_local import Update
 
 
 def _by_sort_key(d: dict) -> tuple:
@@ -52,11 +50,9 @@ def structural_key(cfg) -> tuple:
 
 def orbit_key(cfg) -> tuple:
     """The structural key of cfg's class under server permutations and log
-    orders: the servers as a multiset of (store, log set) and the mailbox
-    without delivered sets."""
+    orders: the servers as a multiset of (store, log set). The mailbox is
+    kept as it is, since a delivery changes only a server."""
     clients, mailbox, servers, ids, typing = structural_key(cfg)
-    mailbox = tuple((k, replace(m, delivered=frozenset()) if isinstance(m, Update) else m)
-                    for k, m in mailbox)
     servers = Counter((store, frozenset(seq)) for store, seq in servers)
     return clients, mailbox, frozenset(servers.items()), ids, typing
 

@@ -398,16 +398,25 @@ def test_check_ec_vacuous_without_ava_ops():
 
 
 def _check_ec_by_scan(exec_, config) -> EcVerdict:
-    """check_ec as first written: each ava write is looked up by a linear
-    scan of every server log."""
+    """check_ec by linear scans: each ava write is looked up in every
+    server log, and probed where it landed, which a scan of its client's
+    identifier map finds."""
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
     in_all_logs = all(all(e in tuple(s.seq) for s in config.servers) for e in ava_writes)
     stores = [sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
               for s in config.servers]
     converged = all(st == stores[0] for st in stores[1:])
+
+    def landed(e):
+        o = exec_.op[e].location
+        for ident, bound in config.clients[e.client].idmap.items():
+            if bound == o and ident in config.global_ids:
+                return config.global_ids[ident]
+        return o
+
     agree = True
-    for o in {exec_.op[e].location for e in ava_writes}:
+    for o in {landed(e) for e in ava_writes}:
         held = [s.store.get(o) for s in config.servers]
         if any(v is None for v in held) or any(v != held[0] for v in held[1:]):
             agree = False

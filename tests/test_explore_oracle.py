@@ -70,6 +70,6 @@ def test_interned_keys_are_equal_exactly_when_structural_keys_are(monkeypatch):
         assert len(configs) == len(execs) >= summary.states
         orbit_key = explore_oracle.orbit_key
         assert _one_to_one([(k, orbit_key(c)) for k, c in configs]), path
-        # the mailbox on its own: its int follows the messages less delivered
+        # the mailbox on its own: its int follows its messages
         assert _one_to_one([(k[len(c.clients)], orbit_key(c)[1]) for k, c in configs]), path
         assert _one_to_one([(i, ex.key()) for i, ex in execs]), path

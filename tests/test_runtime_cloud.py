@@ -16,7 +16,7 @@ from ctrd.runtime_cloud import (
     Choice, CloudConfig, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import EventId, Update, decompose, eps, initial_client, payload_id
+from ctrd.runtime_local import EventId, decompose, eps, initial_client, message_id
 from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
                          LOC, Location, OAC, Plain, Ref)
 
@@ -40,12 +40,12 @@ def test_enabled_empty_when_done():
     assert quiescent(res.config)
 
 
-def _partly_delivered():
-    """An ava update delivered to server 0 of 3, and the update."""
+def _partly_delivered(server: int = 0):
+    """An ava update delivered to one server of 3, and the update."""
     _, _, cfg = checked_config("servers 3; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
     res = run(cfg, make_scheduler("drain-fair"), 2)   # avaref + send
     (m,) = res.config.mailbox
-    cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=0))
+    cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=server))
     return cfg2, cfg2.mailbox[0]
 
 
@@ -205,6 +205,26 @@ def test_await2_resolves_via_global_map():
     _, _, cfg = checked_config(src)
     res = drive(cfg, ["E-AWAIT2", "E-CONDEREF"])
     assert res.status == "quiescent"
+
+
+def test_a_lost_creation_race_is_eventually_consistent():
+    # both clients create (ava,1); the update delivered first publishes
+    # its own location and the other joins into it there, so every server
+    # holds nat 2 at the published location and none at the loser's own
+    src = ("servers 2; client 1 { ref@ava(nat 1 @ava, (ava,1)) } "
+           "client 2 { ref@ava(nat 2 @ava, (ava,1)) }")
+    _, _, cfg = checked_config(src)
+    for seed in range(6):
+        res = run(cfg, make_scheduler("random", seed), 100)
+        assert res.status == "quiescent", seed
+        o = res.config.global_ids[Identifier(AVA, 1)]
+        assert all(list(s.store) == [o] and s.store[o].raw == NatMax(2)
+                   for s in res.config.servers), seed
+        assert check_ec(record(res.trace), res.config).ok, seed
+    verdicts = []
+    summary = explore(cfg, 30, on_trace=lambda exec_, final, truncated:
+                      verdicts.append(check_ec(exec_, final).ok))
+    assert summary.truncated == 0 and len(verdicts) == 4 and all(verdicts)
 
 
 def test_flexrd_con_merges_replicas():
@@ -487,29 +507,10 @@ def test_wf_detects_corrupted_store():
     assert check_wf(res.config).ok
 
 
-def _marked(cfg, m, delivered):
-    """A copy of cfg whose one message is m marked delivered as given."""
-    new = cfg.copy()
-    new.mailbox = (replace(m, delivered=frozenset(delivered)),)
-    return new
-
-
-def test_wf_detects_a_delivery_mark_that_disagrees_with_the_logs():
-    cfg, m = _partly_delivered()
-    assert check_wf(cfg).ok
-    report = check_wf(_marked(cfg, m, {0, 2}))
-    assert report.problems == ["mailbox: update c1:1 marked delivered at server 2 "
-                               "exactly when its log lacks it"]
-    report = check_wf(_marked(cfg, m, ()))
-    assert report.problems == ["mailbox: update c1:1 marked delivered at server 0 "
-                               "exactly when its log lacks it"]
-
-
 def test_server_permutations_share_one_orbit_key():
     # the same update delivered to server 0 and to server 2
-    cfg, m = _partly_delivered()
-    other = _marked(cfg, m, {2})
-    other.servers = [cfg.servers[1], cfg.servers[2], cfg.servers[0]]
+    cfg, m = _partly_delivered(0)
+    other, _ = _partly_delivered(2)
     assert check_wf(other).ok
     assert explore_oracle.structural_key(other) != explore_oracle.structural_key(cfg)
     table: dict = {}
@@ -543,24 +544,40 @@ def test_a_server_log_is_keyed_as_a_set():
     assert len({ab.key(table), deliver(a).key(table), deliver(b).key(table)}) == 3
 
 
-def test_an_update_is_keyed_without_its_delivered_set():
-    # delivered is part of an update's equality, but not of its mailbox key:
-    # the server logs decide it
-    cfg, m = _partly_delivered()
-    other = replace(m, delivered=frozenset({0, 1}))
-    assert other != m
+def test_every_field_of_an_update_changes_its_int():
+    # a message is keyed as it is: an equal one shares its int, and one
+    # that differs in any field is another
+    _, m = _partly_delivered()
     table: dict = {}
-    assert payload_id(other, table) == payload_id(m, table)
-    assert _marked(cfg, m, {0, 1}).key(table) == cfg.key(table)
-    # a delivery hands the int on without rehashing the payload
-    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
-    held = done.mailbox[0].__dict__["_payload_id"]
-    assert held[0] is table and held[1] == payload_id(m, table)
-    # a payload that differs in any field is another int
+    assert message_id(replace(m), table) == message_id(m, table)
     for change in ({"location": Location(1, 9, True)}, {"ident": None},
                    {"value": Plain(NatMax(2), AVA)}, {"origin": 2},
                    {"event": EventId(1, 2)}, {"effect": CON}):
-        assert payload_id(replace(m, **change), table) != payload_id(m, table), change
+        assert message_id(replace(m, **change), table) != message_id(m, table), change
+
+
+def test_a_delivery_leaves_the_mailbox_and_its_int_untouched():
+    cfg, m = _partly_delivered()
+    table: dict = {}
+    before = cfg.key(table)
+    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
+    assert done.mailbox is cfg.mailbox
+    assert done._mailbox_id == cfg._mailbox_id is not None
+    assert done.key(table)[1] == before[1]    # after the one client's int
+    assert done.key(table) != before
+
+
+def test_an_update_is_delivered_once_per_server_and_collected_after_all():
+    cfg, m = _partly_delivered()
+    with pytest.raises(IllegalChoice):
+        step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=0))
+    with pytest.raises(IllegalChoice):
+        step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m.key()))
+    for r in (1, 2):
+        cfg, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=r))
+    assert enabled(cfg) == [Choice(Kind.GC_UPDATE, message=m.key())]
+    cfg, _ = step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m.key()))
+    assert cfg.mailbox == ()
 
 
 def test_wf_detects_untyped_location():

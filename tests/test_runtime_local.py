@@ -158,7 +158,6 @@ def test_ava_ref_buffers_update_and_stamps_ava():
     (m,) = c.buffer
     assert isinstance(m, Update)
     assert m.value == Plain(NatMax(3), LOC)          # payload is unstamped
-    assert m.delivered == frozenset()
     (ref_act,) = [a for r, a in actions if r == "E-AVAREF"]
     assert ref_act.kind == "ref" and ref_act.label == AVA
 
