@@ -200,7 +200,7 @@ def trace_json(trace: list[TraceEntry]) -> str:
 
 
 def execution_json(exec_) -> dict:
-    ev = sorted(exec_.op, key=lambda e: e.sort_key())
+    ev = sorted(exec_.op)
     pairs = lambda rel: sorted([str(a), str(b)] for a, b in rel)
     return {
         "events": [str(e) for e in ev],
@@ -345,6 +345,8 @@ def cmd_explore(args) -> int:
                           check_wf_each="wf" in args.check)
     except StateSpaceLimit as e:
         return _die(4, f"{args.file}: {e}")
+    except CtrdRuntimeError as e:
+        return _die(4, f"{args.file}: runtime fault: {e}")
     if "wf" in args.check:
         violations["wf"] = summary.wf_problems
     report = {
@@ -378,6 +380,8 @@ def cmd_nif(args) -> int:
         verdict = check_noninterference(prog_a, prog_b, args.max_depth, args.servers)
     except ProgramsNotLowEquivalent as e:
         return _die(5, f"ProgramsNotLowEquivalent: {e}")
+    except CtrdRuntimeError as e:
+        return _die(4, f"{args.file_a}, {args.file_b}: runtime fault: {e}")
     report = {
         "files": [args.file_a, args.file_b],
         "max_depth": args.max_depth,

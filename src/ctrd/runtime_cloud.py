@@ -36,7 +36,7 @@ from .typecheck import (CheckError, TypeEnv, type_of_value,
 
 
 class IllegalChoice(Exception):
-    """A scheduler picked a step whose rule premises do not hold."""
+    """step_cloud was given a choice that enabled does not offer."""
 
 
 class StateSpaceLimit(Exception):
@@ -88,10 +88,15 @@ class CloudConfig:
     common, the events present in every server's log, is the AND of the
     server log masks; it is read where a rule records it and left out of
     the key.
+
+    _enabled keeps enabled(self) once asked, or None; a copy starts without
+    it, and the mailbox setter and the own_* methods clear it where they
+    replace a component. So, as for keys, nothing a configuration has
+    already taken a private copy of may change once its choices are asked.
     """
 
-    __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing",
-                 "_mailbox", "_owned", "_table", "_mailbox_id", "_ids_id", "_typing_id")
+    __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing", "_mailbox",
+                 "_owned", "_table", "_mailbox_id", "_ids_id", "_typing_id", "_enabled")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -111,7 +116,7 @@ class CloudConfig:
 
     @mailbox.setter
     def mailbox(self, messages: tuple[Message, ...]) -> None:
-        self._mailbox, self._mailbox_id = messages, None
+        self._mailbox, self._mailbox_id, self._enabled = messages, None, None
 
     def copy(self) -> "CloudConfig":
         new = object.__new__(CloudConfig)
@@ -120,7 +125,7 @@ class CloudConfig:
         new.id_typing = self.id_typing
         new._mailbox, new._mailbox_id = self._mailbox, self._mailbox_id
         new._table, new._ids_id, new._typing_id = self._table, self._ids_id, self._typing_id
-        new._owned = set()
+        new._owned, new._enabled = set(), None
         return new
 
     # -- private copies, each taken once per configuration ----------------
@@ -128,13 +133,13 @@ class CloudConfig:
     def own_client(self, cid: int) -> ClientState:
         if ("client", cid) not in self._owned:
             self._owned.add(("client", cid))
-            self.clients[cid] = self.clients[cid].copy()
+            self.clients[cid], self._enabled = self.clients[cid].copy(), None
         return self.clients[cid]
 
     def own_server(self, r: int) -> Server:
         if ("server", r) not in self._owned:
             self._owned.add(("server", r))
-            self.servers[r] = self.servers[r].copy()
+            self.servers[r], self._enabled = self.servers[r].copy(), None
         return self.servers[r]
 
     def own_servers(self) -> list[Server]:
@@ -143,13 +148,13 @@ class CloudConfig:
     def own_global_ids(self) -> dict[Identifier, Location]:
         if "global_ids" not in self._owned:
             self._owned.add("global_ids")
-            self.global_ids, self._ids_id = dict(self.global_ids), None
+            self.global_ids, self._ids_id, self._enabled = dict(self.global_ids), None, None
         return self.global_ids
 
     def own_store_typing(self) -> dict[Location, Type]:
         if "store_typing" not in self._owned:
             self._owned.add("store_typing")
-            self.store_typing, self._typing_id = dict(self.store_typing), None
+            self.store_typing, self._typing_id, self._enabled = dict(self.store_typing), None, None
         return self.store_typing
 
     @property
@@ -239,19 +244,13 @@ _KINDS = len(Kind)
 
 class Choice(NamedTuple):
     """One enabled rule instance. Fields a kind does not use stay at their
-    defaults, so the tuple order (kind, client, message key, server) is the
-    scheduling order."""
+    defaults, so the tuple order (kind, client, message, server) is the
+    scheduling order: a message kind holds messages of one class, which
+    order by their events."""
     kind: Kind
     client: int = 0
-    message: tuple = ()     # message key
+    message: Optional[Message] = None   # the in-flight message itself
     server: int = 0
-
-
-def _find_message(config: CloudConfig, key: tuple) -> Optional[Message]:
-    for m in config.mailbox:
-        if m.key() == key:
-            return m
-    return None
 
 
 def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
@@ -270,7 +269,12 @@ def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
 
 
 def enabled(config: CloudConfig) -> list[Choice]:
-    """Every rule instance whose premises hold, deterministically ordered."""
+    """Every rule instance whose premises hold, deterministically ordered:
+    the one statement of each rule's premises, which step_cloud enforces
+    and the handlers rely on. Computed once per configuration and kept in
+    it (CloudConfig._enabled); the list is shared and must not be mutated."""
+    if config._enabled is not None:
+        return config._enabled
     out: list[Choice] = []
     for cid in sorted(config.clients):
         client = config.clients[cid]
@@ -292,20 +296,18 @@ def enabled(config: CloudConfig) -> list[Choice]:
                        if read[1] in s.store)
     clients = config.servers[0].seq.clients
     for m in config.mailbox:
-        key = m.key()
         if isinstance(m, Update):
             # an update has landed exactly at the servers whose log holds it
             bit = 1 << event_bit(clients, m.event)
-            lacking = [Choice(Kind.DELIVER_UPDATE, message=key, server=r)
+            lacking = [Choice(Kind.DELIVER_UPDATE, message=m, server=r)
                        for r, s in enumerate(config.servers) if not s.seq.mask & bit]
-            out.extend(lacking or [Choice(Kind.GC_UPDATE, message=key)])
-        else:
-            ident = m.ident
-            if ident in config.global_ids and m.origin in config.clients:
-                o = config.global_ids[ident]
-                out.extend(Choice(Kind.PROCESS_REQ, message=key, server=r)
-                           for r, s in enumerate(config.servers) if o in s.store)
-    return sorted(out)
+            out.extend(lacking or [Choice(Kind.GC_UPDATE, message=m)])
+        elif m.ident in config.global_ids and m.ident in config.clients[m.event.client].idmap:
+            o = config.global_ids[m.ident]
+            out.extend(Choice(Kind.PROCESS_REQ, message=m, server=r)
+                       for r, s in enumerate(config.servers) if o in s.store)
+    config._enabled = out = sorted(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +348,21 @@ def _sync_write(config: CloudConfig, client: ClientState, o: Location, v):
 
 def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceEntry]:
     """Apply one enabled rule instance; returns the new configuration and
-    the trace record of what fired. The input is copied once, here, sharing
-    its components; the handler takes private copies of the components it
-    changes (see CloudConfig) and steps those in place."""
+    the trace record of what fired. The one place a choice is refused:
+    IllegalChoice unless enabled(config) offers it. The handler gets the
+    offered choice and a copy of the input that shares its components; it
+    takes private copies of the components it changes (see CloudConfig)
+    and steps those in place."""
+    offered = enabled(config)
+    try:
+        choice = offered[offered.index(choice)]
+    except ValueError:
+        raise IllegalChoice(f"{choice} is not enabled") from None
     return _HANDLERS[choice.kind](config.copy(), choice)
 
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    cid = ch.client
-    if cfg.clients[cid].redex is None:
-        raise IllegalChoice(f"client {cid} has no enabled local step")
-    client = cfg.own_client(cid)
+    client = cfg.own_client(ch.client)
     bound = len(client.idmap)
     fired = step_local(client)
     if fired is None:
@@ -365,7 +371,7 @@ def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     for ident in list(client.idmap)[bound:]:
         cfg.type_location(client.idmap[ident], ident)
     rule, action = fired
-    return cfg, TraceEntry(0, rule, action, client=cid)
+    return cfg, TraceEntry(0, rule, action, client=ch.client)
 
 
 def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
@@ -435,36 +441,24 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
             result, act, nodes = clone_step(cfg, client, o, ident, eff)
             return finish(Lit(result), act, "E-CLONE", node_count=nodes)
 
-    raise IllegalChoice(f"no cloud rule applies to {pretty(r)}")
+    raise CtrdRuntimeError("Stuck", f"no cloud rule applies to {pretty(r)}")
 
 
 def _await_resolve(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    cid = ch.client
-    d = cfg.clients[cid].redex
-    if d is None or not isinstance(d.term, Await):
-        raise IllegalChoice(f"client {cid} is not at an await")
+    client = cfg.own_client(ch.client)
+    d = client.redex
     ident = d.term.ident
-    if ident not in cfg.global_ids:
-        raise IllegalChoice(f"{ident} is not globally bound")
-    o = cfg.global_ids[ident]
-    client = cfg.own_client(cid)
-    client.idmap[ident] = o
+    o = client.idmap[ident] = cfg.global_ids[ident]
     client.plug(Lit(Plain(o, ident.label)))
-    return cfg, TraceEntry(0, "E-AWAIT2", eps(d.effect), client=cid)
+    return cfg, TraceEntry(0, "E-AWAIT2", eps(d.effect), client=ch.client)
 
 
 def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
-    read = _remote_read(cfg.clients[cid])
-    if read is None:
-        raise IllegalChoice(f"client {cid} is not at a server read")
-    lab, o, rule = read
-    server = cfg.servers[r]
-    if (lab == CON) != (ch.kind == Kind.CON_READ) or o not in server.store:
-        raise IllegalChoice(f"server read premises violated for client {cid} at server {r}")
-    client = cfg.own_client(cid)
+    client, server = cfg.own_client(cid), cfg.servers[r]
+    lab, o, rule = _remote_read(client)
     if lab == AVA:
         client.store[o] = server.store[o]
     result = raise_label(server.store[o], lab)
@@ -475,20 +469,14 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
 
 
 def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    cid = ch.client
-    if not cfg.clients[cid].buffer:
-        raise IllegalChoice(f"client {cid} has an empty buffer")
-    client = cfg.own_client(cid)
+    client = cfg.own_client(ch.client)
     m, client.buffer = client.buffer[0], client.buffer[1:]
     cfg.mailbox = cfg.mailbox + (m,)
-    return cfg, TraceEntry(0, "E-SEND", eps(LOC), client=cid)
+    return cfg, TraceEntry(0, "E-SEND", eps(LOC), client=ch.client)
 
 
 def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    key, r = ch.message, ch.server
-    m = _find_message(cfg, key)
-    if not isinstance(m, Update) or m.event in cfg.servers[r].seq:
-        raise IllegalChoice(f"update delivery premises violated for {key}")
+    m, r = ch.message, ch.server
     server = cfg.own_server(r)
     pre_seq = server.seq
     target = m.location
@@ -503,31 +491,18 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
 
 
 def _process_req(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    key, r = ch.message, ch.server
-    m = _find_message(cfg, key)
-    if not isinstance(m, Req) or m.ident not in cfg.global_ids:
-        raise IllegalChoice(f"request premises violated for {key}")
-    o = cfg.global_ids[m.ident]
-    server = cfg.servers[r]
-    if o not in server.store:
-        raise IllegalChoice(f"server {r} does not hold {o}")
-    local = cfg.clients[m.origin].idmap.get(m.ident)
-    if local is None:
-        raise IllegalChoice(f"requester no longer maps {m.ident}")
+    m, r = ch.message, ch.server
+    client = cfg.own_client(m.event.client)
     # join, not overwrite: the server may not have seen this client's own
     # writes yet
-    join_into(cfg.own_client(m.origin).store, local, raise_label(server.store[o], m.effect))
+    join_into(client.store, client.idmap[m.ident],
+              raise_label(cfg.servers[r].store[cfg.global_ids[m.ident]], m.effect))
     cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
-    return cfg, TraceEntry(0, "E-PROCESS-REQUEST", eps(m.effect),
-                           client=m.origin, server=r)
+    return cfg, TraceEntry(0, "E-PROCESS-REQUEST", eps(m.effect), client=client.cid, server=r)
 
 
 def _gc_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    key = ch.message
-    m = _find_message(cfg, key)
-    if not isinstance(m, Update) or m.event not in cfg.common:
-        raise IllegalChoice(f"garbage collection premises violated for {key}")
-    cfg.mailbox = tuple(x for x in cfg.mailbox if x is not m)
+    cfg.mailbox = tuple(x for x in cfg.mailbox if x is not ch.message)
     return cfg, TraceEntry(0, "E-GC", eps(LOC))
 
 

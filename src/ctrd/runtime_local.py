@@ -34,7 +34,7 @@ class CtrdRuntimeError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EventId:
     client: int
     n: int
@@ -42,7 +42,7 @@ class EventId:
     def __str__(self) -> str:
         return f"c{self.client}:{self.n}"
 
-    def sort_key(self) -> tuple[int, int]:
+    def sort_key(self) -> tuple[int, int]:     # bench/run.py sorts by it
         return (self.client, self.n)
 
 
@@ -143,34 +143,29 @@ def eps(effect: Label) -> Action:
     return Action(effect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Update:
     """Buffered asynchronous write, carried until it is in every server's
     log. The server logs are the only record of where it has landed, so a
-    message never changes between entering and leaving the mailbox."""
+    message never changes between entering and leaving the mailbox. No two
+    messages share an event, so messages order by it; the sender is
+    event.client."""
 
+    event: EventId
     location: Location
     ident: Optional[Identifier]
     value: object                  # LabeledValue, unstamped payload
-    origin: int
-    event: EventId
     effect: Label
 
-    def key(self) -> tuple[int, int, int]:
-        return (0, self.origin, self.event.n)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Req:
-    """Request for a fresher state of an identified location."""
+    """Request for a fresher state of an identified location; ordered by its
+    event, the requester's, like an Update."""
 
-    ident: Identifier
-    origin: int
-    effect: Label
     event: EventId
-
-    def key(self) -> tuple[int, int, int]:
-        return (1, self.origin, self.event.n)
+    ident: Identifier
+    effect: Label
 
 
 Message = Union[Update, Req]
@@ -458,7 +453,7 @@ def _buffered_write(c: ClientState, o: Location, v, eff: Label,
     client's replica of o and buffer it unstamped under a fresh event."""
     join_into(c.store, o, raise_label(v, label_join(eff, AVA)))
     nu = c.fresh_event()
-    c.buffer = c.buffer + (Update(o, ident, v, c.cid, nu, eff),)
+    c.buffer = c.buffer + (Update(nu, o, ident, v, eff),)
     return nu
 
 
@@ -551,7 +546,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                 if ident is None:
                     raise CtrdRuntimeError("Stuck", f"no identifier for {o}")
                 nu = c.fresh_event()
-                c.buffer = c.buffer + (Req(ident, c.cid, eff, nu),)
+                c.buffer = c.buffer + (Req(nu, ident, eff),)
                 act = Action(eff, "rd", AVA, nu, o, result,
                              source=("local", c.cid), snapshot=NO_EVENTS)
                 return done(Lit(result), act, "E-AVADEREF1")

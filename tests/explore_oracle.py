@@ -41,7 +41,7 @@ def server_key(s) -> tuple:
 def structural_key(cfg) -> tuple:
     return (
         tuple(client_key(cfg.clients[cid]) for cid in sorted(cfg.clients)),
-        tuple(sorted((m.key(), m) for m in cfg.mailbox)),
+        tuple(sorted(cfg.mailbox, key=lambda m: m.event)),
         tuple(server_key(s) for s in cfg.servers),
         tuple(sorted(((i.sort_key(), i), o) for i, o in cfg.global_ids.items())),
         tuple(sorted(((o.sort_key(), o), t) for o, t in cfg.store_typing.items())),

@@ -280,9 +280,8 @@ def test_pair_view_edits_reach_the_masks():
     res = run_src(load(corpus_files("con")[0]))
     ex = project_con(record(res.trace))
     reads = {e for e, op in ex.op.items() if op.kind == "rd"}
-    po_into_reads = sorted(((a, b) for a, b in ex.vis
-                            if b in reads and a.client == b.client and (a, b) in ex.rb),
-                           key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+    po_into_reads = sorted((a, b) for a, b in ex.vis
+                           if b in reads and a.client == b.client and (a, b) in ex.rb)
     assert po_into_reads and check_sc(ex).ok
     corrupted = ex.copy()
     corrupted.vis.discard(po_into_reads[0])

@@ -381,3 +381,20 @@ def test_unwritable_output_file_is_an_io_failure(tmp_path, capsys):
         assert captured.out == "", flag
         assert len(captured.err.splitlines()) == 1 and str(missing) in captured.err, \
             (flag, captured.err)
+
+
+# passes the typechecker: a lattice type carries no domain, so nat and set
+# join until the values meet at run time
+DOMAIN_MISMATCH = 'servers 2; client 1 { nat 1 @loc \\/ set{"a"} @loc }\n'
+
+
+def test_a_runtime_fault_ends_every_command_in_one_line(tmp_path, capsys):
+    path = tmp_path / "mismatch.ctrd"
+    path.write_text(DOMAIN_MISMATCH)
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["run", str(path)], ["explore", str(path)], ["nif", str(path), str(path)]):
+        assert main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+        assert "runtime fault: DomainMismatch" in err, (argv, err)

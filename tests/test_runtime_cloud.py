@@ -45,7 +45,7 @@ def _partly_delivered(server: int = 0):
     _, _, cfg = checked_config("servers 3; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
     res = run(cfg, make_scheduler("drain-fair"), 2)   # avaref + send
     (m,) = res.config.mailbox
-    cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=server))
+    cfg2, _ = step_cloud(res.config, Choice(Kind.DELIVER_UPDATE, message=m, server=server))
     return cfg2, cfg2.mailbox[0]
 
 
@@ -127,7 +127,7 @@ def test_gc_only_after_full_delivery():
     res = run(cfg, make_scheduler("drain-fair"), 2)
     (m,) = res.config.mailbox
     with pytest.raises(IllegalChoice):
-        step_cloud(res.config, Choice(Kind.GC_UPDATE, message=m.key()))
+        step_cloud(res.config, Choice(Kind.GC_UPDATE, message=m))
     deliveries = 0
     cfg2 = res.config
     while True:
@@ -137,7 +137,7 @@ def test_gc_only_after_full_delivery():
         cfg2, _ = step_cloud(cfg2, delivers[0])
         deliveries += 1
     assert deliveries == 3                      # one per server, never more
-    cfg2, entry = step_cloud(cfg2, Choice(Kind.GC_UPDATE, message=m.key()))
+    cfg2, entry = step_cloud(cfg2, Choice(Kind.GC_UPDATE, message=m))
     assert entry.rule == "E-GC" and cfg2.mailbox == ()
 
 
@@ -321,7 +321,7 @@ def _expected_replacements(cfg, choice, entry):
         case Kind.DELIVER_UPDATE:
             return set(), {choice.server}
         case Kind.PROCESS_REQ:
-            return {choice.message[1]}, set()     # the requesting client
+            return {choice.message.event.client}, set()     # the requesting client
         case Kind.GC_UPDATE:
             return set(), set()
         case _:
@@ -397,6 +397,40 @@ def test_common_log_is_what_every_server_log_holds(program):
             assert tuple(entry.action.snapshot) == common, (program, choice, entry.rule)
         grew |= len(nxt.common) > len(cfg.common)
     assert grew, program
+
+
+@pytest.mark.parametrize("program", ["anomaly/mixed", "ava/nat_race", "clone/chain3_clone",
+                                     "accept/ava_gset", "con/two_writers"])
+def test_step_cloud_steps_exactly_what_enabled_offers(program):
+    # enabled states each rule's premises once and step_cloud refuses the
+    # rest: every offered choice steps, and a variant of one (another
+    # server index, another kind, or a message of another configuration)
+    # steps just when enabled offers it too
+    pairs = list(_reachable_choices(program))
+    messages = list({id(ch.message): ch.message for _, ch in pairs}.values())
+    variants = 0
+    for cfg, choice in pairs:
+        offered = enabled(cfg)
+        assert offered is enabled(cfg) and choice in offered
+        fresh = cfg.copy()
+        assert enabled(fresh) is not offered and enabled(fresh) == offered
+        step_cloud(cfg, choice)
+        for other in ([choice._replace(server=r) for r in range(len(cfg.servers) + 1)]
+                      + [choice._replace(kind=k) for k in Kind]
+                      + [choice._replace(message=m) for m in messages]):
+            if other in offered:
+                step_cloud(cfg, other)
+            else:
+                with pytest.raises(IllegalChoice):
+                    step_cloud(cfg, other)
+                variants += 1
+        if choice.message is not None:
+            # an equal message that is not the mailbox's own steps as the
+            # mailbox's does: the handler gets the offered choice
+            twin, _ = step_cloud(cfg, choice._replace(message=replace(choice.message)))
+            assert explore_oracle.structural_key(twin) == \
+                explore_oracle.structural_key(step_cloud(cfg, choice)[0])
+    assert variants > len(pairs)
 
 
 def test_the_purity_programs_reach_every_kind_of_step():
@@ -515,8 +549,8 @@ def test_server_permutations_share_one_orbit_key():
     assert explore_oracle.structural_key(other) != explore_oracle.structural_key(cfg)
     table: dict = {}
     assert other.key(table) == cfg.key(table)
-    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
-    done, _ = step_cloud(done, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=2))
+    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m, server=1))
+    done, _ = step_cloud(done, Choice(Kind.DELIVER_UPDATE, message=m, server=2))
     assert done.key(table) != cfg.key(table)
 
 
@@ -527,7 +561,7 @@ def test_a_server_log_is_keyed_as_a_set():
                                "in ref@ava(nat 2 @ava, (ava,2)) }")
     while steps := [c for c in enabled(cfg) if c.kind in (Kind.CLIENT_STEP, Kind.SEND)]:
         cfg, _ = step_cloud(cfg, steps[0])
-    a, b = (m.key() for m in cfg.mailbox)
+    a, b = cfg.mailbox
 
     def deliver(*keys):
         out = cfg
@@ -551,8 +585,8 @@ def test_every_field_of_an_update_changes_its_int():
     table: dict = {}
     assert message_id(replace(m), table) == message_id(m, table)
     for change in ({"location": Location(1, 9, True)}, {"ident": None},
-                   {"value": Plain(NatMax(2), AVA)}, {"origin": 2},
-                   {"event": EventId(1, 2)}, {"effect": CON}):
+                   {"value": Plain(NatMax(2), AVA)}, {"event": EventId(1, 2)},
+                   {"effect": CON}):
         assert message_id(replace(m, **change), table) != message_id(m, table), change
 
 
@@ -560,7 +594,7 @@ def test_a_delivery_leaves_the_mailbox_and_its_int_untouched():
     cfg, m = _partly_delivered()
     table: dict = {}
     before = cfg.key(table)
-    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=1))
+    done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m, server=1))
     assert done.mailbox is cfg.mailbox
     assert done._mailbox_id == cfg._mailbox_id is not None
     assert done.key(table)[1] == before[1]    # after the one client's int
@@ -570,13 +604,13 @@ def test_a_delivery_leaves_the_mailbox_and_its_int_untouched():
 def test_an_update_is_delivered_once_per_server_and_collected_after_all():
     cfg, m = _partly_delivered()
     with pytest.raises(IllegalChoice):
-        step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=0))
+        step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m, server=0))
     with pytest.raises(IllegalChoice):
-        step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m.key()))
+        step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m))
     for r in (1, 2):
-        cfg, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m.key(), server=r))
-    assert enabled(cfg) == [Choice(Kind.GC_UPDATE, message=m.key())]
-    cfg, _ = step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m.key()))
+        cfg, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m, server=r))
+    assert enabled(cfg) == [Choice(Kind.GC_UPDATE, message=m)]
+    cfg, _ = step_cloud(cfg, Choice(Kind.GC_UPDATE, message=m))
     assert cfg.mailbox == ()
 
 
