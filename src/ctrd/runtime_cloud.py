@@ -647,12 +647,14 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
 @dataclass
 class ExploreSummary:
     """Counts of the states explore visited, of its maximal traces (the
-    visited states it did not expand), of those cut at the depth bound, and
-    of check_wf problems in the visited states."""
+    visited states it did not expand), of those cut at the depth bound, of
+    check_wf problems in the visited states, and of the steps it took
+    (step_cloud calls; the explore report leaves them out)."""
     states: int = 0
     traces: int = 0
     truncated: int = 0
     wf_problems: int = 0
+    steps: int = 0
 
 
 def max_states_from_env() -> int:
@@ -683,7 +685,13 @@ def explore(config: CloudConfig, max_depth: int,
     every rule treats the servers alike and reads a log only through the
     events it holds, a state is always reached at the same depth, and no
     execution, checker or observation sees a server index or a log's
-    order. The summary counts what was visited. An internal step passes
+    order. So too for transitions (Ip and Dill 1996): of the choices that
+    differ only in servers with equal key ints, explore steps the first
+    (_one_per_server_class). Swapping those servers fixes the key, and a
+    rule reads a server only through its store and log mask, so the rest
+    reach the class the first marked seen: no count, on_trace call or
+    budget stop changes. The summary counts what was visited and the
+    steps taken. An internal step passes
     its parent's execution on unchanged. on_trace(exec_, final, truncated)
     is called per visited maximal trace; exec_ may be shared and must not
     be mutated. The state budget, in visited states, is
@@ -720,7 +728,7 @@ def explore(config: CloudConfig, max_depth: int,
             if on_trace is not None:
                 on_trace(exec_, cfg, truncated)
             return
-        stack.append((cfg, exec_, depth + 1, iter(choices)))
+        stack.append((cfg, exec_, depth + 1, iter(_one_per_server_class(choices, cfg.servers))))
 
     arrive(config, AbstractExecution(config.clients), 0)
     while stack:
@@ -729,12 +737,28 @@ def explore(config: CloudConfig, max_depth: int,
         if choice is None:
             stack.pop()
             continue
+        summary.steps += 1
         nxt, entry = step_cloud(cfg, choice)
         if entry.action.kind != "eps":      # A-INTERNAL: no history change
             exec_ = exec_.copy()
             fold_entry(exec_, entry)
         arrive(nxt, exec_, depth)
     return summary
+
+
+def _one_per_server_class(choices: list[Choice], servers: list[Server]) -> list[Choice]:
+    """choices less each one that repeats an earlier choice's (kind, client,
+    message) on a server whose key int is that earlier server's. The
+    servers must have just been keyed (explore's arrive)."""
+    kept, group, classes = [], None, set()
+    for ch in choices:
+        if ch[:3] != group:
+            group, classes = ch[:3], set()
+        sid = servers[ch.server]._id
+        if sid not in classes:
+            classes.add(sid)
+            kept.append(ch)
+    return kept
 
 
 # ---------------------------------------------------------------------------

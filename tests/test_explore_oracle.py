@@ -1,17 +1,22 @@
 """explore against the structural-key explorer of tests/explore_oracle.py:
 the same set of terminal outcomes from fewer states, and interned keys
-that are equal exactly where structural keys of the orbit are."""
+that are equal exactly where structural keys of the orbit are; and explore
+against itself stepping every choice, which it must match but in steps."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 import explore_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, load
+from ctrd import runtime_cloud
 from ctrd.abstract_exec import AbstractExecution
-from ctrd.runtime_cloud import CloudConfig, explore
+from ctrd.runtime_cloud import CloudConfig, StateSpaceLimit, explore
 
 MIXED = CORPUS / "anomaly" / "mixed.ctrd"
+NAT_RACE = CORPUS / "ava" / "nat_race.ctrd"
 
 # (program, --servers, --max-depth): every runnable corpus program at the
 # default depth, the two largest state spaces the benchmark and the
@@ -73,3 +78,53 @@ def test_interned_keys_are_equal_exactly_when_structural_keys_are(monkeypatch):
         # the mailbox on its own: its int follows its messages
         assert _one_to_one([(k[len(c.clients)], orbit_key(c)[1]) for k, c in configs]), path
         assert _one_to_one([(i, ex.key()) for i, ex in execs]), path
+
+
+# (program, --servers, --max-depth): every runnable corpus program, mixed.ctrd
+# on 2 to 6 servers, and nat_race to quiescence on 2
+EXACT_CASES = ([(p, None, 12) for p in RUNNABLE]
+               + [(MIXED, n, 24) for n in (2, 3, 4, 5, 6)]
+               + [(NAT_RACE, 2, 40)])
+
+
+def _traced(cfg, depth: int, table: dict):
+    """explore's summary, None if the state budget stopped it, and its
+    on_trace calls as (configuration key, execution int, truncated) from
+    the given table."""
+    calls = []
+
+    def on_trace(exec_, final, truncated):
+        calls.append((final.key(table), exec_.key_id(table), truncated))
+
+    try:
+        summary = explore(cfg, depth, on_trace=on_trace)
+    except StateSpaceLimit:
+        summary = None
+    return summary, calls
+
+
+@pytest.mark.parametrize(
+    "path,servers,depth", EXACT_CASES,
+    ids=[f"{p.parent.name}/{p.stem}-s{s or 'p'}-d{d}" for p, s, d in EXACT_CASES])
+def test_stepping_one_server_per_class_changes_nothing_but_the_steps(
+        path, servers, depth, monkeypatch):
+    _, _, cfg = checked_config(load(path), servers)
+    table: dict = {}
+    pruned, pruned_calls = _traced(cfg, depth, table)
+    monkeypatch.setattr(runtime_cloud, "_one_per_server_class", lambda choices, servers: choices)
+    every, every_calls = _traced(cfg, depth, table)
+    assert pruned_calls == every_calls
+    assert replace(pruned, steps=0) == replace(every, steps=0)
+    if path == MIXED and len(cfg.servers) >= 3:
+        assert pruned.steps < every.steps
+
+
+def test_the_state_budget_stops_both_at_the_same_trace(monkeypatch):
+    _, _, cfg = checked_config(load(MIXED), 6)
+    monkeypatch.setenv("CTRD_MAX_STATES", "100")
+    table: dict = {}
+    pruned, pruned_calls = _traced(cfg, 24, table)
+    monkeypatch.setattr(runtime_cloud, "_one_per_server_class", lambda choices, servers: choices)
+    every, every_calls = _traced(cfg, 24, table)
+    assert pruned is every is None
+    assert pruned_calls == every_calls != []

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import ctrd.runtime_cloud
 import explore_oracle
 import step_oracle
 from conftest import CORPUS, checked_config, corpus_files, load
@@ -516,6 +517,28 @@ def test_explore_counts_wf_problems_in_visited_states():
         cfg.own_server(r).store[Location(9, 9, True)] = Plain(NatMax(1), CON)
     s = explore(cfg, 24, check_wf_each=True)
     assert s.wf_problems == 3 * s.states > 0
+
+
+def test_explore_steps_one_delivery_to_identical_servers(monkeypatch):
+    # enabled offers and step_cloud takes a delivery to each of 5 identical
+    # servers; explore steps the first alone, as the rest reach its class
+    _, _, initial = checked_config("servers 5; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
+    cfg = run(initial, make_scheduler("drain-fair"), 2).config   # avaref + send
+    (m,) = cfg.mailbox
+    choices = enabled(cfg)
+    assert choices == [Choice(Kind.DELIVER_UPDATE, message=m, server=r) for r in range(5)]
+    for choice in choices:
+        step_cloud(cfg, choice)
+    stepped = []
+
+    def recorded(config, choice):
+        stepped.append(choice)
+        return step_cloud(config, choice)
+
+    monkeypatch.setattr(ctrd.runtime_cloud, "step_cloud", recorded)
+    summary = explore(initial, 3)
+    assert [c.kind for c in stepped] == [Kind.CLIENT_STEP, Kind.SEND, Kind.DELIVER_UPDATE]
+    assert stepped[-1] == choices[0] and summary.steps == 3
 
 
 # ---------------------------------------------------------------------------

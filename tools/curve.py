@@ -1,7 +1,7 @@
 """Scaling curves of the simulator and the checkers, one subcommand each.
 
     PYTHONPATH=src python3 tools/curve.py sc --factors 1.3 --repeat 1
-    PYTHONPATH=src python3 tools/curve.py explore --servers 2,3 --repeat 1
+    PYTHONPATH=src python3 tools/curve.py explore --servers 2,3,5 --repeat 1
     PYTHONPATH=src python3 tools/curve.py step --sizes 50,100 --repeat 1
     PYTHONPATH=src python3 tools/curve.py trace --factors 0.5,1 --repeat 1
     PYTHONPATH=src python3 tools/curve.py front --sizes 50,100 --repeat 1
@@ -101,10 +101,10 @@ def sc_curve(args) -> tuple[dict, list]:
 
 
 def explore_curve(args) -> tuple[dict, list]:
-    """explore's visited states and time against the number of servers.
-    Each point explores corpus/anomaly/mixed.ctrd with that many servers
-    to --max-depth; the longest trace of mixed.ctrd is 18 steps, so the
-    default of 24 cuts none."""
+    """explore's visited states, steps taken and time against the number of
+    servers. Each point explores corpus/anomaly/mixed.ctrd with that many
+    servers to --max-depth; the longest trace of mixed.ctrd is 18 steps,
+    so the default of 24 cuts none."""
     prog = checked((ROOT / MIXED).read_text(encoding="utf-8"))
     servers = numbers(args.servers, int)
     got = timed(servers, lambda n: {"explore": partial(
@@ -113,7 +113,7 @@ def explore_curve(args) -> tuple[dict, list]:
     for n, t in zip(servers, got):
         s, secs = t["explore"]
         points.append({"servers": n, "states": s.states, "traces": s.traces,
-                       "truncated": s.truncated, "seconds": secs,
+                       "truncated": s.truncated, "steps": s.steps, "seconds": secs,
                        "states_per_s": s.states / secs})
     return {"program": MIXED, "max_depth": args.max_depth}, points
 
