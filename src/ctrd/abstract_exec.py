@@ -538,7 +538,12 @@ def _check_value_low_equiv(va, vb) -> None:
                 and type(ra) is type(rb_)):
             return
     raise ProgramsNotLowEquivalent(
-        f"literals differ at a non-ava position: {va} vs {vb}")
+        f"literals differ at a non-ava position: {pretty(Lit(va))} vs {pretty(Lit(vb))}")
+
+
+def _form(t) -> str:
+    """A term's form and its source position, for a diagnostic."""
+    return f"{t.__class__.__name__} at {t.pos[0]}:{t.pos[1]}" if t.pos else t.__class__.__name__
 
 
 def check_low_equivalence(ta, tb) -> None:
@@ -551,14 +556,18 @@ def check_low_equivalence(ta, tb) -> None:
     shape_a = rebuild(ta, (None,) * len(ka))
     shape_b = rebuild(tb, (None,) * len(kb))
     if shape_a != shape_b:
-        raise ProgramsNotLowEquivalent(f"structure differs: {shape_a!r} vs {shape_b!r}")
+        raise ProgramsNotLowEquivalent(f"structure differs: {_form(ta)} vs {_form(tb)}")
     for a, b in zip(ka, kb):
         check_low_equivalence(a, b)
 
 
 @dataclass
 class NifVerdict:
-    equivalent: bool
+    """equivalent is True when the two sets of con observations are equal,
+    False when one side has an observation that the other lacks and the
+    other cut no trace at the depth bound, and None otherwise: no verdict,
+    as the missing observations may lie past the cut traces."""
+    equivalent: Optional[bool]
     observations_a: frozenset[str]
     observations_b: frozenset[str]
     truncated_a: int
@@ -595,4 +604,7 @@ def check_noninterference(prog_a, prog_b, max_depth: int,
         results.append((frozenset(obs), truncated[0]))
 
     (obs_a, trunc_a), (obs_b, trunc_b) = results
-    return NifVerdict(obs_a == obs_b, obs_a, obs_b, trunc_a, trunc_b)
+    # an observation that one side lacks counts only if that side cut no trace
+    apart = (obs_a - obs_b and not trunc_b) or (obs_b - obs_a and not trunc_a)
+    return NifVerdict(obs_a == obs_b or (False if apart else None),
+                      obs_a, obs_b, trunc_a, trunc_b)

@@ -9,9 +9,10 @@ a bad flag, an unknown --check name, --servers below 1, a negative
 --max-steps or --max-depth, or a CTRD_MAX_STATES that is not an integer
 of at least 1; 3 a requested check failed; 4 deadlock, step/state limit,
 runtime fault, nesting too deep to simulate (the simulator substitutes
-along a let spine in a loop, so only other nesting counts), or an
-explore/nif in which every trace was truncated at --max-depth (no
-verdict); 5 programs not low-equivalent.
+along a let spine in a loop, so only other nesting counts), an
+explore/nif in which every trace was truncated at --max-depth, or a nif
+whose observations differ only where a side cut traces at --max-depth
+(no verdict); 5 programs not low-equivalent.
 
 Reports go to stdout as one JSON line. `run --trace` writes its file with
 `trace_json`, which lays out each entry from a fixed template, and each
@@ -391,8 +392,11 @@ def cmd_nif(args) -> int:
         "truncated": [verdict.truncated_a, verdict.truncated_b],
     }
     print(json.dumps(report, sort_keys=True))
-    if not verdict.equivalent:
+    if verdict.equivalent is False:
         return 3
+    if verdict.equivalent is None:
+        return _die(4, f"{args.file_a}, {args.file_b}: the con observations differ only "
+                       f"where traces reached --max-depth {args.max_depth}; no verdict")
     if not verdict.observations_a:
         return _die(4, f"{args.file_a}, {args.file_b}: every trace reached "
                        f"--max-depth {args.max_depth}; no verdict")

@@ -29,10 +29,6 @@ class ReferenceGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(es) for es in self.edges.values())
-
 
 def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
     """Transitive closure of location occurrence starting at root.
@@ -65,31 +61,27 @@ def clone_step(config, client: ClientState, root: Location,
 
     Allocates a fresh remote location per node, rewrites intra-graph
     location occurrences, stamps every node with the effect joined with
-    con, and pushes one shared event onto every server log, and so into
-    the common log, whose earlier state the action records. The caller
-    owns the client and has checked that ident is not taken; the servers
-    and maps are mutated through the configuration's private copies.
-    Returns (result value, action, node count).
+    con, and writes the nodes with one shared event onto every server log
+    (CloudConfig.sync_write), and so into the common log, whose earlier
+    state the action records. The caller owns the client and has checked
+    that ident is not taken; the servers and maps are replaced, not
+    written in place. Returns (result value, action, node count).
     """
     graph = reachable_graph(root, client.store)
     mapping = {o: client.fresh_location(remote=True)
                for o in sorted(graph.nodes, key=lambda loc: loc.sort_key())}
     nu = client.fresh_event()
     stamp = label_join(effect, CON)
-    servers = config.own_servers()
-    for o in graph.nodes:
-        fresh = mapping[o]
-        # every location a node holds is a node too, so mapping has it
-        moved = raise_label(map_locations(Lit(graph.nodes[o]), mapping.__getitem__).value,
-                            stamp)
-        for s in servers:
-            s.store[fresh] = moved
-        if o in config.store_typing:
-            config.own_store_typing().setdefault(fresh, upgrade(config.store_typing[o]))
-    pre_common = config.sync_append(nu)
+    # every location a node holds is a node too, so mapping has it
+    writes = {mapping[o]: raise_label(map_locations(Lit(v), mapping.__getitem__).value, stamp)
+              for o, v in graph.nodes.items()}
+    typing = {mapping[o]: upgrade(config.store_typing[o])
+              for o in graph.nodes if o in config.store_typing}
+    if typing:      # the fresh locations are new to the store typing
+        config.store_typing = {**config.store_typing, **typing}
+    pre_common = config.sync_write(nu, writes)
     fresh_root = mapping[graph.root]
-    config.own_global_ids()[ident] = fresh_root
-    root_value = servers[0].store[fresh_root]
-    action = Action(effect, "ref", CON, nu, fresh_root, root_value,
+    config.global_ids = {**config.global_ids, ident: fresh_root}
+    action = Action(effect, "ref", CON, nu, fresh_root, writes[fresh_root],
                     snapshot=pre_common, synced=True)
     return Plain(fresh_root, CON), action, graph.node_count

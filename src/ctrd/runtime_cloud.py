@@ -49,21 +49,17 @@ class StateSpaceLimit(Exception):
 @dataclass(slots=True)
 class Server(Interned):
     """One replica: its store and its event log, a Log cell (newest event
-    first) that a step replaces and never mutates. The key holds the log's
-    mask: every reader of a log (a read's or a delivery's snapshot mask,
-    check_ec, check_wf, the common log) sees only which events it holds,
-    so the order they arrived in is left to run and --trace. A server that
-    has been keyed is never mutated, so the int key_id keeps for its key
-    stays exact. Configurations share servers, and a step mutates only the
-    private copies that CloudConfig.own_server and own_servers hand it."""
+    first). The key holds the log's mask: every reader of a log (a read's
+    or a delivery's snapshot mask, check_ec, check_wf, the common log) sees
+    only which events it holds, so the order they arrived in is left to run
+    and --trace. A server is a value: a step that changes one builds a new
+    Server and never writes a store in place, so configurations share
+    servers and the int key_id keeps for its key stays exact."""
 
     store: dict[Location, object]       # Location -> LabeledValue
     seq: Log                            # newest first
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
-
-    def copy(self) -> "Server":
-        return Server(dict(self.store), self.seq)
 
     def key(self):
         return (sorted_items(self.store), self.seq.mask)
@@ -73,30 +69,23 @@ class CloudConfig:
     """Clients, the mailbox of in-flight messages, the replica servers, and
     the global identifier and store typing maps.
 
-    Copy on write: copy() shares every client, every server and both maps
-    with the original, and so does every configuration a step makes. A
-    step mutates a component only after taking a private copy of it
-    through own_client, own_server, own_servers, own_global_ids or
-    own_store_typing; each copies once per configuration and then returns
-    the same copy. The mailbox is a tuple, replaced and never mutated.
-
-    Invariant: a component that has been keyed is never mutated. Clients
-    and servers keep the int of their key in the last intern table asked,
-    and the configuration keeps the ints of its mailbox and maps, for the
-    table in _table, until they are reassigned; copies share them.
+    The servers, the server list, the mailbox and the two maps are values:
+    copy() shares them, and a step puts a new one in place of each part it
+    changes and writes none in place. copy() shares the clients too; a
+    handler steps the one plain copy own_client takes of its client.
 
     common, the events present in every server's log, is the AND of the
     server log masks; it is read where a rule records it and left out of
     the key.
 
-    _enabled keeps enabled(self) once asked, or None; a copy starts without
-    it, and the mailbox setter and the own_* methods clear it where they
-    replace a component. So, as for keys, nothing a configuration has
-    already taken a private copy of may change once its choices are asked.
+    _key keeps (table, mailbox, global_ids, store_typing, int) once keyed,
+    and _enabled keeps enabled(self) once asked, or None. A copy shares
+    _key, which holds only while those three parts are the very objects it
+    names, and starts without _enabled, as a step replaces parts of it.
     """
 
-    __slots__ = ("clients", "servers", "global_ids", "store_typing", "id_typing", "_mailbox",
-                 "_owned", "_table", "_mailbox_id", "_ids_id", "_typing_id", "_enabled")
+    __slots__ = ("clients", "mailbox", "servers", "global_ids", "store_typing", "id_typing",
+                 "_key", "_enabled")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -107,55 +96,20 @@ class CloudConfig:
         self.global_ids = global_ids
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
-        self._table = self._ids_id = self._typing_id = None
-        self._owned: set = set()
-
-    @property
-    def mailbox(self) -> tuple[Message, ...]:
-        return self._mailbox
-
-    @mailbox.setter
-    def mailbox(self, messages: tuple[Message, ...]) -> None:
-        self._mailbox, self._mailbox_id, self._enabled = messages, None, None
+        self._key = self._enabled = None
 
     def copy(self) -> "CloudConfig":
         new = object.__new__(CloudConfig)
-        new.clients, new.servers = dict(self.clients), self.servers[:]
+        new.clients, new.mailbox, new.servers = dict(self.clients), self.mailbox, self.servers
         new.global_ids, new.store_typing = self.global_ids, self.store_typing
-        new.id_typing = self.id_typing
-        new._mailbox, new._mailbox_id = self._mailbox, self._mailbox_id
-        new._table, new._ids_id, new._typing_id = self._table, self._ids_id, self._typing_id
-        new._owned, new._enabled = set(), None
+        new.id_typing, new._key, new._enabled = self.id_typing, self._key, None
         return new
 
-    # -- private copies, each taken once per configuration ----------------
-
     def own_client(self, cid: int) -> ClientState:
-        if ("client", cid) not in self._owned:
-            self._owned.add(("client", cid))
-            self.clients[cid], self._enabled = self.clients[cid].copy(), None
-        return self.clients[cid]
-
-    def own_server(self, r: int) -> Server:
-        if ("server", r) not in self._owned:
-            self._owned.add(("server", r))
-            self.servers[r], self._enabled = self.servers[r].copy(), None
-        return self.servers[r]
-
-    def own_servers(self) -> list[Server]:
-        return [self.own_server(r) for r in range(len(self.servers))]
-
-    def own_global_ids(self) -> dict[Identifier, Location]:
-        if "global_ids" not in self._owned:
-            self._owned.add("global_ids")
-            self.global_ids, self._ids_id, self._enabled = dict(self.global_ids), None, None
-        return self.global_ids
-
-    def own_store_typing(self) -> dict[Location, Type]:
-        if "store_typing" not in self._owned:
-            self._owned.add("store_typing")
-            self.store_typing, self._typing_id, self._enabled = dict(self.store_typing), None, None
-        return self.store_typing
+        """A plain copy of the client, put in its place; a handler takes one
+        of the client it steps and steps it in place."""
+        client = self.clients[cid] = self.clients[cid].copy()
+        return client
 
     @property
     def common(self) -> Log:
@@ -167,15 +121,14 @@ class CloudConfig:
     def type_location(self, o: Location, ident: Identifier) -> None:
         """Record a fresh allocation's typing from its identifier's, once."""
         if ident in self.id_typing and o not in self.store_typing:
-            self.own_store_typing()[o] = self.id_typing[ident]
+            self.store_typing = {**self.store_typing, o: self.id_typing[ident]}
 
-    def sync_append(self, nu: EventId) -> Log:
-        """Push nu onto every server log at once, one cell each; returns the
-        common log as it stood before, the snapshot the synchronized rules
-        record."""
+    def sync_write(self, nu: EventId, writes: dict) -> Log:
+        """Write every replica of writes' locations and push nu onto every
+        server log, one cell each, in one step; returns the common log as it
+        stood before, the snapshot the synchronized rules record."""
         pre_common = self.common
-        for s in self.own_servers():
-            s.seq = Log(nu, s.seq)
+        self.servers = [Server({**s.store, **writes}, Log(nu, s.seq)) for s in self.servers]
         return pre_common
 
     # -- keys ----------------------------------------------------------------
@@ -183,30 +136,27 @@ class CloudConfig:
     def key(self, table: dict) -> tuple:
         """The key of the configuration's server-permutation orbit, from the
         ints the intern table gives its parts: the clients in client order,
-        the mailbox (the sorted message_id of its messages), the servers
-        sorted, and the two sorted maps. A part's int is read where it is
-        kept, so a key costs what the last step changed; a delivery leaves
-        the mailbox and its int untouched. For configurations with the same
-        clients and number of servers, keys are equal exactly when one
-        configuration is a server permutation of the other up to the order
-        of each server's log."""
-        if self._table is not table:
-            self._table, self._mailbox_id, self._ids_id, self._typing_id = table, None, None, None
-        if self._mailbox_id is None:
-            self._mailbox_id = table.setdefault(
-                tuple(sorted([message_id(m, table) for m in self._mailbox])), len(table))
-        if self._ids_id is None:
-            self._ids_id = table.setdefault(tuple(sorted(
-                ((i.sort_key(), i), o) for i, o in self.global_ids.items())), len(table))
-        if self._typing_id is None:
-            self._typing_id = table.setdefault(tuple(sorted(
-                ((o.sort_key(), o), t) for o, t in self.store_typing.items())), len(table))
+        one int for the mailbox (the sorted message_id of its messages) and
+        the two sorted maps together, and the servers sorted. A part's int
+        is read where it is kept, so a key costs what the last step changed;
+        a delivery that publishes nothing leaves the mailbox, the maps and
+        their int untouched. For configurations with the same clients and
+        number of servers, keys are equal exactly when one configuration is
+        a server permutation of the other up to the order of each server's
+        log."""
+        held = self._key
+        if held is None or held[0] is not table or held[1] is not self.mailbox \
+                or held[2] is not self.global_ids or held[3] is not self.store_typing:
+            parts = (tuple(sorted([message_id(m, table) for m in self.mailbox])),
+                     tuple(sorted(((i.sort_key(), i), o) for i, o in self.global_ids.items())),
+                     tuple(sorted(((o.sort_key(), o), t) for o, t in self.store_typing.items())))
+            held = self._key = (table, self.mailbox, self.global_ids, self.store_typing,
+                                table.setdefault(parts, len(table)))
         clients = self.clients
         return (*[c._id if c._table is table else c.key_id(table)
                   for c in map(clients.__getitem__, sorted(clients))],
-                self._mailbox_id,
-                *sorted([s._id if s._table is table else s.key_id(table) for s in self.servers]),
-                self._ids_id, self._typing_id)
+                held[4],
+                *sorted([s._id if s._table is table else s.key_id(table) for s in self.servers]))
 
 
 def initial_config(program: Program, id_types: dict[Identifier, Type],
@@ -338,9 +288,7 @@ def _sync_write(config: CloudConfig, client: ClientState, o: Location, v):
     """Overwrite every replica of o under the client's next event, logged at
     every server at once; returns the event and the prior common log."""
     nu = client.fresh_event()
-    for s in config.own_servers():
-        s.store[o] = v
-    return nu, config.sync_append(nu)
+    return nu, config.sync_write(nu, {o: v})
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +299,8 @@ def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceE
     the trace record of what fired. The one place a choice is refused:
     IllegalChoice unless enabled(config) offers it. The handler gets the
     offered choice and a copy of the input that shares its components; it
-    takes private copies of the components it changes (see CloudConfig)
-    and steps those in place."""
+    puts a new value in place of each part it changes (see CloudConfig),
+    and steps the copy own_client takes of the client it steps."""
     offered = enabled(config)
     try:
         choice = offered[offered.index(choice)]
@@ -394,7 +342,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
             o = client.fresh_location(remote=True)
             stamped = raise_label(v, label_join(eff, lab))
             nu, pre_common = _sync_write(cfg, client, o, stamped)
-            cfg.own_global_ids()[ident] = o
+            cfg.global_ids = {**cfg.global_ids, ident: o}
             cfg.type_location(o, ident)
             act = Action(eff, "ref", lab, nu, o, v, snapshot=pre_common, synced=True)
             if lab == OAC:
@@ -424,8 +372,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
         case FlexRead(label=Label.CON, term=Lit(value=Plain(raw=o))):
             # consistent read: merge every replica, install the merged state
             merged = _joined_replicas(cfg, o)
-            for s in cfg.own_servers():
-                s.store[o] = merged
+            cfg.servers = [Server({**s.store, o: merged}, s.seq) for s in cfg.servers]
             join_into(client.store, o, merged)
             result = Plain(merged.raw, CON)
             act = Action(eff, "rd", CON, client.fresh_event(), o, result,
@@ -477,16 +424,17 @@ def _send(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
 
 def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     m, r = ch.message, ch.server
-    server = cfg.own_server(r)
-    pre_seq = server.seq
+    server = cfg.servers[r]
     target = m.location
     if m.ident is not None:
         if m.ident not in cfg.global_ids:
-            cfg.own_global_ids()[m.ident] = m.location
+            cfg.global_ids = {**cfg.global_ids, m.ident: m.location}
         target = cfg.global_ids[m.ident]
-    join_into(server.store, target, raise_label(m.value, m.effect))
-    server.seq = Log(m.event, pre_seq)
-    act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=pre_seq)
+    store = dict(server.store)
+    join_into(store, target, raise_label(m.value, m.effect))
+    cfg.servers = cfg.servers[:]
+    cfg.servers[r] = Server(store, Log(m.event, server.seq))
+    act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=server.seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)
 
 

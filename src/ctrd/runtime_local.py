@@ -213,8 +213,8 @@ def sorted_items(d: dict) -> tuple:
 class ClientState(Interned):
     """One client. A client that has been keyed is never mutated, so the
     int key_id keeps for its key stays exact. Configurations share
-    clients, and a step mutates only the private copy that
-    CloudConfig.own_client hands it."""
+    clients; a step takes one plain copy of the client it steps
+    (CloudConfig.own_client) and steps that copy in place."""
 
     cid: int
     term: Term

@@ -61,10 +61,6 @@ LABELS = (Label.LOC, Label.CON, Label.OAC, Label.AVA)
 LOC, CON, OAC, AVA = LABELS
 
 
-def label_rank(a: Label) -> int:
-    return _RANK[a]
-
-
 def label_leq(a: Label, b: Label) -> bool:
     """Chain order loc <= con <= oac <= ava."""
     return _RANK[a] <= _RANK[b]
@@ -76,10 +72,6 @@ def label_lt(a: Label, b: Label) -> bool:
 
 def label_join(a: Label, b: Label) -> Label:
     return a if _RANK[a] >= _RANK[b] else b
-
-
-def label_meet(a: Label, b: Label) -> Label:
-    return a if _RANK[a] <= _RANK[b] else b
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pair_oracle import (
 import pair_oracle
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
-from ctrd.runtime_cloud import make_scheduler, run
+from ctrd.runtime_cloud import Server, make_scheduler, run
 from ctrd.runtime_local import EventId
 from ctrd.syntax import AVA, CON, Identifier, Location, Plain
 from trace_oracle import join_of_writes
@@ -441,8 +441,9 @@ def test_check_ec_agrees_with_the_log_scan_on_the_corpus():
             if not writes:
                 continue
             cfg = res.config.copy()
-            srv = cfg.own_server(len(cfg.servers) - 1)
-            srv.seq = log_of([e for e in srv.seq if e != writes[0]], srv.seq.clients)
+            last = cfg.servers[-1]
+            cfg.servers = [*cfg.servers[:-1], Server(
+                last.store, log_of([e for e in last.seq if e != writes[0]], last.seq.clients))]
             v = check_ec(ex, cfg)
             assert v == _check_ec_by_scan(ex, cfg), (path.name, seed)
             assert not v.eventual_visibility
@@ -473,7 +474,8 @@ def test_con_observation_does_not_see_server_order():
     res = run_src("servers 2; client 1 { ref@con(nat 1 @con, (con,1)) }")
     cfg = res.config.copy()
     o = cfg.global_ids[Identifier(CON, 1)]
-    cfg.own_server(0).store[o] = Plain(NatMax(5), CON)
+    cfg.servers = [Server({**cfg.servers[0].store, o: Plain(NatMax(5), CON)}, cfg.servers[0].seq),
+                   *cfg.servers[1:]]
     swapped = cfg.copy()
     swapped.servers = swapped.servers[::-1]
     obs = con_observation(cfg)
@@ -514,10 +516,13 @@ def test_low_equivalence_accepts_ava_literal_diff():
 
 
 def test_low_equivalence_rejects_con_diff():
-    with pytest.raises(ProgramsNotLowEquivalent):
+    # literals in surface syntax; a structure difference by form and position
+    with pytest.raises(ProgramsNotLowEquivalent, match="nat 1 @con vs nat 2 @con$"):
         check_low_equivalence(parse_term("nat 1 @con"), parse_term("nat 2 @con"))
-    with pytest.raises(ProgramsNotLowEquivalent):
+    with pytest.raises(ProgramsNotLowEquivalent, match="Var at 1:2 vs Var at 1:2$"):
         check_low_equivalence(parse_term("!x"), parse_term("!y"))
+    with pytest.raises(ProgramsNotLowEquivalent, match="Deref at 1:1 vs Var at 1:1$"):
+        check_low_equivalence(parse_term("!x"), parse_term("x"))
 
 
 def test_noninterference_identical_programs():

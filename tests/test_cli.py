@@ -10,8 +10,10 @@ import sys
 
 import syntax_oracle
 from conftest import CORPUS
+from ctrd import abstract_exec
 from ctrd.cli import main
 from ctrd.parser import parse_program
+from ctrd.runtime_local import sorted_items
 from ctrd.syntax import Lit, map_locations, pretty, refs
 
 
@@ -352,6 +354,41 @@ def test_every_trace_truncated_is_no_verdict(capsys):
     assert code == 4 and err.count("\n") == 1
     assert report["truncated"] == report["traces"] == 2
     assert report["violations"] == {"sc": 0}
+
+
+# a guard on the ava x: at x = 9 the else branch takes more steps to the end
+GUARDED_BRANCH = r"""servers 2;
+client 1 {
+  let c = ref@con(nat 0 @con, (con,1)) in
+  let x = nat 1 @ava in
+  let y = if x <= nat 3 @ava then { nat 1 @ava } else { ((nat 1 @ava \/ nat 2 @ava) \/ nat 3 @ava) \/ nat 4 @ava } in
+  c := nat 1 @con
+}
+"""
+
+
+def test_nif_difference_behind_a_cut_trace_is_no_verdict(tmp_path, capsys, monkeypatch):
+    # at depths 8-10 the x = 9 side cuts its one trace, so its observation
+    # may lie past the bound: no verdict (exit 4), not a violation (exit 3)
+    a, b = tmp_path / "a.ctrd", tmp_path / "b.ctrd"
+    a.write_text(GUARDED_BRANCH)
+    b.write_text(GUARDED_BRANCH.replace("nat 1 @ava in", "nat 9 @ava in"))
+    for depth in (8, 9, 10):
+        for first, second, cut in ((a, b, [0, 1]), (b, a, [1, 0])):
+            code = main(["nif", str(first), str(second), "--max-depth", str(depth)])
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert code == 4 and err.count("\n") == 1 and "no verdict" in err, (depth, err)
+            assert report["equivalent"] is None and report["truncated"] == cut, depth
+    assert main(["nif", str(a), str(b), "--max-depth", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
+    # an observation that sees ava data tells a pair apart when neither side
+    # cuts a trace: a violation, exit 3
+    monkeypatch.setattr(abstract_exec, "con_observation",
+                        lambda cfg: {"stores": str([sorted_items(s.store) for s in cfg.servers])})
+    code = main(["nif", str(CORPUS / "nif" / "pair1_a.ctrd"), str(CORPUS / "nif" / "pair1_b.ctrd")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["equivalent"] is False and report["truncated"] == [0, 0]
 
 
 class _ClosedPipe(io.StringIO):

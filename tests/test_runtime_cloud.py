@@ -4,17 +4,18 @@ schedulers, quiescence, and well-formedness."""
 from __future__ import annotations
 
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
 import ctrd.runtime_cloud
 import explore_oracle
 import step_oracle
-from conftest import CORPUS, checked_config, corpus_files, load
+from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.runtime_cloud import (
-    Choice, CloudConfig, IllegalChoice, Kind, SplitMix64, _remote_read, check_wf,
+    Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,
 )
 from ctrd.runtime_local import EventId, decompose, eps, initial_client, message_id
@@ -308,7 +309,7 @@ def _replaced(cfg, nxt):
 def _rebuilt(cfg):
     """cfg rebuilt from freshly copied components, none of them keyed."""
     return CloudConfig({cid: c.copy() for cid, c in cfg.clients.items()}, cfg.mailbox,
-                       [s.copy() for s in cfg.servers], dict(cfg.global_ids),
+                       [Server(dict(s.store), s.seq) for s in cfg.servers], dict(cfg.global_ids),
                        dict(cfg.store_typing), cfg.id_typing)
 
 
@@ -513,8 +514,8 @@ def test_explore_counts_wf_problems_in_visited_states():
     # an untyped cell at every server stays there: each visited state has
     # one problem per server
     _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"))
-    for r in range(len(cfg.servers)):
-        cfg.own_server(r).store[Location(9, 9, True)] = Plain(NatMax(1), CON)
+    cfg.servers = [Server({**s.store, Location(9, 9, True): Plain(NatMax(1), CON)}, s.seq)
+                   for s in cfg.servers]
     s = explore(cfg, 24, check_wf_each=True)
     assert s.wf_problems == 3 * s.states > 0
 
@@ -557,7 +558,10 @@ def test_wf_detects_corrupted_store():
     res = run(cfg, make_scheduler("drain-fair"), 10)
     bad = res.config.copy()
     o = bad.global_ids[Identifier(CON, 1)]
-    bad.own_server(0).store[o] = Plain(BoolVal(True), CON)   # Bool at a Lat cell
+    first = bad.servers[0]
+    # a Bool at a Lat cell
+    bad.servers = [Server({**first.store, o: Plain(BoolVal(True), CON)}, first.seq),
+                   *bad.servers[1:]]
     report = check_wf(bad)
     assert not report.ok
     assert any("server 0" in p for p in report.problems)
@@ -619,7 +623,7 @@ def test_a_delivery_leaves_the_mailbox_and_its_int_untouched():
     before = cfg.key(table)
     done, _ = step_cloud(cfg, Choice(Kind.DELIVER_UPDATE, message=m, server=1))
     assert done.mailbox is cfg.mailbox
-    assert done._mailbox_id == cfg._mailbox_id is not None
+    assert done._key[4] == cfg._key[4]      # one int for the mailbox and both maps
     assert done.key(table)[1] == before[1]    # after the one client's int
     assert done.key(table) != before
 
@@ -637,9 +641,28 @@ def test_an_update_is_delivered_once_per_server_and_collected_after_all():
     assert cfg.mailbox == ()
 
 
+@pytest.mark.parametrize("path", RUNNABLE, ids=[f"{p.parent.name}/{p.stem}" for p in RUNNABLE])
+def test_no_step_writes_a_server_store_in_place(path, monkeypatch):
+    # a server is a value: with every store a read-only view, a step that
+    # wrote one in place instead of building a new Server would raise
+    # TypeError, and nothing explore or a seeded run reports may change
+    def summaries():
+        _, _, cfg = checked_config(load(path))
+        res = run(cfg, make_scheduler("random", 0), 10_000)
+        return explore(cfg, 12), (res.status, [e.rule for e in res.trace],
+                                  explore_oracle.structural_key(res.config))
+
+    expected = summaries()
+    monkeypatch.setattr(ctrd.runtime_cloud, "Server",
+                        lambda store, seq: Server(MappingProxyType(store), seq))
+    assert summaries() == expected
+
+
 def test_wf_detects_untyped_location():
     _, _, cfg = checked_config("servers 3; client 1 { unit @loc }")
     bad = cfg.copy()
-    bad.own_server(1).store[Location(9, 9, True)] = Plain(NatMax(1), CON)
+    second = bad.servers[1]
+    untyped = Server({**second.store, Location(9, 9, True): Plain(NatMax(1), CON)}, second.seq)
+    bad.servers = [bad.servers[0], untyped, *bad.servers[2:]]
     assert not check_wf(bad).ok
-    assert check_wf(cfg).ok         # the copy shared the server until it took its own
+    assert check_wf(cfg).ok         # the copy shared the servers until it replaced one
