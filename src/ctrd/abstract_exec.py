@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import MutableSet
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import compress, count, islice
 from operator import or_
@@ -441,10 +441,7 @@ def check_ec(exec_: AbstractExecution, config) -> EcVerdict:
                   if op.label == AVA and op.kind in ("wr", "ref")}
     common = config.common
     in_all_logs = all(e in common for e in ava_writes)
-    stores = [
-        sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
-        for s in config.servers
-    ]
+    stores = [sorted(s.store.items()) for s in config.servers]
     converged = all(st == stores[0] for st in stores[1:])
     # an update joins into its identifier's published location, which a
     # client that lost the race to create the identifier does not hold
@@ -495,7 +492,7 @@ def value_json(v, labels: bool = True):
 def con_observation(config) -> dict[str, object]:
     """Agreed server values of every con-labeled identifier, labels erased."""
     out: dict[str, object] = {}
-    for ident in sorted(config.global_ids, key=lambda i: i.sort_key()):
+    for ident in sorted(config.global_ids):
         if ident.label != CON:
             continue
         o = config.global_ids[ident]
@@ -556,7 +553,13 @@ def check_low_equivalence(ta, tb) -> None:
     shape_a = rebuild(ta, (None,) * len(ka))
     shape_b = rebuild(tb, (None,) * len(kb))
     if shape_a != shape_b:
-        raise ProgramsNotLowEquivalent(f"structure differs: {_form(ta)} vs {_form(tb)}")
+        diff = f"structure differs: {_form(ta)} vs {_form(tb)}"
+        if ta.__class__ is tb.__class__:        # name the first field that differs
+            name = next(f.name for f in fields(ta)
+                        if getattr(shape_a, f.name) != getattr(shape_b, f.name))
+            show = (lambda fs: ", ".join(n for n, _ in fs)) if name == "fields" else str
+            diff += f": {name} {show(getattr(ta, name))} vs {show(getattr(tb, name))}"
+        raise ProgramsNotLowEquivalent(diff)
     for a, b in zip(ka, kb):
         check_low_equivalence(a, b)
 

@@ -41,7 +41,7 @@ from .runtime_cloud import (
     StateSpaceLimit, TraceEntry, check_wf, explore,
     initial_config, make_scheduler, max_states_from_env, run,
 )
-from .runtime_local import _CLIENT_N, CtrdRuntimeError, EventId
+from .runtime_local import CtrdRuntimeError, EventId
 from .syntax import Location
 
 
@@ -153,7 +153,7 @@ def trace_json(trace: list[TraceEntry]) -> str:
     are its events down to the nearest tail already rendered, then that
     tail's items, or its base's, listed from the base's mask."""
     quoted = _Memo(lambda x: _quote(str(x)))        # labels, op kinds, rules
-    ids = _Memo(lambda key: _quote(str(EventId(*key))))
+    ids = _Memo(lambda key: _quote(str(EventId(*key))))   # an event, or its base_events pair
     snapshots: dict[object, tuple] = {}     # _log_key -> (snapshot, items, line)
     values: dict[int, tuple] = {}
     parts = []
@@ -167,7 +167,7 @@ def trace_json(trace: list[TraceEntry]) -> str:
             if hit is None:
                 items, cell = [], snap
                 while (key := _log_key(cell)) not in snapshots and cell.event is not None:
-                    items.append(ids[_CLIENT_N(cell.event)])
+                    items.append(ids[cell.event])
                     cell = cell.tail
                 items += ([snapshots[key][1]] if key in snapshots
                           else map(ids.__getitem__, cell.base_events()))
@@ -181,7 +181,7 @@ def trace_json(trace: list[TraceEntry]) -> str:
             hit = values[id(v)] = (v, _json(value_json(v), "      "))
         parts.append(_ENTRY % (
             quoted[a.effect],
-            ids[_CLIENT_N(a.event)] if a.event else "null",
+            ids[a.event] if a.event else "null",
             "" if a.label is None else f'\n      "label": {quoted[a.label]},',
             "" if a.literal_label is None
             else f'\n      "literal_label": {quoted[a.literal_label]},',

@@ -51,7 +51,7 @@ def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
         nodes[o] = v
         out = value_locations(v)
         edges[o] = out
-        todo.extend(sorted(out - nodes.keys(), key=lambda loc: loc.sort_key()))
+        todo.extend(sorted(out - nodes.keys()))
     return ReferenceGraph(root, nodes, edges)
 
 
@@ -68,8 +68,7 @@ def clone_step(config, client: ClientState, root: Location,
     written in place. Returns (result value, action, node count).
     """
     graph = reachable_graph(root, client.store)
-    mapping = {o: client.fresh_location(remote=True)
-               for o in sorted(graph.nodes, key=lambda loc: loc.sort_key())}
+    mapping = {o: client.fresh_location(remote=True) for o in sorted(graph.nodes)}
     nu = client.fresh_event()
     stamp = label_join(effect, CON)
     # every location a node holds is a node too, so mapping has it

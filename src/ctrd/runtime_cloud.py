@@ -137,10 +137,10 @@ class CloudConfig:
         """The key of the configuration's server-permutation orbit, from the
         ints the intern table gives its parts: the clients in client order,
         one int for the mailbox (the sorted message_id of its messages) and
-        the two sorted maps together, and the servers sorted. A part's int
-        is read where it is kept, so a key costs what the last step changed;
-        a delivery that publishes nothing leaves the mailbox, the maps and
-        their int untouched. For configurations with the same clients and
+        the two maps together (their sorted_items), and the servers sorted.
+        A part's int is read where it is kept, so a key costs what the last
+        step changed; a delivery that publishes nothing leaves the mailbox,
+        the maps and their int untouched. For configurations with the same clients and
         number of servers, keys are equal exactly when one configuration is
         a server permutation of the other up to the order of each server's
         log."""
@@ -148,8 +148,7 @@ class CloudConfig:
         if held is None or held[0] is not table or held[1] is not self.mailbox \
                 or held[2] is not self.global_ids or held[3] is not self.store_typing:
             parts = (tuple(sorted([message_id(m, table) for m in self.mailbox])),
-                     tuple(sorted(((i.sort_key(), i), o) for i, o in self.global_ids.items())),
-                     tuple(sorted(((o.sort_key(), o), t) for o, t in self.store_typing.items())))
+                     sorted_items(self.global_ids), sorted_items(self.store_typing))
             held = self._key = (table, self.mailbox, self.global_ids, self.store_typing,
                                 table.setdefault(parts, len(table)))
         clients = self.clients
@@ -729,7 +728,7 @@ def check_wf(config: CloudConfig) -> WfReport:
     env = TypeEnv(gamma={}, sigma=sigma, ids=ids, effect=LOC, runtime=True)
 
     def check_store(owner: str, store: dict) -> None:
-        for o in sorted(store, key=lambda loc: loc.sort_key()):
+        for o in sorted(store):
             if o not in sigma:
                 problems.append(f"{owner}: {o} missing from the store typing")
                 continue
@@ -751,7 +750,7 @@ def check_wf(config: CloudConfig) -> WfReport:
     for cid in sorted(config.clients):
         client = config.clients[cid]
         check_store(f"client {cid} store", client.store)
-        for ident, o in sorted(client.idmap.items(), key=lambda kv: kv[0].sort_key()):
+        for ident, o in sorted(client.idmap.items()):
             if ident not in ids:
                 problems.append(f"client {cid}: {ident} missing from the identifier typing")
             elif o not in sigma:
@@ -773,7 +772,7 @@ def check_wf(config: CloudConfig) -> WfReport:
     for m in config.mailbox:
         _check_message(config, m, "mailbox", problems)
 
-    for ident, o in sorted(config.global_ids.items(), key=lambda kv: kv[0].sort_key()):
+    for ident, o in sorted(config.global_ids.items()):
         if o not in sigma:
             problems.append(f"global map: {ident} maps to untyped {o}")
         elif ident not in ids:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count, starmap
-from operator import attrgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
 from .syntax import (
@@ -34,8 +33,9 @@ class CtrdRuntimeError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True, order=True)
-class EventId:
+class EventId(NamedTuple):
+    """Event n of a client; events order by client, then n."""
+
     client: int
     n: int
 
@@ -46,7 +46,6 @@ class EventId:
         return (self.client, self.n)
 
 
-_CLIENT_N = attrgetter("client", "n")
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -205,8 +204,9 @@ class Interned:
 
 
 def sorted_items(d: dict) -> tuple:
-    """The items of a map keyed by locations or identifiers, in key order."""
-    return tuple(sorted(d.items(), key=lambda kv: kv[0].sort_key()))
+    """The items of a map keyed by locations or identifiers, in the order
+    of their keys, which order themselves by their fields."""
+    return tuple(sorted(d.items()))
 
 
 @dataclass(slots=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from operator import attrgetter, is_
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .lattice import GSet, LatticeValue, NatMax
 
@@ -41,7 +41,8 @@ def _pos():
 # Labels
 
 class Label(enum.Enum):
-    """Consistency labels; lower in the chain means stronger consistency."""
+    """Consistency labels; lower in the chain means stronger consistency,
+    and < is the chain order loc < con < oac < ava."""
 
     LOC = "loc"
     CON = "con"
@@ -55,6 +56,9 @@ class Label(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    def __lt__(self, other: Label) -> bool:
+        return _RANK[self] < _RANK[other]
+
 
 _RANK = {Label.LOC: 0, Label.CON: 1, Label.OAC: 2, Label.AVA: 3}
 LABELS = (Label.LOC, Label.CON, Label.OAC, Label.AVA)
@@ -66,10 +70,6 @@ def label_leq(a: Label, b: Label) -> bool:
     return _RANK[a] <= _RANK[b]
 
 
-def label_lt(a: Label, b: Label) -> bool:
-    return _RANK[a] < _RANK[b]
-
-
 def label_join(a: Label, b: Label) -> Label:
     return a if _RANK[a] >= _RANK[b] else b
 
@@ -77,9 +77,9 @@ def label_join(a: Label, b: Label) -> Label:
 # ---------------------------------------------------------------------------
 # Identifiers and locations
 
-@dataclass(frozen=True)
-class Identifier:
-    """Programmer-chosen name for a reference, shared across clients."""
+class Identifier(NamedTuple):
+    """Programmer-chosen name for a reference, shared across clients.
+    Identifiers order by label in the chain order, then by index."""
 
     label: Label
     index: int
@@ -87,13 +87,10 @@ class Identifier:
     def __str__(self) -> str:
         return f"({self.label},{self.index})"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_RANK[self.label], self.index)
 
-
-@dataclass(frozen=True)
-class Location:
-    """Runtime store address; remote ones name (client, serial) pairs."""
+class Location(NamedTuple):
+    """Runtime store address; remote ones name (client, serial) pairs.
+    Locations order by client, then serial, then remote."""
 
     client: int
     serial: int
@@ -102,9 +99,6 @@ class Location:
     def __str__(self) -> str:
         kind = "r" if self.remote else "l"
         return f"c{self.client}.{kind}{self.serial}"
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.client, self.serial, int(self.remote))
 
 
 # ---------------------------------------------------------------------------

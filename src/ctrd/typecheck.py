@@ -17,7 +17,7 @@ from .syntax import (
     CON, Deref, Duplicated, FlexRead, FlexWrite, Identifier, If, Label,
     LatOp, LatType, Let, Lit, Location, LOC, OAC, OrdOp, Pos, Program,
     Proj, Record, RecordType, RecordVal, Ref, RefType, Restrict, Term, Type,
-    UnitType, UnitVal, Var, erase_labels, label_join, label_leq, label_lt,
+    UnitType, UnitVal, Var, erase_labels, label_join, label_leq,
     label_of, map_labels, pretty_type, ref_free, refs, same_raw_shape, subtype,
     type_join, type_join_label, with_label,
 )
@@ -239,7 +239,7 @@ def _typecheck_ref(env: TypeEnv, t: Ref) -> Type:
     ti = typecheck(env, t.init)
     if lab == OAC:
         # on-demand consistency: content must be strictly lower-labeled lattice data
-        if not label_lt(label_of(ti), lab):
+        if not label_of(ti) < lab:
             raise CheckError(
                 ErrorKind.FLOW_VIOLATION, pos,
                 f"oac reference content must be labeled strictly below oac, found {label_of(ti)}",
@@ -263,7 +263,7 @@ def _typecheck_ref(env: TypeEnv, t: Ref) -> Type:
         raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"{lab} reference created under effect {env.effect}")
     if lab == AVA and not isinstance(ti, LatType):
         raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"ava references hold lattice values, found {pretty_type(ti)}")
-    if label_lt(label_of(ti), lab) and not (len(refs(t.init)) == 0 and ref_free(ti)):
+    if label_of(ti) < lab and not (len(refs(t.init)) == 0 and ref_free(ti)):
         # storing strictly-lower-labeled content remotely must not upload references
         raise CheckError(
             ErrorKind.ESCAPING_LOCAL_REF, pos,
@@ -375,10 +375,12 @@ def collect_id_types(program: Program) -> dict[Identifier, Type]:
     rounds until every client's pass has finished or a round adds nothing;
     errors are deferred to the strict pass. A finished client sits out the
     later rounds: collection only fills missing identifiers, so a rerun
-    would add nothing."""
+    would add nothing. The rounds end, as identifiers only accumulate and a
+    program names finitely many; a chain of awaits across clients may take
+    a round per link."""
     ids: dict[Identifier, Type] = {}
     unfinished = [term for _, term in program.clients]
-    for _ in range(len(program.clients) * 4 + 2):
+    while unfinished:
         known, failed = len(ids), []
         for term in unfinished:
             env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
@@ -387,7 +389,7 @@ def collect_id_types(program: Program) -> dict[Identifier, Type]:
             except CheckError:
                 failed.append(term)
         unfinished = failed
-        if not unfinished or len(ids) == known:
+        if len(ids) == known:
             break
     return ids
 

@@ -80,7 +80,7 @@ def canonical_shape(graph):
             visit(succ)
 
     visit(graph.root)
-    for o in sorted(graph.nodes, key=lambda loc: loc.sort_key()):
+    for o in sorted(graph.nodes):
         visit(o)
 
     def shape_of(v):

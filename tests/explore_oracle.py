@@ -23,19 +23,29 @@ from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import (
     ExploreSummary, StateSpaceLimit, enabled, step_cloud,
 )
+from ctrd.syntax import LABELS, Location
 
 
-def _by_sort_key(d: dict) -> tuple:
-    return tuple(sorted(d.items(), key=lambda kv: kv[0].sort_key()))
+def _name_key(x) -> tuple:
+    """The order of a location or an identifier, written out here rather
+    than taken from the types: a location by (client, serial, remote), an
+    identifier by (rank of its label in the chain, index)."""
+    if isinstance(x, Location):
+        return (x.client, x.serial, int(x.remote))
+    return (LABELS.index(x.label), x.index)
+
+
+def _by_name_key(d: dict) -> tuple:
+    return tuple(sorted(d.items(), key=lambda kv: _name_key(kv[0])))
 
 
 def client_key(c) -> tuple:
-    return (c.cid, c.term, _by_sort_key(c.store), c.buffer, _by_sort_key(c.idmap),
+    return (c.cid, c.term, _by_name_key(c.store), c.buffer, _by_name_key(c.idmap),
             c.loc_counter, c.event_counter)
 
 
 def server_key(s) -> tuple:
-    return (_by_sort_key(s.store), tuple(s.seq))
+    return (_by_name_key(s.store), tuple(s.seq))
 
 
 def structural_key(cfg) -> tuple:
@@ -43,8 +53,8 @@ def structural_key(cfg) -> tuple:
         tuple(client_key(cfg.clients[cid]) for cid in sorted(cfg.clients)),
         tuple(sorted(cfg.mailbox, key=lambda m: m.event)),
         tuple(server_key(s) for s in cfg.servers),
-        tuple(sorted(((i.sort_key(), i), o) for i, o in cfg.global_ids.items())),
-        tuple(sorted(((o.sort_key(), o), t) for o, t in cfg.store_typing.items())),
+        _by_name_key(cfg.global_ids),
+        _by_name_key(cfg.store_typing),
     )
 
 

@@ -222,7 +222,7 @@ def typecheck(env: TypeEnv, t):
 
 def collect_id_types(program) -> dict:
     ids: dict = {}
-    for _ in range(len(program.clients) * 4 + 2):
+    while True:
         before = dict(ids)
         for _, term in program.clients:
             env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
@@ -231,8 +231,7 @@ def collect_id_types(program) -> dict:
             except CheckError:
                 pass
         if ids == before:
-            break
-    return ids
+            return ids
 
 
 def check_program(program) -> ProgramCheck:

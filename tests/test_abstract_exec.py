@@ -403,8 +403,7 @@ def _check_ec_by_scan(exec_, config) -> EcVerdict:
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
     in_all_logs = all(all(e in tuple(s.seq) for s in config.servers) for e in ava_writes)
-    stores = [sorted(s.store.items(), key=lambda kv: kv[0].sort_key())
-              for s in config.servers]
+    stores = [sorted(s.store.items()) for s in config.servers]
     converged = all(st == stores[0] for st in stores[1:])
 
     def landed(e):
@@ -516,11 +515,20 @@ def test_low_equivalence_accepts_ava_literal_diff():
 
 
 def test_low_equivalence_rejects_con_diff():
-    # literals in surface syntax; a structure difference by form and position
+    # literals in surface syntax; a structure difference by form and
+    # position, and within one form by the first field that differs
     with pytest.raises(ProgramsNotLowEquivalent, match="nat 1 @con vs nat 2 @con$"):
         check_low_equivalence(parse_term("nat 1 @con"), parse_term("nat 2 @con"))
-    with pytest.raises(ProgramsNotLowEquivalent, match="Var at 1:2 vs Var at 1:2$"):
+    with pytest.raises(ProgramsNotLowEquivalent, match="Var at 1:2 vs Var at 1:2: name x vs y$"):
         check_low_equivalence(parse_term("!x"), parse_term("!y"))
+    with pytest.raises(ProgramsNotLowEquivalent,
+                       match=r"Ref at 1:1 vs Ref at 1:1: label con vs ava$"):
+        check_low_equivalence(parse_term("ref@con(nat 0 @con, (con,1))"),
+                              parse_term("ref@ava(nat 0 @ava, (ava,1))"))
+    with pytest.raises(ProgramsNotLowEquivalent,
+                       match=r"Record at 1:1 vs Record at 1:1: fields a, b vs a, c$"):
+        check_low_equivalence(parse_term("{a = unit @loc, b = unit @loc}@loc"),
+                              parse_term("{a = unit @loc, c = unit @loc}@loc"))
     with pytest.raises(ProgramsNotLowEquivalent, match="Deref at 1:1 vs Var at 1:1$"):
         check_low_equivalence(parse_term("!x"), parse_term("x"))
 

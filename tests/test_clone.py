@@ -117,8 +117,7 @@ def test_clone_types_every_fresh_node_as_its_local_cell_upgraded():
     local = reachable_graph(local_root, client.store)
     remote = reachable_graph(fresh_root, cfg.servers[0].store)
     assert len(local.nodes) == len(remote.nodes) == 3
-    for o, fresh in zip(sorted(local.nodes, key=lambda loc: loc.sort_key()),
-                        sorted(remote.nodes, key=lambda loc: loc.sort_key())):
+    for o, fresh in zip(sorted(local.nodes), sorted(remote.nodes)):
         assert cfg.store_typing[fresh] == upgrade(cfg.store_typing[o]), (o, fresh)
 
 

@@ -1,10 +1,16 @@
-"""Exhaustive checks of the four-label chain algebra."""
+"""Exhaustive checks of the four-label chain algebra, and the order of
+the names built on it: identifiers, locations and events."""
 
 from __future__ import annotations
 
 import itertools
 
-from ctrd.syntax import AVA, CON, LABELS, LOC, OAC, label_join, label_leq
+from hypothesis import given, strategies as st
+
+from ctrd.runtime_local import EventId
+from ctrd.syntax import (
+    AVA, CON, Identifier, LABELS, LOC, Location, OAC, label_join, label_leq,
+)
 
 _CHAIN = [LOC, CON, OAC, AVA]
 
@@ -30,6 +36,7 @@ def test_order_is_total_reflexive_antisymmetric_transitive():
         if label_leq(a, b) and label_leq(b, a):
             assert a == b                                          # antisymmetric
         assert label_leq(a, b) == (_CHAIN.index(a) <= _CHAIN.index(b))
+        assert (a < b) == (_CHAIN.index(a) < _CHAIN.index(b))     # Label.__lt__
     for a, b, c in itertools.product(LABELS, repeat=3):
         if label_leq(a, b) and label_leq(b, c):
             assert label_leq(a, c)                                 # transitive
@@ -51,3 +58,23 @@ def test_join_laws_exhaustive():
         assert label_leq(a, label_join(a, b))
         # the meet is the greatest lower bound of the chain order
         assert label_meet(a, b) == (a if label_leq(a, b) else b)
+
+
+def _written_out_key(x) -> tuple:
+    """The order each kind of name had as a hand-written sort key."""
+    if isinstance(x, Location):
+        return (x.client, x.serial, int(x.remote))
+    if isinstance(x, Identifier):
+        return (_CHAIN.index(x.label), x.index)
+    return (x.client, x.n)
+
+
+_small = st.integers(0, 3)       # small, so that names tie on leading fields
+
+
+@given(st.one_of(
+    st.lists(st.builds(Location, _small, _small, st.booleans())),
+    st.lists(st.builds(Identifier, st.sampled_from(LABELS), _small)),
+    st.lists(st.builds(EventId, _small, _small))))
+def test_names_order_by_their_fields_as_their_sort_keys_did(xs):
+    assert sorted(xs) == sorted(xs, key=_written_out_key)

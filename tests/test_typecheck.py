@@ -7,6 +7,7 @@ import pytest
 from conftest import corpus_files, load
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
+from ctrd.runtime_cloud import initial_config, make_scheduler, run
 from ctrd.syntax import (
     Assign, AVA, CON, Identifier, LABELS, LatType, Lit, Location, LOC, OAC,
     Plain, RecordType, RefType, UnitType, label_leq, subtype,
@@ -204,6 +205,28 @@ def test_await_unknown_identifier():
     with pytest.raises(CheckError) as exc:
         check_program(prog)
     assert exc.value.kind == ErrorKind.UNBOUND
+
+
+def _ping_pong(k: int) -> str:
+    """Two clients that trade k con identifiers, one let per line: client
+    1 creates (con,1) and awaits (con,2), which client 2 creates once it
+    has awaited (con,1), and so on up to (con,2k)."""
+    one = [f"  let a{i} = ref@con(nat {i} @con, (con,{2 * i + 1})) in\n"
+           f"  let w{i} = await((con,{2 * i + 2})) in\n" for i in range(k)]
+    two = [f"  let v{i} = await((con,{2 * i + 1})) in\n"
+           f"  let b{i} = ref@con(nat {i} @con, (con,{2 * i + 2})) in\n" for i in range(k)]
+    return (f"servers 2;\nclient 1 {{\n{''.join(one)}  unit @loc\n}}\n"
+            f"client 2 {{\n{''.join(two)}  unit @loc\n}}\n")
+
+
+def test_a_long_chain_of_awaits_across_clients_is_collected():
+    """Each link of the chain resolves in its own collection round, so the
+    rounds must run until one adds nothing, however many that takes."""
+    prog = parse_program(_ping_pong(12))
+    checked = check_program(prog)
+    assert set(checked.id_types) == {Identifier(CON, n) for n in range(1, 25)}
+    res = run(initial_config(prog, checked.id_types), make_scheduler("drain-fair", 0))
+    assert res.status == "quiescent"
 
 
 def test_conflicting_identifier_types():
