@@ -61,15 +61,15 @@ def clone_step(config, client: ClientState, root: Location,
 
     Allocates a fresh remote location per node, rewrites intra-graph
     location occurrences, stamps every node with the effect joined with
-    con, and writes the nodes with one shared event onto every server log
-    (CloudConfig.sync_write), and so into the common log, whose earlier
-    state the action records. The caller owns the client and has checked
-    that ident is not taken; the servers and maps are replaced, not
-    written in place. Returns (result value, action, node count).
+    con, and writes the nodes with one shared event, the client's next,
+    onto every server log (CloudConfig.sync_write), and so into the common
+    log, whose earlier state the action records. The caller owns the
+    client and has checked that ident is not taken; the servers and maps
+    are replaced, not written in place. Returns (result value, action,
+    node count).
     """
     graph = reachable_graph(root, client.store)
     mapping = {o: client.fresh_location(remote=True) for o in sorted(graph.nodes)}
-    nu = client.fresh_event()
     stamp = label_join(effect, CON)
     # every location a node holds is a node too, so mapping has it
     writes = {mapping[o]: raise_label(map_locations(Lit(v), mapping.__getitem__).value, stamp)
@@ -78,7 +78,7 @@ def clone_step(config, client: ClientState, root: Location,
               for o in graph.nodes if o in config.store_typing}
     if typing:      # the fresh locations are new to the store typing
         config.store_typing = {**config.store_typing, **typing}
-    pre_common = config.sync_write(nu, writes)
+    nu, pre_common = config.sync_write(client, writes)
     fresh_root = mapping[graph.root]
     config.global_ids = {**config.global_ids, ident: fresh_root}
     action = Action(effect, "ref", CON, nu, fresh_root, writes[fresh_root],

@@ -123,13 +123,14 @@ class CloudConfig:
         if ident in self.id_typing and o not in self.store_typing:
             self.store_typing = {**self.store_typing, o: self.id_typing[ident]}
 
-    def sync_write(self, nu: EventId, writes: dict) -> Log:
-        """Write every replica of writes' locations and push nu onto every
-        server log, one cell each, in one step; returns the common log as it
-        stood before, the snapshot the synchronized rules record."""
-        pre_common = self.common
+    def sync_write(self, client: ClientState, writes: dict) -> tuple[EventId, Log]:
+        """Write every replica of writes' locations and push the client's
+        next event onto every server log, one cell each, in one step;
+        returns the event and the common log as it stood before, the
+        snapshot the synchronized rules record."""
+        nu, pre_common = client.fresh_event(), self.common
         self.servers = [Server({**s.store, **writes}, Log(nu, s.seq)) for s in self.servers]
-        return pre_common
+        return nu, pre_common
 
     # -- keys ----------------------------------------------------------------
 
@@ -283,13 +284,6 @@ def _joined_replicas(config: CloudConfig, o: Location):
     return merged
 
 
-def _sync_write(config: CloudConfig, client: ClientState, o: Location, v):
-    """Overwrite every replica of o under the client's next event, logged at
-    every server at once; returns the event and the prior common log."""
-    nu = client.fresh_event()
-    return nu, config.sync_write(nu, {o: v})
-
-
 # ---------------------------------------------------------------------------
 # Configuration stepping
 
@@ -340,7 +334,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
                 return finish(Lit(Duplicated(r)), eps(eff), "E-CONREF-DUP")
             o = client.fresh_location(remote=True)
             stamped = raise_label(v, label_join(eff, lab))
-            nu, pre_common = _sync_write(cfg, client, o, stamped)
+            nu, pre_common = cfg.sync_write(client, {o: stamped})
             cfg.global_ids = {**cfg.global_ids, ident: o}
             cfg.type_location(o, ident)
             act = Action(eff, "ref", lab, nu, o, v, snapshot=pre_common, synced=True)
@@ -353,7 +347,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
         case Assign(target=Lit(value=Plain(raw=Location() as o, label=lab)),
                     value=Lit(value=v)) if lab == CON:
             stamped = raise_label(v, label_join(eff, CON))
-            nu, pre_common = _sync_write(cfg, client, o, stamped)
+            nu, pre_common = cfg.sync_write(client, {o: stamped})
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
             return finish(Lit(Plain(UNIT, CON)), act, "E-CONASSIGN")
 
@@ -364,7 +358,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
             stamped = raise_label(merge_values(_joined_replicas(cfg, o), v),
                                   label_join(eff, CON))
             join_into(client.store, o, stamped)
-            nu, pre_common = _sync_write(cfg, client, o, stamped)
+            nu, pre_common = cfg.sync_write(client, {o: stamped})
             act = Action(eff, "wr", CON, nu, o, v, snapshot=pre_common, synced=True)
             return finish(Lit(Plain(UNIT, CON)), act, "E-FLEXWRT-CON")
 
@@ -466,23 +460,11 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# Client status and quiescence
-
-def client_status(config: CloudConfig, cid: int) -> str:
-    client = config.clients[cid]
-    if client.redex is None:
-        return "done"
-    t = client.redex.term
-    if t.__class__ is Await and t.ident not in client.idmap \
-            and t.ident not in config.global_ids:
-        return "blocked"
-    return "ready"
-
+# Quiescence
 
 def quiescent(config: CloudConfig) -> bool:
-    return not enabled(config) and all(
-        client_status(config, cid) == "done" for cid in config.clients
-    )
+    """No choice is left and every client has run to a value."""
+    return not enabled(config) and all(c.redex is None for c in config.clients.values())
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +564,7 @@ def run(config: CloudConfig, scheduler, max_steps: int = 10_000,
             if not report.ok:
                 raise CtrdRuntimeError("Stuck", f"well-formedness lost: {report.problems[0]}")
         choices = enabled(cfg)
-    if choices:
-        status = "step-limit"
-    elif any(client_status(cfg, cid) == "blocked" for cid in cfg.clients):
-        status = "deadlock"
-    else:
-        status = "quiescent"
+    status = "step-limit" if choices else "quiescent" if quiescent(cfg) else "deadlock"
     return RunResult(cfg, trace, status, len(trace))
 
 
@@ -725,7 +702,9 @@ def check_wf(config: CloudConfig) -> WfReport:
     against the store and identifier typings."""
     problems: list[str] = []
     sigma, ids = config.store_typing, config.id_typing
-    env = TypeEnv(gamma={}, sigma=sigma, ids=ids, effect=LOC, runtime=True)
+    # a copy: typing a residual ref records its identifier, and the map
+    # is shared by every configuration
+    env = TypeEnv(sigma=sigma, ids=dict(ids), runtime=True)
 
     def check_store(owner: str, store: dict) -> None:
         for o in sorted(store):
@@ -760,7 +739,7 @@ def check_wf(config: CloudConfig) -> WfReport:
                     f"client {cid}: {ident} maps to {o} of type {pretty_type(sigma[o])}, "
                     f"identifier typing {pretty_type(ids[ident])}")
         for m in client.buffer:
-            _check_message(config, m, f"client {cid} buffer", problems)
+            _check_message(config, env, m, f"client {cid} buffer", problems)
         try:
             typecheck_term(env, client.term)
         except CheckError as e:
@@ -770,7 +749,7 @@ def check_wf(config: CloudConfig) -> WfReport:
         check_store(f"server {i}", server.store)
 
     for m in config.mailbox:
-        _check_message(config, m, "mailbox", problems)
+        _check_message(config, env, m, "mailbox", problems)
 
     for ident, o in sorted(config.global_ids.items()):
         if o not in sigma:
@@ -784,13 +763,12 @@ def check_wf(config: CloudConfig) -> WfReport:
     return WfReport(not problems, problems)
 
 
-def _check_message(config: CloudConfig, m: Message, where: str, problems: list[str]) -> None:
+def _check_message(config: CloudConfig, env: TypeEnv, m: Message, where: str,
+                   problems: list[str]) -> None:
     if isinstance(m, Req):
         if m.ident not in config.id_typing:
             problems.append(f"{where}: request for untyped {m.ident}")
         return
-    env = TypeEnv(gamma={}, sigma=config.store_typing, ids=config.id_typing,
-                  effect=LOC, runtime=True)
     try:
         tv = type_of_value(env, m.value, None)
     except CheckError as e:

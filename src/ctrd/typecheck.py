@@ -53,20 +53,17 @@ class TypeEnv:
 
     gamma: Mapping[str, Type] = field(default_factory=dict)
     sigma: Mapping[Location, Type] = field(default_factory=dict)
-    ids: Mapping[Identifier, Type] = field(default_factory=dict)
+    ids: dict[Identifier, Type] = field(default_factory=dict)   # filled as typed
     effect: Label = LOC
-    collecting: bool = False   # pre-pass: record id types instead of enforcing
     runtime: bool = False      # typing residuals: stamped oac values are fine
 
     def with_var(self, name: str, ty: Type) -> "TypeEnv":
         gamma = dict(self.gamma)
         gamma[name] = ty
-        return TypeEnv(gamma, self.sigma, self.ids, self.effect,
-                       self.collecting, self.runtime)
+        return TypeEnv(gamma, self.sigma, self.ids, self.effect, self.runtime)
 
     def with_effect(self, eff: Label) -> "TypeEnv":
-        return TypeEnv(self.gamma, self.sigma, self.ids, eff,
-                       self.collecting, self.runtime)
+        return TypeEnv(self.gamma, self.sigma, self.ids, eff, self.runtime)
 
 
 def _require_subtype(have: Type, want: Type, pos: Optional[Pos], ctx: str) -> None:
@@ -83,12 +80,9 @@ def _expect_lat(t: Type, pos: Optional[Pos], ctx: str) -> LatType:
 
 
 def _record_id(env: TypeEnv, ident: Identifier, content: Type, pos: Optional[Pos]) -> None:
-    known = env.ids.get(ident)
-    if env.collecting:
-        if known is None:
-            env.ids[ident] = content   # type: ignore[index]
-        return
-    if known is not None and known != content:
+    """Record ident's type; the first type it gets is the one it keeps."""
+    known = env.ids.setdefault(ident, content)
+    if known != content:
         raise CheckError(
             ErrorKind.MISMATCH, pos,
             f"identifier {ident} is bound elsewhere with type {pretty_type(known)}, "
@@ -102,7 +96,7 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
     gamma for the whole spine."""
     if t.__class__ is Let:
         gamma = dict(env.gamma)
-        env = TypeEnv(gamma, env.sigma, env.ids, env.effect, env.collecting, env.runtime)
+        env = TypeEnv(gamma, env.sigma, env.ids, env.effect, env.runtime)
         while t.__class__ is Let:
             gamma[t.name] = typecheck(env, t.bound)
             t = t.body
@@ -368,37 +362,27 @@ class ProgramCheck:
     id_types: dict[Identifier, Type]
 
 
-def collect_id_types(program: Program) -> dict[Identifier, Type]:
-    """Pre-pass: the whole-program identifier typing.
-
-    Awaits may resolve identifiers created by other clients, so collect in
-    rounds until every client's pass has finished or a round adds nothing;
-    errors are deferred to the strict pass. A finished client sits out the
-    later rounds: collection only fills missing identifiers, so a rerun
-    would add nothing. The rounds end, as identifiers only accumulate and a
-    program names finitely many; a chain of awaits across clients may take
-    a round per link."""
-    ids: dict[Identifier, Type] = {}
-    unfinished = [term for _, term in program.clients]
-    while unfinished:
-        known, failed = len(ids), []
-        for term in unfinished:
-            env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
-            try:
-                typecheck(env, term)
-            except CheckError:
-                failed.append(term)
-        unfinished = failed
-        if len(ids) == known:
-            break
-    return ids
-
-
 def check_program(program: Program) -> ProgramCheck:
-    """Typecheck every client against the shared identifier typing."""
-    ids = collect_id_types(program)
+    """Typecheck every client, in program order, filling the shared
+    identifier typing as each ref and clone is typed.
+
+    An await may name an identifier a later client creates, so after a
+    round that typed a new identifier the clients whose pass failed are
+    typed again; a chain of awaits across clients takes a round per link.
+    The rounds end, as identifiers only accumulate and a program names
+    finitely many. Then the first client in program order whose last pass
+    failed raises its error."""
+    ids: dict[Identifier, Type] = {}
     client_types: dict[int, Type] = {}
-    for cid, term in program.clients:
-        env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC)
-        client_types[cid] = typecheck(env, term)
+    todo, failed = program.clients, []
+    while todo:
+        known, failed = len(ids), []
+        for cid, term in todo:
+            try:
+                client_types[cid] = typecheck(TypeEnv(ids=ids), term)
+            except CheckError as e:
+                failed.append((cid, term, e))
+        todo = [(cid, term) for cid, term, _ in failed] if len(ids) > known else []
+    if failed:
+        raise failed[0][2]
     return ProgramCheck(client_types, ids)

@@ -1,5 +1,5 @@
 """The front end as it stood before the one-regex lexer, the let-spine
-loops and the collection pass that reruns only unfinished clients, kept
+loops and the one loop of passes that reruns only failed clients, kept
 as a differential oracle.
 
 `tokenize` walks the text one character at a time and builds a `Token`
@@ -9,8 +9,11 @@ per token; its one change is that a number is ASCII digits only.
 and each binary operator by a branch of its own; it reads the rest of the
 grammar with the parser's own methods. `typecheck` types the let
 spine it is given by recursion, with one context copy per `let`, and
-hands every other term to ctrd's typechecker. `collect_id_types` reruns
-every client until the identifier map stops changing.
+hands every other term to ctrd's typechecker, whose passes fill the
+identifier map they are given. `collect_id_types` reruns every client,
+ignoring its errors, until the identifier map stops changing; then
+`check_program` types every client once more against the result and
+raises the first error in program order.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def collect_id_types(program) -> dict:
     while True:
         before = dict(ids)
         for _, term in program.clients:
-            env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC, collecting=True)
+            env = TypeEnv(gamma={}, sigma={}, ids=ids, effect=LOC)
             try:
                 typecheck(env, term)
             except CheckError:

@@ -18,7 +18,7 @@ from ctrd.clone import reachable_graph
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import explore, make_scheduler, run
 from ctrd.runtime_local import CtrdRuntimeError
-from ctrd.syntax import AVA, CON, Identifier, LOC
+from ctrd.syntax import AVA, Await, CON, Identifier, LOC
 from ctrd.typecheck import CheckError, ErrorKind, check_program
 from trace_oracle import join_of_writes
 
@@ -132,9 +132,20 @@ def test_criterion_03_preservation_surrogate():
             f"({len(paths)} programs, {total_states} configurations, {elapsed:.1f}s)")
 
 
-def test_criterion_04_progress_surrogate():
-    from ctrd.runtime_cloud import client_status
+def client_status(config, cid: int) -> str:
+    """done (a value), blocked (on an await of an identifier no one has
+    created yet) or ready."""
+    client = config.clients[cid]
+    if client.redex is None:
+        return "done"
+    t = client.redex.term
+    if isinstance(t, Await) and t.ident not in client.idmap \
+            and t.ident not in config.global_ids:
+        return "blocked"
+    return "ready"
 
+
+def test_criterion_04_progress_surrogate():
     start = time.monotonic()
     for path in corpus_files("run"):
         _, _, cfg = checked_config(load(path))

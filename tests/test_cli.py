@@ -340,6 +340,25 @@ def test_deadlocked_leaf_fails_ec_in_run_and_explore(tmp_path, capsys):
     assert report["truncated"] == 0 and report["violations"]["ec"] == report["traces"] >= 1
 
 
+# client 3 wins the race for (ava,1), so client 1's location c1.r1 never
+# reaches a server; it escaped inside the con record, and client 2's read of
+# it can never fire, though client 2 is not waiting on an await
+STUCK_READ = """servers 2;
+client 1 { let n = ref@ava(nat 1 @ava, (ava,1)) in
+           let r = ref@con({f = n}@con, (con,1)) in unit @loc }
+client 2 { let r = await((con,1)) in !((!r).f) }
+client 3 { ref@ava(nat 5 @ava, (ava,1)) }"""
+
+
+def test_a_stuck_client_that_awaits_nothing_is_a_deadlock(tmp_path, capsys):
+    path = tmp_path / "stuck.ctrd"
+    path.write_text(STUCK_READ)
+    assert main(["run", str(path), "--seed", "1", "--check", "ec"]) == 4
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["status"] == "deadlock" and not report["quiescent"]
+    assert not report["checks"]["ec"]["ok"]
+
+
 def test_every_trace_truncated_is_no_verdict(capsys):
     code = main(["nif", str(CORPUS / "nif" / "pair2_a.ctrd"),
                  str(CORPUS / "nif" / "pair2_b.ctrd"), "--max-depth", "3"])

@@ -1,6 +1,8 @@
-"""The one-regex lexer, the let-spine parser and typechecker, and the
-collection pass that reruns only unfinished clients, against the
-character-level, recursive and fixpoint front end in parse_oracle.py."""
+"""The one-regex lexer, the let-spine parser and typechecker, and the one
+loop of passes that types each client once and reruns only the failed
+ones, against the character-level, recursive front end in
+parse_oracle.py, whose fixpoint of passes over every client is followed
+by a strict pass."""
 
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ import step_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
+from ctrd.parser import parse_term
 from ctrd.runtime_cloud import (
     Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,
@@ -566,6 +567,16 @@ def test_wf_detects_corrupted_store():
     assert not report.ok
     assert any("server 0" in p for p in report.problems)
     assert check_wf(res.config).ok
+
+
+def test_wf_types_residuals_against_a_copy_of_the_identifier_typing():
+    # typing a ref records its identifier; the map every configuration
+    # shares must not learn one a residual term names
+    _, _, cfg = checked_config("servers 2; client 1 { ref@con(nat 1 @con, (con,1)) }")
+    before = dict(cfg.id_typing)
+    cfg.clients[1] = initial_client(1, parse_term("ref@con(nat 2 @con, (con,9))"))
+    assert check_wf(cfg).ok
+    assert cfg.id_typing == before and Identifier(CON, 9) not in cfg.id_typing
 
 
 def test_server_permutations_share_one_orbit_key():

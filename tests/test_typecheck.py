@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import ctrd.typecheck
 from conftest import corpus_files, load
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
@@ -220,13 +221,53 @@ def _ping_pong(k: int) -> str:
 
 
 def test_a_long_chain_of_awaits_across_clients_is_collected():
-    """Each link of the chain resolves in its own collection round, so the
+    """Each link of the chain resolves in its own round of passes, so the
     rounds must run until one adds nothing, however many that takes."""
     prog = parse_program(_ping_pong(12))
     checked = check_program(prog)
     assert set(checked.id_types) == {Identifier(CON, n) for n in range(1, 25)}
     res = run(initial_config(prog, checked.id_types), make_scheduler("drain-fair", 0))
     assert res.status == "quiescent"
+
+
+def test_a_program_whose_awaits_follow_their_creators_types_each_client_once(monkeypatch):
+    prog = parse_program("""servers 2;
+    client 1 { let a = ref@con(nat 1 @con, (con,1)) in !a }
+    client 2 { let p = await((con,1)) in !p }
+    client 3 { ref@ava(nat 1 @ava, (ava,2)) }""")
+    terms = [term for _, term in prog.clients]
+    passes = []
+
+    def counting(env, t):
+        if any(t is term for term in terms):
+            passes.append(t)
+        return judge(env, t)
+
+    judge = ctrd.typecheck.typecheck
+    monkeypatch.setattr(ctrd.typecheck, "typecheck", counting)
+    check_program(prog)
+    assert len(passes) == len(terms)
+
+
+def _diagnostic(src: str) -> str:
+    with pytest.raises(CheckError) as exc:
+        check_program(parse_program(src))
+    return exc.value.render()
+
+
+def test_a_failed_pass_types_no_identifier_after_its_error():
+    # client 2's mismatch on (con,1) stops its pass before (con,3), so
+    # client 1's await is the first error in program order
+    assert _diagnostic("""servers 2;
+    client 1 { let x = await((con,3)) in !(unit @loc) }
+    client 2 { let a = ref@con(nat 1 @con, (con,1)) in
+               let b = ref@con(true @con, (con,1)) in ref@con(nat 2 @con, (con,3)) }""") \
+        == "<input>:2:24: Unbound: await on unknown identifier (con,3)"
+    # likewise a flow violation before the awaited ref
+    assert _diagnostic("""servers 2;
+    client 1 { let x = await((con,2)) in unit @loc }
+    client 2 { let a = ref@con(nat 1 @ava, (con,1)) in ref@con(nat 2 @con, (con,2)) }""") \
+        == "<input>:2:24: Unbound: await on unknown identifier (con,2)"
 
 
 def test_conflicting_identifier_types():
