@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -403,7 +404,9 @@ def cmd_nif(args) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="ctrd",
         description="Typecheck and simulate consistency-labeled programs "
@@ -445,8 +448,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--servers", type=int, default=None)
     p.set_defaults(fn=cmd_nif)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     unknown = [c for c in getattr(args, "check", ()) if c not in CHECKS]
     if unknown:
         return _die(2, f"ctrd {args.command}: unknown check {unknown[0]!r} "

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import reduce
-from operator import and_
+from operator import and_, attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .clone import clone_step
@@ -81,7 +81,8 @@ class CloudConfig:
     _key keeps (table, mailbox, global_ids, store_typing, int) once keyed,
     and _enabled keeps enabled(self) once asked, or None. A copy shares
     _key, which holds only while those three parts are the very objects it
-    names, and starts without _enabled, as a step replaces parts of it.
+    names, and starts without _enabled, as a step replaces parts of it; a
+    client's kept choices hold while the part they read is (see enabled).
     """
 
     __slots__ = ("clients", "mailbox", "servers", "global_ids", "store_typing", "id_typing",
@@ -190,6 +191,7 @@ class Kind(IntEnum):
 
 # read once: len() of an enum class runs EnumType.__len__ in Python
 _KINDS = len(Kind)
+_KIND, _EVENT = itemgetter(0), attrgetter("event")
 
 
 class Choice(NamedTuple):
@@ -218,34 +220,47 @@ def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
     return None
 
 
+def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
+    """The client's own choices, SEND first, kept on it (_choices) with the
+    one part of the configuration they read: the server list for a remote
+    read, the global map for an await, or None. Parts are replaced, never
+    written, so the list is reused while that part is the same object."""
+    held = client._choices
+    if held is not None and (held[0] is None or held[0] is config.servers
+                             or held[0] is config.global_ids):
+        return held[1]
+    cid, part, out = client.cid, None, []
+    if client.buffer:
+        out.append(Choice(Kind.SEND, cid))
+    if client.redex is not None:
+        t = client.redex.term
+        if t.__class__ is Await and t.ident not in client.idmap:
+            part = config.global_ids
+            if t.ident in part:   # otherwise blocked until it is published
+                out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+        elif (read := _remote_read(client)) is None:
+            out.append(Choice(Kind.CLIENT_STEP, cid))
+        else:
+            part = config.servers
+            kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
+            out.extend(Choice(kind, cid, server=i) for i, s in enumerate(part)
+                       if read[1] in s.store)
+    client._choices = (part, out)
+    return out
+
+
 def enabled(config: CloudConfig) -> list[Choice]:
     """Every rule instance whose premises hold, deterministically ordered:
     the one statement of each rule's premises, which step_cloud enforces
     and the handlers rely on. Computed once per configuration and kept in
-    it (CloudConfig._enabled); the list is shared and must not be mutated."""
+    it (CloudConfig._enabled); the list is shared and must not be mutated.
+    The clients' kept lists in client order and the mailbox's choices in
+    event order, stably sorted on the kind alone, are in Choice order."""
     if config._enabled is not None:
         return config._enabled
-    out: list[Choice] = []
-    for cid in sorted(config.clients):
-        client = config.clients[cid]
-        if client.buffer:
-            out.append(Choice(Kind.SEND, cid))
-        if client.redex is None:
-            continue
-        t = client.redex.term
-        if t.__class__ is Await and t.ident not in client.idmap:
-            if t.ident in config.global_ids:
-                out.append(Choice(Kind.AWAIT_RESOLVE, cid))
-            continue   # otherwise blocked until the identifier is published
-        read = _remote_read(client)
-        if read is None:
-            out.append(Choice(Kind.CLIENT_STEP, cid))
-        else:
-            kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
-            out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
-                       if read[1] in s.store)
+    out = [ch for _, c in sorted(config.clients.items()) for ch in _client_choices(config, c)]
     clients = config.servers[0].seq.clients
-    for m in config.mailbox:
+    for m in sorted(config.mailbox, key=_EVENT):
         if isinstance(m, Update):
             # an update has landed exactly at the servers whose log holds it
             bit = 1 << event_bit(clients, m.event)
@@ -256,7 +271,7 @@ def enabled(config: CloudConfig) -> list[Choice]:
             o = config.global_ids[m.ident]
             out.extend(Choice(Kind.PROCESS_REQ, message=m, server=r)
                        for r, s in enumerate(config.servers) if o in s.store)
-    config._enabled = out = sorted(out)
+    config._enabled = out = sorted(out, key=_KIND)
     return out
 
 
@@ -698,8 +713,8 @@ class WfReport:
 
 
 def check_wf(config: CloudConfig) -> WfReport:
-    """Re-typecheck every store, identifier map, buffer, and residual term
-    against the store and identifier typings."""
+    """Re-typecheck every store, identifier map, buffer, and whole residual
+    program (closed_term) against the store and identifier typings."""
     problems: list[str] = []
     sigma, ids = config.store_typing, config.id_typing
     # a copy: typing a residual ref records its identifier, and the map
@@ -741,7 +756,7 @@ def check_wf(config: CloudConfig) -> WfReport:
         for m in client.buffer:
             _check_message(config, env, m, f"client {cid} buffer", problems)
         try:
-            typecheck_term(env, client.term)
+            typecheck_term(env, client.closed_term())
         except CheckError as e:
             problems.append(f"client {cid}: residual term untypable: {e.message}")
 

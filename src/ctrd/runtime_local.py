@@ -211,10 +211,11 @@ def sorted_items(d: dict) -> tuple:
 
 @dataclass(slots=True)
 class ClientState(Interned):
-    """One client. A client that has been keyed is never mutated, so the
-    int key_id keeps for its key stays exact. Configurations share
-    clients; a step takes one plain copy of the client it steps
-    (CloudConfig.own_client) and steps that copy in place."""
+    """One client. A client keyed or asked for its choices (enabled keeps
+    them in _choices) is never mutated; a step steps the plain copy
+    CloudConfig.own_client takes, which starts without them. pending holds,
+    by name, the values the root let spine waits on (a CEK environment,
+    Felleisen & Friedman 1986), the only names term is open in (see bind)."""
 
     cid: int
     term: Term
@@ -224,18 +225,40 @@ class ClientState(Interned):
     idmap: dict[Identifier, Location]
     loc_counter: int = 0
     event_counter: int = 0
+    pending: tuple[tuple[str, Lit], ...] = ()
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
+    _choices: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ClientState":
         return ClientState(self.cid, self.term, self.redex, dict(self.store), self.buffer,
-                           dict(self.idmap), self.loc_counter, self.event_counter)
+                           dict(self.idmap), self.loc_counter, self.event_counter, self.pending)
 
     def plug(self, result: Term) -> None:
-        """Replace the redex by result. The only place a client's term
-        changes, so the decomposition is computed once per step."""
+        """Replace the redex by result. Only bind also changes a client's
+        term, so the decomposition is computed once per step."""
         self.term = self.redex.rebuild(result)
         self.redex = decompose(self.term)
+
+    def bind(self, x: str, v: Lit) -> None:
+        """E-LET at the root, at the cost of the next bound term, not of the
+        spine: only that term is closed, with the pending values and x's,
+        and pending keeps those the rest of the spine holds free and the
+        next let does not rebind. A body that is not a let is closed."""
+        env = dict((*self.pending, (x, v)))
+        body = self.term.body
+        if body.__class__ is Let:
+            rest, y = free_names(body.body), body.name
+            bound = close(body.bound, env)
+            self.term = body if bound is body.bound else Let(y, bound, body.body, body.pos)
+            self.pending = tuple(sorted([p for p in env.items() if p[0] in rest and p[0] != y]))
+        else:
+            self.term, self.pending = close(body, env), ()
+        self.redex = decompose(self.term)
+
+    def closed_term(self) -> Term:
+        """The whole residual program: term with the pending values put in."""
+        return close(self.term, dict(self.pending))
 
     def fresh_location(self, remote: bool) -> Location:
         self.loc_counter += 1
@@ -252,7 +275,8 @@ class ClientState(Interned):
         return hits[0] if hits else None
 
     def key(self):
-        return (self.cid, self.term, sorted_items(self.store), self.buffer,
+        """One-to-one with the closed term's: pending holds names free in term."""
+        return (self.cid, self.term, self.pending, sorted_items(self.store), self.buffer,
                 sorted_items(self.idmap), self.loc_counter, self.event_counter)
 
 
@@ -404,6 +428,14 @@ def subst(t: Term, name: str, value: Term) -> Term:
     return go(t)
 
 
+def close(t: Term, env: dict[str, Term]) -> Term:
+    """t with each name of env that is free in it replaced by its closed
+    value; the order does not matter, as no value holds a free name."""
+    for name in free_names(t) & env.keys():
+        t = subst(t, name, env[name])
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Local stepping
 
@@ -461,10 +493,11 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
     """Fire the unique local rule at the client's redex, if one applies.
 
     The client must not be finished. The rule fires in place on the client,
-    which the caller owns, and (rule, action) comes back. A redex that needs
-    the servers or the global identifier map, an await on an identifier or
-    an ava read of a cell the client does not hold included, leaves the
-    client untouched and returns None.
+    which the caller owns, and (rule, action) comes back; a root E-LET binds
+    (ClientState.bind), any other substitutes. A redex that needs the
+    servers or the global identifier map, an await on an identifier or an
+    ava read of a cell the client does not hold included, leaves the client
+    untouched and returns None.
     """
     r, eff = c.redex.term, c.redex.effect
 
@@ -496,7 +529,10 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
             return done(Lit(raise_label(v, lab)), eps(eff), "E-RESTRICT")
 
         case Let(name=x, bound=Lit() as b, body=body):
-            return done(subst(body, x, b), eps(eff), "E-LET")
+            if c.redex.path:    # a let in bound position or under a Restrict
+                return done(subst(body, x, b), eps(eff), "E-LET")
+            c.bind(x, b)
+            return "E-LET", eps(eff)
 
         case Record(fields=fs, label=lab):
             vals = tuple(sorted((n, ft.value) for n, ft in fs))

@@ -4,7 +4,8 @@ concrete state, each server's log in the order it was written.
 
 `structural_key` rebuilds a configuration's key from every component on
 every call, reading their fields directly, so no cached key can hide a
-component that was mutated after it was keyed. `explore` is the plain
+component that was mutated after it was keyed; a client's term is closed
+over its pending values, so the key is that of the whole program. `explore` is the plain
 depth-first search: it deduplicates on the pair (structural key, execution
 key) and copies and folds the execution on every step, internal ones
 included. `terminal_outcomes` gives the set of what the checkers can tell
@@ -18,6 +19,7 @@ import json
 from collections import Counter
 from typing import Callable, Optional
 
+import step_oracle
 from ctrd.abstract_exec import AbstractExecution, con_observation, fold_entry
 from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import (
@@ -39,8 +41,17 @@ def _by_name_key(d: dict) -> tuple:
     return tuple(sorted(d.items(), key=lambda kv: _name_key(kv[0])))
 
 
+def closed_term(c):
+    """The client's whole residual program: its term with the values its
+    root let spine still waits on put in by the oracle's own subst."""
+    t = c.term
+    for name, value in c.pending:
+        t = step_oracle.subst(t, name, value)
+    return t
+
+
 def client_key(c) -> tuple:
-    return (c.cid, c.term, _by_name_key(c.store), c.buffer, _by_name_key(c.idmap),
+    return (c.cid, closed_term(c), _by_name_key(c.store), c.buffer, _by_name_key(c.idmap),
             c.loc_counter, c.event_counter)
 
 

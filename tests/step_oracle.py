@@ -1,18 +1,23 @@
-"""Substitution and the server and common logs as they stood before
-pruning and before logs became cells, kept as differential oracles.
+"""Substitution, the server and common logs, and the enabled choices as
+they stood before pruning, before logs became cells and before clients
+kept their choices, kept as differential oracles.
 
 `subst` walks the whole term on every call and rebuilds every closure
 literal and shadowing let it passes, whether or not the name occurs.
 `free_names` computes a term's free names from scratch, caching nothing.
 `logs_after` keeps every server's log as a tuple, newest first, and
 `common_seq` intersects every server's log and sorts the result.
+`enabled` builds every choice of a configuration from scratch and sorts
+the whole list by the Choice tuples.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from ctrd.syntax import Closure, Let, Lit, Plain, Var, children, map_children
+from ctrd.runtime_cloud import Choice, Kind, _remote_read
+from ctrd.runtime_local import Update, event_bit
+from ctrd.syntax import Await, CON, Closure, Let, Lit, Plain, Var, children, map_children
 
 
 def subst(t, name: str, value):
@@ -72,3 +77,38 @@ def common_seq(logs) -> tuple:
 # the rules whose action records the common log as it stood before the step
 COMMON_LOG_RULES = frozenset({"E-CONREF", "E-OACREF", "E-CONASSIGN",
                               "E-FLEXWRT-CON", "E-FLEXRD-CON", "E-CLONE"})
+
+
+def enabled(config) -> list:
+    """Every enabled choice of config, in the order of the Choice tuples."""
+    out = []
+    for cid in sorted(config.clients):
+        client = config.clients[cid]
+        if client.buffer:
+            out.append(Choice(Kind.SEND, cid))
+        if client.redex is None:
+            continue
+        t = client.redex.term
+        if t.__class__ is Await and t.ident not in client.idmap:
+            if t.ident in config.global_ids:
+                out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+            continue
+        read = _remote_read(client)
+        if read is None:
+            out.append(Choice(Kind.CLIENT_STEP, cid))
+        else:
+            kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
+            out.extend(Choice(kind, cid, server=i) for i, s in enumerate(config.servers)
+                       if read[1] in s.store)
+    clients = config.servers[0].seq.clients
+    for m in config.mailbox:
+        if isinstance(m, Update):
+            bit = 1 << event_bit(clients, m.event)
+            lacking = [Choice(Kind.DELIVER_UPDATE, message=m, server=r)
+                       for r, s in enumerate(config.servers) if not s.seq.mask & bit]
+            out.extend(lacking or [Choice(Kind.GC_UPDATE, message=m)])
+        elif m.ident in config.global_ids and m.ident in config.clients[m.event.client].idmap:
+            o = config.global_ids[m.ident]
+            out.extend(Choice(Kind.PROCESS_REQ, message=m, server=r)
+                       for r, s in enumerate(config.servers) if o in s.store)
+    return sorted(out)

@@ -6,6 +6,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import syntax_oracle
@@ -454,3 +457,28 @@ def test_a_runtime_fault_ends_every_command_in_one_line(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (argv, err)
         assert "runtime fault: DomainMismatch" in err, (argv, err)
+
+
+def test_the_parser_built_once_gives_what_separate_runs_give(capsys, monkeypatch):
+    # main builds its argument parser once per process; a call with --check
+    # and one without, in one process, print what each prints on its own,
+    # and so does a bad flag after them (usage lines wrap at COLUMNS)
+    monkeypatch.setenv("COLUMNS", "80")
+    program = str(CORPUS / "con" / "handoff.ctrd")
+    calls = [["run", program, "--check", "sc", "--seed", "1"], ["run", program],
+             ["explore", program, "--check", "sc,ec"], ["run", program, "--sched", "nope"]]
+    together = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        together.append((code, *capsys.readouterr()))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    for argv, (code, out, err) in zip(calls, together):
+        alone = subprocess.run([sys.executable, "-m", "ctrd.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    reports = [json.loads(out.splitlines()[-1]) for _, out, _ in together[:2]]
+    assert "sc" in reports[0]["checks"] and not reports[1].get("checks")
+    assert together[3][0] == 2

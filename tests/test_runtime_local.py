@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import checked_config
+from ctrd.abstract_exec import con_observation
 from ctrd.lattice import GSet, NatMax
 from explore_oracle import client_key
+from ctrd.runtime_cloud import make_scheduler, run
 from ctrd.parser import parse_term
 from ctrd.runtime_local import (
     CtrdRuntimeError, Redex, Update, Req, decompose, eps, initial_client,
@@ -93,6 +96,46 @@ def test_lattice_faults_are_the_same_for_operators_and_merges(right, kind):
         with pytest.raises(CtrdRuntimeError) as exc:
             step_local(initial_client(1, op))
         assert exc.value.kind == kind, op
+
+
+def test_root_lets_leave_the_rest_of_the_spine_as_parsed():
+    # a root E-LET closes only the next let's bound term, so the spine
+    # below it is the parsed program's own node, not a rebuilt copy, and
+    # the client keeps just the values the rest of the spine reads
+    t = parse_term("let a = nat 1 @loc in let b = nat 2 @loc in let x0 = a \\/ b in "
+                   "let x1 = x0 \\/ a in let x2 = x1 \\/ b in x2")
+    c = initial_client(1, t)
+    assert step_local(c)[0] == "E-LET"
+    assert c.term.body is t.body.body and [n for n, _ in c.pending] == ["a"]
+    assert step_local(c)[0] == "E-LET"
+    assert c.term.body is t.body.body.body and [n for n, _ in c.pending] == ["a", "b"]
+    assert c.term.bound == parse_term("nat 1 @loc \\/ nat 2 @loc")
+    assert [step_local(c)[0] for _ in range(2)] == ["E-LATOP", "E-LET"]
+    # x0 and a are read by the next let's bound term alone
+    assert c.term.body is t.body.body.body.body and [n for n, _ in c.pending] == ["b"]
+    while c.redex is not None:
+        step_local(c)
+    assert c.term.value == Plain(NatMax(2), LOC) and c.pending == ()
+
+
+def _con_cell_after_run(body: str):
+    _, _, cfg = checked_config(
+        f"servers 2; client 1 {{ let c = ref@con(nat 0 @con, (con,1)) in {body} }}")
+    res = run(cfg, make_scheduler("drain-fair"))
+    assert res.status == "quiescent"
+    return con_observation(res.config)["(con,1)"]
+
+
+def test_a_closure_keeps_the_value_of_a_name_rebound_after_it():
+    assert _con_cell_after_run(
+        "let x = nat 5 @con in let f = fn@con(y: Lat@con) => y \\/ x in "
+        "let x = nat 1 @con in c := f (x) \\/ x") == {"nat": 5}
+
+
+def test_a_rebinding_let_reads_the_old_value():
+    assert _con_cell_after_run(
+        "let x = nat 3 @con in let x = x \\/ nat 1 @con in let y = x in "
+        "let x = x \\/ nat 2 @con in c := x \\/ y") == {"nat": 3}
 
 
 def test_beta_wraps_body_in_own_label_frame():

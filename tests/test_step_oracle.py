@@ -14,7 +14,7 @@ from ctrd.lattice import NatMax
 import ctrd.abstract_exec
 import ctrd.runtime_cloud
 from ctrd.abstract_exec import AbstractExecution, fold_entry
-from ctrd.runtime_cloud import enabled, explore, make_scheduler, step_cloud
+from ctrd.runtime_cloud import enabled, explore, make_scheduler, run, step_cloud
 from ctrd.runtime_local import CtrdRuntimeError, free_names, subst
 from ctrd.syntax import (
     App, CON, Closure, Deref, Duplicated, FlexWrite, If, LABELS, LOC, LatOp,
@@ -188,3 +188,37 @@ def test_log_cells_match_the_tuple_logs_in_every_explored_state(monkeypatch):
     monkeypatch.setattr(ctrd.abstract_exec, "fold_entry", checked_fold)
     explore(initial, 24)
     assert seen["steps"] > 100 and seen["snapshots"] > 50
+
+
+# ---------------------------------------------------------------------------
+# enabled choices, from the clients' kept lists
+
+def test_enabled_equals_the_from_scratch_choices_at_every_configuration(monkeypatch):
+    # every configuration of seeded runs and of explore on every runnable
+    # corpus program, and of mixed.ctrd explored on 3 servers: the choices
+    # enabled builds from each client's kept list and the mailbox in event
+    # order equal the oracle's, rebuilt and fully sorted, order included
+    calls = {"configs": 0}
+    kept = ctrd.runtime_cloud.enabled
+
+    def checked(cfg):
+        got = kept(cfg)
+        assert got == step_oracle.enabled(cfg)
+        calls["configs"] += 1
+        return got
+
+    monkeypatch.setattr(ctrd.runtime_cloud, "enabled", checked)
+    for path in RUNNABLE:
+        _, _, cfg = checked_config(load(path))
+        for seed in range(3):
+            try:
+                run(cfg, make_scheduler("random", seed))
+            except CtrdRuntimeError:
+                pass
+        try:
+            explore(cfg, 12)
+        except CtrdRuntimeError:
+            pass
+    _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"), servers=3)
+    explore(cfg, 24)
+    assert calls["configs"] > 10_000

@@ -5,9 +5,11 @@
     PYTHONPATH=src python3 tools/curve.py step --sizes 50,100 --repeat 1
     PYTHONPATH=src python3 tools/curve.py trace --factors 0.5,1 --repeat 1
     PYTHONPATH=src python3 tools/curve.py front --sizes 50,100 --repeat 1
+    PYTHONPATH=src python3 tools/curve.py names --counts 1,8 --repeat 1
 
 Every curve is measured the same way. The inputs of every point (a program
-from `bench/gen.py`, used read-only, or from the corpus; parsed,
+from `bench/gen.py`, used read-only, from `names_program` here, or from the
+corpus; parsed,
 typechecked and, for `sc` and `trace`, run) are built once and not timed. Each timed call gets a fresh state built
 outside the span, then a `gc.collect()`, then one `time.perf_counter` span
 around the call alone. The calls go in rounds over all points, so that a
@@ -190,6 +192,39 @@ def front_curve(args) -> tuple[dict, list]:
             "growth": points[-1]["us_per_let"] / points[0]["us_per_let"]}, points
 
 
+NAMES_SPINE = 400       # the lets below the names of names_program
+
+
+def names_program(k: int, lets: int = NAMES_SPINE) -> str:
+    """One client on one server: k names bound at the head, then a spine of
+    lets whose let i joins name i mod k with a literal into a name of its
+    own, so that every head name is read all the way down."""
+    head = "".join(f"let n{j} = nat {j} @loc in\n" for j in range(k))
+    spine = "".join(f"let x{i} = n{i % k} \\/ nat {i} @loc in\n" for i in range(lets))
+    return f"servers 1;\nclient 1 {{\n{head}{spine}unit @loc\n}}\n"
+
+
+def names_curve(args) -> tuple[dict, list]:
+    """run steps per second against the number of names bound at the head
+    of a let spine. Each point runs `names_program(K)` (K head lets, then
+    NAMES_SPINE lets that each read one of them) under the drain-fair
+    scheduler from a fresh initial configuration. A step that substituted
+    each head value through the rest of the spine would cost K spines in
+    all, and the curve would fall with K; `drop` is the first point's
+    steps per second over the last point's."""
+    counts = numbers(args.counts, int)
+    got = timed([checked(names_program(k)) for k in counts], lambda p: {"run": partial(
+        run, initial_config(*p), make_scheduler("drain-fair"), 10 ** 6)}, args.repeat)
+    points = []
+    for k, t in zip(counts, got):
+        res, secs = t["run"]
+        points.append({"k": k, "status": res.status, "steps": res.steps,
+                       "seconds": secs, "steps_per_s": res.steps / secs})
+    return {"program": "tools/curve.py names_program", "lets": NAMES_SPINE,
+            "scheduler": "drain-fair",
+            "drop": points[0]["steps_per_s"] / points[-1]["steps_per_s"]}, points
+
+
 # name -> (curve, its flags and their defaults; a flag's type is its default's)
 CURVES = {
     "sc": (sc_curve, {"--factors": "1.3,2.6,5.3,10.6,13.5", "--seed": 7, "--repeat": 3}),
@@ -197,6 +232,7 @@ CURVES = {
     "step": (step_curve, {"--sizes": "50,200,500,1000,2000", "--repeat": 15}),
     "trace": (trace_curve, {"--factors": "1,2,4", "--repeat": 15}),
     "front": (front_curve, {"--sizes": "500,1000,2000,5000", "--repeat": 7}),
+    "names": (names_curve, {"--counts": "1,4,16,64", "--repeat": 15}),
 }
 
 
