@@ -741,18 +741,21 @@ def check_wf(config: CloudConfig) -> WfReport:
                     f"{owner}: value at {o} has type {pretty_type(t)}, "
                     f"store typing {pretty_type(sigma[o])}")
 
+    def check_ids(owner: str, idmap: dict) -> None:
+        for ident, o in sorted(idmap.items()):
+            if ident not in ids:
+                problems.append(f"{owner}: {ident} missing from the identifier typing")
+            elif o not in sigma:
+                problems.append(f"{owner}: {ident} maps to untyped {o}")
+            elif not subtype(sigma[o], ids[ident]):
+                problems.append(
+                    f"{owner}: {ident} maps to {o} of type {pretty_type(sigma[o])}, "
+                    f"identifier typing {pretty_type(ids[ident])}")
+
     for cid in sorted(config.clients):
         client = config.clients[cid]
         check_store(f"client {cid} store", client.store)
-        for ident, o in sorted(client.idmap.items()):
-            if ident not in ids:
-                problems.append(f"client {cid}: {ident} missing from the identifier typing")
-            elif o not in sigma:
-                problems.append(f"client {cid}: {ident} maps to untyped {o}")
-            elif not subtype(sigma[o], ids[ident]):
-                problems.append(
-                    f"client {cid}: {ident} maps to {o} of type {pretty_type(sigma[o])}, "
-                    f"identifier typing {pretty_type(ids[ident])}")
+        check_ids(f"client {cid}", client.idmap)
         for m in client.buffer:
             _check_message(config, env, m, f"client {cid} buffer", problems)
         try:
@@ -766,15 +769,7 @@ def check_wf(config: CloudConfig) -> WfReport:
     for m in config.mailbox:
         _check_message(config, env, m, "mailbox", problems)
 
-    for ident, o in sorted(config.global_ids.items()):
-        if o not in sigma:
-            problems.append(f"global map: {ident} maps to untyped {o}")
-        elif ident not in ids:
-            problems.append(f"global map: {ident} missing from the identifier typing")
-        elif not subtype(sigma[o], ids[ident]):
-            problems.append(f"global map: {ident} at {o}: "
-                            f"{pretty_type(sigma[o])} vs {pretty_type(ids[ident])}")
-
+    check_ids("global map", config.global_ids)
     return WfReport(not problems, problems)
 
 

@@ -242,23 +242,24 @@ class ClientState(Interned):
 
     def bind(self, x: str, v: Lit) -> None:
         """E-LET at the root, at the cost of the next bound term, not of the
-        spine: only that term is closed, with the pending values and x's,
-        and pending keeps those the rest of the spine holds free and the
-        next let does not rebind. A body that is not a let is closed."""
+        spine: only that term is closed, by one subst walk with the pending
+        values and x's, and pending keeps those the rest of the spine holds
+        free and the next let does not rebind. A body that is not a let is
+        closed."""
         env = dict((*self.pending, (x, v)))
         body = self.term.body
         if body.__class__ is Let:
             rest, y = free_names(body.body), body.name
-            bound = close(body.bound, env)
+            bound = subst(body.bound, env)
             self.term = body if bound is body.bound else Let(y, bound, body.body, body.pos)
             self.pending = tuple(sorted([p for p in env.items() if p[0] in rest and p[0] != y]))
         else:
-            self.term, self.pending = close(body, env), ()
+            self.term, self.pending = subst(body, env), ()
         self.redex = decompose(self.term)
 
     def closed_term(self) -> Term:
         """The whole residual program: term with the pending values put in."""
-        return close(self.term, dict(self.pending))
+        return subst(self.term, dict(self.pending))
 
     def fresh_location(self, remote: bool) -> Location:
         self.loc_counter += 1
@@ -341,7 +342,7 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 
 
 def free_names(t: Term) -> frozenset[str]:
-    """The names subst(t, name, v) would replace somewhere in t.
+    """The names of t that subst(t, env) replaces when env holds them.
 
     A Var gives its name; a closure literal gives the free names of its
     body less its parameter; every other literal gives none, since subst
@@ -387,38 +388,40 @@ def free_names(t: Term) -> frozenset[str]:
     return fv
 
 
-def subst(t: Term, name: str, value: Term) -> Term:
-    """t with the closed value put for every free occurrence of name.
+def subst(t: Term, env: dict[str, Term]) -> Term:
+    """t with each name of env put in by its closed value, in one walk.
 
-    The value is closed (call-by-value substitutes values, and a program's
-    values carry no free names), so no binder in t can capture it and
-    subst never renames. A subterm in which name is not free, by
-    free_names, comes back as itself without being entered: a step costs
-    the paths to the occurrences it replaces, not the size of t. A let
-    spine is walked in a loop: down to the first let that binds name or
-    whose body does not hold it free, then rebuilt from there up.
+    The values are closed (call-by-value substitutes values, and a
+    program's values carry no free names), so no binder in t can capture
+    them and subst never renames. A subterm that holds no name of env
+    free, by free_names, comes back as itself without being entered: a
+    step costs the paths to the occurrences it replaces, not the size of
+    t. A let spine is walked in a loop, down to the first let that rebinds
+    a name of env or whose body holds none free, then rebuilt from there
+    up. Below a let or a closure parameter that rebinds a name the walk
+    goes on without it, so it nests at most len(env) calls deep.
     """
     def go(t: Term) -> Term:
-        if name not in free_names(t):
+        if free_names(t).isdisjoint(env):
             return t
         cls = t.__class__
         if cls is Var:
-            return value
-        if cls is Lit:          # a closure whose parameter is not name
+            return env[t.name]
+        if cls is Lit:          # a closure
             v = t.value
             c = v.raw
-            return Lit(Plain(Closure(c.latent, c.param, c.param_type, go(c.body)),
-                             v.label), t.pos)
+            body = subst(c.body, _without(env, c.param)) if c.param in env else go(c.body)
+            return Lit(Plain(Closure(c.latent, c.param, c.param_type, body), v.label), t.pos)
         if cls is not Let:
             return map_children(t, go)
-        spine = []              # lets in which name is free, top down
+        spine = []              # lets that hold a name of env free, top down
         while True:
             spine.append(t)
-            if t.name == name:  # its body is out of the name's scope
-                body = t.body
+            if t.name in env:   # its body is out of that name's scope
+                body = subst(t.body, _without(env, t.name))
                 break
             t = t.body
-            if t.__class__ is not Let or name not in free_names(t):
+            if t.__class__ is not Let or free_names(t).isdisjoint(env):
                 body = go(t)
                 break
         for let in reversed(spine):
@@ -428,12 +431,8 @@ def subst(t: Term, name: str, value: Term) -> Term:
     return go(t)
 
 
-def close(t: Term, env: dict[str, Term]) -> Term:
-    """t with each name of env that is free in it replaced by its closed
-    value; the order does not matter, as no value holds a free name."""
-    for name in free_names(t) & env.keys():
-        t = subst(t, name, env[name])
-    return t
+def _without(env: dict[str, Term], name: str) -> dict[str, Term]:
+    return {x: v for x, v in env.items() if x != name}
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +512,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
         case App(fn=Lit(value=vf), arg=Lit() as arg):
             if not (isinstance(vf, Plain) and isinstance(vf.raw, Closure)):
                 raise CtrdRuntimeError("Stuck", "application of a non-closure value")
-            body = subst(vf.raw.body, vf.raw.param, arg)
+            body = subst(vf.raw.body, {vf.raw.param: arg})
             # run under the closure's own label and join it onto the result
             return done(Restrict(body, vf.label), eps(eff), "E-BETA")
 
@@ -530,7 +529,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
 
         case Let(name=x, bound=Lit() as b, body=body):
             if c.redex.path:    # a let in bound position or under a Restrict
-                return done(subst(body, x, b), eps(eff), "E-LET")
+                return done(subst(body, {x: b}), eps(eff), "E-LET")
             c.bind(x, b)
             return "E-LET", eps(eff)
 

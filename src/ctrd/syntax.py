@@ -13,12 +13,10 @@ hold terms or values; both maps return their input when nothing in it
 changed. Substitution, decomposition, map_locations (the one walk over the
 locations a term holds, for refs and the clone upload) and the
 low-equivalence check are written against these helpers, so a new form is
-one table entry. The last two map whole terms, so map_children keeps the
-child results in locals, one branch per child count: a list per node
-would show up as collector work. The printed syntax is a table too:
-TERM_LAYOUT gives each form but Lit and Record its precedence level, a
-format template and the level each child needs, and OPERATORS gives each
-binary operator its form and spelling, for the printer and the parser.
+one table entry. The printed syntax is a table too: TERM_LAYOUT gives each
+form but Lit and Record its precedence level, a format template and the
+level each child needs, and OPERATORS gives each binary operator its form
+and spelling, for the printer and the parser.
 """
 
 from __future__ import annotations
@@ -505,23 +503,7 @@ def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """t with f applied to each child; t itself when f changes none."""
     kids = children(t)
-    n = len(kids)
-    if n == 1:
-        (a,) = kids
-        x = f(a)
-        return t if x is a else rebuild(t, (x,))
-    if n == 2:
-        a, b = kids
-        x = f(a)
-        y = f(b)
-        return t if x is a and y is b else rebuild(t, (x, y))
-    if n == 3:
-        a, b, c = kids
-        x = f(a)
-        y = f(b)
-        z = f(c)
-        return t if x is a and y is b and z is c else rebuild(t, (x, y, z))
-    new = tuple(map(f, kids))      # a leaf, or a record with many fields
+    new = tuple(map(f, kids))
     return t if all(map(is_, new, kids)) else rebuild(t, new)
 
 

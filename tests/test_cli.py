@@ -482,3 +482,33 @@ def test_the_parser_built_once_gives_what_separate_runs_give(capsys, monkeypatch
     reports = [json.loads(out.splitlines()[-1]) for _, out, _ in together[:2]]
     assert "sc" in reports[0]["checks"] and not reports[1].get("checks")
     assert together[3][0] == 2
+
+
+# client 1 stores in a con cell a closure that reads its local reference l
+# through a variable; client 2 calls it on another client
+CAPTURED_LOCAL = """servers 2;
+client 1 { let l = ref@loc(nat 1 @loc, (loc,1)) in let f = fn@con(z: Unit@loc) => !l in
+           let r = ref@con(f, (con,1)) in unit @loc }
+client 2 { let r = await((con,1)) in (!r) (unit @loc) }
+"""
+
+
+def test_a_closure_that_captures_a_local_reference_loses_wf_at_run_time(tmp_path, capsys):
+    """A soundness hole, pinned as it stands: the ref escape check reads
+    the references an initializer holds and whether its type is ref-free,
+    and sees neither a local reference a closure captured through a
+    variable, so the program checks and loses well-formedness at the step
+    that puts f, which by then holds l's location, into the ref@con. This
+    test changes when the hole is closed: check then rejects the program."""
+    path = tmp_path / "captured.ctrd"
+    path.write_text(CAPTURED_LOCAL)
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--check", "wf"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"{path}: runtime fault: Stuck: well-formedness lost: client 1: residual term "
+        "untypable: content labeled loc stored under con must not contain references\n")
+    assert main(["explore", str(path), "--check", "wf"]) == 4
+    out, err = capsys.readouterr()
+    assert err == f"{path}: runtime fault: DanglingLocation: c1.l1 not in the local store\n"

@@ -19,7 +19,8 @@ from ctrd.runtime_cloud import (
     Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,
 )
-from ctrd.runtime_local import EventId, decompose, eps, initial_client, message_id
+from ctrd.runtime_local import (EventId, Req, Update, decompose, eps, initial_client,
+                                message_id)
 from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
                          LOC, Location, OAC, Plain, Ref)
 
@@ -577,6 +578,108 @@ def test_wf_types_residuals_against_a_copy_of_the_identifier_typing():
     cfg.clients[1] = initial_client(1, parse_term("ref@con(nat 2 @con, (con,9))"))
     assert check_wf(cfg).ok
     assert cfg.id_typing == before and Identifier(CON, 9) not in cfg.id_typing
+
+
+# A con Lat cell c1.r1 at (con,1) and a con Bool cell c1.r2 at (con,2), both
+# on every server; c9.r9 and (con,9) are typed nowhere.
+_WF_BASE = ("servers 2; client 1 { let a = ref@con(nat 1 @con, (con,1)) in "
+            "let b = ref@con(true @con, (con,2)) in unit @loc }")
+_LAT, _BOOL, _UNTYPED = Location(1, 1, True), Location(1, 2, True), Location(9, 9, True)
+_C1, _C9 = Identifier(CON, 1), Identifier(CON, 9)
+
+
+def _bind_in_client(ident, o):
+    def corrupt(cfg):
+        cfg.own_client(1).idmap[ident] = o
+    return corrupt
+
+
+def _bind_globally(ident, o):
+    def corrupt(cfg):
+        cfg.global_ids = {**cfg.global_ids, ident: o}
+    return corrupt
+
+
+def _store_at_server(o, v):
+    def corrupt(cfg):
+        first = cfg.servers[0]
+        cfg.servers = [Server({**first.store, o: v}, first.seq), *cfg.servers[1:]]
+    return corrupt
+
+
+def _buffered(m):
+    def corrupt(cfg):
+        cfg.own_client(1).buffer = (m,)
+    return corrupt
+
+
+def _in_flight(m):
+    def corrupt(cfg):
+        cfg.mailbox = (m,)
+    return corrupt
+
+
+def _residual(src):
+    def corrupt(cfg):
+        cfg.clients[1] = initial_client(1, parse_term(src))
+    return corrupt
+
+
+_UNTYPABLE = Update(EventId(1, 9), _LAT, _C1, Plain(_UNTYPED, CON), CON)
+_NO_TARGET = Update(EventId(1, 9), _UNTYPED, None, Plain(NatMax(1), AVA), AVA)
+_MISFIT = Update(EventId(1, 9), _LAT, _C1, Plain(BoolVal(True), CON), CON)
+_UNTYPED_REQ = Req(EventId(1, 9), _C9, LOC)
+
+_WF_CLAUSES = {
+    "client-id-untyped": (_bind_in_client(_C9, _LAT),
+                          "client 1: (con,9) missing from the identifier typing"),
+    "client-location-untyped": (_bind_in_client(_C1, _UNTYPED),
+                                "client 1: (con,1) maps to untyped c9.r9"),
+    "client-not-subtype": (_bind_in_client(_C1, _BOOL),
+                           "client 1: (con,1) maps to c1.r2 of type Bool@con, "
+                           "identifier typing Lat@con"),
+    "global-id-untyped": (_bind_globally(_C9, _LAT),
+                          "global map: (con,9) missing from the identifier typing"),
+    "global-location-untyped": (_bind_globally(_C1, _UNTYPED),
+                                "global map: (con,1) maps to untyped c9.r9"),
+    "global-not-subtype": (_bind_globally(_C1, _BOOL),
+                           "global map: (con,1) maps to c1.r2 of type Bool@con, "
+                           "identifier typing Lat@con"),
+    "store-location-untyped": (_store_at_server(_UNTYPED, Plain(NatMax(1), CON)),
+                               "server 0: c9.r9 missing from the store typing"),
+    "store-value-untypable": (_store_at_server(_LAT, Plain(_UNTYPED, CON)),
+                              "server 0: value at c1.r1 untypable"),
+    "store-not-subtype": (_store_at_server(_LAT, Plain(BoolVal(True), CON)),
+                          "server 0: value at c1.r1 has type Bool@con, store typing Lat@con"),
+    "buffer-payload-untypable": (_buffered(_UNTYPABLE),
+                                 "client 1 buffer: update payload untypable"),
+    "buffer-no-target": (_buffered(_NO_TARGET), "client 1 buffer: update has no target typing"),
+    "buffer-misfit": (_buffered(_MISFIT),
+                      "client 1 buffer: update payload Bool@con incompatible with Lat@con"),
+    "buffer-request-untyped": (_buffered(_UNTYPED_REQ),
+                               "client 1 buffer: request for untyped (con,9)"),
+    "mailbox-payload-untypable": (_in_flight(_UNTYPABLE), "mailbox: update payload untypable"),
+    "mailbox-no-target": (_in_flight(_NO_TARGET), "mailbox: update has no target typing"),
+    "mailbox-misfit": (_in_flight(_MISFIT),
+                       "mailbox: update payload Bool@con incompatible with Lat@con"),
+    "mailbox-request-untyped": (_in_flight(_UNTYPED_REQ), "mailbox: request for untyped (con,9)"),
+    "residual-untypable": (_residual("!(unit @loc)"), "client 1: residual term untypable"),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(_WF_CLAUSES))
+def test_every_wf_clause_reports_what_breaks_it(clause):
+    # one corruption of a well-formed quiescent configuration per clause,
+    # and that clause's report alone
+    corrupt, want = _WF_CLAUSES[clause]
+    _, _, cfg = checked_config(_WF_BASE)
+    done = run(cfg, make_scheduler("drain-fair"), 100).config
+    assert check_wf(done).ok
+    bad = done.copy()
+    corrupt(bad)
+    problems = check_wf(bad).problems
+    assert len(problems) == 1 and problems[0].startswith(want), problems
+    assert check_wf(done).ok
 
 
 def test_server_permutations_share_one_orbit_key():

@@ -24,7 +24,7 @@ from ctrd.syntax import (
 # ---------------------------------------------------------------------------
 # substitution
 
-_names = st.sampled_from(["x", "y"])
+_names = st.sampled_from(["x", "y", "z"])
 _nat = st.builds(lambda n: Lit(Plain(NatMax(n), LOC)), st.integers(0, 3))
 
 
@@ -61,16 +61,23 @@ def _forms(term):
 
 
 _terms = st.recursive(st.one_of(_nat, st.builds(Var, _names)), _forms, max_leaves=16)
-_values = st.one_of(_nat, st.just(_closure("z", Var("z"))))
+_values = st.one_of(_nat, st.just(_closure("w", Var("w"))))
+_envs = st.dictionaries(_names, _values, min_size=1, max_size=3)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_terms, _names, _values)
-def test_pruned_subst_equals_the_full_walk(t, name, value):
-    want = step_oracle.subst(t, name, value)
-    got = subst(t, name, value)
+@given(_terms, _envs, st.data())
+def test_pruned_subst_equals_the_full_walk(t, env, data):
+    # one of env's names rebound above t, by a let or a closure parameter,
+    # or not; the drawn terms rebind names further down
+    x = data.draw(st.sampled_from(sorted(env)))
+    t = data.draw(st.sampled_from([t, Let(x, t, t), App(_closure(x, t), t)]))
+    want = t
+    for name, value in env.items():     # the single-name reference, name by name
+        want = step_oracle.subst(want, name, value)
+    got = subst(t, env)
     assert got == want
-    if name not in step_oracle.free_names(t):
+    if step_oracle.free_names(t).isdisjoint(env):
         assert got is t
     # the cached sets agree with the uncached reference, on the input's
     # nodes and on the nodes subst built
@@ -79,19 +86,20 @@ def test_pruned_subst_equals_the_full_walk(t, name, value):
 
 
 def test_a_long_spine_is_substituted_in_a_loop():
-    # far deeper than the recursion limit: the lets above the one that
-    # rebinds y get the value, the ones below it come back untouched
-    one = Lit(Plain(NatMax(1), LOC))
-    lets = [(f"x{i}", Var("y")) for i in range(3000)]
-    lets[2000] = ("y", Var("y"))
-    t = _spine(lets, Var("y"))
-    assert free_names(t) == {"y"}
-    got, below = subst(t, "y", one), t
-    for i in range(2001):
-        assert got.name == lets[i][0] and got.bound is one
-        got, below = got.body, below.body
-    assert got is below
-    assert subst(t, "z", one) is t
+    # far deeper than the recursion limit, and every let rebinds y, one of
+    # the two names put in: the first let's bound gets both values, the
+    # lets below it w's alone
+    one, two = Lit(Plain(NatMax(1), LOC)), Lit(Plain(NatMax(2), LOC))
+    read = LatOp("join", Var("y"), Var("w"))
+    t = _spine([("y", read)] * 5000, read)
+    assert free_names(t) == {"y", "w"}
+    got = subst(t, {"y": one, "w": two})
+    assert got.name == "y" and got.bound == LatOp("join", one, two)
+    for _ in range(4999):
+        got = got.body
+        assert got.name == "y" and got.bound == LatOp("join", Var("y"), two)
+    assert got.body == LatOp("join", Var("y"), two)
+    assert subst(t, {"z": one}) is t
 
 
 def test_free_names_is_cached_on_the_node():

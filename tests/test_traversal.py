@@ -68,22 +68,22 @@ def test_rebuild_of_children_is_identity_on_the_corpus():
 def test_subst_respects_binders_and_shares_untouched_subterms():
     one = Lit(Plain(NatMax(1), LOC))
     t = parse_term("let y = x in let x = x in x")
-    got = subst(t, "x", one)
+    got = subst(t, {"x": one})
     assert got == Let("y", one, Let("x", one, parse_term("x")))
     fn = parse_term("fn@loc(x: Lat@loc) => x \\/ y")
-    assert subst(fn, "x", one) is fn
-    assert subst(fn, "y", one) == parse_term("fn@loc(x: Lat@loc) => x \\/ nat 1 @loc")
+    assert subst(fn, {"x": one}) is fn
+    assert subst(fn, {"y": one}) == parse_term("fn@loc(x: Lat@loc) => x \\/ nat 1 @loc")
     untouched = parse_term("!a")
-    assert subst(parse_term("!a"), "x", one) == untouched
+    assert subst(parse_term("!a"), {"x": one}) == untouched
     pair = parse_term("(!a) \\/ x")
-    assert subst(pair, "x", one).left is pair.left
+    assert subst(pair, {"x": one}).left is pair.left
     # a term in which the name is not free comes back as itself
     for src in ("!a", "let x = y in x", "fn@loc(x: Lat@loc) => x", "{a = y}@loc . a"):
         t = parse_term(src)
         assert "x" not in free_names(t), src
-        assert subst(t, "x", one) is t, src
+        assert subst(t, {"x": one}) is t, src
     shadowed = parse_term("let y = x in let x = y in x")
-    assert subst(shadowed, "x", one).body is shadowed.body
+    assert subst(shadowed, {"x": one}).body is shadowed.body
 
 
 def test_rewrite_reaches_closure_bodies_and_record_fields():
