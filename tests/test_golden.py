@@ -1,5 +1,6 @@
 """Golden outputs: `ctrd run` reproduces committed trace, execution and
-report files byte for byte, and `ctrd explore` its report and exit code.
+report files byte for byte, `ctrd explore` its report and exit code, and
+`ctrd check` the diagnostic of each corpus/reject program.
 
 The random scheduler indexes into the ordered list of enabled choices, and
 the fair schedulers rotate over its categories, so these files pin the
@@ -107,3 +108,29 @@ def test_explore_matches_golden(program, tmp_path):
     for part, data in produce_explore(program, tmp_path).items():
         want = (GOLDEN / golden_name(program, "explore", part)).read_bytes()
         assert data == want, f"{golden_name(program, 'explore', part)} differs"
+
+
+def produce_reject() -> str:
+    """`ctrd check` on each corpus/reject program, one call per file, run
+    from the repository root so each diagnostic names a relative path; the
+    stderr lines, in file order."""
+    lines = []
+    cwd = os.getcwd()
+    os.chdir(CORPUS.parent)
+    try:
+        for path in sorted((CORPUS / "reject").glob("*.ctrd")):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(err):
+                code = main(["check", str(path.relative_to(CORPUS.parent))])
+            assert (code, out.getvalue()) == (1, ""), path.name
+            lines.append(err.getvalue())
+    finally:
+        os.chdir(cwd)
+    return "".join(lines)
+
+
+def test_check_reject_matches_golden():
+    # each reject program's whole diagnostic: its kind, position and message
+    want = (GOLDEN / "reject.check.stderr").read_text(encoding="utf-8")
+    assert produce_reject() == want
