@@ -544,24 +544,28 @@ def _form(t) -> str:
 
 
 def check_low_equivalence(ta, tb) -> None:
-    """Terms must be identical except in ava-labeled literal constants."""
-    if isinstance(ta, Lit) and isinstance(tb, Lit):
-        _check_value_low_equiv(ta.value, tb.value)
-        return
-    ka, kb = children(ta), children(tb)
-    # the nodes with their children blanked out: every other field compared
-    shape_a = rebuild(ta, (None,) * len(ka))
-    shape_b = rebuild(tb, (None,) * len(kb))
-    if shape_a != shape_b:
-        diff = f"structure differs: {_form(ta)} vs {_form(tb)}"
-        if ta.__class__ is tb.__class__:        # name the first field that differs
-            name = next(f.name for f in fields(ta)
-                        if getattr(shape_a, f.name) != getattr(shape_b, f.name))
-            show = (lambda fs: ", ".join(n for n, _ in fs)) if name == "fields" else str
-            diff += f": {name} {show(getattr(ta, name))} vs {show(getattr(tb, name))}"
-        raise ProgramsNotLowEquivalent(diff)
-    for a, b in zip(ka, kb):
-        check_low_equivalence(a, b)
+    """Terms must be identical except in ava-labeled literal constants.
+    Each node's last child is walked in a loop, the others by a call, so a
+    let spine, whose body is the last child, is walked in a loop."""
+    while not (isinstance(ta, Lit) and isinstance(tb, Lit)):
+        ka, kb = children(ta), children(tb)
+        # the nodes with their children blanked out: every other field compared
+        shape_a = rebuild(ta, (None,) * len(ka))
+        shape_b = rebuild(tb, (None,) * len(kb))
+        if shape_a != shape_b:
+            diff = f"structure differs: {_form(ta)} vs {_form(tb)}"
+            if ta.__class__ is tb.__class__:        # name the first field that differs
+                name = next(f.name for f in fields(ta)
+                            if getattr(shape_a, f.name) != getattr(shape_b, f.name))
+                show = (lambda fs: ", ".join(n for n, _ in fs)) if name == "fields" else str
+                diff += f": {name} {show(getattr(ta, name))} vs {show(getattr(tb, name))}"
+            raise ProgramsNotLowEquivalent(diff)
+        if not ka:
+            return
+        for a, b in zip(ka[:-1], kb[:-1]):
+            check_low_equivalence(a, b)
+        ta, tb = ka[-1], kb[-1]
+    _check_value_low_equiv(ta.value, tb.value)
 
 
 @dataclass

@@ -384,16 +384,16 @@ class _Parser:
             self.next()
             lab = self.at_label()
             ctor = {"Bool": BoolType, "Unit": UnitType, "Lat": LatType}[kind]
-            return ctor(lab, pos=pos)
+            return ctor(lab)
         if kind == "Ref":
             self.next()
             lab = self.at_label()
             content = self.type_()
-            return RefType(lab, content, pos=pos)
+            return RefType(lab, content)
         if kind == "{":
             fields = self.braced(lambda: self.field(":", self.type_))
             lab = self.at_label()
-            return RecordType(tuple(sorted(fields)), lab, pos=pos)
+            return RecordType(tuple(sorted(fields)), lab)
         if kind == "(":
             self.next()
             arg = self.type_()
@@ -403,7 +403,7 @@ class _Parser:
             result = self.type_()
             self.expect(")")
             lab = self.at_label()
-            return ArrowType(arg, latent, result, lab, pos=pos)
+            return ArrowType(arg, latent, result, lab)
         shown = self.tok[1] or "end of input"
         raise ParseError(pos, f"expected a type, found {shown!r}")
 

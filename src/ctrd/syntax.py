@@ -105,26 +105,22 @@ class Location(NamedTuple):
 @dataclass(frozen=True)
 class BoolType:
     label: Label
-    pos: Optional[Pos] = _pos()
 
 
 @dataclass(frozen=True)
 class UnitType:
     label: Label
-    pos: Optional[Pos] = _pos()
 
 
 @dataclass(frozen=True)
 class LatType:
     label: Label
-    pos: Optional[Pos] = _pos()
 
 
 @dataclass(frozen=True)
 class RefType:
     label: Label
     content: "Type"
-    pos: Optional[Pos] = _pos()
 
 
 @dataclass(frozen=True)
@@ -133,14 +129,12 @@ class ArrowType:
     latent: Label        # upper bound on the effect while the body runs
     result: "Type"
     label: Label
-    pos: Optional[Pos] = _pos()
 
 
 @dataclass(frozen=True)
 class RecordType:
     fields: tuple[tuple[str, "Type"], ...]   # sorted by field name
     label: Label
-    pos: Optional[Pos] = _pos()
 
 
 Type = Union[BoolType, UnitType, LatType, RefType, ArrowType, RecordType]

@@ -79,8 +79,12 @@ def _expect_lat(t: Type, pos: Optional[Pos], ctx: str) -> LatType:
     return t
 
 
-def _record_id(env: TypeEnv, ident: Identifier, content: Type, pos: Optional[Pos]) -> None:
-    """Record ident's type; the first type it gets is the one it keeps."""
+def _create(env: TypeEnv, lab: Label, ident: Identifier, content: Type,
+            pos: Optional[Pos]) -> RefType:
+    """The conclusion T-REF and T-CLONE share: the identifier carries the
+    reference label, and the first type it gets is the one it keeps."""
+    if ident.label != lab:
+        raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
     known = env.ids.setdefault(ident, content)
     if known != content:
         raise CheckError(
@@ -88,6 +92,12 @@ def _record_id(env: TypeEnv, ident: Identifier, content: Type, pos: Optional[Pos
             f"identifier {ident} is bound elsewhere with type {pretty_type(known)}, "
             f"here {pretty_type(content)}",
         )
+    return RefType(lab, content)
+
+
+# each binary operator form: what its diagnostics call it, and the type
+# constructor of its result
+_OPERATOR_RULES = {LatOp: ("lattice operation", LatType), OrdOp: ("order comparison", BoolType)}
 
 
 def typecheck(env: TypeEnv, t: Term) -> Type:
@@ -153,8 +163,32 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
                 raise CheckError(ErrorKind.MISMATCH, pos, f"flexwrite payload must be a lattice value, found {pretty_type(tv)}")
             return UnitType(lab)
 
-        case Ref():
-            return _typecheck_ref(env, t)
+        case Ref(label=lab, init=init, ident=ident, pos=pos):
+            ti = typecheck(env, init)
+            if lab == OAC and not label_of(ti) < lab:
+                # on-demand consistency: content must be strictly lower-labeled lattice data
+                raise CheckError(
+                    ErrorKind.FLOW_VIOLATION, pos,
+                    f"oac reference content must be labeled strictly below oac, found {label_of(ti)}",
+                )
+            if not label_leq(label_of(ti), lab):
+                raise CheckError(
+                    ErrorKind.FLOW_VIOLATION, pos,
+                    f"reference content labeled {label_of(ti)} exceeds reference label {lab}",
+                )
+            if not label_leq(env.effect, lab):
+                raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"{lab} reference created under effect {env.effect}")
+            if lab in (OAC, AVA) and not isinstance(ti, LatType):
+                raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"{lab} references hold lattice values, found {pretty_type(ti)}")
+            if lab != OAC and label_of(ti) < lab and not (len(refs(init)) == 0 and ref_free(ti)):
+                # storing strictly-lower-labeled content remotely must not upload
+                # references; not checked for oac, whose residual initializer
+                # may read a location, as in ref@oac(!<c1.r1> @con, (oac,1))
+                raise CheckError(
+                    ErrorKind.ESCAPING_LOCAL_REF, pos,
+                    f"content labeled {label_of(ti)} stored under {lab} must not contain references",
+                )
+            return _create(env, lab, ident, type_join_label(ti, lab), pos)
 
         case Await(ident=ident, pos=pos):
             if ident not in env.ids:
@@ -193,16 +227,13 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
                 )
             return type_join_label(joined, tc.label)
 
-        case LatOp(left=a, right=b, pos=pos):
-            ta = _expect_lat(typecheck(env, a), a.pos or pos, "lattice operation")
-            tb = _expect_lat(typecheck(env, b), b.pos or pos, "lattice operation")
-            return LatType(label_join(ta.label, tb.label))
-
-        case OrdOp(left=a, right=b, pos=pos):
-            # T-RELOP: comparing lattice values yields a boolean at the joined label
-            ta = _expect_lat(typecheck(env, a), a.pos or pos, "order comparison")
-            tb = _expect_lat(typecheck(env, b), b.pos or pos, "order comparison")
-            return BoolType(label_join(ta.label, tb.label))
+        case LatOp(left=a, right=b, pos=pos) | OrdOp(left=a, right=b, pos=pos):
+            # T-LATOP and T-RELOP: joining, meeting or comparing lattice values
+            # yields a lattice value or a boolean at the joined label
+            what, result = _OPERATOR_RULES[t.__class__]
+            ta = _expect_lat(typecheck(env, a), a.pos or pos, what)
+            tb = _expect_lat(typecheck(env, b), b.pos or pos, what)
+            return result(label_join(ta.label, tb.label))
 
         case Restrict(term=sub, label=lab):
             # check under the raised effect, join the label onto the result
@@ -210,13 +241,34 @@ def typecheck(env: TypeEnv, t: Term) -> Type:
             return type_join_label(inner, lab)
 
         case Record(fields=fs, label=lab, pos=pos):
-            return typecheck_record(env, fs, lab, pos)
+            names = [n for n, _ in fs]
+            if len(set(names)) != len(names):
+                raise CheckError(ErrorKind.MISMATCH, pos, "duplicate record field names")
+            typed = tuple(sorted((n, typecheck(env, ft)) for n, ft in fs))
+            if lab == OAC:
+                raise CheckError(ErrorKind.OAC_MISUSE, pos, "records cannot be labeled oac")
+            return RecordType(typed, lab)
 
         case Proj(term=sub, name=name, pos=pos):
-            return typecheck_projection(env, sub, name, pos)
+            ts = typecheck(env, sub)
+            if not isinstance(ts, RecordType):
+                raise CheckError(ErrorKind.MISMATCH, pos, f"projection from non-record type {pretty_type(ts)}")
+            for n, ft in ts.fields:
+                if n == name:
+                    return type_join_label(ft, ts.label)
+            raise CheckError(ErrorKind.UNBOUND, pos, f"record has no field {name!r}")
 
         case Clone(label=lab, term=sub, ident=ident, pos=pos):
-            return typecheck_clone(env, sub, lab, ident, pos)
+            if lab != CON:
+                raise CheckError(ErrorKind.OAC_MISUSE, pos, f"clone label must be con, found {lab}")
+            ts = typecheck(env, sub)
+            if not isinstance(ts, RefType) or ts.label != LOC:
+                raise CheckError(ErrorKind.MISMATCH, pos, f"clone applies to local references, found {pretty_type(ts)}")
+            if erase_labels(ts.content) != ts.content:
+                raise CheckError(ErrorKind.MISMATCH, pos, "clone requires an all-local reference graph")
+            if not label_leq(env.effect, CON):
+                raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"clone under effect {env.effect}")
+            return _create(env, lab, ident, upgrade(ts.content), pos)
 
     raise CheckError(ErrorKind.MISMATCH, getattr(t, "pos", None), f"unrecognized term {t!r}")
 
@@ -228,90 +280,13 @@ def _require_oac_ref(ts: Type, pos: Optional[Pos], what: str) -> None:
         raise CheckError(ErrorKind.OAC_MISUSE, pos, f"{what} applies to oac references, found a {ts.label} reference")
 
 
-def _typecheck_ref(env: TypeEnv, t: Ref) -> Type:
-    lab, ident, pos = t.label, t.ident, t.pos
-    ti = typecheck(env, t.init)
-    if lab == OAC:
-        # on-demand consistency: content must be strictly lower-labeled lattice data
-        if not label_of(ti) < lab:
-            raise CheckError(
-                ErrorKind.FLOW_VIOLATION, pos,
-                f"oac reference content must be labeled strictly below oac, found {label_of(ti)}",
-            )
-        if not label_leq(env.effect, lab):
-            raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"oac reference created under effect {env.effect}")
-        if not isinstance(ti, LatType):
-            raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"oac references hold lattice values, found {pretty_type(ti)}")
-        if ident.label != lab:
-            raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
-        content = type_join_label(ti, lab)
-        _record_id(env, ident, content, pos)
-        return RefType(lab, content)
-
-    if not label_leq(label_of(ti), lab):
-        raise CheckError(
-            ErrorKind.FLOW_VIOLATION, pos,
-            f"reference content labeled {label_of(ti)} exceeds reference label {lab}",
-        )
-    if not label_leq(env.effect, lab):
-        raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"{lab} reference created under effect {env.effect}")
-    if lab == AVA and not isinstance(ti, LatType):
-        raise CheckError(ErrorKind.NON_LATTICE_AVA, pos, f"ava references hold lattice values, found {pretty_type(ti)}")
-    if label_of(ti) < lab and not (len(refs(t.init)) == 0 and ref_free(ti)):
-        # storing strictly-lower-labeled content remotely must not upload references
-        raise CheckError(
-            ErrorKind.ESCAPING_LOCAL_REF, pos,
-            f"content labeled {label_of(ti)} stored under {lab} must not contain references",
-        )
-    if ident.label != lab:
-        raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
-    content = type_join_label(ti, lab)
-    _record_id(env, ident, content, pos)
-    return RefType(lab, content)
-
-
-def typecheck_record(env: TypeEnv, fs: tuple[tuple[str, Term], ...],
-                     lab: Label, pos: Optional[Pos]) -> Type:
-    names = [n for n, _ in fs]
-    if len(set(names)) != len(names):
-        raise CheckError(ErrorKind.MISMATCH, pos, "duplicate record field names")
-    typed = tuple(sorted((n, typecheck(env, ft)) for n, ft in fs))
-    if lab == OAC:
-        raise CheckError(ErrorKind.OAC_MISUSE, pos, "records cannot be labeled oac")
-    return RecordType(typed, lab)
-
-
-def typecheck_projection(env: TypeEnv, sub: Term, name: str, pos: Optional[Pos]) -> Type:
-    ts = typecheck(env, sub)
-    if not isinstance(ts, RecordType):
-        raise CheckError(ErrorKind.MISMATCH, pos, f"projection from non-record type {pretty_type(ts)}")
-    for n, ft in ts.fields:
-        if n == name:
-            return type_join_label(ft, ts.label)
-    raise CheckError(ErrorKind.UNBOUND, pos, f"record has no field {name!r}")
-
-
-def typecheck_clone(env: TypeEnv, sub: Term, lab: Label, ident: Identifier,
-                    pos: Optional[Pos]) -> Type:
-    if lab != CON:
-        raise CheckError(ErrorKind.OAC_MISUSE, pos, f"clone label must be con, found {lab}")
-    ts = typecheck(env, sub)
-    if not isinstance(ts, RefType) or ts.label != LOC:
-        raise CheckError(ErrorKind.MISMATCH, pos, f"clone applies to local references, found {pretty_type(ts)}")
-    if erase_labels(ts.content) != ts.content:
-        raise CheckError(ErrorKind.MISMATCH, pos, "clone requires an all-local reference graph")
-    if not label_leq(env.effect, CON):
-        raise CheckError(ErrorKind.EFFECT_VIOLATION, pos, f"clone under effect {env.effect}")
-    if ident.label != lab:
-        raise CheckError(ErrorKind.ID_LABEL_MISMATCH, pos, f"identifier {ident} does not carry label {lab}")
-    content = upgrade(ts.content)
-    _record_id(env, ident, content, pos)
-    return RefType(CON, content)
-
-
 def upgrade(t: Type) -> Type:
     """Rewrite every loc label to con (the clone label upgrade)."""
     return map_labels(t, lambda lab: CON if lab == LOC else lab)
+
+
+# the raw values typed by their label alone
+_BASE_TYPES = {lattice.NatMax: LatType, lattice.GSet: LatType, BoolVal: BoolType, UnitVal: UnitType}
 
 
 def type_of_value(env: TypeEnv, v, pos: Optional[Pos]) -> Type:
@@ -320,37 +295,26 @@ def type_of_value(env: TypeEnv, v, pos: Optional[Pos]) -> Type:
         # a duplicated marker types like the creation it blocked
         return typecheck(env, v.inner)
     raw, lab = v.raw, v.label
-    if isinstance(raw, (lattice.NatMax, lattice.GSet)):
-        _no_oac_literal(env, lab, pos)
-        return LatType(lab)
-    if isinstance(raw, BoolVal):
-        _no_oac_literal(env, lab, pos)
-        return BoolType(lab)
-    if isinstance(raw, UnitVal):
-        _no_oac_literal(env, lab, pos)
-        return UnitType(lab)
-    if isinstance(raw, Closure):
-        _no_oac_literal(env, lab, pos)
-        # T-ABS: the body is checked under the latent label
-        benv = env.with_var(raw.param, raw.param_type).with_effect(raw.latent)
-        tb = typecheck(benv, raw.body)
-        return ArrowType(raw.param_type, raw.latent, tb, lab)
     if isinstance(raw, Location):
         if raw not in env.sigma:
             raise CheckError(ErrorKind.UNBOUND, pos, f"location {raw} has no store typing")
         content = env.sigma[raw]
         return RefType(label_of(content), content)
-    if isinstance(raw, RecordVal):
-        _no_oac_literal(env, lab, pos)
-        typed = tuple(sorted((n, type_of_value(env, fv, pos)) for n, fv in raw.fields))
-        return RecordType(typed, lab)
-    raise CheckError(ErrorKind.MISMATCH, pos, f"unrecognized value {v!r}")
-
-
-def _no_oac_literal(env: TypeEnv, lab: Label, pos: Optional[Pos]) -> None:
     # source restriction only: runtime stamping legitimately produces oac values
     if lab == OAC and not env.runtime:
         raise CheckError(ErrorKind.OAC_MISUSE, pos, "literal values cannot be labeled oac")
+    base = _BASE_TYPES.get(raw.__class__)
+    if base is not None:
+        return base(lab)
+    if isinstance(raw, Closure):
+        # T-ABS: the body is checked under the latent label
+        benv = env.with_var(raw.param, raw.param_type).with_effect(raw.latent)
+        tb = typecheck(benv, raw.body)
+        return ArrowType(raw.param_type, raw.latent, tb, lab)
+    if isinstance(raw, RecordVal):
+        typed = tuple(sorted((n, type_of_value(env, fv, pos)) for n, fv in raw.fields))
+        return RecordType(typed, lab)
+    raise CheckError(ErrorKind.MISMATCH, pos, f"unrecognized value {v!r}")
 
 
 # ---------------------------------------------------------------------------

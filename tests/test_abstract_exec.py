@@ -533,6 +533,22 @@ def test_low_equivalence_rejects_con_diff():
         check_low_equivalence(parse_term("!x"), parse_term("x"))
 
 
+def _spine(n: int, ava: int, last: int) -> str:
+    """n lets, each binding a con literal but the first, which binds
+    `nat ava @ava`; the last binds `nat last @con`."""
+    lets = [f"let x0 = nat {ava} @ava in "]
+    lets += [f"let x{i} = nat {last if i == n - 1 else i} @con in " for i in range(1, n)]
+    return "".join(lets) + "unit @loc"
+
+
+def test_low_equivalence_walks_a_long_let_spine_in_a_loop():
+    # 5,000 lets under the default recursion limit
+    base = parse_term(_spine(5000, 1, 0))
+    check_low_equivalence(base, parse_term(_spine(5000, 2, 0)))
+    with pytest.raises(ProgramsNotLowEquivalent, match="nat 0 @con vs nat 7 @con$"):
+        check_low_equivalence(base, parse_term(_spine(5000, 1, 7)))
+
+
 def test_noninterference_identical_programs():
     prog = parse_program(load(corpus_files("nif")[2]))   # pair1_a
     v = check_noninterference(prog, prog, 12)

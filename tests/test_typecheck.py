@@ -9,9 +9,11 @@ from conftest import corpus_files, load
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
 from ctrd.runtime_cloud import initial_config, make_scheduler, run
+from ctrd.cli import main
 from ctrd.syntax import (
-    Assign, AVA, CON, Identifier, LABELS, LatType, Lit, Location, LOC, OAC,
-    Plain, RecordType, RefType, UnitType, label_leq, subtype,
+    Assign, AVA, BoolType, CON, Deref, Identifier, LABELS, LatType, Lit,
+    Location, LOC, OAC, Plain, RecordType, Ref, RefType, UnitType, label_leq,
+    subtype,
 )
 from ctrd.typecheck import (
     CheckError, ErrorKind, TypeEnv, check_program, typecheck,
@@ -187,6 +189,139 @@ def test_clone_rejections():
         == ErrorKind.OAC_MISUSE
     assert err_kind("let x = ref@loc(nat 1 @loc, (loc,1)) in clone@con(x, (ava,4))") \
         == ErrorKind.ID_LABEL_MISMATCH
+
+
+# ---------------------------------------------------------------------------
+# every premise of the reference, clone and operator rules, for every label
+# it covers: the diagnostic of the term that breaks it and nothing else
+
+L_LOC, R_CON = Location(1, 1, False), Location(1, 1, True)
+LOCAL_REF = RefType(LOC, LatType(LOC))
+
+
+def _ref_reading(lab, loc, ident) -> Ref:
+    """ref@lab(!<loc>, ident): an initializer that holds a location."""
+    return Ref(lab, Deref(Lit(Plain(loc, CON if loc.remote else LOC))), ident, pos=(1, 1))
+
+
+def _operand_cases():
+    for sym in ("\\/", "/\\", "<=", "<"):
+        what = "order comparison" if sym in ("<=", "<") else "lattice operation"
+        for src in (f"true @loc {sym} nat 1 @loc", f"nat 1 @loc {sym} true @loc"):
+            col = src.index("true") + 1
+            yield pytest.param(
+                src, {}, f"1:{col}: Mismatch: {what}: expected a lattice value, found Bool@loc",
+                id=f"{sym} {'left' if col == 1 else 'right'} operand")
+
+
+PREMISES = [
+    # T-REF: oac content strictly below oac, other content at most the label
+    pytest.param("ref@oac(nat 1 @ava, (oac,1))", {},
+                 "1:1: FlowViolation: oac reference content must be labeled strictly below oac, found ava",
+                 id="ref oac content ava"),
+    pytest.param("ref@oac((nat 1 @con)[oac], (oac,1))", {},
+                 "1:1: FlowViolation: oac reference content must be labeled strictly below oac, found oac",
+                 id="ref oac content oac"),
+    pytest.param("ref@loc(nat 1 @con, (loc,1))", {},
+                 "1:1: FlowViolation: reference content labeled con exceeds reference label loc",
+                 id="ref loc content flow"),
+    pytest.param("ref@con(nat 1 @ava, (con,1))", {},
+                 "1:1: FlowViolation: reference content labeled ava exceeds reference label con",
+                 id="ref con content flow"),
+    # T-REF: the effect at most the label
+    pytest.param("ref@loc(nat 1 @loc, (loc,1))", {"effect": CON},
+                 "1:1: EffectViolation: loc reference created under effect con", id="ref loc effect"),
+    pytest.param("ref@con(nat 1 @con, (con,1))", {"effect": OAC},
+                 "1:1: EffectViolation: con reference created under effect oac", id="ref con effect"),
+    pytest.param("ref@oac(nat 1 @con, (oac,1))", {"effect": AVA},
+                 "1:1: EffectViolation: oac reference created under effect ava", id="ref oac effect"),
+    # T-REF: oac and ava references hold lattice values
+    pytest.param("ref@ava(true @loc, (ava,1))", {},
+                 "1:1: NonLatticeAva: ava references hold lattice values, found Bool@loc",
+                 id="ref ava lattice content"),
+    pytest.param("ref@oac(unit @con, (oac,1))", {},
+                 "1:1: NonLatticeAva: oac references hold lattice values, found Unit@con",
+                 id="ref oac lattice content"),
+    # T-REF: strictly lower content stored under con or ava holds no reference,
+    # by its type or by a location in its initializer
+    pytest.param("ref@con(ref@loc(nat 1 @loc, (loc,1)), (con,2))", {},
+                 "1:1: EscapingLocalRef: content labeled loc stored under con must not contain references",
+                 id="ref con escape by type"),
+    pytest.param(_ref_reading(CON, L_LOC, Identifier(CON, 1)), {"sigma": {L_LOC: LatType(LOC)}},
+                 "1:1: EscapingLocalRef: content labeled loc stored under con must not contain references",
+                 id="ref con escape by location"),
+    pytest.param(_ref_reading(AVA, L_LOC, Identifier(AVA, 1)), {"sigma": {L_LOC: LatType(LOC)}},
+                 "1:1: EscapingLocalRef: content labeled loc stored under ava must not contain references",
+                 id="ref ava escape by location"),
+    # T-REF: the identifier carries the reference label
+    *(pytest.param(f"ref@{lab}(nat 1 @loc, ({other},1))", {},
+                   f"1:1: IdLabelMismatch: identifier ({other},1) does not carry label {lab}",
+                   id=f"ref {lab} identifier label")
+      for lab, other in ((LOC, CON), (CON, AVA), (OAC, CON), (AVA, OAC))),
+    # T-REF: an identifier keeps the first type it gets
+    *(pytest.param(f"let a = ref@{lab}(nat 1 @{lab}, ({lab},1)) in ref@{lab}(true @{lab}, ({lab},1))", {},
+                   f"1:41: Mismatch: identifier ({lab},1) is bound elsewhere "
+                   f"with type Lat@{lab}, here Bool@{lab}",
+                   id=f"ref {lab} identifier type")
+      for lab in (LOC, CON)),
+    # T-CLONE: its label is con, it takes a loc reference to loc data only,
+    # under an effect at most con, and creates a con identifier of one type
+    *(pytest.param(f"clone@{lab}(r, ({lab},1))", {"gamma": {"r": LOCAL_REF}},
+                   f"1:1: OacMisuse: clone label must be con, found {lab}", id=f"clone label {lab}")
+      for lab in (LOC, OAC, AVA)),
+    pytest.param("clone@con(nat 1 @loc, (con,1))", {},
+                 "1:1: Mismatch: clone applies to local references, found Lat@loc", id="clone non-reference"),
+    pytest.param("clone@con(r, (con,1))", {"gamma": {"r": RefType(CON, LatType(CON))}},
+                 "1:1: Mismatch: clone applies to local references, found Ref@con Lat@con",
+                 id="clone con reference"),
+    pytest.param("clone@con(r, (con,1))", {"gamma": {"r": RefType(LOC, LatType(CON))}},
+                 "1:1: Mismatch: clone requires an all-local reference graph", id="clone con content"),
+    pytest.param("clone@con(r, (con,1))", {"gamma": {"r": LOCAL_REF}, "effect": OAC},
+                 "1:1: EffectViolation: clone under effect oac", id="clone effect"),
+    pytest.param("clone@con(r, (ava,1))", {"gamma": {"r": LOCAL_REF}},
+                 "1:1: IdLabelMismatch: identifier (ava,1) does not carry label con",
+                 id="clone identifier label"),
+    pytest.param("let a = ref@con(true @con, (con,1)) in clone@con(r, (con,1))", {"gamma": {"r": LOCAL_REF}},
+                 "1:40: Mismatch: identifier (con,1) is bound elsewhere with type Bool@con, here Lat@con",
+                 id="clone identifier type"),
+    # T-LATOP and T-RELOP: both operands are lattice values
+    *_operand_cases(),
+]
+
+
+@pytest.mark.parametrize("src,env,want", PREMISES)
+def test_each_premise_fails_with_its_diagnostic(src, env, want):
+    term = parse_term(src) if isinstance(src, str) else src
+    with pytest.raises(CheckError) as exc:
+        typecheck(TypeEnv(**env), term)
+    assert exc.value.render() == f"<input>:{want}"
+
+
+@pytest.mark.parametrize("src,env,want", [
+    # only oac and ava references need lattice content
+    ("ref@loc(true @loc, (loc,1))", {}, RefType(LOC, BoolType(LOC))),
+    ("ref@con(unit @loc, (con,1))", {}, RefType(CON, UnitType(CON))),
+    # the escape premise is off for oac: a residual may read a location
+    (_ref_reading(OAC, R_CON, Identifier(OAC, 2)), {"sigma": {R_CON: LatType(CON)}, "runtime": True},
+     RefType(OAC, LatType(OAC))),
+    # join and meet give a lattice value, <= and < a boolean, at the joined label
+    ("nat 1 @loc \\/ nat 2 @ava", {}, LatType(AVA)),
+    ("nat 1 @con /\\ nat 2 @loc", {}, LatType(CON)),
+    ("nat 1 @con <= nat 2 @loc", {}, BoolType(CON)),
+    ("nat 1 @loc < nat 2 @ava", {}, BoolType(AVA)),
+], ids=["loc non-lattice", "con non-lattice", "oac escape off", "join", "meet", "le", "lt"])
+def test_a_premise_holds_only_where_its_rule_applies(src, env, want):
+    term = parse_term(src) if isinstance(src, str) else src
+    assert typecheck(TypeEnv(**env), term) == want
+
+
+def test_an_oac_ref_reading_a_con_reference_stays_well_formed(tmp_path, capsys):
+    # at run time the initializer becomes !<c1.r1> @con, which the escape
+    # premise would reject were it applied to oac
+    path = tmp_path / "oac_reads_con.ctrd"
+    path.write_text("servers 2; client 1 { let c = ref@con(nat 1 @con, (con,1)) in "
+                    "ref@oac(!c, (oac,2)) }")
+    assert main(["run", str(path), "--check", "wf"]) == 0, capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
