@@ -6,10 +6,10 @@ import pytest
 
 import ctrd.typecheck
 from conftest import corpus_files, load
+from ctrd.cli import main
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_program, parse_term
 from ctrd.runtime_cloud import initial_config, make_scheduler, run
-from ctrd.cli import main
 from ctrd.syntax import (
     Assign, AVA, BoolType, CON, Deref, Identifier, LABELS, LatType, Lit,
     Location, LOC, OAC, Plain, RecordType, Ref, RefType, UnitType, label_leq,
@@ -193,7 +193,7 @@ def test_clone_rejections():
 
 # ---------------------------------------------------------------------------
 # every premise of the reference, clone and operator rules, for every label
-# it covers: the diagnostic of the term that breaks it and nothing else
+# it covers: a term that breaks that premise alone, and its diagnostic
 
 L_LOC, R_CON = Location(1, 1, False), Location(1, 1, True)
 LOCAL_REF = RefType(LOC, LatType(LOC))
