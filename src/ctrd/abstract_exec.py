@@ -381,19 +381,31 @@ class ScVerdict:
                 f"rval={_mark(self.rval_ok)}")
 
 
-def check_sc(exec_: AbstractExecution) -> ScVerdict:
-    """Sequential-consistency conditions over an execution.
+def ar_chain(exec_: AbstractExecution) -> Optional[tuple[int, set[int]]]:
+    """(members, the n + 1 prefixes) when ar is a chain, a strict total
+    order of n events, else None: sorted by the popcount of its row, each
+    member's row is the previous row plus the previous member, and the
+    first member is the one without a row."""
+    ar = exec_.ar_masks
+    order = [i for _, i in sorted((m.bit_count(), i) for i, m in enumerate(ar) if m)]
+    ranked = sum(1 << i for i in order)
+    members = reduce(or_, ar, ranked)
+    prefix = first = members & ~ranked
+    if members & ~exec_.events_mask() or first & (first - 1) or (members and not first):
+        return None
+    prefixes = {0, first}
+    for i in order:
+        if ar[i] != prefix:
+            return None
+        prefix |= 1 << i
+        prefixes.add(prefix)
+    return members, prefixes
 
-    Program order must be visible (only read events observe, so the
-    condition bites on read targets); visibility must be closed under
-    arbitration prefixes both positively and negatively; and every recorded
-    return value must match the abstract return-value function.
-    """
-    rb, vis, ar, sp = exec_.rb_masks, exec_.vis_masks, exec_.ar_masks, exec_.sp_masks
-    k = len(exec_.clients)
-    reads = [exec_.index(e) for e, op in exec_.op.items() if op.kind == "rd"]
-    # po within vis on reads: a read sees its client's earlier events
-    po_in_vis = not any(rb[c] & sp[c % k] & ~vis[c] & ~(1 << c) for c in reads)
+
+def _ar_closures(exec_: AbstractExecution) -> tuple[bool, bool]:
+    """check_sc's two closure clauses for any ar, O(n) ORs of ar rows per
+    distinct row; the reference the chain path is tested against."""
+    vis, ar, events = exec_.vis_masks, exec_.ar_masks, exec_.events_mask()
     # ar ; vis within vis: whatever c sees, c sees its ar-predecessors too
     # (each distinct row once)
     ar_vis = not any(_or_rows(ar, v) & ~v for v in set(vis))
@@ -401,10 +413,37 @@ def check_sc(exec_: AbstractExecution) -> ScVerdict:
     # the events: the ar-successors of what an event does not see are events
     # it does not see. Checked on its own, from successor masks, so that it
     # fails where relations reach outside the history.
-    events = exec_.events_mask()
     succ = _successors(ar)
-    ar_neg_vis = not any(_or_rows(succ, u) & ~u
-                         for u in {events & ~vis[c] for c in _bits(events)})
+    return ar_vis, not any(_or_rows(succ, u) & ~u
+                           for u in {events & ~vis[c] for c in _bits(events)})
+
+
+def check_sc(exec_: AbstractExecution) -> ScVerdict:
+    """Sequential-consistency conditions over an execution.
+
+    Program order must be visible (only read events observe, so the
+    condition bites on read targets); visibility must be closed under
+    arbitration prefixes both positively and negatively; and every recorded
+    return value must match the abstract return-value function.
+
+    When ar is a chain (ar_chain), as the common log is on a con
+    projection, both closure clauses take one set lookup per vis row: SC
+    against a given witness order is tractable (Gibbons & Korach 1997).
+    Otherwise _ar_closures decides them.
+    """
+    rb, vis, sp = exec_.rb_masks, exec_.vis_masks, exec_.sp_masks
+    k = len(exec_.clients)
+    reads = [exec_.index(e) for e, op in exec_.op.items() if op.kind == "rd"]
+    # po within vis on reads: a read sees its client's earlier events
+    po_in_vis = not any(rb[c] & sp[c % k] & ~vis[c] & ~(1 << c) for c in reads)
+    if held := ar_chain(exec_):
+        # ar ; vis within vis: every row's members are a prefix; ar^-1 ;
+        # not-vis within not-vis: every event's unseen members a suffix
+        members, prefixes = held
+        closed = [v & members in prefixes for v in vis]
+        ar_vis, ar_neg_vis = all(closed), all(compress(closed, _flags(exec_.events_mask())))
+    else:
+        ar_vis, ar_neg_vis = _ar_closures(exec_)
     rval_ok = all(exec_.rval.get(e) == return_value_of(op)
                   for e, op in exec_.op.items())
     return ScVerdict(po_in_vis, ar_vis, ar_neg_vis, rval_ok)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -79,14 +79,16 @@ class CloudConfig:
     the key.
 
     _key keeps (table, mailbox, global_ids, store_typing, int) once keyed,
-    and _enabled keeps enabled(self) once asked, or None. A copy shares
-    _key, which holds only while those three parts are the very objects it
-    names, and starts without _enabled, as a step replaces parts of it; a
-    client's kept choices hold while the part they read is (see enabled).
+    _messages (mailbox, servers, global_ids, the message choices) once
+    asked, and _enabled keeps enabled(self) once asked, or None. A copy
+    shares _key and _messages, which hold only while the parts they name
+    are the very objects in place, and starts without _enabled, as a step
+    replaces parts of it; a client's kept choices hold while the part they
+    read is (see enabled).
     """
 
     __slots__ = ("clients", "mailbox", "servers", "global_ids", "store_typing", "id_typing",
-                 "_key", "_enabled")
+                 "_key", "_messages", "_enabled")
 
     def __init__(self, clients: dict[int, ClientState], mailbox: tuple[Message, ...],
                  servers: list[Server], global_ids: dict[Identifier, Location],
@@ -97,13 +99,14 @@ class CloudConfig:
         self.global_ids = global_ids
         self.store_typing = store_typing
         self.id_typing = id_typing          # static; shared
-        self._key = self._enabled = None
+        self._key = self._messages = self._enabled = None
 
     def copy(self) -> "CloudConfig":
         new = object.__new__(CloudConfig)
         new.clients, new.mailbox, new.servers = dict(self.clients), self.mailbox, self.servers
         new.global_ids, new.store_typing = self.global_ids, self.store_typing
-        new.id_typing, new._key, new._enabled = self.id_typing, self._key, None
+        new.id_typing, new._key, new._messages = self.id_typing, self._key, self._messages
+        new._enabled = None
         return new
 
     def own_client(self, cid: int) -> ClientState:
@@ -220,6 +223,10 @@ def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
     return None
 
 
+# a client's choices name no message, so each is built once, on first use
+_choice = cache(Choice)
+
+
 def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
     """The client's own choices, SEND first, kept on it (_choices) with the
     one part of the configuration they read: the server list for a remote
@@ -229,37 +236,35 @@ def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
     if held is not None and (held[0] is None or held[0] is config.servers
                              or held[0] is config.global_ids):
         return held[1]
-    cid, part, out = client.cid, None, []
-    if client.buffer:
-        out.append(Choice(Kind.SEND, cid))
+    cid, part = client.cid, None
+    out = [_choice(Kind.SEND, cid)] if client.buffer else []
     if client.redex is not None:
         t = client.redex.term
         if t.__class__ is Await and t.ident not in client.idmap:
             part = config.global_ids
             if t.ident in part:   # otherwise blocked until it is published
-                out.append(Choice(Kind.AWAIT_RESOLVE, cid))
+                out.append(_choice(Kind.AWAIT_RESOLVE, cid))
         elif (read := _remote_read(client)) is None:
-            out.append(Choice(Kind.CLIENT_STEP, cid))
+            out.append(_choice(Kind.CLIENT_STEP, cid))
         else:
             part = config.servers
             kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
-            out.extend(Choice(kind, cid, server=i) for i, s in enumerate(part)
+            out.extend(_choice(kind, cid, server=i) for i, s in enumerate(part)
                        if read[1] in s.store)
     client._choices = (part, out)
     return out
 
 
-def enabled(config: CloudConfig) -> list[Choice]:
-    """Every rule instance whose premises hold, deterministically ordered:
-    the one statement of each rule's premises, which step_cloud enforces
-    and the handlers rely on. Computed once per configuration and kept in
-    it (CloudConfig._enabled); the list is shared and must not be mutated.
-    The clients' kept lists in client order and the mailbox's choices in
-    event order, stably sorted on the kind alone, are in Choice order."""
-    if config._enabled is not None:
-        return config._enabled
-    out = [ch for _, c in sorted(config.clients.items()) for ch in _client_choices(config, c)]
-    clients = config.servers[0].seq.clients
+def _message_choices(config: CloudConfig) -> list[Choice]:
+    """The mailbox's choices in event order, stably sorted on the kind,
+    kept (CloudConfig._messages) with the mailbox, server list and global
+    map they read. PROCESS_REQ also reads the requester's identifier map,
+    but a Req is only built from an identifier in it, and maps only grow."""
+    held = config._messages
+    if held and held[0] is config.mailbox and held[1] is config.servers \
+            and held[2] is config.global_ids:
+        return held[3]
+    out, clients = [], config.servers[0].seq.clients
     for m in sorted(config.mailbox, key=_EVENT):
         if isinstance(m, Update):
             # an update has landed exactly at the servers whose log holds it
@@ -271,7 +276,25 @@ def enabled(config: CloudConfig) -> list[Choice]:
             o = config.global_ids[m.ident]
             out.extend(Choice(Kind.PROCESS_REQ, message=m, server=r)
                        for r, s in enumerate(config.servers) if o in s.store)
-    config._enabled = out = sorted(out, key=_KIND)
+    out.sort(key=_KIND)
+    config._messages = (config.mailbox, config.servers, config.global_ids, out)
+    return out
+
+
+def enabled(config: CloudConfig) -> list[Choice]:
+    """Every rule instance whose premises hold, deterministically ordered:
+    the one statement of each rule's premises, which step_cloud enforces
+    and the handlers rely on. Computed once per configuration and kept in
+    it (CloudConfig._enabled); the list is shared and must not be mutated.
+    The clients' kept lists in client order, stably sorted on the kind
+    alone, then the message choices, which sort after them, are in Choice
+    order."""
+    out = config._enabled
+    if out is None:
+        clients = config.clients
+        out = [ch for cid in sorted(clients) for ch in _client_choices(config, clients[cid])]
+        out.sort(key=_KIND)
+        config._enabled = out = out + _message_choices(config)
     return out
 
 

@@ -13,9 +13,9 @@ from conftest import CORPUS, checked_config, corpus_files, load, log_of
 from explore_oracle import structural_key
 from ctrd.abstract_exec import (
     AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
-    ProgramsNotLowEquivalent, check_ec, check_low_equivalence,
-    check_noninterference, check_sc, con_observation, value_json,
-    project, project_con, record, return_value_of,
+    ProgramsNotLowEquivalent, _ar_closures, ar_chain, check_ec,
+    check_low_equivalence, check_noninterference, check_sc, con_observation,
+    value_json, project, project_con, record, return_value_of,
 )
 from pair_oracle import (
     PairHistory, mask_history, pairs_of, program_order, relation_compose,
@@ -200,17 +200,96 @@ def test_random_histories_pass_and_fail_every_clause():
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
 
+def _chain_history(rng: random.Random) -> AbstractExecution:
+    """A history whose ar is a chain over all but up to two of its events,
+    or, half the time, a near chain: two members with equal rows, one ar bit
+    dropped or added, or a member that is no event. Each vis row is a
+    prefix of the chain, a prefix with one member's bit flipped, or any
+    row, and each rb row its vis row, perhaps with its client's events;
+    then up to two vis bits and, half the time, up to two ar bits are
+    flipped. Written straight into the masks."""
+    counts = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+    ex = AbstractExecution(range(1, len(counts) + 1))
+    for c, k in zip(ex.clients, counts):
+        for n in range(1, k + 1):
+            op = _op(rng.choice(("rd", "wr", "ref")), CON, n)
+            ex.add_event(EventId(c, n), op)
+            ex.rval[EventId(c, n)] = return_value_of(op)
+    events = [ex.index(e) for e in ex.op]
+    order = rng.sample(events, len(events))[rng.randint(0, 2):]
+    near = rng.choice((None,) * 4 + ("equal rows", "bit dropped", "bit added", "outside"))
+    if near == "outside" and order:         # a lone member would be in no pair
+        ghosts = [i for i in range(len(ex.ar_masks)) if i not in events]
+        if not ghosts:                      # a row past the last event
+            ghosts = [len(ex.ar_masks)]
+            ex._grow(ghosts[0])
+        order.insert(rng.randint(0, len(order)), rng.choice(ghosts))
+    size = len(ex.ar_masks)
+    prefixes = [0]
+    for i in order:
+        ex.ar_masks[i] = prefixes[-1]
+        prefixes.append(prefixes[-1] | 1 << i)
+    pairs = [(a, b) for b in range(size) for a in range(size)]
+    if near == "equal rows" and len(order) > 1:
+        j = rng.randint(1, len(order) - 1)
+        ex.ar_masks[order[j]] &= ~(1 << order[j - 1])
+    elif near == "bit dropped" and len(order) > 1:
+        a, b = rng.choice([(a, b) for a, b in pairs if ex.ar_masks[b] >> a & 1])
+        ex.ar_masks[b] &= ~(1 << a)
+    elif near == "bit added" and size:
+        a, b = rng.choice([(a, b) for a, b in pairs if not ex.ar_masks[b] >> a & 1])
+        ex.ar_masks[b] |= 1 << a
+    for b in range(size):
+        row = rng.choice(("prefix", "flipped", "any"))
+        if row == "any":
+            ex.vis_masks[b] = rng.getrandbits(size)
+        else:
+            ex.vis_masks[b] = rng.choice(prefixes)
+            if row == "flipped":
+                ex.vis_masks[b] ^= 1 << rng.choice(order or [b])
+        ex.rb_masks[b] = ex.vis_masks[b] | rng.choice((0, ex.sp_masks[b % len(counts)]))
+    for masks in [ex.vis_masks] + [ex.ar_masks] * (rng.random() < 0.5):
+        for a, b in rng.sample(pairs, min(len(pairs), rng.randint(0, 2))):
+            masks[b] ^= 1 << a
+    return ex
+
+
+def _is_chain(ex: AbstractExecution) -> bool:
+    """ar read off the definition: a strict total order on the events it
+    relates."""
+    ar = set(ex.ar)
+    field = {e for pair in ar for e in pair}
+    return (field <= set(ex.op) and not any(a == b for a, b in ar)
+            and all((a, b) in ar or (b, a) in ar for a in field for b in field if a != b)
+            and all((a, d) in ar for a, b in ar for c, d in ar if b == c))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_both_sc_paths_agree_with_pair_oracle_on_chains_and_near_chains(rng):
+    # the chain path is taken exactly on chains, and it, the general path
+    # and the pair oracle give the same verdict, field by field
+    ex = _chain_history(rng)
+    assert (ar_chain(ex) is not None) == _is_chain(ex)
+    verdict = check_sc(ex)
+    assert (verdict.ar_vis_closure, verdict.ar_neg_vis_closure) == _ar_closures(ex)
+    assert verdict == pair_oracle.check_sc(pairs_of(ex))
+
+
 def _runnable_programs():
     return sorted(p for p in CORPUS.rglob("*.ctrd") if p.parent.name != "reject")
 
 
 def test_check_sc_agrees_with_pair_oracle_on_the_corpus():
+    # every con projection takes the chain path: its ar is the common log
     programs = _runnable_programs()
     assert len(programs) == 45
     for path in programs:
         for seed in range(3):
             res = run_src(load(path), sched="random", seed=seed)
-            for ex in (record(res.trace), project_con(record(res.trace))):
+            con = project_con(record(res.trace))
+            assert ar_chain(con) is not None, (path.name, seed)
+            for ex in (record(res.trace), con):
                 assert check_sc(ex) == pair_oracle.check_sc(pairs_of(ex)), (path.name, seed)
 
 
@@ -330,7 +409,7 @@ def test_check_sc_negative_control():
     assert ex.sp == {1: frozenset({a, b}), 2: frozenset({c})}
     v = check_sc(ex)
     assert not v.ar_vis_closure and not v.ar_neg_vis_closure
-    assert not v.ok
+    assert not v.ok and ar_chain(ex) is not None     # on the chain path
 
 
 @st.composite

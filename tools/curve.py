@@ -34,7 +34,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
 from ctrd import cli  # noqa: E402
-from ctrd.abstract_exec import check_sc, project_con, record  # noqa: E402
+from ctrd.abstract_exec import ar_chain, check_sc, project_con, record  # noqa: E402
 from ctrd.parser import parse_program, tokenize  # noqa: E402
 from ctrd.runtime_cloud import explore, initial_config, make_scheduler, run  # noqa: E402
 from ctrd.typecheck import check_program  # noqa: E402
@@ -70,16 +70,22 @@ def numbers(text: str, kind=float) -> list:
     return [kind(x) for x in text.split(",")]
 
 
+def _path(history) -> str:
+    return "general" if ar_chain(history) is None else "chain"
+
+
 def sc_curve(args) -> tuple[dict, list]:
     """check_sc time against history size. Each point generates the
     three-client program `gen.chain_program` with `scale_mix(HISTORY_MIX,
     k)`, runs it under the random scheduler seeded with --seed, and times
     `record` and `project_con` on its trace and `check_sc` on the whole
-    history and on its con projection. The whole history mixes con and ava
-    events and fails SC, so its check can stop at the first failed clause;
-    the con projection passes, so its check does all the work. These
-    let-chains run to several hundred lets; the simulator walks a let
-    spine in a loop, so the recursion limit stays as it is."""
+    history and on its con projection, and reports which path of check_sc
+    each took: "chain" when its ar is a chain (ar_chain), else "general".
+    The whole history mixes con and ava events, is no chain and fails SC;
+    the con projection's ar is the common log, a chain, and it passes, so
+    its check does all the work. These let-chains run to several hundred
+    lets; the simulator walks a let spine in a loop, so the recursion
+    limit stays as it is."""
     factors, runs = numbers(args.factors), []
     for k in factors:
         g = gen.chain_program(args.seed, "curve", gen.scale_mix(gen.HISTORY_MIX, k), False)
@@ -97,8 +103,9 @@ def sc_curve(args) -> tuple[dict, list]:
         points.append({"factor": k, "status": res.status, "steps": len(res.trace),
                        "events": len(history.op), "record_s": t["record"][1],
                        "project_s": t["project"][1], "check_sc_s": full_s,
-                       "sc_ok": full.ok, "con_events": len(con.op),
-                       "check_sc_con_s": con_s, "sc_con_ok": con_v.ok})
+                       "sc_ok": full.ok, "sc_path": _path(history),
+                       "con_events": len(con.op), "check_sc_con_s": con_s,
+                       "sc_con_ok": con_v.ok, "sc_con_path": _path(con)})
     return {"seed": args.seed}, points
 
 
