@@ -12,14 +12,15 @@ the order events were folded in, so two interleavings that fold the same
 history give equal masks and equal keys. Bit a of rb_masks[b] is set when
 (a, b) is in RB, and likewise for vis_masks and ar_masks; sp_masks[s] holds
 the events of the client in slot s. Every bit of every mask is below the
-length of the mask lists. The attributes rb, vis and ar are mutable views
-of the same relations as sets of (EventId, EventId) pairs.
+length of the mask lists. The attributes rb, vis and ar are read-only
+views, discard aside, of the same relations as sets of (EventId, EventId)
+pairs: only the abstraction rules (fold_entry) and project write a history.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import MutableSet
+from collections.abc import Set
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import compress, count, islice
@@ -55,7 +56,6 @@ class Operation:
     label: Label                   # semantic consistency level of the op
     location: Location
     value: object                  # LabeledValue
-    literal_label: Optional[Label] = None
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,8 @@ def _successors(rows: list[int]) -> list[int]:
 
 
 def _relation(masks: str) -> property:
-    """A pair-set view of the relation stored in the named mask list;
-    assigning a set of pairs replaces the relation."""
-    return property(lambda self: PairView(self, getattr(self, masks)),
-                    lambda self, pairs: PairView(self, getattr(self, masks)).replace(pairs))
+    """A pair-set view of the relation stored in the named mask list."""
+    return property(lambda self: PairView(self, getattr(self, masks)))
 
 
 class AbstractExecution(Interned):
@@ -201,9 +199,9 @@ class AbstractExecution(Interned):
     ar = _relation("ar_masks")
 
 
-class PairView(MutableSet):
-    """One relation of an execution as a mutable set of (EventId, EventId)
-    pairs, read and written through its predecessor masks."""
+class PairView(Set):
+    """One relation of an execution as a set of (EventId, EventId) pairs,
+    read through its predecessor masks. discard clears one pair in place."""
 
     __slots__ = ("_exec", "_rows")
 
@@ -237,24 +235,10 @@ class PairView(MutableSet):
     def __len__(self) -> int:
         return sum(m.bit_count() for m in self._rows)
 
-    def add(self, pair: Pair) -> None:
-        ij = self._indices(pair)
-        if ij is None:
-            raise MalformedTrace(f"pair {pair!r} lies outside clients {self._exec.clients}")
-        ia, ib = ij
-        self._exec._grow(max(ia, ib))
-        self._rows[ib] |= 1 << ia
-
     def discard(self, pair: Pair) -> None:
         if pair in self:
             ia, ib = self._indices(pair)
             self._rows[ib] &= ~(1 << ia)
-
-    def replace(self, pairs: Iterable[Pair]) -> None:
-        pairs = list(pairs)     # may iterate this very view
-        self._rows[:] = [0] * len(self._rows)
-        for p in pairs:
-            self.add(p)
 
 
 _DELIVERY_RULE = "E-PROCESS-UPDATE"
@@ -275,8 +259,7 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
         if act.snapshot is None:
             raise MalformedTrace(f"read in {entry.rule} lacks a log snapshot")
         seen = exec_.history_mask(act.snapshot, f"read in {entry.rule}")
-        i, prior = exec_.add_event(nu, Operation("rd", act.label, act.location,
-                                                 act.value, act.literal_label))
+        i, prior = exec_.add_event(nu, Operation("rd", act.label, act.location, act.value))
         exec_.rb_masks[i] |= seen | prior
         exec_.vis_masks[i] |= seen | prior
         exec_.rval[nu] = act.value
@@ -300,8 +283,7 @@ def fold_entry(exec_: AbstractExecution, entry) -> None:
                 raise MalformedTrace(f"{entry.rule} lacks a log snapshot")
             common = exec_.history_mask(act.snapshot, entry.rule)
         # A-WRITE-2 (not synced): local buffered write; no arbitration yet
-        i, prior = exec_.add_event(nu, Operation(act.kind, act.label, act.location,
-                                                 act.value, act.literal_label))
+        i, prior = exec_.add_event(nu, Operation(act.kind, act.label, act.location, act.value))
         exec_.rb_masks[i] |= common | prior
         exec_.ar_masks[i] |= common
         exec_.rval[nu] = act.location if act.kind == "ref" else "unit"
@@ -424,7 +406,10 @@ def check_sc(exec_: AbstractExecution) -> ScVerdict:
     Program order must be visible (only read events observe, so the
     condition bites on read targets); visibility must be closed under
     arbitration prefixes both positively and negatively; and every recorded
-    return value must match the abstract return-value function.
+    return value must match the abstract return-value function. Every
+    history that fold_entry builds meets po_in_vis and rval_ok by
+    construction: A-READ writes one row into a read's rb and its vis, and
+    rval is taken from the action that op is taken from.
 
     When ar is a chain (ar_chain), as the common log is on a con
     projection, both closure clauses take one set lookup per vis row: SC

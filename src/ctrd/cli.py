@@ -298,7 +298,8 @@ def cmd_run(args) -> int:
         res = run(cfg, sched, args.max_steps, wf_each_step="wf" in args.check)
     except CtrdRuntimeError as e:
         return _die(4, f"{args.file}: runtime fault: {e}")
-    exec_ = record(res.trace)
+    # the history is folded only for the checks and --exec that read it
+    exec_ = record(res.trace) if args.check or args.exec_out else None
     verdicts = _verdicts(args.check, res, exec_)
     if args.trace and (failed := _dump(args.trace, trace_json(res.trace))):
         return failed

@@ -23,7 +23,6 @@ class ReferenceGraph:
 
     root: Location
     nodes: dict[Location, object]              # Location -> LabeledValue
-    edges: dict[Location, frozenset[Location]]
 
     @property
     def node_count(self) -> int:
@@ -39,7 +38,6 @@ def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
     if root not in store:
         raise CtrdRuntimeError("DanglingLocation", f"clone root {root} not in the local store")
     nodes: dict[Location, object] = {}
-    edges: dict[Location, frozenset[Location]] = {}
     todo = [root]
     while todo:
         o = todo.pop()
@@ -49,10 +47,8 @@ def reachable_graph(root: Location, store: dict) -> ReferenceGraph:
             raise CtrdRuntimeError("DanglingLocation", f"{o} referenced but not in the local store")
         v = store[o]
         nodes[o] = v
-        out = value_locations(v)
-        edges[o] = out
-        todo.extend(sorted(out - nodes.keys()))
-    return ReferenceGraph(root, nodes, edges)
+        todo.extend(sorted(value_locations(v) - nodes.keys()))
+    return ReferenceGraph(root, nodes)
 
 
 def clone_step(config, client: ClientState, root: Location,

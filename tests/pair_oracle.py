@@ -34,15 +34,27 @@ def pairs_of(exec_: AbstractExecution) -> PairHistory:
                        exec_.sp, set(exec_.vis), set(exec_.ar))
 
 
+def set_pairs(ex: AbstractExecution, rel: str, pairs) -> None:
+    """Replace relation rel ("rb", "vis" or "ar") of ex with the given
+    pairs, written straight into its predecessor masks."""
+    masks = getattr(ex, f"{rel}_masks")
+    masks[:] = [0] * len(masks)
+    for a, b in pairs:
+        ia, ib = ex.index(a), ex.index(b)
+        ex._grow(max(ia, ib))     # extends the mask lists in place
+        masks[ib] |= 1 << ia
+
+
 def mask_history(op: dict[EventId, Operation], rval=None, rb=(), vis=(),
                  ar=()) -> AbstractExecution:
     """A mask execution over op's events (each in its client's SP), with
-    the given return values and relations written through the pair views."""
+    the given return values and relations."""
     ex = AbstractExecution(e.client for e in op)
     for e, o in op.items():
         ex.add_event(e, o)
     ex.rval.update(rval or {})
-    ex.rb, ex.vis, ex.ar = rb, vis, ar
+    for rel, pairs in (("rb", rb), ("vis", vis), ("ar", ar)):
+        set_pairs(ex, rel, pairs)
     return ex
 
 

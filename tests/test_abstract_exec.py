@@ -19,7 +19,7 @@ from ctrd.abstract_exec import (
 )
 from pair_oracle import (
     PairHistory, mask_history, pairs_of, program_order, relation_compose,
-    relation_inverse, relation_negate,
+    relation_inverse, relation_negate, set_pairs,
 )
 import pair_oracle
 from ctrd.lattice import NatMax
@@ -302,11 +302,12 @@ def test_equal_histories_folded_in_either_order_have_equal_keys():
         for e in order:
             ex.add_event(e, ops[e])
             ex.rval[e] = return_value_of(ops[e])
-        ex.rb = ex.vis = {(a, c), (b, c)}
-        ex.ar = {(a, b)}
+        set_pairs(ex, "rb", {(a, c), (b, c)})
+        set_pairs(ex, "vis", {(a, c), (b, c)})
+        set_pairs(ex, "ar", {(a, b)})
         keys.append(ex.key())
     assert keys[0] == keys[1]
-    ex.ar = {(b, a)}
+    set_pairs(ex, "ar", {(b, a)})
     assert ex.key() != keys[0]
 
 
@@ -319,7 +320,8 @@ def _folded(order, ops, rvals, table):
         ex.add_event(e, ops[e])
         ex.rval[e] = rvals[e]
         ex.key_id(table)
-    ex.rb = ex.vis = {(order[0], order[2]), (order[1], order[2])}
+    for rel in ("rb", "vis"):
+        set_pairs(ex, rel, {(order[0], order[2]), (order[1], order[2])})
     return ex.copy()    # a keyed execution is not edited; its copy is
 
 
@@ -367,7 +369,7 @@ def test_pair_view_edits_reach_the_masks():
     assert po_into_reads[0] not in corrupted.vis and po_into_reads[0] in ex.vis
     assert len(corrupted.vis) == len(ex.vis) - 1
     assert not check_sc(corrupted).po_in_vis and check_sc(ex).ok
-    corrupted.vis.add(po_into_reads[0])
+    set_pairs(corrupted, "vis", {*corrupted.vis, po_into_reads[0]})
     assert corrupted.key() == ex.key() and check_sc(corrupted).ok
 
 
@@ -652,12 +654,24 @@ def test_noninterference_rejects_con_pair():
 # invariants on recorded corpus executions
 
 def test_rval_matches_return_function_everywhere():
-    for group in ("con", "ava", "run"):
-        for path in corpus_files(group):
-            res = run_src(load(path))
+    # check_sc's po_in_vis and both checkers' rval_ok hold by construction
+    # on a recorded history: A-READ writes one row into a read's rb and
+    # vis, no write has a vis row, and rval is taken from op's action
+    reads = 0
+    runs = [("drain-fair", 0)] + [("random", seed) for seed in range(3)]
+    for path in _runnable_programs():
+        for sched, seed in runs:
+            res = run_src(load(path), sched=sched, seed=seed)
             ex = record(res.trace)
             for e, op in ex.op.items():
                 assert ex.rval[e] == return_value_of(op), (path.name, e)
+                i = ex.index(e)
+                if op.kind == "rd":
+                    assert ex.rb_masks[i] == ex.vis_masks[i], (path.name, e)
+                    reads += 1
+                else:
+                    assert not ex.vis_masks[i], (path.name, e)
+    assert reads > 0
 
 
 def test_ar_total_over_synced_events():

@@ -13,7 +13,7 @@ import sys
 
 import syntax_oracle
 from conftest import CORPUS
-from ctrd import abstract_exec
+from ctrd import abstract_exec, cli
 from ctrd.cli import main
 from ctrd.parser import parse_program
 from ctrd.runtime_local import sorted_items
@@ -50,6 +50,21 @@ def test_run_pure_con_sc_passes(capsys):
     assert code == 0
     report = json.loads(out.splitlines()[-1])
     assert report["quiescent"] and report["checks"]["sc"]["ok"]
+
+
+def test_a_run_folds_its_history_only_for_check_or_exec(tmp_path, monkeypatch):
+    # --trace writes the trace itself; only the checks and --exec read the
+    # recorded history
+    folds = []
+    real = cli.record
+    monkeypatch.setattr(cli, "record", lambda trace: folds.append(1) or real(trace))
+    path = str(CORPUS / "ava" / "oac_counter.ctrd")
+    for flags in ([], ["--trace", str(tmp_path / "trace.json")]):
+        assert main(["run", path, *flags]) == 0
+    assert folds == []
+    for flags in (["--check", "sc"], ["--exec", str(tmp_path / "exec.json")]):
+        assert main(["run", path, *flags]) == 0
+    assert len(folds) == 2
 
 
 def test_run_ec_drain_fair(capsys):
