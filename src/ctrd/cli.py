@@ -298,8 +298,9 @@ def cmd_run(args) -> int:
         res = run(cfg, sched, args.max_steps, wf_each_step="wf" in args.check)
     except CtrdRuntimeError as e:
         return _die(4, f"{args.file}: runtime fault: {e}")
-    # the history is folded only for the checks and --exec that read it
-    exec_ = record(res.trace) if args.check or args.exec_out else None
+    # the history is folded only for --exec and the checks that read it:
+    # every check but wf, which reads the final configuration alone
+    exec_ = record(res.trace) if args.exec_out or set(args.check) - {"wf"} else None
     verdicts = _verdicts(args.check, res, exec_)
     if args.trace and (failed := _dump(args.trace, trace_json(res.trace))):
         return failed

@@ -497,6 +497,34 @@ _HANDLERS = {
 }
 
 
+# the client steps that _cloud_redex fires: they read or write every server
+# and the global map
+_GLOBAL_RULES = frozenset({"E-CONREF", "E-OACREF", "E-CONASSIGN", "E-FLEXWRT-CON",
+                           "E-FLEXRD-CON", "E-CLONE", "E-CONREF-DUP"})
+
+
+def footprint(config: CloudConfig, ch: Choice, entry: TraceEntry) -> frozenset:
+    """What the enabled choice ch reads or writes in config, which it stepped
+    to entry: ("c", c) for client c, ("s", r) for server r, ("m", e) for the
+    message of event e, and "ids" for the unpublished part of the global map
+    (see explore). Two choices with disjoint footprints are independent."""
+    kind, m = ch.kind, ch.message
+    if kind == Kind.CLIENT_STEP and entry.rule in _GLOBAL_RULES:
+        servers = [("s", r) for r in range(len(config.servers))]
+        return frozenset([("c", ch.client), "ids", *servers])
+    if kind in (Kind.CON_READ, Kind.AVA_REMOTE_READ):
+        return frozenset({("c", ch.client), ("s", ch.server)})
+    if kind == Kind.DELIVER_UPDATE:
+        if m.ident is None or m.ident in config.global_ids:
+            return frozenset({("s", ch.server)})
+        return frozenset({("s", ch.server), "ids"})
+    if kind == Kind.PROCESS_REQ:
+        return frozenset({("c", m.event.client), ("s", ch.server), ("m", m.event)})
+    if kind == Kind.GC_UPDATE:
+        return frozenset({("m", m.event)})
+    return frozenset({("c", ch.client)})    # a local client step, SEND, AWAIT_RESOLVE
+
+
 # ---------------------------------------------------------------------------
 # Quiescence
 
@@ -651,76 +679,137 @@ def explore(config: CloudConfig, max_depth: int,
     differ only in servers with equal key ints, explore steps the first
     (_one_per_server_class). Swapping those servers fixes the key, and a
     rule reads a server only through its store and log mask, so the rest
-    reach the class the first marked seen: no count, on_trace call or
-    budget stop changes. The summary counts what was visited and the
-    steps taken. An internal step passes
-    its parent's execution on unchanged. on_trace(exec_, final, truncated)
-    is called per visited maximal trace; exec_ may be shared and must not
-    be mutated. The state budget, in visited states, is
-    max_states_from_env(). The search keeps its path on an explicit stack,
-    so its depth is bounded by --max-depth, not by Python's recursion
-    limit.
+    reach the class the first marked seen.
+
+    Commuting choices are stepped in one order (sleep sets, Godefroid
+    1996, ch. 5). footprint names what a choice reads or writes:
+
+      a local client step, SEND, AWAIT_RESOLVE   its client
+      a client step that _cloud_redex fires      its client, every server, "ids"
+      CON_READ, AVA_REMOTE_READ                  its client, its server
+      DELIVER_UPDATE                             its server, and "ids" while
+                                                 its identifier is unpublished
+      PROCESS_REQ                                the requester, its server,
+                                                 its message
+      GC_UPDATE                                  its message
+
+    Choices with disjoint footprints are independent: neither enables or
+    disables the other, and both orders reach one state. The mailbox is a
+    multiset (its key and enabled sort it), a published identifier never
+    changes, store typings are set once per fresh location, and the
+    history's parts commute (an event's rows are its own; a delivery ORs
+    its server's log into its event's ar row). Each frame keeps a sleep
+    set of (choice, footprint) pairs: the choices stepped from it so far,
+    and those its parent held that are independent of the choice that led
+    to it. A state does not step its sleep set: each such step reaches a
+    state a finished subtree holds. A revisited state, given sleep set Z,
+    steps the members of the set it keeps that Z lacks, then keeps the
+    intersection (state caching, Godefroid 1996, sec. 5.3). While every
+    class is reached at one depth, a finished subtree holds every state
+    reachable from its root and such steps find no new state; the rule
+    keeps the pruning sound where that fails. Sleep sets
+    are compared in the form a server permutation fixes (_class_of), as a
+    revisit can arrive at another member of the class. Sleep sets prune
+    steps, never states: no count, on_trace call or budget stop changes.
+
+    The summary counts what was visited and the steps taken. An internal
+    step passes its parent's execution on unchanged. on_trace(exec_,
+    final, truncated) is called per visited maximal trace; exec_ may be
+    shared and must not be mutated. The state budget, in visited states,
+    is max_states_from_env(). The search keeps its path on an explicit
+    stack, so its depth is bounded by --max-depth, not by Python's
+    recursion limit.
     """
     from .abstract_exec import AbstractExecution, fold_entry
 
     max_states = max_states_from_env()
     summary = ExploreSummary()
-    seen: set = set()
+    seen: dict = {}     # state key -> the sleep set it keeps, as _class_of forms
+    sleeps: dict = {}   # each kept sleep set once, for the states that share it
     table: dict = {}
 
     # depth-first in pre-order, on an explicit stack: per expanded state, its
-    # execution, the depth of its successors and the choices left to step
+    # execution, the depth of its successors, the choices left to step and
+    # its sleep set
     stack: list = []
 
-    def arrive(cfg: CloudConfig, exec_: AbstractExecution, depth: int) -> None:
-        known = len(seen)
-        seen.add((*cfg.key(table), exec_.key_id(table)))
-        if len(seen) == known:
+    def arrive(cfg: CloudConfig, exec_: AbstractExecution, depth: int, sleep: list) -> None:
+        key = (*cfg.key(table), exec_.key_id(table))
+        kept = seen.get(key)
+        if kept is not None and not kept:
             return
-        summary.states += 1
-        if summary.states > max_states:
-            raise StateSpaceLimit(f"more than {max_states} states")
-        if check_wf_each:
-            summary.wf_problems += len(check_wf(cfg).problems)
-        choices = enabled(cfg)
-        if not choices or depth >= max_depth:
-            truncated = bool(choices)
-            summary.traces += 1
-            summary.truncated += truncated
-            if on_trace is not None:
-                on_trace(exec_, cfg, truncated)
-            return
-        stack.append((cfg, exec_, depth + 1, iter(_one_per_server_class(choices, cfg.servers))))
+        servers = cfg.servers
+        asleep = frozenset([_class_of(t, servers) for t, _ in sleep])
+        if kept is not None:
+            # a revisit steps what the visits so far left asleep and this one
+            # does not, and keeps what both left asleep
+            awake, both = kept - asleep, kept & asleep
+            seen[key] = sleeps.setdefault(both, both)
+            if not awake:
+                return
+            sleep = [p for p in sleep if _class_of(p[0], servers) in kept]
+            steps = [ch for ch in _one_per_server_class(enabled(cfg), servers)
+                     if _class_of(ch, servers) in awake]
+        else:
+            summary.states += 1
+            if summary.states > max_states:
+                raise StateSpaceLimit(f"more than {max_states} states")
+            if check_wf_each:
+                summary.wf_problems += len(check_wf(cfg).problems)
+            choices = enabled(cfg)
+            if not choices or depth >= max_depth:
+                seen[key] = _NO_SLEEP
+                truncated = bool(choices)
+                summary.traces += 1
+                summary.truncated += truncated
+                if on_trace is not None:
+                    on_trace(exec_, cfg, truncated)
+                return
+            seen[key] = sleeps.setdefault(asleep, asleep)
+            steps = _one_per_server_class(choices, servers)
+            if asleep:
+                steps = [ch for ch in steps if _class_of(ch, servers) not in asleep]
+        stack.append((cfg, exec_, depth + 1, iter(steps), sleep))
 
-    arrive(config, AbstractExecution(config.clients), 0)
+    arrive(config, AbstractExecution(config.clients), 0, [])
     while stack:
-        cfg, exec_, depth, choices = stack[-1]
+        cfg, exec_, depth, choices, sleep = stack[-1]
         choice = next(choices, None)
         if choice is None:
             stack.pop()
             continue
         summary.steps += 1
         nxt, entry = step_cloud(cfg, choice)
+        fp = footprint(cfg, choice, entry)
         if entry.action.kind != "eps":      # A-INTERNAL: no history change
             exec_ = exec_.copy()
             fold_entry(exec_, entry)
-        arrive(nxt, exec_, depth)
+        arrive(nxt, exec_, depth, [p for p in sleep if p[1].isdisjoint(fp)])
+        sleep.append((choice, fp))
     return summary
+
+
+# the sleep set explore keeps for a state it does not expand, one for all
+_NO_SLEEP: frozenset = frozenset()
+# the kinds whose server field names a server
+_SERVED = frozenset({Kind.CON_READ, Kind.AVA_REMOTE_READ, Kind.DELIVER_UPDATE, Kind.PROCESS_REQ})
+
+
+def _class_of(ch: Choice, servers: list[Server]) -> tuple:
+    """ch in the form a server permutation fixes: its server as the
+    server's key int, its message as its event. The servers must have just
+    been keyed (explore's arrive)."""
+    return (ch.kind, ch.client, ch.message and ch.message.event,
+            servers[ch.server]._id if ch.kind in _SERVED else None)
 
 
 def _one_per_server_class(choices: list[Choice], servers: list[Server]) -> list[Choice]:
     """choices less each one that repeats an earlier choice's (kind, client,
-    message) on a server whose key int is that earlier server's. The
-    servers must have just been keyed (explore's arrive)."""
-    kept, group, classes = [], None, set()
+    message) on a server whose key int is that earlier server's."""
+    kept: dict = {}
     for ch in choices:
-        if ch[:3] != group:
-            group, classes = ch[:3], set()
-        sid = servers[ch.server]._id
-        if sid not in classes:
-            classes.add(sid)
-            kept.append(ch)
-    return kept
+        kept.setdefault(_class_of(ch, servers), ch)
+    return list(kept.values())
 
 
 # ---------------------------------------------------------------------------

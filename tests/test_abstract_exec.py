@@ -283,7 +283,7 @@ def _runnable_programs():
 def test_check_sc_agrees_with_pair_oracle_on_the_corpus():
     # every con projection takes the chain path: its ar is the common log
     programs = _runnable_programs()
-    assert len(programs) == 45
+    assert len(programs) == 46
     for path in programs:
         for seed in range(3):
             res = run_src(load(path), sched="random", seed=seed)

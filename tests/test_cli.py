@@ -53,18 +53,19 @@ def test_run_pure_con_sc_passes(capsys):
 
 
 def test_a_run_folds_its_history_only_for_check_or_exec(tmp_path, monkeypatch):
-    # --trace writes the trace itself; only the checks and --exec read the
-    # recorded history
+    # --trace writes the trace itself; only --exec and the checks but wf
+    # read the recorded history
     folds = []
     real = cli.record
     monkeypatch.setattr(cli, "record", lambda trace: folds.append(1) or real(trace))
     path = str(CORPUS / "ava" / "oac_counter.ctrd")
-    for flags in ([], ["--trace", str(tmp_path / "trace.json")]):
+    for flags in ([], ["--trace", str(tmp_path / "trace.json")], ["--check", "wf"]):
         assert main(["run", path, *flags]) == 0
     assert folds == []
-    for flags in (["--check", "sc"], ["--exec", str(tmp_path / "exec.json")]):
+    for flags in (["--check", "sc"], ["--check", "wf,sc"],
+                  ["--exec", str(tmp_path / "exec.json")]):
         assert main(["run", path, *flags]) == 0
-    assert len(folds) == 2
+    assert len(folds) == 3
 
 
 def test_run_ec_drain_fair(capsys):

@@ -1,7 +1,8 @@
 """explore against the structural-key explorer of tests/explore_oracle.py:
 the same set of terminal outcomes from fewer states, and interned keys
 that are equal exactly where structural keys of the orbit are; and explore
-against itself stepping every choice, which it must match but in steps."""
+against itself stepping every choice in every order, which it must match
+but in steps."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from ctrd.runtime_cloud import CloudConfig, StateSpaceLimit, explore
 
 MIXED = CORPUS / "anomaly" / "mixed.ctrd"
 NAT_RACE = CORPUS / "ava" / "nat_race.ctrd"
+TWO_CELLS = CORPUS / "ava" / "two_cells.ctrd"
 
 # (program, --servers, --max-depth): every runnable corpus program at the
 # default depth, the two largest state spaces the benchmark and the
@@ -28,7 +30,7 @@ CASES = ([(p, None, 12) for p in RUNNABLE]
 
 
 def test_the_cases_cover_the_corpus():
-    assert len(RUNNABLE) == 45
+    assert len(RUNNABLE) == 46
 
 
 @pytest.mark.parametrize(
@@ -83,10 +85,10 @@ def test_interned_keys_are_equal_exactly_when_structural_keys_are(monkeypatch):
 
 
 # (program, --servers, --max-depth): every runnable corpus program, mixed.ctrd
-# on 2 to 6 servers, and nat_race to quiescence on 2
+# on 2 to 6 servers, and nat_race and two_cells to quiescence on 2
 EXACT_CASES = ([(p, None, 12) for p in RUNNABLE]
                + [(MIXED, n, 24) for n in (2, 3, 4, 5, 6)]
-               + [(NAT_RACE, 2, 40)])
+               + [(NAT_RACE, 2, 40), (TWO_CELLS, 2, 40)])
 
 
 def _traced(cfg, depth: int, table: dict):
@@ -105,28 +107,53 @@ def _traced(cfg, depth: int, table: dict):
     return summary, calls
 
 
+def _each_reduction_off(cfg, depth: int, monkeypatch) -> dict:
+    """_traced with both reductions, then with each one turned off: every
+    choice stepped on every server, and every pair of choices dependent
+    (no sleep set keeps a choice)."""
+    table: dict = {}
+    out = {"reduced": _traced(cfg, depth, table)}
+    with monkeypatch.context() as m:
+        m.setattr(runtime_cloud, "_one_per_server_class", lambda choices, servers: choices)
+        out["every server"] = _traced(cfg, depth, table)
+    with monkeypatch.context() as m:
+        m.setattr(runtime_cloud, "footprint", lambda config, ch, entry: frozenset({"all"}))
+        out["no sleep sets"] = _traced(cfg, depth, table)
+    return out
+
+
 @pytest.mark.parametrize(
     "path,servers,depth", EXACT_CASES,
     ids=[f"{p.parent.name}/{p.stem}-s{s or 'p'}-d{d}" for p, s, d in EXACT_CASES])
 def test_stepping_one_server_per_class_changes_nothing_but_the_steps(
         path, servers, depth, monkeypatch):
+    # and so does stepping each commuting diamond once (sleep sets)
     _, _, cfg = checked_config(load(path), servers)
-    table: dict = {}
-    pruned, pruned_calls = _traced(cfg, depth, table)
-    monkeypatch.setattr(runtime_cloud, "_one_per_server_class", lambda choices, servers: choices)
-    every, every_calls = _traced(cfg, depth, table)
-    assert pruned_calls == every_calls
-    assert replace(pruned, steps=0) == replace(every, steps=0)
+    runs = _each_reduction_off(cfg, depth, monkeypatch)
+    reduced, reduced_calls = runs["reduced"]
+    for name, (summary, calls) in runs.items():
+        assert calls == reduced_calls, name
+        assert replace(summary, steps=0) == replace(reduced, steps=0), name
     if path == MIXED and len(cfg.servers) >= 3:
-        assert pruned.steps < every.steps
+        assert reduced.steps < runs["every server"][0].steps
+    if path == MIXED:
+        assert reduced.steps < runs["no sleep sets"][0].steps
 
 
 def test_the_state_budget_stops_both_at_the_same_trace(monkeypatch):
     _, _, cfg = checked_config(load(MIXED), 6)
     monkeypatch.setenv("CTRD_MAX_STATES", "100")
-    table: dict = {}
-    pruned, pruned_calls = _traced(cfg, 24, table)
-    monkeypatch.setattr(runtime_cloud, "_one_per_server_class", lambda choices, servers: choices)
-    every, every_calls = _traced(cfg, 24, table)
-    assert pruned is every is None
-    assert pruned_calls == every_calls != []
+    runs = _each_reduction_off(cfg, 24, monkeypatch)
+    reduced, reduced_calls = runs["reduced"]
+    assert reduced_calls != []
+    for name, (summary, calls) in runs.items():
+        assert summary is None and calls == reduced_calls, name
+
+
+@pytest.mark.parametrize("servers", [2, 3, 4, 5, 6])
+def test_mixed_takes_under_1_3_steps_per_visited_state(servers):
+    # sleep sets step each commuting pair of choices in one order; stepping
+    # every order took 1.75 to 1.86 steps per state here
+    _, _, cfg = checked_config(load(MIXED), servers)
+    summary = explore(cfg, 24)
+    assert summary.steps < 1.3 * summary.states

@@ -73,7 +73,7 @@ def _checked(check, program):
 
 
 def test_corpus_and_generated_programs_parse_as_the_oracle_parses_them():
-    assert len(CORPUS_FILES) == 70
+    assert len(CORPUS_FILES) == 71
     for text in [load(p) for p in CORPUS_FILES] + GENERATED:
         _assert_parsed_as_oracle(text)
 

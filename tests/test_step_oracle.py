@@ -147,7 +147,7 @@ def test_common_log_matches_the_server_logs_on_every_run_step():
     # to the intersection of the server logs, and each rule that records a
     # log records it as it stood before the step, with the mask of the
     # events it lists
-    assert len(RUNNABLE) == 45
+    assert len(RUNNABLE) == 46
     for path in RUNNABLE:
         _, _, initial = checked_config(load(path))
         for seed in range(3):

@@ -37,7 +37,7 @@ SCHEDULERS = [("random", 0), ("random", 1), ("random", 2),
 
 
 def test_corpus_traces_are_written_as_the_oracle_writes_them():
-    assert len(RUNNABLE) == 45
+    assert len(RUNNABLE) == 46
     snapshots = 0
     for path in RUNNABLE:
         _, _, cfg = checked_config(load(path))

@@ -9,6 +9,8 @@ Calls `ctrd.cli.main` in this process, on every program under `corpus/`:
 
 - `run --seed 0|1|2` and `run --sched round-robin|drain-fair`, each with
   `--check sc,sc-con,ec`, `--trace` and `--exec`;
+- on each program outside `corpus/reject`, a bare `run --seed 1 --trace`,
+  which folds no history;
 - `explore --check sc,sc-con,ec,wf`;
 - `nif` on each pair `corpus/nif/X_a.ctrd`, `corpus/nif/X_b.ctrd`.
 
@@ -67,6 +69,9 @@ def main(argv: list[str]) -> int:
                 stem = str(here / name)
                 call(stem, ["run", str(path), *flags, "--check", CHECKS,
                             "--trace", stem + ".trace.json", "--exec", stem + ".exec.json"])
+            if path.parent.name != "reject":
+                stem = str(here / "run-bare")
+                call(stem, ["run", str(path), "--seed", "1", "--trace", stem + ".trace.json"])
             call(str(here / "explore"), ["explore", str(path), "--check", CHECKS + ",wf"])
         Path("nif-pairs").mkdir()
         for a in (p for p in programs if p.parent.name == "nif" and p.stem.endswith("_a")):
