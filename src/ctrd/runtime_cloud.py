@@ -497,19 +497,24 @@ _HANDLERS = {
 }
 
 
-# the client steps that _cloud_redex fires: they read or write every server
-# and the global map
-_GLOBAL_RULES = frozenset({"E-CONREF", "E-OACREF", "E-CONASSIGN", "E-FLEXWRT-CON",
-                           "E-FLEXRD-CON", "E-CLONE", "E-CONREF-DUP"})
+def _global(t: Term) -> bool:
+    """Whether a CLIENT_STEP at redex t fires a rule of _cloud_redex, which
+    reads or writes every server and the global map."""
+    match t:
+        case (Ref(label=Label.CON | Label.OAC) | FlexWrite(label=Label.CON)
+              | FlexRead(label=Label.CON) | Assign(target=Lit(value=Plain(label=Label.CON)))
+              | Clone()):
+            return True
+    return False
 
 
-def footprint(config: CloudConfig, ch: Choice, entry: TraceEntry) -> frozenset:
-    """What the enabled choice ch reads or writes in config, which it stepped
-    to entry: ("c", c) for client c, ("s", r) for server r, ("m", e) for the
-    message of event e, and "ids" for the unpublished part of the global map
-    (see explore). Two choices with disjoint footprints are independent."""
+def footprint(config: CloudConfig, ch: Choice) -> frozenset:
+    """What the enabled choice ch reads or writes in config: ("c", c) for
+    client c, ("s", r) for server r, ("m", e) for the message of event e,
+    and "ids" for the unpublished part of the global map (see explore).
+    Two choices with disjoint footprints are independent."""
     kind, m = ch.kind, ch.message
-    if kind == Kind.CLIENT_STEP and entry.rule in _GLOBAL_RULES:
+    if kind == Kind.CLIENT_STEP and _global(config.clients[ch.client].redex.term):
         servers = [("s", r) for r in range(len(config.servers))]
         return frozenset([("c", ch.client), "ids", *servers])
     if kind in (Kind.CON_READ, Kind.AVA_REMOTE_READ):
@@ -707,19 +712,73 @@ def explore(config: CloudConfig, max_depth: int,
     intersection (state caching, Godefroid 1996, sec. 5.3). While every
     class is reached at one depth, a finished subtree holds every state
     reachable from its root and such steps find no new state; the rule
-    keeps the pruning sound where that fails. Sleep sets
-    are compared in the form a server permutation fixes (_class_of), as a
-    revisit can arrive at another member of the class. Sleep sets prune
-    steps, never states: no count, on_trace call or budget stop changes.
+    keeps the pruning sound where that fails. Sleep sets are compared in
+    the form a server permutation fixes (_class_of), as a revisit can
+    arrive at another member of the class. Alone, they prune steps, never
+    states.
+
+    A state with a choice that no other choice can touch, from it or from
+    any state the others reach, steps it alone: a persistent set of one
+    (Valmari 1990; Godefroid 1996, ch. 4). _alone picks a GC_UPDATE, else
+    the first choice of a client c with no Req in the mailbox: a local
+    CLIENT_STEP or an AWAIT_RESOLVE while c's buffer is empty, or a SEND
+    once c has run to a value. A GC_UPDATE touches its message alone;
+    every log holds the update, so no delivery of it is left, and no other
+    choice names it. Besides c's own choices only a PROCESS_REQ of c's Req
+    touches ("c", c), and a Req reaches the mailbox only by c's SEND; c's
+    one other choice is SEND while its buffer holds a message, and once c
+    is a value SEND is all it has. Whether a client step is local is read
+    from its redex (_global). The one choice stays enabled and independent
+    of every step the others take, so each terminal state stays reachable
+    through it; a revisit steps it if it was asleep.
+
+    That search keeps every terminal class, so the traces and verdicts,
+    but visits fewer of the states between and of those a depth bound
+    cuts. It is off with check_wf_each, as check_wf judges every state.
+    Otherwise explore runs it first, holding its on_trace calls back; if a
+    trace reaches max_depth, the budget stops it or a step faults, the
+    calls are dropped and the plain search runs and reports. A reduced
+    search that cuts no trace shows the plain one cuts none: each maximal
+    trace ends in a terminal state, reached at one depth, that the reduced
+    search reaches. As it visits no state the plain one does not, its
+    budget stop is one of the plain search too.
 
     The summary counts what was visited and the steps taken. An internal
     step passes its parent's execution on unchanged. on_trace(exec_,
     final, truncated) is called per visited maximal trace; exec_ may be
-    shared and must not be mutated. The state budget, in visited states,
-    is max_states_from_env(). The search keeps its path on an explicit
-    stack, so its depth is bounded by --max-depth, not by Python's
-    recursion limit.
+    shared and must not be mutated. The state budget, in states the
+    search that reports visits, is max_states_from_env(). The search keeps
+    its path on an explicit stack, so its depth is bounded by --max-depth,
+    not by Python's recursion limit.
     """
+    if not check_wf_each:
+        held: list = []
+
+        def hold(exec_, final, truncated):
+            if truncated:
+                raise _Cut
+            held.append((exec_, final))
+
+        try:
+            summary = _search(config, max_depth, hold, False, True)
+        except (_Cut, StateSpaceLimit, CtrdRuntimeError, RecursionError):
+            pass
+        else:
+            if on_trace is not None:
+                for exec_, final in held:
+                    on_trace(exec_, final, False)
+            return summary
+    return _search(config, max_depth, on_trace, check_wf_each, False)
+
+
+class _Cut(Exception):
+    """A trace of explore's reduced search reached the depth bound."""
+
+
+def _search(config: CloudConfig, max_depth: int, on_trace: Optional[Callable],
+            check_wf_each: bool, select: bool) -> ExploreSummary:
+    """explore's depth-first search; with select, a state for which _alone
+    names a choice steps that choice alone."""
     from .abstract_exec import AbstractExecution, fold_entry
 
     max_states = max_states_from_env()
@@ -765,8 +824,13 @@ def explore(config: CloudConfig, max_depth: int,
                 if on_trace is not None:
                     on_trace(exec_, cfg, truncated)
                 return
+            alone = _alone(cfg, choices) if select else None
+            if alone is None:
+                steps = _one_per_server_class(choices, servers)
+            else:
+                # the one choice is all a revisit can find asleep and step
+                steps, asleep = [alone], asleep & {_class_of(alone, servers)}
             seen[key] = sleeps.setdefault(asleep, asleep)
-            steps = _one_per_server_class(choices, servers)
             if asleep:
                 steps = [ch for ch in steps if _class_of(ch, servers) not in asleep]
         stack.append((cfg, exec_, depth + 1, iter(steps), sleep))
@@ -780,7 +844,7 @@ def explore(config: CloudConfig, max_depth: int,
             continue
         summary.steps += 1
         nxt, entry = step_cloud(cfg, choice)
-        fp = footprint(cfg, choice, entry)
+        fp = footprint(cfg, choice)
         if entry.action.kind != "eps":      # A-INTERNAL: no history change
             exec_ = exec_.copy()
             fold_entry(exec_, entry)
@@ -793,6 +857,25 @@ def explore(config: CloudConfig, max_depth: int,
 _NO_SLEEP: frozenset = frozenset()
 # the kinds whose server field names a server
 _SERVED = frozenset({Kind.CON_READ, Kind.AVA_REMOTE_READ, Kind.DELIVER_UPDATE, Kind.PROCESS_REQ})
+
+
+def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
+    """The choice of choices, those enabled in config, that explore steps
+    alone, or None: no other choice can touch it from config or from any
+    state the others reach."""
+    if choices[-1].kind == Kind.GC_UPDATE:
+        return choices[-1]
+    asking = {m.event.client for m in config.mailbox if m.__class__ is Req}
+    for ch in choices:
+        kind = ch.kind
+        if kind > Kind.SEND:
+            break
+        client = config.clients[ch.client]
+        if ch.client not in asking and (client.redex is None if kind == Kind.SEND else (
+                kind <= Kind.AWAIT_RESOLVE and not client.buffer
+                and not (kind == Kind.CLIENT_STEP and _global(client.redex.term)))):
+            return ch
+    return None
 
 
 def _class_of(ch: Choice, servers: list[Server]) -> tuple:

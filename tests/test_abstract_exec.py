@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, checked_config, corpus_files, load, log_of
+from conftest import CORPUS, RUNNABLE_COUNT, checked_config, corpus_files, load, log_of
 from explore_oracle import structural_key
 from ctrd.abstract_exec import (
     AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
@@ -283,7 +283,7 @@ def _runnable_programs():
 def test_check_sc_agrees_with_pair_oracle_on_the_corpus():
     # every con projection takes the chain path: its ar is the common log
     programs = _runnable_programs()
-    assert len(programs) == 46
+    assert len(programs) == RUNNABLE_COUNT
     for path in programs:
         for seed in range(3):
             res = run_src(load(path), sched="random", seed=seed)

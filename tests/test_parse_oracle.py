@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from conftest import CORPUS, gen, load
+from conftest import CORPUS, CORPUS_COUNT, gen, load
 from ctrd.parser import ParseError, parse_program, parse_term, tokenize
 from ctrd.syntax import CON, LOC, LatType, Let
 from ctrd.typecheck import CheckError, TypeEnv, check_program, typecheck
@@ -73,7 +73,7 @@ def _checked(check, program):
 
 
 def test_corpus_and_generated_programs_parse_as_the_oracle_parses_them():
-    assert len(CORPUS_FILES) == 71
+    assert len(CORPUS_FILES) == CORPUS_COUNT
     for text in [load(p) for p in CORPUS_FILES] + GENERATED:
         _assert_parsed_as_oracle(text)
 

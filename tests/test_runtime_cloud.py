@@ -524,7 +524,8 @@ def test_explore_counts_wf_problems_in_visited_states():
 
 def test_explore_steps_one_delivery_to_identical_servers(monkeypatch):
     # enabled offers and step_cloud takes a delivery to each of 5 identical
-    # servers; explore steps the first alone, as the rest reach its class
+    # servers; explore steps the first alone, as the rest reach its class,
+    # and so on down to the last server that lacks the update
     _, _, initial = checked_config("servers 5; client 1 { ref@ava(nat 1 @ava, (ava,1)) }")
     cfg = run(initial, make_scheduler("drain-fair"), 2).config   # avaref + send
     (m,) = cfg.mailbox
@@ -539,9 +540,11 @@ def test_explore_steps_one_delivery_to_identical_servers(monkeypatch):
         return step_cloud(config, choice)
 
     monkeypatch.setattr(ctrd.runtime_cloud, "step_cloud", recorded)
-    summary = explore(initial, 3)
-    assert [c.kind for c in stepped] == [Kind.CLIENT_STEP, Kind.SEND, Kind.DELIVER_UPDATE]
-    assert stepped[-1] == choices[0] and summary.steps == 3
+    summary = explore(initial, 8)
+    assert [c.kind for c in stepped] == [Kind.CLIENT_STEP, Kind.SEND, *[Kind.DELIVER_UPDATE] * 5,
+                                         Kind.GC_UPDATE]
+    assert stepped[2] == choices[0] and [c.server for c in stepped[2:7]] == [0, 1, 2, 3, 4]
+    assert (summary.steps, summary.states, summary.truncated) == (8, 9, 0)
 
 
 # ---------------------------------------------------------------------------

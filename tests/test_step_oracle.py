@@ -9,7 +9,7 @@ from operator import or_
 from hypothesis import given, settings, strategies as st
 
 import step_oracle
-from conftest import CORPUS, RUNNABLE, checked_config, load, subterms
+from conftest import CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, load, subterms
 from ctrd.lattice import NatMax
 import ctrd.abstract_exec
 import ctrd.runtime_cloud
@@ -147,7 +147,7 @@ def test_common_log_matches_the_server_logs_on_every_run_step():
     # to the intersection of the server logs, and each rule that records a
     # log records it as it stood before the step, with the mask of the
     # events it lists
-    assert len(RUNNABLE) == 46
+    assert len(RUNNABLE) == RUNNABLE_COUNT
     for path in RUNNABLE:
         _, _, initial = checked_config(load(path))
         for seed in range(3):
@@ -194,6 +194,9 @@ def test_log_cells_match_the_tuple_logs_in_every_explored_state(monkeypatch):
 
     monkeypatch.setattr(ctrd.runtime_cloud, "step_cloud", checked_step)
     monkeypatch.setattr(ctrd.abstract_exec, "fold_entry", checked_fold)
+    # every state and step of the search, none stepped alone: 191 steps
+    # here, 105 with the selection
+    monkeypatch.setattr(ctrd.runtime_cloud, "_alone", lambda config, choices: None)
     explore(initial, 24)
     assert seen["steps"] > 100 and seen["snapshots"] > 50
 
@@ -203,9 +206,11 @@ def test_log_cells_match_the_tuple_logs_in_every_explored_state(monkeypatch):
 
 def test_enabled_equals_the_from_scratch_choices_at_every_configuration(monkeypatch):
     # every configuration of seeded runs and of explore on every runnable
-    # corpus program, and of mixed.ctrd explored on 3 servers: the choices
+    # corpus program, and of mixed.ctrd explored on 3 servers, with no
+    # choice stepped alone so that explore visits each: the choices
     # enabled builds from each client's kept list and the mailbox in event
     # order equal the oracle's, rebuilt and fully sorted, order included
+    monkeypatch.setattr(ctrd.runtime_cloud, "_alone", lambda config, choices: None)
     calls = {"configs": 0}
     kept = ctrd.runtime_cloud.enabled
 

@@ -312,7 +312,7 @@ def test_corpus_subterms_print_and_parse_as_the_oracles_do():
                     assert pretty(t, level) == syntax_oracle.pretty(t, level), (path, t)
                 _parsed_as_oracle(pretty(t))
                 count += 1
-    assert count == 652
+    assert count == 665
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trace_oracle
-from conftest import RUNNABLE, checked_config, gen, load, log_of
+from conftest import RUNNABLE, RUNNABLE_COUNT, checked_config, gen, load, log_of
 from ctrd.cli import trace_json
 from ctrd.lattice import GSet, NatMax
 from ctrd.runtime_cloud import TraceEntry, make_scheduler, run
@@ -37,7 +37,7 @@ SCHEDULERS = [("random", 0), ("random", 1), ("random", 2),
 
 
 def test_corpus_traces_are_written_as_the_oracle_writes_them():
-    assert len(RUNNABLE) == 46
+    assert len(RUNNABLE) == RUNNABLE_COUNT
     snapshots = 0
     for path in RUNNABLE:
         _, _, cfg = checked_config(load(path))

@@ -2,6 +2,8 @@
 
     PYTHONPATH=src python3 tools/curve.py sc --factors 1.3 --repeat 1
     PYTHONPATH=src python3 tools/curve.py explore --servers 2,3,5 --repeat 1
+    PYTHONPATH=src python3 tools/curve.py explore --program corpus/ava/nat_race.ctrd \
+        --servers 2,3 --max-depth 60 --repeat 1
     PYTHONPATH=src python3 tools/curve.py step --sizes 50,100 --repeat 1
     PYTHONPATH=src python3 tools/curve.py trace --factors 0.5,1 --repeat 1
     PYTHONPATH=src python3 tools/curve.py front --sizes 50,100 --repeat 1
@@ -111,10 +113,11 @@ def sc_curve(args) -> tuple[dict, list]:
 
 def explore_curve(args) -> tuple[dict, list]:
     """explore's visited states, steps taken and time against the number of
-    servers. Each point explores corpus/anomaly/mixed.ctrd with that many
-    servers to --max-depth; the longest trace of mixed.ctrd is 18 steps,
-    so the default of 24 cuts none."""
-    prog = checked((ROOT / MIXED).read_text(encoding="utf-8"))
+    servers. Each point explores --program, a path from the repository
+    root, with that many servers to --max-depth. The longest trace of the
+    default, corpus/anomaly/mixed.ctrd, is 18 steps, so the default depth
+    of 24 cuts none."""
+    prog = checked((ROOT / args.program).read_text(encoding="utf-8"))
     servers = numbers(args.servers, int)
     got = timed(servers, lambda n: {"explore": partial(
         explore, initial_config(*prog, n), args.max_depth)}, args.repeat)
@@ -124,7 +127,7 @@ def explore_curve(args) -> tuple[dict, list]:
         points.append({"servers": n, "states": s.states, "traces": s.traces,
                        "truncated": s.truncated, "steps": s.steps, "seconds": secs,
                        "states_per_s": s.states / secs})
-    return {"program": MIXED, "max_depth": args.max_depth}, points
+    return {"program": args.program, "max_depth": args.max_depth}, points
 
 
 def step_curve(args) -> tuple[dict, list]:
@@ -235,7 +238,8 @@ def names_curve(args) -> tuple[dict, list]:
 # name -> (curve, its flags and their defaults; a flag's type is its default's)
 CURVES = {
     "sc": (sc_curve, {"--factors": "1.3,2.6,5.3,10.6,13.5", "--seed": 7, "--repeat": 3}),
-    "explore": (explore_curve, {"--servers": "2,3,4,5,6", "--max-depth": 24, "--repeat": 3}),
+    "explore": (explore_curve, {"--program": MIXED, "--servers": "2,3,4,5,6",
+                                "--max-depth": 24, "--repeat": 3}),
     "step": (step_curve, {"--sizes": "50,200,500,1000,2000", "--repeat": 15}),
     "trace": (trace_curve, {"--factors": "1,2,4", "--repeat": 15}),
     "front": (front_curve, {"--sizes": "500,1000,2000,5000", "--repeat": 7}),

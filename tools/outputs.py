@@ -11,7 +11,9 @@ Calls `ctrd.cli.main` in this process, on every program under `corpus/`:
   `--check sc,sc-con,ec`, `--trace` and `--exec`;
 - on each program outside `corpus/reject`, a bare `run --seed 1 --trace`,
   which folds no history;
-- `explore --check sc,sc-con,ec,wf`;
+- `explore --check sc,sc-con,ec,wf`, which checks every state;
+- on each program outside `corpus/reject`, `explore --check sc,sc-con,ec`,
+  the search that steps a choice alone where it can;
 - `nif` on each pair `corpus/nif/X_a.ctrd`, `corpus/nif/X_b.ctrd`.
 
 Each call writes `<group>/<program>/<call>.txt` (or `nif-pairs/X.txt`):
@@ -73,6 +75,8 @@ def main(argv: list[str]) -> int:
                 stem = str(here / "run-bare")
                 call(stem, ["run", str(path), "--seed", "1", "--trace", stem + ".trace.json"])
             call(str(here / "explore"), ["explore", str(path), "--check", CHECKS + ",wf"])
+            if path.parent.name != "reject":
+                call(str(here / "explore-nowf"), ["explore", str(path), "--check", CHECKS])
         Path("nif-pairs").mkdir()
         for a in (p for p in programs if p.parent.name == "nif" and p.stem.endswith("_a")):
             b = a.with_name(a.stem[:-2] + "_b.ctrd")
