@@ -343,7 +343,7 @@ def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceE
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     client = cfg.own_client(ch.client)
     bound = len(client.idmap)
-    fired = step_local(client)
+    fired = None if _global(client.redex.term) else step_local(client)
     if fired is None:
         return _cloud_redex(cfg, client)
     # new identifier bindings are fresh allocations; record their typing
@@ -354,10 +354,10 @@ def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
 
 
 def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
-    """A redex that needs the servers or the global map, on the client the
-    caller owns; step_local has checked its cell operand, if it has one.
-    The synchronized rules record the common log as it stood before they
-    write."""
+    """A redex that needs the servers or the global map (_global), on the
+    client the caller owns; _global has matched its cell operand to a
+    location, if it has one. The synchronized rules record the common log
+    as it stood before they write."""
     cid = client.cid
     r, eff = client.redex.term, client.redex.effect
 
@@ -499,11 +499,13 @@ _HANDLERS = {
 
 def _global(t: Term) -> bool:
     """Whether a CLIENT_STEP at redex t fires a rule of _cloud_redex, which
-    reads or writes every server and the global map."""
+    reads or writes every server and the global map; the one test of it
+    for stepping, footprint and _alone."""
     match t:
-        case (Ref(label=Label.CON | Label.OAC) | FlexWrite(label=Label.CON)
-              | FlexRead(label=Label.CON) | Assign(target=Lit(value=Plain(label=Label.CON)))
-              | Clone()):
+        case (Ref(label=Label.CON | Label.OAC) | Clone()
+              | Assign(target=Lit(value=Plain(raw=Location(), label=Label.CON)))
+              | FlexWrite(label=Label.CON, target=Lit(value=Plain(raw=Location())))
+              | FlexRead(label=Label.CON, term=Lit(value=Plain(raw=Location())))):
             return True
     return False
 
@@ -717,31 +719,20 @@ def explore(config: CloudConfig, max_depth: int,
     arrive at another member of the class. Alone, they prune steps, never
     states.
 
-    A state with a choice that no other choice can touch, from it or from
-    any state the others reach, steps it alone: a persistent set of one
-    (Valmari 1990; Godefroid 1996, ch. 4). _alone picks a GC_UPDATE, else
-    the first choice of a client c with no Req in the mailbox: a local
-    CLIENT_STEP or an AWAIT_RESOLVE while c's buffer is empty, or a SEND
-    once c has run to a value. A GC_UPDATE touches its message alone;
-    every log holds the update, so no delivery of it is left, and no other
-    choice names it. Besides c's own choices only a PROCESS_REQ of c's Req
-    touches ("c", c), and a Req reaches the mailbox only by c's SEND; c's
-    one other choice is SEND while its buffer holds a message, and once c
-    is a value SEND is all it has. Whether a client step is local is read
-    from its redex (_global). The one choice stays enabled and independent
-    of every step the others take, so each terminal state stays reachable
-    through it; a revisit steps it if it was asleep.
-
-    That search keeps every terminal class, so the traces and verdicts,
-    but visits fewer of the states between and of those a depth bound
-    cuts. It is off with check_wf_each, as check_wf judges every state.
-    Otherwise explore runs it first, holding its on_trace calls back; if a
-    trace reaches max_depth, the budget stops it or a step faults, the
-    calls are dropped and the plain search runs and reports. A reduced
-    search that cuts no trace shows the plain one cuts none: each maximal
-    trace ends in a terminal state, reached at one depth, that the reduced
-    search reaches. As it visits no state the plain one does not, its
-    budget stop is one of the plain search too.
+    A choice that nothing else can touch, from its state or from any state
+    the others reach, is stepped alone (_alone; a persistent set of one,
+    Valmari 1990). A GC_UPDATE is one: every log holds its update, so no
+    delivery of it is left and no other choice names its message. So is
+    a client c's local CLIENT_STEP or AWAIT_RESOLVE while c's buffer is
+    empty, or its SEND once c is a value, while no Req of c is in the
+    mailbox: only c's choices and a PROCESS_REQ of its Req touch c, and a
+    Req gets there only by c's SEND. That search keeps every terminal
+    class, not the states between or those a depth bound cuts. It is off
+    with check_wf_each, as check_wf judges every state; otherwise it runs
+    first with its on_trace calls held back, and if a trace reaches
+    max_depth or a step faults, the plain search runs and reports. Its
+    budget stop is raised as it is: the plain search visits every state
+    it does, so stops too unless a step faults first.
 
     The summary counts what was visited and the steps taken. An internal
     step passes its parent's execution on unchanged. on_trace(exec_,
@@ -753,20 +744,14 @@ def explore(config: CloudConfig, max_depth: int,
     """
     if not check_wf_each:
         held: list = []
-
-        def hold(exec_, final, truncated):
-            if truncated:
-                raise _Cut
-            held.append((exec_, final))
-
         try:
+            hold = on_trace and (lambda *call: held.append(call))
             summary = _search(config, max_depth, hold, False, True)
-        except (_Cut, StateSpaceLimit, CtrdRuntimeError, RecursionError):
+        except (_Cut, CtrdRuntimeError, RecursionError):
             pass
         else:
-            if on_trace is not None:
-                for exec_, final in held:
-                    on_trace(exec_, final, False)
+            for call in held:
+                on_trace(*call)
             return summary
     return _search(config, max_depth, on_trace, check_wf_each, False)
 
@@ -778,7 +763,7 @@ class _Cut(Exception):
 def _search(config: CloudConfig, max_depth: int, on_trace: Optional[Callable],
             check_wf_each: bool, select: bool) -> ExploreSummary:
     """explore's depth-first search; with select, a state for which _alone
-    names a choice steps that choice alone."""
+    names a choice steps that choice alone, and a cut trace raises _Cut."""
     from .abstract_exec import AbstractExecution, fold_entry
 
     max_states = max_states_from_env()
@@ -819,6 +804,8 @@ def _search(config: CloudConfig, max_depth: int, on_trace: Optional[Callable],
             if not choices or depth >= max_depth:
                 seen[key] = _NO_SLEEP
                 truncated = bool(choices)
+                if truncated and select:
+                    raise _Cut
                 summary.traces += 1
                 summary.truncated += truncated
                 if on_trace is not None:
@@ -861,8 +848,7 @@ _SERVED = frozenset({Kind.CON_READ, Kind.AVA_REMOTE_READ, Kind.DELIVER_UPDATE, K
 
 def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
     """The choice of choices, those enabled in config, that explore steps
-    alone, or None: no other choice can touch it from config or from any
-    state the others reach."""
+    alone, or None; a client step is local unless _global."""
     if choices[-1].kind == Kind.GC_UPDATE:
         return choices[-1]
     asking = {m.event.client for m in config.mailbox if m.__class__ is Req}

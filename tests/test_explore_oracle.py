@@ -2,8 +2,8 @@
 the same set of terminal outcomes from fewer states, and interned keys
 that are equal exactly where structural keys of the orbit are; and explore
 against itself with each reduction turned off, which it must match but in
-steps, and, where no trace is cut, in states and the order of its
-on_trace calls."""
+steps; stepping one choice alone may also change, where no trace is cut,
+the states and the order of the on_trace calls."""
 
 from __future__ import annotations
 
@@ -108,35 +108,38 @@ EXACT_CASES = ([(p, None, 12) for p in RUNNABLE]
                + [(NAT_RACE, 2, 40), (TWO_CELLS, 2, 40)])
 
 
-def _traced(cfg, depth: int, table: dict):
+def _traced(cfg, depth: int, table: dict, wf: bool):
     """explore's summary, None if the state budget stopped it, and its
     on_trace calls as (configuration key, execution int, truncated) from
-    the given table."""
+    the given table; with wf, checking wf at every state."""
     calls = []
 
     def on_trace(exec_, final, truncated):
         calls.append((final.key(table), exec_.key_id(table), truncated))
 
     try:
-        summary = explore(cfg, depth, on_trace=on_trace)
+        summary = explore(cfg, depth, on_trace=on_trace, check_wf_each=wf)
     except StateSpaceLimit:
         summary = None
     return summary, calls
 
 
-def _each_reduction_off(cfg, depth: int, monkeypatch) -> dict:
-    """_traced with every reduction, then with each one turned off: no
-    choice stepped alone, every choice stepped on every server, and every
-    pair of choices dependent (no sleep set keeps a choice)."""
+def _each_reduction_off(cfg, depth: int, monkeypatch, wf: bool = False) -> dict:
+    """_traced with every reduction, then with no choice stepped alone, and
+    with that and each other reduction turned off: every choice stepped on
+    every server, and every pair of choices dependent (no sleep set keeps
+    a choice)."""
     table: dict = {}
-    out = {"reduced": _traced(cfg, depth, table)}
-    for name, part, off in [
-            ("no selection", "_alone", lambda config, choices: None),
-            ("every server", "_one_per_server_class", lambda choices, servers: choices),
-            ("no sleep sets", "footprint", lambda config, ch: frozenset({"all"}))]:
-        with monkeypatch.context() as m:
-            m.setattr(runtime_cloud, part, off)
-            out[name] = _traced(cfg, depth, table)
+    out = {"reduced": _traced(cfg, depth, table, wf)}
+    with monkeypatch.context() as m:
+        m.setattr(runtime_cloud, "_alone", lambda config, choices: None)
+        out["no selection"] = _traced(cfg, depth, table, wf)
+        for name, part, off in [
+                ("every server", "_one_per_server_class", lambda choices, servers: choices),
+                ("no sleep sets", "footprint", lambda config, ch: frozenset({"all"}))]:
+            with monkeypatch.context() as each:
+                each.setattr(runtime_cloud, part, off)
+                out[name] = _traced(cfg, depth, table, wf)
     return out
 
 
@@ -151,35 +154,36 @@ def test_stepping_one_server_per_class_changes_nothing_but_the_steps(
     # the search without it reports
     _, _, cfg = checked_config(load(path), servers)
     runs = _each_reduction_off(cfg, depth, monkeypatch)
-    reduced, reduced_calls = runs["reduced"]
-    plain = runs["no selection"][0]
-    complete = reduced.truncated == 0
+    reduced, reduced_calls = runs.pop("reduced")
+    plain, plain_calls = runs["no selection"]
     for name, (summary, calls) in runs.items():
-        if complete:
-            assert sorted(calls) == sorted(reduced_calls), name
-            assert replace(summary, steps=0, states=0) == replace(reduced, steps=0, states=0)
-            assert summary.states <= plain.states, name
-        else:
-            assert calls == reduced_calls, name
-            assert replace(summary, steps=0) == replace(reduced, steps=0), name
+        assert calls == plain_calls, name
+        assert replace(summary, steps=0) == replace(plain, steps=0), name
+    if reduced.truncated:
+        assert reduced == plain and reduced_calls == plain_calls
+    else:
+        assert sorted(reduced_calls) == sorted(plain_calls)
+        assert replace(reduced, steps=0, states=0) == replace(plain, steps=0, states=0)
+        assert reduced.states <= plain.states
     if depth >= 24:     # mixed.ctrd, nat_race and two_cells, to quiescence
-        assert complete and reduced.states < plain.states
+        assert not reduced.truncated and reduced.states < plain.states
     if path == MIXED and len(cfg.servers) >= 3:
-        assert reduced.steps < runs["every server"][0].steps
+        assert plain.steps < runs["every server"][0].steps
     if path == MIXED:
-        assert reduced.steps < runs["no sleep sets"][0].steps
+        assert plain.steps < runs["no sleep sets"][0].steps
 
 
 def test_the_state_budget_stops_both_at_the_same_trace(monkeypatch):
-    # the search that steps one choice alone stops too, and explore reports
-    # the stop of the search without it
+    # every search stops, and explore, which holds its on_trace calls back
+    # until it completes, makes none; checking wf, it makes them as it goes
+    # (no choice stepped alone), at the same traces with each reduction off
     _, _, cfg = checked_config(load(MIXED), 6)
     monkeypatch.setenv("CTRD_MAX_STATES", "100")
     runs = _each_reduction_off(cfg, 24, monkeypatch)
-    reduced, reduced_calls = runs["reduced"]
-    assert reduced_calls != []
-    for name, (summary, calls) in runs.items():
-        assert summary is None and calls == reduced_calls, name
+    assert runs == dict.fromkeys(runs, (None, []))
+    runs = _each_reduction_off(cfg, 24, monkeypatch, wf=True)
+    calls = runs["reduced"][1]
+    assert calls != [] and runs == dict.fromkeys(runs, (None, calls))
 
 
 def test_the_state_budget_counts_the_states_of_the_search_that_reports(monkeypatch):
