@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Set
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .lattice import GSet, NatMax
+from .record import Frozen, fields
 from .runtime_local import _flags, Action, EventId, Interned, Log, bit_event, event_bit
 from .syntax import (
     AVA, BoolVal, CON, Closure, Duplicated, Label, Lit, Location, Plain,
@@ -50,8 +51,7 @@ class ProgramsNotLowEquivalent(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(Frozen):
     kind: str                      # "rd" | "wr" | "ref"
     label: Label                   # semantic consistency level of the op
     location: Location
@@ -579,8 +579,7 @@ def check_low_equivalence(ta, tb) -> None:
         if shape_a != shape_b:
             diff = f"structure differs: {_form(ta)} vs {_form(tb)}"
             if ta.__class__ is tb.__class__:        # name the first field that differs
-                name = next(f.name for f in fields(ta)
-                            if getattr(shape_a, f.name) != getattr(shape_b, f.name))
+                name = next(n for n in fields(ta) if getattr(shape_a, n) != getattr(shape_b, n))
                 show = (lambda fs: ", ".join(n for n, _ in fs)) if name == "fields" else str
                 diff += f": {name} {show(getattr(ta, name))} vs {show(getattr(tb, name))}"
             raise ProgramsNotLowEquivalent(diff)

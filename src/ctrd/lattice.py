@@ -7,24 +7,23 @@ out incomparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
+
+from .record import Frozen
 
 
 class DomainMismatch(Exception):
     """An operation mixed values from different lattice domains."""
 
 
-@dataclass(frozen=True)
-class NatMax:
+class NatMax(Frozen):
     n: int
 
     def __str__(self) -> str:
         return f"nat {self.n}"
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(Frozen):
     elems: frozenset[str]
 
     def __str__(self) -> str:

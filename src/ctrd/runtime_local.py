@@ -14,6 +14,7 @@ from itertools import compress, count, starmap
 from typing import NamedTuple, Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
+from .record import Frozen
 from .syntax import (
     App, Assign, AVA, Await, BoolVal, Clone, Closure, CON, Deref, Duplicated,
     FlexRead, FlexWrite, Identifier, If, Label, LatOp, Let, Lit, Location,
@@ -124,7 +125,7 @@ Source = tuple
 class Action:
     """One step's observable effect: the running effect label plus an
     optional rd/wr/ref operation record. Never hashed or keyed, so not
-    frozen: a frozen dataclass pays a call per field to build."""
+    frozen: a frozen record (ctrd.record) pays a call per field to build."""
 
     effect: Label
     kind: str = "eps"                      # "rd" | "wr" | "ref" | "eps"
@@ -142,8 +143,7 @@ def eps(effect: Label) -> Action:
     return Action(effect)
 
 
-@dataclass(frozen=True, order=True)
-class Update:
+class Update(Frozen, order=True):
     """Buffered asynchronous write, carried until it is in every server's
     log. The server logs are the only record of where it has landed, so a
     message never changes between entering and leaving the mailbox. No two
@@ -157,8 +157,7 @@ class Update:
     effect: Label
 
 
-@dataclass(frozen=True, order=True)
-class Req:
+class Req(Frozen, order=True):
     """Request for a fresher state of an identified location; ordered by its
     event, the requester's, like an Update."""
 
@@ -172,7 +171,7 @@ Message = Union[Update, Req]
 
 def message_id(m: Message, table: dict) -> int:
     """The int the intern table gives m. Kept in m's __dict__, outside its
-    dataclass fields, until another table is asked; building a message
+    record fields, until another table is asked; building a message
     costs nothing for it, and a message does not change in flight, so it
     is hashed once per table however often it is delivered."""
     held = m.__dict__.get("_message_id")
@@ -350,7 +349,7 @@ def free_names(t: Term) -> frozenset[str]:
     free names of its bound term and those of its body less its own name;
     every other form gives the union of its children's. Terms are
     immutable, so the set is computed once per node and kept in the node's
-    __dict__ (outside its dataclass fields, so equality, hashing and repr
+    __dict__ (outside its record fields, so equality, hashing and repr
     do not see it). A let spine is walked in a loop, down to its first
     node with a kept set, and its sets are kept on the way back up.
     """

@@ -22,17 +22,13 @@ and spelling, for the printer and the parser.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional, Union
 
 from .lattice import GSet, LatticeValue, NatMax
+from .record import Frozen, fields, replace
 
 Pos = tuple[int, int]
-
-
-def _pos():
-    return field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +98,31 @@ class Location(NamedTuple):
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(Frozen):
     label: Label
 
 
-@dataclass(frozen=True)
-class UnitType:
+class UnitType(Frozen):
     label: Label
 
 
-@dataclass(frozen=True)
-class LatType:
+class LatType(Frozen):
     label: Label
 
 
-@dataclass(frozen=True)
-class RefType:
+class RefType(Frozen):
     label: Label
     content: "Type"
 
 
-@dataclass(frozen=True)
-class ArrowType:
+class ArrowType(Frozen):
     arg: "Type"
     latent: Label        # upper bound on the effect while the body runs
     result: "Type"
     label: Label
 
 
-@dataclass(frozen=True)
-class RecordType:
+class RecordType(Frozen):
     fields: tuple[tuple[str, "Type"], ...]   # sorted by field name
     label: Label
 
@@ -233,43 +223,37 @@ def ref_free(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 # Raw and labeled values
 
-@dataclass(frozen=True)
-class BoolVal:
+class BoolVal(Frozen):
     value: bool
 
 
-@dataclass(frozen=True)
-class UnitVal:
+class UnitVal(Frozen):
     pass
 
 
 UNIT = UnitVal()
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(Frozen):
     latent: Label
     param: str
     param_type: Type
     body: "Term"
 
 
-@dataclass(frozen=True)
-class RecordVal:
+class RecordVal(Frozen):
     fields: tuple[tuple[str, "LabeledValue"], ...]   # sorted by field name
 
 
 RawValue = Union[LatticeValue, BoolVal, UnitVal, Closure, Location, RecordVal]
 
 
-@dataclass(frozen=True)
-class Plain:
+class Plain(Frozen):
     raw: RawValue
     label: Label
 
 
-@dataclass(frozen=True)
-class Duplicated:
+class Duplicated(Frozen):
     """Marker produced when a reference is created under a taken identifier.
 
     Opaque: printable and comparable, but it cannot be dereferenced or
@@ -292,20 +276,17 @@ def raise_label(v: LabeledValue, lab: Label) -> LabeledValue:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
+class Var(Frozen):
     name: str
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Frozen):
     value: LabeledValue
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Restrict:
+class Restrict(Frozen):
     """t[l]: raises the effect while t runs and joins l onto the result.
 
     Also serves as the runtime effect frame introduced by taken branches
@@ -314,112 +295,98 @@ class Restrict:
 
     term: "Term"
     label: Label
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class LatOp:
+class LatOp(Frozen):
     op: str                    # "join" | "meet"
     left: "Term"
     right: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class OrdOp:
+class OrdOp(Frozen):
     op: str                    # "le" | "lt"
     left: "Term"
     right: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class App:
+class App(Frozen):
     fn: "Term"
     arg: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class If:
+class If(Frozen):
     cond: "Term"
     then: "Term"
     els: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Frozen):
     label: Label
     init: "Term"
     ident: Identifier
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Await:
+class Await(Frozen):
     ident: Identifier
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Deref:
+class Deref(Frozen):
     term: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Frozen):
     target: "Term"
     value: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class FlexRead:
+class FlexRead(Frozen):
     label: Label               # con or ava only
     term: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class FlexWrite:
+class FlexWrite(Frozen):
     label: Label               # con or ava only
     target: "Term"
     value: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Frozen):
     fields: tuple[tuple[str, "Term"], ...]   # source order
     label: Label
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Proj:
+class Proj(Frozen):
     term: "Term"
     name: str
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Clone:
+class Clone(Frozen):
     label: Label
     term: "Term"
     ident: Identifier
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(Frozen):
     """Binding sugar; runs the body under the ambient effect."""
 
     name: str
     bound: "Term"
     body: "Term"
-    pos: Optional[Pos] = _pos()
+    pos: Optional[Pos] = None
 
 
 Term = Union[
@@ -428,8 +395,7 @@ Term = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     servers: int
     clients: tuple[tuple[int, Term], ...]
 
@@ -471,8 +437,7 @@ def _getter(names: tuple[str, ...]) -> Callable[[Term], tuple]:
 
 def _maker(cls: type, names: tuple[str, ...]) -> Callable[[Term, tuple], Term]:
     # constructor arguments in field order: a child index or an attribute name
-    plan = tuple(names.index(f.name) if f.name in names else f.name
-                 for f in dataclass_fields(cls))
+    plan = tuple(names.index(f) if f in names else f for f in fields(cls))
     return lambda t, kids: cls(*[kids[p] if p.__class__ is int else getattr(t, p)
                                   for p in plan])
 

@@ -6,14 +6,13 @@ by a strict pass."""
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
 from conftest import CORPUS, CORPUS_COUNT, gen, load
 from ctrd.parser import ParseError, parse_program, parse_term, tokenize
+from ctrd.record import Frozen, fields
 from ctrd.syntax import CON, LOC, LatType, Let
 from ctrd.typecheck import CheckError, TypeEnv, check_program, typecheck
 
@@ -40,10 +39,10 @@ def _shape(x) -> list:
     out = []
 
     def walk(v):
-        if is_dataclass(v):
+        if isinstance(v, Frozen):
             out.append((type(v).__name__, getattr(v, "pos", None)))
-            for f in fields(v):
-                walk(getattr(v, f.name))
+            for name in fields(v):
+                walk(getattr(v, name))
         elif isinstance(v, (tuple, list)):
             for item in v:
                 walk(item)

@@ -3,7 +3,6 @@ schedulers, quiescence, and well-formedness."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
@@ -15,6 +14,7 @@ from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load
 from ctrd.abstract_exec import check_ec, record
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_term
+from ctrd.record import replace
 from ctrd.runtime_cloud import (
     Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _remote_read, check_wf,
     enabled, explore, make_scheduler, quiescent, run, step_cloud,

@@ -107,7 +107,7 @@ def test_free_names_is_cached_on_the_node():
     first = free_names(t)
     assert first == {"y", "z"}
     assert free_names(t) is first
-    # the cache is outside the dataclass fields: equality, hash and repr
+    # the cache is outside the record fields: equality, hash and repr
     # are those of an uncached copy
     fresh = Let("x", Var("y"), LatOp("join", Var("x"), Var("z")))
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)

@@ -4,8 +4,6 @@ the parser against the oracles in syntax_oracle.py and parse_oracle.py."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +12,7 @@ import syntax_oracle
 from conftest import CORPUS, load, subterms
 from ctrd.lattice import GSet, NatMax
 from ctrd.parser import ParseError, parse_program, parse_term, parse_type
+from ctrd.record import Frozen, fields
 from ctrd.syntax import (
     App, ArrowType, Assign, Await, AVA, BoolType, BoolVal, Clone, Closure,
     CON, Deref, Duplicated, FlexRead, FlexWrite, Identifier, If, LABELS,
@@ -112,9 +111,9 @@ def _oracle_locations(obj) -> set[Location]:
     def walk(x):
         if isinstance(x, Location):
             out.add(x)
-        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-            for f in dataclasses.fields(x):
-                walk(getattr(x, f.name))
+        elif isinstance(x, Frozen):
+            for name in fields(x):
+                walk(getattr(x, name))
         elif isinstance(x, (tuple, list, frozenset)):
             for item in x:
                 walk(item)

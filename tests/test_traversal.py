@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -14,6 +13,7 @@ import syntax_oracle
 from conftest import CORPUS, load, subterms
 from ctrd.lattice import NatMax
 from ctrd.parser import ParseError, parse_program, parse_term, parse_type
+from ctrd.record import fields
 from ctrd.runtime_local import free_names, subst
 from ctrd.syntax import (
     App, Closure, CON, Deref, Duplicated, Identifier, LABELS, LOC, Let, Lit,
@@ -38,7 +38,7 @@ def _corpus_terms():
 def test_every_term_form_has_a_table_entry():
     assert set(typing.get_args(Term)) == set(TERM_FIELDS)
     for cls, (names, strict) in TERM_FIELDS.items():
-        assert set(names) <= {f.name for f in dataclasses.fields(cls)}, cls
+        assert set(names) <= set(fields(cls)), cls
         assert strict is None or strict <= len(names), cls
     # the printer lays out every form but the two it prints itself, with
     # one level per child
@@ -57,9 +57,9 @@ def test_rebuild_of_children_is_identity_on_the_corpus():
             assert map_children(t, lambda s: s) is t, (name, t)
             # no term-valued field is missing from the table
             held = []
-            for f in dataclasses.fields(t):
-                x = getattr(t, f.name)
-                held += [s for _, s in x] if f.name == "fields" else [x]
+            for name in fields(t):
+                x = getattr(t, name)
+                held += [s for _, s in x] if name == "fields" else [x]
             nested = [x for x in held if isinstance(x, TERM_FORMS)]
             assert nested == list(children(t)), (name, t)
     assert seen == set(TERM_FORMS)

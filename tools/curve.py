@@ -8,9 +8,10 @@
     PYTHONPATH=src python3 tools/curve.py trace --factors 0.5,1 --repeat 1
     PYTHONPATH=src python3 tools/curve.py front --sizes 50,100 --repeat 1
     PYTHONPATH=src python3 tools/curve.py names --counts 1,8 --repeat 1
+    PYTHONPATH=src python3 tools/curve.py import --repeat 1
 
-Every curve is measured the same way. The inputs of every point (a program
-from `bench/gen.py`, used read-only, from `names_program` here, or from the
+Every curve but `import` (see import_curve) is measured the same way. The
+inputs of every point (a program from `bench/gen.py`, used read-only, from `names_program` here, or from the
 corpus; parsed,
 typechecked and, for `sc` and `trace`, run) are built once and not timed. Each timed call gets a fresh state built
 outside the span, then a `gc.collect()`, then one `time.perf_counter` span
@@ -23,13 +24,20 @@ Python version, the curve's settings, --repeat and the points.
 from __future__ import annotations
 
 import argparse
+import builtins
+import dataclasses
 import gc
+import importlib
 import json
 import statistics
 import sys
+import tempfile
 import time
+from contextlib import ExitStack
 from functools import partial
+from importlib.machinery import SourceFileLoader
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -235,6 +243,54 @@ def names_curve(args) -> tuple[dict, list]:
             "drop": points[0]["steps_per_s"] / points[-1]["steps_per_s"]}, points
 
 
+def import_curve(args) -> tuple[dict, list]:
+    """The cost of a fresh import of ctrd.cli, as every CLI process pays it
+    and as bench/run.py's set-up times it: each round drops the ctrd
+    modules from sys.modules and imports ctrd.cli again, compiling every
+    source, since no bytecode cache is read (sys.pycache_prefix names an
+    empty directory) or written. Each round times the whole import and
+    the parts of it spent compiling sources and building classes (class
+    statements, which run the __init_subclass__ that builds a
+    ctrd.record class, and dataclass decorators); each part reports the
+    median and quartiles of its --repeat rounds, in ms, and its calls per
+    round (sources compiled; class statements and decorators)."""
+    spent = {"import": [], "compile": [], "classes": []}
+    count = dict.fromkeys(spent, 0)
+
+    def timing(part, fn):
+        def call(*a, **kw):
+            t0 = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                spent[part][-1] += time.perf_counter() - t0
+                count[part] += 1
+        return call
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sys, "dont_write_bytecode", True))
+        stack.enter_context(mock.patch.object(
+            sys, "pycache_prefix", stack.enter_context(tempfile.TemporaryDirectory())))
+        for owner, name, part in ((SourceFileLoader, "source_to_code", "compile"),
+                                  (builtins, "__build_class__", "classes"),
+                                  (dataclasses, "_process_class", "classes")):
+            stack.enter_context(mock.patch.object(owner, name, timing(part, getattr(owner, name))))
+        for _ in range(args.repeat):
+            for name in [m for m in sys.modules if m == "ctrd" or m.startswith("ctrd.")]:
+                del sys.modules[name]
+            for times in spent.values():
+                times.append(0.0)
+            gc.collect()
+            timing("import", importlib.import_module)("ctrd.cli")
+    points = []
+    for part, times in spent.items():
+        q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                          if len(times) > 1 else times * 3)
+        points.append({"part": part, "calls": count[part] // args.repeat,
+                       "median_ms": 1e3 * median, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3})
+    return {"module": "ctrd.cli"}, points
+
+
 # name -> (curve, its flags and their defaults; a flag's type is its default's)
 CURVES = {
     "sc": (sc_curve, {"--factors": "1.3,2.6,5.3,10.6,13.5", "--seed": 7, "--repeat": 3}),
@@ -244,6 +300,7 @@ CURVES = {
     "trace": (trace_curve, {"--factors": "1,2,4", "--repeat": 15}),
     "front": (front_curve, {"--sizes": "500,1000,2000,5000", "--repeat": 7}),
     "names": (names_curve, {"--counts": "1,4,16,64", "--repeat": 15}),
+    "import": (import_curve, {"--repeat": 25}),
 }
 
 
