@@ -384,6 +384,8 @@ def cmd_nif(args) -> int:
         verdict = check_noninterference(prog_a, prog_b, args.max_depth, args.servers)
     except ProgramsNotLowEquivalent as e:
         return _die(5, f"ProgramsNotLowEquivalent: {e}")
+    except StateSpaceLimit as e:
+        return _die(4, f"{args.file_a}, {args.file_b}: {e}")
     except CtrdRuntimeError as e:
         return _die(4, f"{args.file_a}, {args.file_b}: runtime fault: {e}")
     report = {

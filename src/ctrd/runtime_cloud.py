@@ -5,7 +5,7 @@ of replica servers, and a global identifier map. Consistent operations touch
 every server in one atomic step (consensus is abstracted to that step);
 available operations go through buffered update messages delivered one
 server at a time. Only rules that touch the servers or the global map fire
-here; a client step first tries step_local, where all others fire.
+here; _route says where each redex steps, and sends the rest to step_local.
 """
 
 from __future__ import annotations
@@ -208,10 +208,16 @@ class Choice(NamedTuple):
     server: int = 0
 
 
-def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
-    """(label, location, rule) if a server must answer the client's redex: a
-    con dereference, or an ava read of a cell the client holds no replica of."""
-    match client.redex.term if client.redex is not None else None:
+def _route(client: ClientState):
+    """Where the unfinished client's redex steps, the one statement of it:
+    _await_resolve for an await on an identifier the client has not bound;
+    (label, location, rule) for a read a server answers, a con dereference
+    or an ava read of a cell the client holds no replica of; _cloud_redex,
+    given a location operand, for a rule that reads or writes every server
+    and the global map; else step_local."""
+    match client.redex.term:
+        case Await(ident=ident) if ident not in client.idmap:
+            return _await_resolve
         case Deref(term=Lit(value=Plain(raw=Location() as o, label=lab))):
             if lab == CON:
                 return CON, o, "E-CONDEREF"
@@ -220,7 +226,12 @@ def _remote_read(client: ClientState) -> Optional[tuple[Label, Location, str]]:
         case FlexRead(term=Lit(value=Plain(raw=Location() as o, label=Label.OAC)),
                       label=Label.AVA) if o not in client.store:
             return AVA, o, "E-FLEXRD-AVA"
-    return None
+        case (Ref(label=Label.CON | Label.OAC) | Clone()
+              | Assign(target=Lit(value=Plain(raw=Location(), label=Label.CON)))
+              | FlexWrite(label=Label.CON, target=Lit(value=Plain(raw=Location())))
+              | FlexRead(label=Label.CON, term=Lit(value=Plain(raw=Location())))):
+            return _cloud_redex
+    return step_local
 
 
 # a client's choices name no message, so each is built once, on first use
@@ -239,18 +250,18 @@ def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
     cid, part = client.cid, None
     out = [_choice(Kind.SEND, cid)] if client.buffer else []
     if client.redex is not None:
-        t = client.redex.term
-        if t.__class__ is Await and t.ident not in client.idmap:
+        route = _route(client)
+        if route is _await_resolve:
             part = config.global_ids
-            if t.ident in part:   # otherwise blocked until it is published
+            if client.redex.term.ident in part:   # otherwise blocked until it is published
                 out.append(_choice(Kind.AWAIT_RESOLVE, cid))
-        elif (read := _remote_read(client)) is None:
-            out.append(_choice(Kind.CLIENT_STEP, cid))
-        else:
+        elif route.__class__ is tuple:
             part = config.servers
-            kind = Kind.CON_READ if read[0] == CON else Kind.AVA_REMOTE_READ
+            kind = Kind.CON_READ if route[0] == CON else Kind.AVA_REMOTE_READ
             out.extend(_choice(kind, cid, server=i) for i, s in enumerate(part)
-                       if read[1] in s.store)
+                       if route[1] in s.store)
+        else:
+            out.append(_choice(Kind.CLIENT_STEP, cid))
     client._choices = (part, out)
     return out
 
@@ -342,22 +353,20 @@ def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceE
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
     client = cfg.own_client(ch.client)
-    bound = len(client.idmap)
-    fired = None if _global(client.redex.term) else step_local(client)
-    if fired is None:
+    if _route(client) is _cloud_redex:
         return _cloud_redex(cfg, client)
+    bound = len(client.idmap)
+    rule, action = step_local(client)
     # new identifier bindings are fresh allocations; record their typing
     for ident in list(client.idmap)[bound:]:
         cfg.type_location(client.idmap[ident], ident)
-    rule, action = fired
     return cfg, TraceEntry(0, rule, action, client=ch.client)
 
 
 def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, TraceEntry]:
-    """A redex that needs the servers or the global map (_global), on the
-    client the caller owns; _global has matched its cell operand to a
-    location, if it has one. The synchronized rules record the common log
-    as it stood before they write."""
+    """A redex that _route sends here, as it needs every server and the
+    global map, on the client the caller owns. The synchronized rules
+    record the common log as it stood before they write."""
     cid = client.cid
     r, eff = client.redex.term, client.redex.effect
 
@@ -436,7 +445,7 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
     client, server = cfg.own_client(cid), cfg.servers[r]
-    lab, o, rule = _remote_read(client)
+    lab, o, rule = _route(client)
     if lab == AVA:
         client.store[o] = server.store[o]
     result = raise_label(server.store[o], lab)
@@ -497,26 +506,13 @@ _HANDLERS = {
 }
 
 
-def _global(t: Term) -> bool:
-    """Whether a CLIENT_STEP at redex t fires a rule of _cloud_redex, which
-    reads or writes every server and the global map; the one test of it
-    for stepping, footprint and _alone."""
-    match t:
-        case (Ref(label=Label.CON | Label.OAC) | Clone()
-              | Assign(target=Lit(value=Plain(raw=Location(), label=Label.CON)))
-              | FlexWrite(label=Label.CON, target=Lit(value=Plain(raw=Location())))
-              | FlexRead(label=Label.CON, term=Lit(value=Plain(raw=Location())))):
-            return True
-    return False
-
-
 def footprint(config: CloudConfig, ch: Choice) -> frozenset:
     """What the enabled choice ch reads or writes in config: ("c", c) for
     client c, ("s", r) for server r, ("m", e) for the message of event e,
     and "ids" for the unpublished part of the global map (see explore).
     Two choices with disjoint footprints are independent."""
     kind, m = ch.kind, ch.message
-    if kind == Kind.CLIENT_STEP and _global(config.clients[ch.client].redex.term):
+    if kind == Kind.CLIENT_STEP and _route(config.clients[ch.client]) is _cloud_redex:
         servers = [("s", r) for r in range(len(config.servers))]
         return frozenset([("c", ch.client), "ids", *servers])
     if kind in (Kind.CON_READ, Kind.AVA_REMOTE_READ):
@@ -848,7 +844,7 @@ _SERVED = frozenset({Kind.CON_READ, Kind.AVA_REMOTE_READ, Kind.DELIVER_UPDATE, K
 
 def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
     """The choice of choices, those enabled in config, that explore steps
-    alone, or None; a client step is local unless _global."""
+    alone, or None; a client step is local unless _route names _cloud_redex."""
     if choices[-1].kind == Kind.GC_UPDATE:
         return choices[-1]
     asking = {m.event.client for m in config.mailbox if m.__class__ is Req}
@@ -859,7 +855,7 @@ def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
         client = config.clients[ch.client]
         if ch.client not in asking and (client.redex is None if kind == Kind.SEND else (
                 kind <= Kind.AWAIT_RESOLVE and not client.buffer
-                and not (kind == Kind.CLIENT_STEP and _global(client.redex.term)))):
+                and not (kind == Kind.CLIENT_STEP and _route(client) is _cloud_redex))):
             return ch
     return None
 

@@ -3,8 +3,8 @@
 A client is a residual term with its decomposition into evaluation context
 and redex, plus a local store, a FIFO message buffer, and a local identifier
 map. Every rule that touches only the client's own state, available writes
-and replica reads included, fires here, in place on the client; redexes
-needing the servers or the global identifier map are left to runtime_cloud.
+and replica reads included, fires here, in place on the client; which
+redexes those are is decided only by runtime_cloud._route.
 """
 
 from __future__ import annotations
@@ -487,15 +487,15 @@ def _buffered_write(c: ClientState, o: Location, v, eff: Label,
     return nu
 
 
-def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
-    """Fire the unique local rule at the client's redex, if one applies.
+def step_local(c: ClientState) -> tuple[str, Action]:
+    """Fire the unique local rule at the client's redex.
 
     The client must not be finished. The rule fires in place on the client,
     which the caller owns, and (rule, action) comes back; a root E-LET binds
-    (ClientState.bind), any other substitutes. A redex that needs the
-    servers or the global identifier map, an await on an identifier or an
-    ava read of a cell the client does not hold included, leaves the client
-    untouched and returns None.
+    (ClientState.bind), any other substitutes. Only the redexes that
+    runtime_cloud._route sends here step; any other, one that needs the
+    servers or the global identifier map, is Stuck and leaves the client
+    untouched.
     """
     r, eff = c.redex.term, c.redex.effect
 
@@ -559,11 +559,9 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
             nu = _buffered_write(c, o, v, eff, ident)
             return done(Lit(Plain(o, AVA)), Action(eff, "ref", AVA, nu, o, v), "E-AVAREF")
 
-        case Await(ident=ident):
-            if ident in c.idmap:
-                o = c.idmap[ident]
-                return done(Lit(Plain(o, ident.label)), eps(eff), "E-AWAIT1")
-            return None
+        case Await(ident=ident) if ident in c.idmap:
+            o = c.idmap[ident]
+            return done(Lit(Plain(o, ident.label)), eps(eff), "E-AWAIT1")
 
         case Deref(term=Lit(value=v)):
             o, lab = cell_operand(v, "dereference of a duplicated marker",
@@ -572,9 +570,7 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                 if o not in c.store:
                     raise CtrdRuntimeError("DanglingLocation", f"{o} not in the local store")
                 return done(Lit(c.store[o]), eps(eff), "E-LOCALDEREF")
-            if lab == AVA:
-                if o not in c.store:
-                    return None   # a server installs the replica
+            if lab == AVA and o in c.store:
                 result = raise_label(c.store[o], AVA)
                 ident = c.getkey(o)
                 if ident is None:
@@ -586,7 +582,6 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                 return done(Lit(result), act, "E-AVADEREF1")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "dereference of an oac location")
-            return None   # con: served by some replica
 
         case Assign(target=Lit(value=vt), value=Lit(value=vv)):
             o, lab = cell_operand(vt, "assignment through a duplicated marker",
@@ -602,31 +597,25 @@ def step_local(c: ClientState) -> Optional[tuple[str, Action]]:
                             "E-AVAASSIGN")
             if lab == OAC:
                 raise CtrdRuntimeError("Stuck", "assignment to an oac location")
-            return None   # con: atomic all-server write
 
         case FlexWrite(label=lab, target=Lit(value=vt), value=Lit(value=v)):
             o, _ = cell_operand(vt, "flexwrite through a duplicated marker",
                                 "flexwrite to a non-location")
-            if lab != AVA:
-                return None   # con: joined into every replica at once
-            nu = _buffered_write(c, o, v, eff, c.getkey(o))
-            # the rule spells the action label con; semantically this is
-            # the buffered (available) write
-            act = Action(eff, "wr", AVA, nu, o, v, literal_label=CON)
-            return done(Lit(Plain(UNIT, AVA)), act, "E-FLEXWRT-AVA")
+            if lab == AVA:
+                nu = _buffered_write(c, o, v, eff, c.getkey(o))
+                # the rule spells the action label con; semantically this is
+                # the buffered (available) write
+                act = Action(eff, "wr", AVA, nu, o, v, literal_label=CON)
+                return done(Lit(Plain(UNIT, AVA)), act, "E-FLEXWRT-AVA")
 
         case FlexRead(label=lab, term=Lit(value=v)):
             o, _ = cell_operand(v, "flexread through a duplicated marker",
                                 "flexread of a non-location")
-            if lab != AVA or o not in c.store:
-                return None   # con, or a replica a server must install
-            result = raise_label(c.store[o], AVA)
-            act = Action(eff, "rd", AVA, c.fresh_event(), o, result,
-                         source=("local", c.cid), snapshot=NO_EVENTS)
-            return done(Lit(result), act, "E-FLEXRD-AVA")
-
-        case Clone() | Ref():
-            return None
+            if lab == AVA and o in c.store:
+                result = raise_label(c.store[o], AVA)
+                act = Action(eff, "rd", AVA, c.fresh_event(), o, result,
+                             source=("local", c.cid), snapshot=NO_EVENTS)
+                return done(Lit(result), act, "E-FLEXRD-AVA")
 
         case Var(name=n):
             raise CtrdRuntimeError("Stuck", f"free variable {n!r} at runtime")

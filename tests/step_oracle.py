@@ -8,16 +8,18 @@ literal and shadowing let it passes, whether or not the name occurs.
 `logs_after` keeps every server's log as a tuple, newest first, and
 `common_seq` intersects every server's log and sorts the result.
 `enabled` builds every choice of a configuration from scratch and sorts
-the whole list by the Choice tuples.
+the whole list by the Choice tuples; `server_read` states on its own which
+redexes a server answers.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from ctrd.runtime_cloud import Choice, Kind, _remote_read
+from ctrd.runtime_cloud import Choice, Kind
 from ctrd.runtime_local import Update, event_bit
-from ctrd.syntax import Await, CON, Closure, Let, Lit, Plain, Var, children, map_children
+from ctrd.syntax import (AVA, Await, CON, Closure, Deref, FlexRead, Let, Lit, Location, OAC,
+                         Plain, Var, children, map_children)
 
 
 def subst(t, name: str, value):
@@ -79,6 +81,27 @@ COMMON_LOG_RULES = frozenset({"E-CONREF", "E-OACREF", "E-CONASSIGN",
                               "E-FLEXWRT-CON", "E-FLEXRD-CON", "E-CLONE"})
 
 
+def server_read(client):
+    """(label, location) of the read a server answers at the client's
+    redex, or None: a dereference of a con cell or of an ava cell the
+    client holds no replica of, or a flexread@ava of an oac cell it holds
+    no replica of."""
+    t = client.redex.term
+    if not isinstance(t, (Deref, FlexRead)) or not isinstance(t.term, Lit):
+        return None
+    v = t.term.value
+    if not (isinstance(v, Plain) and isinstance(v.raw, Location)):
+        return None
+    o, replica = v.raw, v.raw in client.store
+    if isinstance(t, Deref) and v.label == CON:
+        return CON, o
+    if isinstance(t, Deref) and v.label == AVA and not replica:
+        return AVA, o
+    if isinstance(t, FlexRead) and t.label == AVA and v.label == OAC and not replica:
+        return AVA, o
+    return None
+
+
 def enabled(config) -> list:
     """Every enabled choice of config, in the order of the Choice tuples."""
     out = []
@@ -93,7 +116,7 @@ def enabled(config) -> list:
             if t.ident in config.global_ids:
                 out.append(Choice(Kind.AWAIT_RESOLVE, cid))
             continue
-        read = _remote_read(client)
+        read = server_read(client)
         if read is None:
             out.append(Choice(Kind.CLIENT_STEP, cid))
         else:

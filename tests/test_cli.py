@@ -202,8 +202,10 @@ def test_bad_state_budget_is_a_usage_error(capsys, monkeypatch):
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1 and "CTRD_MAX_STATES" in err, err
     monkeypatch.setenv("CTRD_MAX_STATES", "3")
-    assert main(["explore", path]) == 4
-    assert "more than 3 states" in capsys.readouterr().err
+    for argv in (["explore", path], ["nif", *nif]):
+        assert main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "more than 3 states" in err, err
 
 
 def test_deep_program_ends_in_a_diagnostic(tmp_path, capsys):

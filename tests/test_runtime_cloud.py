@@ -16,13 +16,14 @@ from ctrd.lattice import NatMax
 from ctrd.parser import parse_term
 from ctrd.record import replace
 from ctrd.runtime_cloud import (
-    Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _remote_read, check_wf,
-    enabled, explore, make_scheduler, quiescent, run, step_cloud,
+    Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _await_resolve,
+    _cloud_redex, _route, check_wf, enabled, explore, make_scheduler, quiescent, run,
+    step_cloud,
 )
-from ctrd.runtime_local import (EventId, Req, Update, decompose, eps, initial_client,
-                                message_id)
-from ctrd.syntax import (AVA, BoolVal, Clone, CON, Duplicated, FlexRead, Identifier, Lit,
-                         LOC, Location, OAC, Plain, Ref)
+from ctrd.runtime_local import (CtrdRuntimeError, EventId, Req, Update, decompose, eps,
+                                initial_client, message_id, step_local)
+from ctrd.syntax import (Assign, AVA, Await, BoolVal, Clone, CON, Deref, Duplicated, FlexRead,
+                         FlexWrite, Identifier, Lit, LOC, Location, OAC, Plain, Ref)
 
 
 def drive(cfg, rules, max_steps=200, sched=None):
@@ -63,12 +64,49 @@ def test_enabled_partial_delivery_choices():
 
 def test_only_an_oac_cell_is_read_remotely_by_flexread_ava():
     # hand-built clients at flexread@ava of a cell they hold no replica of:
-    # the typechecker admits only oac cells, and only those go to a server
+    # the typechecker admits only oac cells, and only those go to a server;
+    # the other labels go to step_local, which finds no rule. Beside them,
+    # the route of each other redex that a replica, an identifier binding
+    # or a label sends elsewhere than step_local
     o = Location(2, 1, True)
-    oac = initial_client(1, FlexRead(AVA, Lit(Plain(o, OAC))))
-    assert _remote_read(oac) == (AVA, o, "E-FLEXRD-AVA")
-    for lab in (AVA, CON, LOC):
-        assert _remote_read(initial_client(1, FlexRead(AVA, Lit(Plain(o, lab))))) is None
+    one, ident = Lit(Plain(NatMax(1), AVA)), Identifier(CON, 1)
+
+    def cell(lab):
+        return Lit(Plain(o, lab))
+
+    cases = [
+        (FlexRead(AVA, cell(OAC)), False, (AVA, o, "E-FLEXRD-AVA")),
+        (FlexRead(AVA, cell(OAC)), True, step_local),
+        *[(FlexRead(AVA, cell(lab)), False, step_local) for lab in (AVA, CON, LOC)],
+        (FlexRead(CON, cell(OAC)), False, _cloud_redex),
+        (Deref(cell(CON)), True, (CON, o, "E-CONDEREF")),
+        (Deref(cell(AVA)), False, (AVA, o, "E-AVADEREF2")),
+        (Deref(cell(AVA)), True, step_local),
+        (Deref(Lit(Duplicated(Ref(CON, one, ident)))), False, step_local),
+        (Assign(cell(CON), one), True, _cloud_redex),
+        (Assign(cell(AVA), one), True, step_local),
+        (FlexWrite(CON, cell(AVA), one), True, _cloud_redex),
+        (FlexWrite(AVA, cell(CON), one), True, step_local),
+        (Ref(CON, one, ident), False, _cloud_redex),
+        (Ref(OAC, one, ident), False, _cloud_redex),
+        (Ref(AVA, one, Identifier(AVA, 1)), False, step_local),
+        (Clone(CON, cell(CON), ident), False, _cloud_redex),
+        (Await(ident), False, _await_resolve),
+    ]
+    for term, replica, route in cases:
+        client = initial_client(1, term)
+        if replica:
+            client.store[o] = one.value
+        assert _route(client) == route, term
+        if route is not step_local:
+            # step_local finds no rule and leaves the client as it was
+            before = explore_oracle.client_key(client)
+            with pytest.raises(CtrdRuntimeError, match="^Stuck: no rule applies"):
+                step_local(client)
+            assert explore_oracle.client_key(client) == before
+    bound = initial_client(1, Await(ident))
+    bound.idmap[ident] = o
+    assert _route(bound) is step_local
 
 
 def test_enabled_con_read_per_server():

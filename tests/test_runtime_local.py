@@ -8,7 +8,7 @@ from conftest import checked_config
 from ctrd.abstract_exec import con_observation
 from ctrd.lattice import GSet, NatMax
 from explore_oracle import client_key
-from ctrd.runtime_cloud import make_scheduler, run
+from ctrd.runtime_cloud import _await_resolve, _cloud_redex, _route, make_scheduler, run
 from ctrd.parser import parse_term
 from ctrd.runtime_local import (
     CtrdRuntimeError, Redex, Update, Req, decompose, eps, initial_client,
@@ -22,6 +22,15 @@ from ctrd.syntax import (
 
 def client_at(src: str, cid: int = 1):
     return initial_client(cid, parse_term(src))
+
+
+def refused(c) -> bool:
+    """Whether step_local finds no rule at the client's redex, Stuck, and
+    leaves the client as it was."""
+    before = client_key(c)
+    with pytest.raises(CtrdRuntimeError) as exc:
+        step_local(c)
+    return exc.value.kind == "Stuck" and client_key(c) == before
 
 
 def run_locally(src: str, max_steps: int = 100):
@@ -55,11 +64,14 @@ def test_decompose_value():
 
 def test_decompose_blocked_await():
     # whether an await is blocked depends on the identifier maps, which the
-    # decomposition does not see: the redex is the await either way
+    # decomposition does not see: the redex is the await either way, and
+    # an await on an identifier the client has not bound is resolved from
+    # the global map, not by step_local
     c = client_at("!await((ava,1))")
     assert c.redex == decompose(c.term)
     assert c.redex.term == Await(Identifier(AVA, 1))
-    assert step_local(c) is None
+    assert _route(c) is _await_resolve
+    assert refused(c)
 
 
 def test_decompose_effect_accumulates_through_frames():
@@ -252,10 +264,9 @@ def test_deref_duplicated_raises():
 
 def test_con_redex_is_a_cloud_matter():
     c = client_at("ref@con(nat 1 @con, (con,1))")
-    before = client_key(c)
-    assert step_local(c) is None
     assert isinstance(c.redex.term, Ref)
-    assert client_key(c) == before
+    assert _route(c) is _cloud_redex
+    assert refused(c)
 
 
 def test_flexread_ava_without_a_replica_is_a_cloud_matter():
@@ -264,10 +275,10 @@ def test_flexread_ava_without_a_replica_is_a_cloud_matter():
     # with the replica, the read is local
     o = Location(2, 1, True)
     c = initial_client(1, FlexRead(AVA, Lit(Plain(o, OAC))))
-    before = client_key(c)
-    assert step_local(c) is None
-    assert client_key(c) == before
+    assert _route(c) == (AVA, o, "E-FLEXRD-AVA")
+    assert refused(c)
     c.store[o] = Plain(NatMax(3), AVA)
+    assert _route(c) is step_local
     rule, act = step_local(c)
     assert (rule, act.source, c.term) == ("E-FLEXRD-AVA", ("local", 1),
                                           Lit(Plain(NatMax(3), AVA)))
