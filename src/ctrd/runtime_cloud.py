@@ -240,17 +240,18 @@ _choice = cache(Choice)
 
 def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
     """The client's own choices, SEND first, kept on it (_choices) with the
-    one part of the configuration they read: the server list for a remote
-    read, the global map for an await, or None. Parts are replaced, never
-    written, so the list is reused while that part is the same object."""
+    one part of the configuration they read (the server list for a remote
+    read, the global map for an await, or None) and the route. Parts are
+    replaced, never written, so the list is reused while that part is the
+    same object; the route reads only the client, never mutated once asked."""
     held = client._choices
     if held is not None and (held[0] is None or held[0] is config.servers
                              or held[0] is config.global_ids):
         return held[1]
     cid, part = client.cid, None
     out = [_choice(Kind.SEND, cid)] if client.buffer else []
-    if client.redex is not None:
-        route = _route(client)
+    route = held[2] if held is not None else client.redex and _route(client)
+    if route is not None:
         if route is _await_resolve:
             part = config.global_ids
             if client.redex.term.ident in part:   # otherwise blocked until it is published
@@ -262,7 +263,7 @@ def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
                        if route[1] in s.store)
         else:
             out.append(_choice(Kind.CLIENT_STEP, cid))
-    client._choices = (part, out)
+    client._choices = (part, out, route)
     return out
 
 
@@ -302,8 +303,9 @@ def enabled(config: CloudConfig) -> list[Choice]:
     order."""
     out = config._enabled
     if out is None:
-        clients = config.clients
-        out = [ch for cid in sorted(clients) for ch in _client_choices(config, clients[cid])]
+        clients, out = config.clients, []
+        for cid in sorted(clients):
+            out += _client_choices(config, clients[cid])
         out.sort(key=_KIND)
         config._enabled = out = out + _message_choices(config)
     return out
@@ -352,14 +354,15 @@ def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceE
 
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
+    route = cfg.clients[ch.client]._choices[2]     # kept by enabled; own_client's copy lacks it
     client = cfg.own_client(ch.client)
-    if _route(client) is _cloud_redex:
+    if route is _cloud_redex:
         return _cloud_redex(cfg, client)
     bound = len(client.idmap)
     rule, action = step_local(client)
-    # new identifier bindings are fresh allocations; record their typing
-    for ident in list(client.idmap)[bound:]:
-        cfg.type_location(client.idmap[ident], ident)
+    if len(client.idmap) > bound:   # fresh allocations: record their typing
+        for ident in list(client.idmap)[bound:]:
+            cfg.type_location(client.idmap[ident], ident)
     return cfg, TraceEntry(0, rule, action, client=ch.client)
 
 
@@ -444,8 +447,8 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
+    lab, o, rule = cfg.clients[cid]._choices[2]     # as in _client_step
     client, server = cfg.own_client(cid), cfg.servers[r]
-    lab, o, rule = _route(client)
     if lab == AVA:
         client.store[o] = server.store[o]
     result = raise_label(server.store[o], lab)
@@ -512,7 +515,7 @@ def footprint(config: CloudConfig, ch: Choice) -> frozenset:
     and "ids" for the unpublished part of the global map (see explore).
     Two choices with disjoint footprints are independent."""
     kind, m = ch.kind, ch.message
-    if kind == Kind.CLIENT_STEP and _route(config.clients[ch.client]) is _cloud_redex:
+    if kind == Kind.CLIENT_STEP and config.clients[ch.client]._choices[2] is _cloud_redex:
         servers = [("s", r) for r in range(len(config.servers))]
         return frozenset([("c", ch.client), "ids", *servers])
     if kind in (Kind.CON_READ, Kind.AVA_REMOTE_READ):
@@ -844,7 +847,7 @@ _SERVED = frozenset({Kind.CON_READ, Kind.AVA_REMOTE_READ, Kind.DELIVER_UPDATE, K
 
 def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
     """The choice of choices, those enabled in config, that explore steps
-    alone, or None; a client step is local unless _route names _cloud_redex."""
+    alone, or None; a client step is local unless its kept route is _cloud_redex."""
     if choices[-1].kind == Kind.GC_UPDATE:
         return choices[-1]
     asking = {m.event.client for m in config.mailbox if m.__class__ is Req}
@@ -855,7 +858,7 @@ def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
         client = config.clients[ch.client]
         if ch.client not in asking and (client.redex is None if kind == Kind.SEND else (
                 kind <= Kind.AWAIT_RESOLVE and not client.buffer
-                and not (kind == Kind.CLIENT_STEP and _route(client) is _cloud_redex))):
+                and client._choices[2] is not _cloud_redex)):
             return ch
     return None
 

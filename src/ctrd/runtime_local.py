@@ -9,6 +9,7 @@ redexes those are is decided only by runtime_cloud._route.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import compress, count, starmap
 from typing import NamedTuple, Optional, Union
@@ -125,7 +126,8 @@ Source = tuple
 class Action:
     """One step's observable effect: the running effect label plus an
     optional rd/wr/ref operation record. Never hashed or keyed, so not
-    frozen: a frozen record (ctrd.record) pays a call per field to build."""
+    frozen: a frozen record (ctrd.record) pays a call per field to build.
+    Nothing writes an action after its step, so eps shares one per label."""
 
     effect: Label
     kind: str = "eps"                      # "rd" | "wr" | "ref" | "eps"
@@ -139,8 +141,11 @@ class Action:
     synced: bool = False                   # one atomic step across every server
 
 
+_EPS = {lab: Action(lab) for lab in Label}     # one internal step's action per label
+
+
 def eps(effect: Label) -> Action:
-    return Action(effect)
+    return _EPS[effect]
 
 
 class Update(Frozen, order=True):
@@ -242,16 +247,19 @@ class ClientState(Interned):
     def bind(self, x: str, v: Lit) -> None:
         """E-LET at the root, at the cost of the next bound term, not of the
         spine: only that term is closed, by one subst walk with the pending
-        values and x's, and pending keeps those the rest of the spine holds
-        free and the next let does not rebind. A body that is not a let is
-        closed."""
+        values and x's, and pending keeps, in name order, those the rest of
+        the spine holds free and the next let does not rebind. A body that
+        is not a let is closed."""
         env = dict((*self.pending, (x, v)))
         body = self.term.body
         if body.__class__ is Let:
             rest, y = free_names(body.body), body.name
             bound = subst(body.bound, env)
             self.term = body if bound is body.bound else Let(y, bound, body.body, body.pos)
-            self.pending = tuple(sorted([p for p in env.items() if p[0] in rest and p[0] != y]))
+            kept = [p for p in self.pending if p[0] in rest and p[0] != y and p[0] != x]
+            if x in rest and x != y:
+                insort(kept, (x, v))    # names are distinct, so only they compare
+            self.pending = tuple(kept)
         else:
             self.term, self.pending = subst(body, env), ()
         self.redex = decompose(self.term)

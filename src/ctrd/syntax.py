@@ -426,20 +426,17 @@ TERM_FIELDS: dict[type, tuple[tuple[str, ...], Optional[int]]] = {
 }
 
 
+# straight-line code, such as `lambda t: (t.term,)` and `lambda t, kids:
+# cls(kids[0], t.label, t.pos)`; attrgetter beats a Python getter for 2+ children
 def _getter(names: tuple[str, ...]) -> Callable[[Term], tuple]:
-    if not names:
-        return lambda t: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    return attrgetter(*names)
+    if len(names) > 1:
+        return attrgetter(*names)
+    return eval(f"lambda t: ({''.join(f't.{n},' for n in names)})")
 
 
 def _maker(cls: type, names: tuple[str, ...]) -> Callable[[Term, tuple], Term]:
-    # constructor arguments in field order: a child index or an attribute name
-    plan = tuple(names.index(f) if f in names else f for f in fields(cls))
-    return lambda t, kids: cls(*[kids[p] if p.__class__ is int else getattr(t, p)
-                                  for p in plan])
+    args = ", ".join(f"kids[{names.index(f)}]" if f in names else f"t.{f}" for f in fields(cls))
+    return eval(f"lambda t, kids: cls({args})", {"cls": cls})
 
 
 _CHILDREN = {cls: _getter(names) for cls, (names, _) in TERM_FIELDS.items()}

@@ -20,10 +20,10 @@ from ctrd.runtime_cloud import (
     _cloud_redex, _route, check_wf, enabled, explore, make_scheduler, quiescent, run,
     step_cloud,
 )
-from ctrd.runtime_local import (CtrdRuntimeError, EventId, Req, Update, decompose, eps,
+from ctrd.runtime_local import (Action, CtrdRuntimeError, EventId, Req, Update, decompose, eps,
                                 initial_client, message_id, step_local)
 from ctrd.syntax import (Assign, AVA, Await, BoolVal, Clone, CON, Deref, Duplicated, FlexRead,
-                         FlexWrite, Identifier, Lit, LOC, Location, OAC, Plain, Ref)
+                         FlexWrite, Identifier, LABELS, Lit, LOC, Location, OAC, Plain, Ref)
 
 
 def drive(cfg, rules, max_steps=200, sched=None):
@@ -481,6 +481,56 @@ def test_the_purity_programs_reach_every_kind_of_step():
     kinds = {choice.kind for program in ("anomaly/mixed", "accept/ava_gset", "con/two_writers")
              for _, choice in _reachable_choices(program)}
     assert kinds == set(Kind)
+
+
+def test_the_kept_route_is_the_route():
+    # enabled keeps each client's route with its choices, and _client_step,
+    # _server_read, footprint and _alone read it in place of _route: on
+    # every reachable configuration, once enabled has run, each client's
+    # kept route is _route's (None for a value), and the walk meets every
+    # route there is
+    routes = set()
+    for program in ("anomaly/mixed", "clone/chain3_clone", "accept/await_pair",
+                    "con/two_writers"):
+        for cfg, _ in _reachable_choices(program):
+            for c in cfg.clients.values():
+                route = c._choices[2]
+                assert route == (None if c.redex is None else _route(c)), (program, c.cid)
+                routes.add("server read" if route.__class__ is tuple else route)
+    assert routes == {"server read", _cloud_redex, _await_resolve, step_local, None}
+
+
+def test_a_run_routes_each_client_state_once(monkeypatch):
+    # a step reads the route enabled kept on the client it steps from, so
+    # no client object is routed twice (routed keeps each alive, so no id
+    # is reused)
+    routed = []
+    route = ctrd.runtime_cloud._route
+    monkeypatch.setattr(ctrd.runtime_cloud, "_route", lambda c: routed.append(c) or route(c))
+    for program in ("anomaly/mixed", "clone/chain3_clone", "accept/await_pair",
+                    "con/two_writers"):
+        _, _, cfg = checked_config(load(CORPUS / (program + ".ctrd")))
+        for sched in ("random", "drain-fair"):
+            assert run(cfg, make_scheduler(sched, 0)).status == "quiescent", program
+    assert len(routed) > 40 and len({id(c) for c in routed}) == len(routed)
+
+
+def test_shared_internal_actions_stay_unwritten():
+    # eps gives every internal step under one label the same Action, which
+    # is safe while nothing writes an action after its step: once every
+    # runnable program has run and its history has been recorded, and
+    # mixed has been explored, each shared action still equals a fresh one
+    internal = []
+    for path in RUNNABLE:
+        _, _, cfg = checked_config(load(path))
+        res = run(cfg, make_scheduler("random", 0))
+        record(res.trace)
+        internal += [e.action for e in res.trace if e.action.kind == "eps"]
+    _, _, cfg = checked_config(load(CORPUS / "anomaly" / "mixed.ctrd"), 3)
+    explore(cfg, 24)
+    assert [eps(lab) for lab in LABELS] == [Action(lab) for lab in LABELS]
+    assert all(a is eps(a.effect) for a in internal)
+    assert len(internal) > len({a.effect for a in internal})
 
 
 # ---------------------------------------------------------------------------

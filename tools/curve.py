@@ -17,8 +17,10 @@ typechecked and, for `sc` and `trace`, run) are built once and not timed. Each t
 outside the span, then a `gc.collect()`, then one `time.perf_counter` span
 around the call alone. The calls go in rounds over all points, so that a
 slow spell of a shared machine falls on every point alike, and each point
-reports the median of its --repeat spans. Prints one JSON object: the
-Python version, the curve's settings, --repeat and the points.
+reports the median of its --repeat spans, and their quartiles as `_q1`
+and `_q3` beside it (with --repeat 1, the one span for all three). Prints
+one JSON object: the Python version, the curve's settings, --repeat and
+the points.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def checked(text: str) -> tuple:
 def timed(inputs: list, calls, repeat: int) -> list[dict]:
     """calls(x) gives, for input x, name -> a zero-argument call on a fresh
     state; it is built untimed in every round. Returns, per input, name ->
-    (the call's last result, the median of its spans in seconds)."""
+    (the call's last result, its spans in seconds)."""
     spans = [{} for _ in inputs]
     results = [{} for _ in inputs]
     for _ in range(repeat):
@@ -72,8 +74,20 @@ def timed(inputs: list, calls, repeat: int) -> list[dict]:
                 t0 = time.perf_counter()
                 result[name] = call()
                 span.setdefault(name, []).append(time.perf_counter() - t0)
-    return [{name: (result[name], statistics.median(ts)) for name, ts in span.items()}
+    return [{name: (result[name], ts) for name, ts in span.items()}
             for span, result in zip(spans, results)]
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """q1, the median and q3 of values; one value stands for all three."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
+        else values * 3
+
+
+def spread(name: str, values: list[float]) -> dict:
+    """name: the median of values; name_q1 and name_q3: its quartiles."""
+    q1, median, q3 = quartiles(values)
+    return {name: median, f"{name}_q1": q1, f"{name}_q3": q3}
 
 
 def numbers(text: str, kind=float) -> list:
@@ -111,10 +125,10 @@ def sc_curve(args) -> tuple[dict, list]:
     for k, (res, history, con), t in zip(factors, runs, got):
         (full, full_s), (con_v, con_s) = t["full"], t["con"]
         points.append({"factor": k, "status": res.status, "steps": len(res.trace),
-                       "events": len(history.op), "record_s": t["record"][1],
-                       "project_s": t["project"][1], "check_sc_s": full_s,
+                       "events": len(history.op), **spread("record_s", t["record"][1]),
+                       **spread("project_s", t["project"][1]), **spread("check_sc_s", full_s),
                        "sc_ok": full.ok, "sc_path": _path(history),
-                       "con_events": len(con.op), "check_sc_con_s": con_s,
+                       "con_events": len(con.op), **spread("check_sc_con_s", con_s),
                        "sc_con_ok": con_v.ok, "sc_con_path": _path(con)})
     return {"seed": args.seed}, points
 
@@ -133,8 +147,8 @@ def explore_curve(args) -> tuple[dict, list]:
     for n, t in zip(servers, got):
         s, secs = t["explore"]
         points.append({"servers": n, "states": s.states, "traces": s.traces,
-                       "truncated": s.truncated, "steps": s.steps, "seconds": secs,
-                       "states_per_s": s.states / secs})
+                       "truncated": s.truncated, "steps": s.steps, **spread("seconds", secs),
+                       **spread("states_per_s", [s.states / x for x in secs])})
     return {"program": args.program, "max_depth": args.max_depth}, points
 
 
@@ -154,7 +168,8 @@ def step_curve(args) -> tuple[dict, list]:
     for n, t in zip(sizes, got):
         res, secs = t["run"]
         points.append({"n": n, "status": res.status, "steps": res.steps,
-                       "seconds": secs, "steps_per_s": res.steps / secs})
+                       **spread("seconds", secs),
+                       **spread("steps_per_s", [res.steps / x for x in secs])})
     return {"program": "bench/gen.deep_chain", "scheduler": "drain-fair",
             "drop": points[0]["steps_per_s"] / points[-1]["steps_per_s"]}, points
 
@@ -182,7 +197,8 @@ def trace_curve(args) -> tuple[dict, list]:
         points.append({"factor": f, "entries": len(tr),
                        "snapshot_elements": sum(len(e.action.snapshot) for e in tr
                                                 if e.action.snapshot is not None),
-                       "mb": len(text.encode("utf-8")) / 1e6, "ms": secs * 1e3})
+                       "mb": len(text.encode("utf-8")) / 1e6,
+                       **spread("ms", [x * 1e3 for x in secs])})
     return {"program": "bench/gen.chain_program, LONG_MIX scaled",
             "program_seed": PROGRAM_SEED, "scheduler": "random",
             "seed": SCHEDULER_SEED}, points
@@ -203,9 +219,11 @@ def front_curve(args) -> tuple[dict, list]:
     points = []
     for n, text, t in zip(sizes, texts, got):
         tokens, parse_s, check_s = len(tokenize(text)), t["parse"][1], t["check"][1]
-        points.append({"n": n, "tokens": tokens, "parse_s": parse_s, "check_s": check_s,
-                       "tokens_per_s": tokens / parse_s,
-                       "us_per_let": 1e6 * (parse_s + check_s) / n})
+        points.append({"n": n, "tokens": tokens, **spread("parse_s", parse_s),
+                       **spread("check_s", check_s),
+                       **spread("tokens_per_s", [tokens / x for x in parse_s]),
+                       **spread("us_per_let", [1e6 * (p + c) / n
+                                               for p, c in zip(parse_s, check_s)])})
     return {"program": "bench/gen.deep_chain",
             "growth": points[-1]["us_per_let"] / points[0]["us_per_let"]}, points
 
@@ -237,7 +255,8 @@ def names_curve(args) -> tuple[dict, list]:
     for k, t in zip(counts, got):
         res, secs = t["run"]
         points.append({"k": k, "status": res.status, "steps": res.steps,
-                       "seconds": secs, "steps_per_s": res.steps / secs})
+                       **spread("seconds", secs),
+                       **spread("steps_per_s", [res.steps / x for x in secs])})
     return {"program": "tools/curve.py names_program", "lets": NAMES_SPINE,
             "scheduler": "drain-fair",
             "drop": points[0]["steps_per_s"] / points[-1]["steps_per_s"]}, points
@@ -284,8 +303,7 @@ def import_curve(args) -> tuple[dict, list]:
             timing("import", importlib.import_module)("ctrd.cli")
     points = []
     for part, times in spent.items():
-        q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
-                          if len(times) > 1 else times * 3)
+        q1, median, q3 = quartiles(times)
         points.append({"part": part, "calls": count[part] // args.repeat,
                        "median_ms": 1e3 * median, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3})
     return {"module": "ctrd.cli"}, points
