@@ -718,20 +718,21 @@ def explore(config: CloudConfig, max_depth: int,
     arrive at another member of the class. Alone, they prune steps, never
     states.
 
-    A choice that nothing else can touch, from its state or from any state
-    the others reach, is stepped alone (_alone; a persistent set of one,
-    Valmari 1990). A GC_UPDATE is one: every log holds its update, so no
-    delivery of it is left and no other choice names its message. So is
-    a client c's local CLIENT_STEP or AWAIT_RESOLVE while c's buffer is
-    empty, or its SEND once c is a value, while no Req of c is in the
-    mailbox: only c's choices and a PROCESS_REQ of its Req touch c, and a
-    Req gets there only by c's SEND. That search keeps every terminal
-    class, not the states between or those a depth bound cuts. It is off
-    with check_wf_each, as check_wf judges every state; otherwise it runs
-    first with its on_trace calls held back, and if a trace reaches
-    max_depth or a step faults, the plain search runs and reports. Its
-    budget stop is raised as it is: the plain search visits every state
-    it does, so stops too unless a step faults first.
+    A choice that nothing else can touch, from its state or from any state the
+    others reach, is stepped alone (_alone; a persistent set of one, Valmari
+    1990). A GC_UPDATE is one: every log holds its update, so no delivery of it
+    is left and no other choice names its message. So is a SEND, as it takes
+    its client's buffer head, a client step appends to the tail, the mailbox is
+    a multiset and no choice names a message before it is sent; and a client
+    c's local CLIENT_STEP or AWAIT_RESOLVE while c's buffer is empty and no Req
+    of c is in the mailbox: only c's choices and a PROCESS_REQ of its Req touch
+    c, and a Req gets there only by c's SEND. That search keeps every terminal
+    class, not the states between or those a depth bound cuts. It is off with
+    check_wf_each, as check_wf judges every state; otherwise it runs first with
+    its on_trace calls held back, and if a trace reaches max_depth or a step
+    faults, the plain search runs and reports. Its budget stop is raised as it
+    is: the plain search visits every state it does, so stops too unless a step
+    faults first.
 
     The summary counts what was visited and the steps taken. An internal
     step passes its parent's execution on unchanged. on_trace(exec_,
@@ -853,12 +854,11 @@ def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
     asking = {m.event.client for m in config.mailbox if m.__class__ is Req}
     for ch in choices:
         kind = ch.kind
-        if kind > Kind.SEND:
-            break
+        if kind >= Kind.SEND:
+            return ch if kind == Kind.SEND else None
         client = config.clients[ch.client]
-        if ch.client not in asking and (client.redex is None if kind == Kind.SEND else (
-                kind <= Kind.AWAIT_RESOLVE and not client.buffer
-                and client._choices[2] is not _cloud_redex)):
+        if kind <= Kind.AWAIT_RESOLVE and ch.client not in asking and not client.buffer \
+                and client._choices[2] is not _cloud_redex:
             return ch
     return None
 

@@ -58,8 +58,8 @@ def test_explore_agrees_with_the_structural_oracle(path, servers, depth):
     if depth == 40:
         assert summary.truncated == every.truncated == 0
     if (path, servers) == (MIXED, 5):
-        # one state in twenty-two, and one trace per outcome
-        assert (every.states, summary.states) == (2593, 117)
+        # one state in twenty-four, and one trace per outcome
+        assert (every.states, summary.states) == (2593, 109)
         assert summary.traces == len(outcomes) == 9
 
 
@@ -187,11 +187,11 @@ def test_the_state_budget_stops_both_at_the_same_trace(monkeypatch):
 
 
 def test_the_state_budget_counts_the_states_of_the_search_that_reports(monkeypatch):
-    # mixed.ctrd on 6 servers visits 133 states stepping one choice alone
+    # mixed.ctrd on 6 servers visits 125 states stepping one choice alone
     # where it can, and 244 without
     _, _, cfg = checked_config(load(MIXED), 6)
-    monkeypatch.setenv("CTRD_MAX_STATES", "133")
-    assert explore(cfg, 24).states == 133
+    monkeypatch.setenv("CTRD_MAX_STATES", "125")
+    assert explore(cfg, 24).states == 125
     monkeypatch.setattr(runtime_cloud, "_alone", lambda config, choices: None)
     with pytest.raises(StateSpaceLimit):
         explore(cfg, 24)
@@ -202,7 +202,7 @@ def test_mixed_takes_under_1_3_steps_per_visited_state(servers, monkeypatch):
     # sleep sets step each commuting pair of choices in one order; stepping
     # every order took 1.75 to 1.86 steps per state here. A state that steps
     # one choice alone takes one step, so the steps that reach a visited
-    # state (steps - states + 1) fall with the states: 21..65 -> 13..45
+    # state (steps - states + 1) fall with the states: 21..65 -> 7..39
     _, _, cfg = checked_config(load(MIXED), servers)
     summary = explore(cfg, 24)
     monkeypatch.setattr(runtime_cloud, "_alone", lambda config, choices: None)
@@ -214,9 +214,9 @@ def test_mixed_takes_under_1_3_steps_per_visited_state(servers, monkeypatch):
 
 def test_a_search_that_checks_wf_steps_no_choice_alone(monkeypatch):
     # check_wf judges every state, so that search visits every state the
-    # search without the selection visits: 160 here, against 85
+    # search without the selection visits: 160 here, against 77
     _, _, cfg = checked_config(load(MIXED), 3)
     checked = explore(cfg, 24, check_wf_each=True)
-    assert checked.wf_problems == 0 and explore(cfg, 24).states == 85
+    assert checked.wf_problems == 0 and explore(cfg, 24).states == 77
     monkeypatch.setattr(runtime_cloud, "_alone", lambda config, choices: None)
     assert checked == explore(cfg, 24) and checked.states == 160
