@@ -510,10 +510,10 @@ _HANDLERS = {
 
 
 def footprint(config: CloudConfig, ch: Choice) -> frozenset:
-    """What the enabled choice ch reads or writes in config: ("c", c) for
-    client c, ("s", r) for server r, ("m", e) for the message of event e,
-    and "ids" for the unpublished part of the global map (see explore).
-    Two choices with disjoint footprints are independent."""
+    """What ch, a choice enabled(config) returned, reads or writes in config:
+    ("c", c) for client c, ("s", r) for server r, ("m", e) for the message
+    of event e, and "ids" for the unpublished part of the global map (see
+    explore). Two choices with disjoint footprints are independent."""
     kind, m = ch.kind, ch.message
     if kind == Kind.CLIENT_STEP and config.clients[ch.client]._choices[2] is _cloud_redex:
         servers = [("s", r) for r in range(len(config.servers))]

@@ -215,11 +215,11 @@ def sorted_items(d: dict) -> tuple:
 
 @dataclass(slots=True)
 class ClientState(Interned):
-    """One client. A client keyed or asked for its choices (enabled keeps
-    them in _choices) is never mutated; a step steps the plain copy
-    CloudConfig.own_client takes, which starts without them. pending holds,
-    by name, the values the root let spine waits on (a CEK environment,
-    Felleisen & Friedman 1986), the only names term is open in (see bind)."""
+    """One client. A client keyed or asked for its choices (enabled keeps them
+    and its route in _choices) is never mutated; a step steps the plain copy
+    CloudConfig.own_client takes, which starts without them. pending holds, by
+    name, the values the root let spine waits on (a CEK environment, Felleisen
+    & Friedman 1986), the only names term is open in (see bind)."""
 
     cid: int
     term: Term
