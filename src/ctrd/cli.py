@@ -17,8 +17,13 @@ whose observations differ only where a side cut traces at --max-depth
 Reports go to stdout as one JSON line. `run --trace` writes its file with
 `trace_json`, which lays out each entry from a fixed template, and each
 value with `_json`, in one pass, byte for byte as `json.dumps(...,
-indent=2, sort_keys=True)` would; `run --exec` writes the recorded
-execution through `json.dumps`.
+indent=2, sort_keys=True)` would. A snapshot is written as a handle that
+names its log and length (the entry's server's log, the common log, or a
+local read's empty one), so each entry has a bounded size; a reader
+recovers a log's events by replaying the entries before the handle, as a
+delivery pushes its event onto its server's log and a synchronized rule
+onto every log. `run --exec` writes the recorded execution through
+`json.dumps`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .runtime_cloud import (
     StateSpaceLimit, TraceEntry, check_wf, explore,
     initial_config, make_scheduler, max_states_from_env, run,
 )
-from .runtime_local import CtrdRuntimeError, EventId
+from .runtime_local import NO_EVENTS, CtrdRuntimeError
 from .syntax import Location
 
 
@@ -109,16 +114,10 @@ _ENTRY = (
     '    "step": %s\n'
     '  }'
 )
-_ITEM = ",\n        "       # between the items of a list inside an action
 
 
 def _num(n) -> str:
     return "null" if n is None else repr(n)
-
-
-def _strings(items) -> str:
-    """A list of quoted strings, laid out as a value inside an action."""
-    return f"[\n        {_ITEM.join(items)}\n      ]" if items else "[]"
 
 
 def _json(x, pad: str) -> str:
@@ -138,58 +137,46 @@ def _json(x, pad: str) -> str:
     return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_json(v, inner) for v in x]), pad)
 
 
-def _log_key(log) -> object:
-    """A log's key in trace_json: a cell by identity, a base by its events."""
-    return id(log) if log.event is not None else (log.mask, log.clients)
+# A snapshot's handle inside an action, by the log the entry read: its
+# server's log, the common log, or a local read's NO_EVENTS.
+_SERVER_LOG = ('\n      "snapshot": {\n        "len": %d,\n        "log": "server",'
+               '\n        "server": %d\n      },')
+_COMMON_LOG = '\n      "snapshot": {\n        "len": %d,\n        "log": "common"\n      },'
+_LOCAL_LOG = '\n      "snapshot": {\n        "len": 0,\n        "log": "local"\n      },'
 
 
 def trace_json(trace: list[TraceEntry]) -> str:
     """The --trace file: exactly json.dumps of one dict per entry (keys
     step, rule, client, server, action, and nodes when counted) with
-    indent=2 and sort_keys, plus a final newline, written in one pass. Each
-    event id, snapshot and value is rendered once per call. Values and log
-    cells are keyed by identity, and each is kept alive next to its text
-    so that no id is reused while the call runs; a base is keyed by its
-    mask and clients, so equal common logs are listed once. A log's items
-    are its events down to the nearest tail already rendered, then that
-    tail's items, or its base's, listed from the base's mask."""
-    quoted = _Memo(lambda x: _quote(str(x)))        # labels, op kinds, rules
-    ids = _Memo(lambda key: _quote(str(EventId(*key))))   # an event, or its base_events pair
-    snapshots: dict[object, tuple] = {}     # _log_key -> (snapshot, items, line)
+    indent=2 and sort_keys, plus a final newline, written in one pass. A
+    snapshot is written as a handle that names its log and length, picked
+    from the entry: NO_EVENTS is the local one, an entry with a server
+    names that server's log, any other the common log. Each label, rule and
+    event id is quoted once per call, and each value rendered once, keyed
+    by identity and kept alive next to its text so that no id is reused
+    while the call runs."""
+    quoted = _Memo(lambda x: _quote(str(x)))    # labels, op kinds, rules, event ids
     values: dict[int, tuple] = {}
     parts = []
     for e in trace:
         a = e.action
         snap = a.snapshot
-        if snap is None:
-            snap_line = ""
-        else:
-            hit = snapshots.get(_log_key(snap))
-            if hit is None:
-                items, cell = [], snap
-                while (key := _log_key(cell)) not in snapshots and cell.event is not None:
-                    items.append(ids[cell.event])
-                    cell = cell.tail
-                items += ([snapshots[key][1]] if key in snapshots
-                          else map(ids.__getitem__, cell.base_events()))
-                text = _ITEM.join(filter(None, items))   # an empty base lists nothing
-                hit = snapshots[_log_key(snap)] = (
-                    snap, text, f'\n      "snapshot": {_strings([text] if text else ())},')
-            snap_line = hit[2]
         v = a.value
         hit = values.get(id(v))
         if hit is None:
             hit = values[id(v)] = (v, _json(value_json(v), "      "))
         parts.append(_ENTRY % (
             quoted[a.effect],
-            ids[a.event] if a.event else "null",
+            quoted[a.event] if a.event else "null",
             "" if a.label is None else f'\n      "label": {quoted[a.label]},',
             "" if a.literal_label is None
             else f'\n      "literal_label": {quoted[a.literal_label]},',
             _quote(str(a.location)) if a.location else "null",
             quoted[a.kind],
-            snap_line,
-            _strings([_quote(str(x)) for x in a.source]) if a.source else "null",
+            "" if snap is None else _LOCAL_LOG if snap is NO_EVENTS
+            else _COMMON_LOG % snap.len if e.server is None
+            else _SERVER_LOG % (snap.len, e.server),
+            _json([str(x) for x in a.source], "      ") if a.source else "null",
             '\n      "synced": true,' if a.synced else "",
             hit[1],
             _num(e.client),

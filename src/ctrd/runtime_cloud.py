@@ -267,6 +267,15 @@ def _client_choices(config: CloudConfig, client: ClientState) -> list[Choice]:
     return out
 
 
+def _kept_route(config: CloudConfig, cid: int):
+    """Client cid's route as _client_choices keeps it, asked for first if it
+    never was; read before own_client puts in its copy, which lacks it."""
+    client = config.clients[cid]
+    if client._choices is None:
+        _client_choices(config, client)
+    return client._choices[2]
+
+
 def _message_choices(config: CloudConfig) -> list[Choice]:
     """The mailbox's choices in event order, stably sorted on the kind,
     kept (CloudConfig._messages) with the mailbox, server list and global
@@ -354,7 +363,7 @@ def step_cloud(config: CloudConfig, choice: Choice) -> tuple[CloudConfig, TraceE
 
 
 def _client_step(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]:
-    route = cfg.clients[ch.client]._choices[2]     # kept by enabled; own_client's copy lacks it
+    route = _kept_route(cfg, ch.client)
     client = cfg.own_client(ch.client)
     if route is _cloud_redex:
         return _cloud_redex(cfg, client)
@@ -447,7 +456,7 @@ def _server_read(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEntry]
     """One server answers a consistent read, or an available read of a cell
     the client holds no replica of yet (which installs one)."""
     cid, r = ch.client, ch.server
-    lab, o, rule = cfg.clients[cid]._choices[2]     # as in _client_step
+    lab, o, rule = _kept_route(cfg, cid)
     client, server = cfg.own_client(cid), cfg.servers[r]
     if lab == AVA:
         client.store[o] = server.store[o]
@@ -515,7 +524,7 @@ def footprint(config: CloudConfig, ch: Choice) -> frozenset:
     of event e, and "ids" for the unpublished part of the global map (see
     explore). Two choices with disjoint footprints are independent."""
     kind, m = ch.kind, ch.message
-    if kind == Kind.CLIENT_STEP and config.clients[ch.client]._choices[2] is _cloud_redex:
+    if kind == Kind.CLIENT_STEP and _kept_route(config, ch.client) is _cloud_redex:
         servers = [("s", r) for r in range(len(config.servers))]
         return frozenset([("c", ch.client), "ids", *servers])
     if kind in (Kind.CON_READ, Kind.AVA_REMOTE_READ):
@@ -822,21 +831,26 @@ def _search(config: CloudConfig, max_depth: int, on_trace: Optional[Callable],
                 steps = [ch for ch in steps if _class_of(ch, servers) not in asleep]
         stack.append((cfg, exec_, depth + 1, iter(steps), sleep))
 
-    arrive(config, AbstractExecution(config.clients), 0, [])
-    while stack:
-        cfg, exec_, depth, choices, sleep = stack[-1]
-        choice = next(choices, None)
-        if choice is None:
-            stack.pop()
-            continue
-        summary.steps += 1
-        nxt, entry = step_cloud(cfg, choice)
-        fp = footprint(cfg, choice)
-        if entry.action.kind != "eps":      # A-INTERNAL: no history change
-            exec_ = exec_.copy()
-            fold_entry(exec_, entry)
-        arrive(nxt, exec_, depth, [p for p in sleep if p[1].isdisjoint(fp)])
-        sleep.append((choice, fp))
+    try:
+        arrive(config, AbstractExecution(config.clients), 0, [])
+        while stack:
+            cfg, exec_, depth, choices, sleep = stack[-1]
+            choice = next(choices, None)
+            if choice is None:
+                stack.pop()
+                continue
+            summary.steps += 1
+            nxt, entry = step_cloud(cfg, choice)
+            fp = footprint(cfg, choice)
+            if entry.action.kind != "eps":      # A-INTERNAL: no history change
+                exec_ = exec_.copy()
+                fold_entry(exec_, entry)
+            arrive(nxt, exec_, depth, [p for p in sleep if p[1].isdisjoint(fp)])
+            sleep.append((choice, fp))
+    finally:
+        # the table keys each message that keeps (table, int) (message_id):
+        # emptied, it leaves no reference cycle for the collector
+        table.clear()
     return summary
 
 
@@ -858,7 +872,7 @@ def _alone(config: CloudConfig, choices: list[Choice]) -> Optional[Choice]:
             return ch if kind == Kind.SEND else None
         client = config.clients[ch.client]
         if kind <= Kind.AWAIT_RESOLVE and ch.client not in asking and not client.buffer \
-                and client._choices[2] is not _cloud_redex:
+                and _kept_route(config, ch.client) is not _cloud_redex:
             return ch
     return None
 

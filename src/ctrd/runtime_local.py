@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import compress, count, starmap
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 from .lattice import DomainMismatch, GSet, NatMax, lat_join, lat_leq, lat_lt, lat_meet
@@ -96,19 +96,6 @@ class Log:
     def __contains__(self, e: EventId) -> bool:
         return e.client in self.clients and e.n >= 1 and bool(
             self.mask >> event_bit(self.clients, e) & 1)
-
-    def base_events(self) -> list[tuple[int, int]]:
-        """(client, n) of each event of a base, in (client, n) order: each
-        slot's every K-th bit in turn."""
-        flags, k = _flags(self.mask), len(self.clients)
-        return [(c, n) for s, c in enumerate(self.clients) for n in compress(count(1), flags[s::k])]
-
-    def __iter__(self):
-        cell = self
-        while cell.event is not None:
-            yield cell.event
-            cell = cell.tail
-        yield from starmap(EventId, cell.base_events())
 
     def __len__(self) -> int:
         return self.len
@@ -406,36 +393,38 @@ def subst(t: Term, env: dict[str, Term]) -> Term:
     t. A let spine is walked in a loop, down to the first let that rebinds
     a name of env or whose body holds none free, then rebuilt from there
     up. Below a let or a closure parameter that rebinds a name the walk
-    goes on without it, so it nests at most len(env) calls deep.
+    goes on without it. The walk (_subst) calls itself, not a closure that
+    refers to itself, so a call leaves no reference cycle for the collector.
     """
-    def go(t: Term) -> Term:
-        if free_names(t).isdisjoint(env):
-            return t
-        cls = t.__class__
-        if cls is Var:
-            return env[t.name]
-        if cls is Lit:          # a closure
-            v = t.value
-            c = v.raw
-            body = subst(c.body, _without(env, c.param)) if c.param in env else go(c.body)
-            return Lit(Plain(Closure(c.latent, c.param, c.param_type, body), v.label), t.pos)
-        if cls is not Let:
-            return map_children(t, go)
-        spine = []              # lets that hold a name of env free, top down
-        while True:
-            spine.append(t)
-            if t.name in env:   # its body is out of that name's scope
-                body = subst(t.body, _without(env, t.name))
-                break
-            t = t.body
-            if t.__class__ is not Let or free_names(t).isdisjoint(env):
-                body = go(t)
-                break
-        for let in reversed(spine):
-            body = Let(let.name, go(let.bound), body, let.pos)
-        return body
+    return _subst(env, t)
 
-    return go(t)
+
+def _subst(env: dict[str, Term], t: Term) -> Term:
+    if free_names(t).isdisjoint(env):
+        return t
+    cls = t.__class__
+    if cls is Var:
+        return env[t.name]
+    if cls is Lit:          # a closure
+        v = t.value
+        c = v.raw
+        body = _subst(_without(env, c.param) if c.param in env else env, c.body)
+        return Lit(Plain(Closure(c.latent, c.param, c.param_type, body), v.label), t.pos)
+    if cls is not Let:
+        return map_children(t, partial(_subst, env))
+    spine = []              # lets that hold a name of env free, top down
+    while True:
+        spine.append(t)
+        if t.name in env:   # its body is out of that name's scope
+            body = _subst(_without(env, t.name), t.body)
+            break
+        t = t.body
+        if t.__class__ is not Let or free_names(t).isdisjoint(env):
+            body = _subst(env, t)
+            break
+    for let in reversed(spine):
+        body = Let(let.name, _subst(env, let.bound), body, let.pos)
+    return body
 
 
 def _without(env: dict[str, Term], name: str) -> dict[str, Term]:

@@ -22,6 +22,7 @@ and spelling, for the printer and the parser.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -490,29 +491,33 @@ def map_locations(t: Term, f: Callable[[Location], Location]) -> Term:
     """t with f applied to every location it holds, through values, records
     and abstraction bodies; t itself when f changes none. A let spine is
     walked in a loop: its bound terms top down, then its body, then rebuilt
-    from the bottom up where something changed."""
-    def term(s: Term) -> Term:
-        if s.__class__ is Lit:
-            v = value(s.value)
-            return s if v is s.value else Lit(v, s.pos)
-        if s.__class__ is not Let:
-            return map_children(s, term)
-        spine = []
-        while s.__class__ is Let:
-            spine.append((s, term(s.bound)))
-            s = s.body
-        s = term(s)
-        for let, bound in reversed(spine):
-            s = let if bound is let.bound and s is let.body else Let(let.name, bound, s, let.pos)
-        return s
+    from the bottom up where something changed. The walk's two functions
+    pass each other on through partial, not as closures that refer to
+    themselves, so a call leaves no reference cycle for the collector."""
+    return _map_term(f, t)
 
-    def value(v: LabeledValue) -> LabeledValue:
-        if isinstance(v, Plain) and isinstance(v.raw, Location):
-            o = f(v.raw)
-            return v if o is v.raw else Plain(o, v.label)
-        return map_value(v, term, value)
 
-    return term(t)
+def _map_term(f: Callable[[Location], Location], s: Term) -> Term:
+    if s.__class__ is Lit:
+        v = _map_value(f, s.value)
+        return s if v is s.value else Lit(v, s.pos)
+    if s.__class__ is not Let:
+        return map_children(s, partial(_map_term, f))
+    spine = []
+    while s.__class__ is Let:
+        spine.append((s, _map_term(f, s.bound)))
+        s = s.body
+    s = _map_term(f, s)
+    for let, bound in reversed(spine):
+        s = let if bound is let.bound and s is let.body else Let(let.name, bound, s, let.pos)
+    return s
+
+
+def _map_value(f: Callable[[Location], Location], v: LabeledValue) -> LabeledValue:
+    if isinstance(v, Plain) and isinstance(v.raw, Location):
+        o = f(v.raw)
+        return v if o is v.raw else Plain(o, v.label)
+    return map_value(v, partial(_map_term, f), partial(_map_value, f))
 
 
 def refs(t: Term) -> frozenset[Location]:

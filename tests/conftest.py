@@ -3,12 +3,13 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import sys
+from itertools import compress, count
 
 import pytest
 
 from ctrd.parser import parse_program
 from ctrd.runtime_cloud import initial_config
-from ctrd.runtime_local import Log
+from ctrd.runtime_local import _flags, EventId, Log
 from ctrd.syntax import Duplicated, Lit, Location, RecordVal, children, map_value
 from ctrd.typecheck import check_program
 
@@ -46,6 +47,19 @@ def log_of(events, clients=(0, 1, 2, 3)) -> Log:
     for e in reversed(events):
         log = Log(e, log)
     return log
+
+
+def log_events(log: Log) -> list[EventId]:
+    """The events a log lists: its cells' events newest first, then its
+    base's in (client, n) order, each client slot's every K-th mask bit in
+    turn (event_bit)."""
+    out = []
+    while log.event is not None:
+        out.append(log.event)
+        log = log.tail
+    flags, k = _flags(log.mask), len(log.clients)
+    return out + [EventId(c, n) for s, c in enumerate(log.clients)
+                  for n in compress(count(1), flags[s::k])]
 
 
 def subterms(t) -> list:

@@ -20,6 +20,7 @@ from collections import Counter
 from typing import Callable, Optional
 
 import step_oracle
+from conftest import log_events
 from ctrd.abstract_exec import AbstractExecution, con_observation, fold_entry
 from ctrd.cli import CHECKS
 from ctrd.runtime_cloud import (
@@ -56,7 +57,7 @@ def client_key(c) -> tuple:
 
 
 def server_key(s) -> tuple:
-    return (_by_name_key(s.store), tuple(s.seq))
+    return (_by_name_key(s.store), tuple(log_events(s.seq)))
 
 
 def structural_key(cfg) -> tuple:

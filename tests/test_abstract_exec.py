@@ -9,7 +9,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, RUNNABLE_COUNT, checked_config, corpus_files, load, log_of
+from conftest import (CORPUS, RUNNABLE_COUNT, checked_config, corpus_files, load, log_events,
+                      log_of)
 from explore_oracle import structural_key
 from ctrd.abstract_exec import (
     AbstractExecution, EcVerdict, MalformedTrace, NotQuiescent, Operation,
@@ -483,7 +484,7 @@ def _check_ec_by_scan(exec_, config) -> EcVerdict:
     identifier map finds."""
     ava_writes = {e for e, op in exec_.op.items()
                   if op.label == AVA and op.kind in ("wr", "ref")}
-    in_all_logs = all(all(e in tuple(s.seq) for s in config.servers) for e in ava_writes)
+    in_all_logs = all(all(e in log_events(s.seq) for s in config.servers) for e in ava_writes)
     stores = [sorted(s.store.items()) for s in config.servers]
     converged = all(st == stores[0] for st in stores[1:])
 
@@ -523,7 +524,7 @@ def test_check_ec_agrees_with_the_log_scan_on_the_corpus():
             cfg = res.config.copy()
             last = cfg.servers[-1]
             cfg.servers = [*cfg.servers[:-1], Server(
-                last.store, log_of([e for e in last.seq if e != writes[0]], last.seq.clients))]
+                last.store, log_of([e for e in log_events(last.seq) if e != writes[0]], last.seq.clients))]
             v = check_ec(ex, cfg)
             assert v == _check_ec_by_scan(ex, cfg), (path.name, seed)
             assert not v.eventual_visibility

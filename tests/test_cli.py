@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -530,3 +531,24 @@ def test_a_closure_that_captures_a_local_reference_loses_wf_at_run_time(tmp_path
     assert main(["explore", str(path), "--check", "wf"]) == 4
     out, err = capsys.readouterr()
     assert err == f"{path}: runtime fault: DanglingLocation: c1.l1 not in the local store\n"
+
+
+def test_a_run_and_an_explore_leave_no_cyclic_garbage(capsys):
+    # the term walks (subst, map_locations) call themselves rather than
+    # closures that refer to themselves, and explore empties its intern
+    # table, which keys messages that keep (table, int): what a run or a
+    # search drops, reference counting frees, with the collector off.
+    # The flags are parsed first, as argparse leaves cycles of its own.
+    run = cli._parser().parse_args(["run", str(CORPUS / "clone" / "chain3_clone.ctrd"),
+                                    "--seed", "1", "--check", "sc-con,ec"])
+    search = cli._parser().parse_args(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"),
+                                       "--servers", "3", "--check", "sc-con"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert run.fn(run) == 0
+        assert search.fn(search) == 4     # its traces are cut at --max-depth 12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -10,15 +10,16 @@ import pytest
 import ctrd.runtime_cloud
 import explore_oracle
 import step_oracle
-from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load
+from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load, log_events
 from ctrd.abstract_exec import check_ec, record
+from ctrd.cli import trace_json
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_term
 from ctrd.record import replace
 from ctrd.runtime_cloud import (
-    Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _await_resolve,
-    _cloud_redex, _route, check_wf, enabled, explore, make_scheduler, quiescent, run,
-    step_cloud,
+    Choice, CloudConfig, IllegalChoice, Kind, Server, SplitMix64, _HANDLERS, _await_resolve,
+    _cloud_redex, _route, check_wf, enabled, explore, footprint, make_scheduler, quiescent,
+    run, step_cloud,
 )
 from ctrd.runtime_local import (Action, CtrdRuntimeError, EventId, Req, Update, decompose, eps,
                                 initial_client, message_id, step_local)
@@ -430,13 +431,14 @@ def test_common_log_is_what_every_server_log_holds(program):
     # the step
     grew = False
     for cfg, choice in _reachable_choices(program):
-        common = step_oracle.common_seq([s.seq for s in cfg.servers])
-        assert tuple(cfg.common) == common, (program, choice)
+        common = step_oracle.common_seq([log_events(s.seq) for s in cfg.servers])
+        assert tuple(log_events(cfg.common)) == common, (program, choice)
         nxt, entry = step_cloud(cfg, choice)
-        assert tuple(nxt.common) == step_oracle.common_seq([s.seq for s in nxt.servers]), \
+        assert tuple(log_events(nxt.common)) == step_oracle.common_seq(
+            [log_events(s.seq) for s in nxt.servers]), \
             (program, choice, entry.rule)
         if entry.rule in step_oracle.COMMON_LOG_RULES:
-            assert tuple(entry.action.snapshot) == common, (program, choice, entry.rule)
+            assert tuple(log_events(entry.action.snapshot)) == common, (program, choice, entry.rule)
         grew |= len(nxt.common) > len(cfg.common)
     assert grew, program
 
@@ -498,6 +500,29 @@ def test_the_kept_route_is_the_route():
                 assert route == (None if c.redex is None else _route(c)), (program, c.cid)
                 routes.add("server read" if route.__class__ is tuple else route)
     assert routes == {"server read", _cloud_redex, _await_resolve, step_local, None}
+
+
+def test_a_configuration_enabled_never_saw_routes_its_clients_first():
+    # footprint, _client_step and _server_read read the route enabled keeps
+    # on a client; on a copy whose clients were never asked for their
+    # choices they ask first, and agree with the stepped original
+    def unasked(cfg):
+        fresh = cfg.copy()
+        fresh.clients = {cid: c.copy() for cid, c in cfg.clients.items()}
+        assert all(c._choices is None for c in fresh.clients.values())
+        return fresh
+
+    kinds = set()
+    for program in ("anomaly/mixed", "clone/chain3_clone", "accept/await_pair",
+                    "con/two_writers"):
+        for cfg, choice in _reachable_choices(program):
+            assert footprint(unasked(cfg), choice) == footprint(cfg, choice), (program, choice)
+            nxt, entry = _HANDLERS[choice.kind](unasked(cfg), choice)
+            want, want_entry = step_cloud(cfg, choice)
+            assert explore_oracle.structural_key(nxt) == explore_oracle.structural_key(want)
+            assert trace_json([entry]) == trace_json([want_entry]), (program, choice)
+            kinds.add(choice.kind)
+    assert {Kind.CLIENT_STEP, Kind.CON_READ, Kind.AVA_REMOTE_READ} <= kinds
 
 
 def test_a_run_routes_each_client_state_once(monkeypatch):
@@ -802,7 +827,7 @@ def test_a_server_log_is_keyed_as_a_set():
         return out
 
     ab, ba = deliver(a, b), deliver(b, a)
-    ab_log, ba_log = tuple(ab.servers[0].seq), tuple(ba.servers[0].seq)
+    ab_log, ba_log = log_events(ab.servers[0].seq), log_events(ba.servers[0].seq)
     assert ab_log == ba_log[::-1] and len(ab_log) == 2
     assert explore_oracle.structural_key(ab) != explore_oracle.structural_key(ba)
     table: dict = {}

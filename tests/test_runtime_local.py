@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import checked_config
+from conftest import checked_config, log_events
 from ctrd.abstract_exec import con_observation
 from ctrd.lattice import GSet, NatMax
 from explore_oracle import client_key
@@ -224,7 +224,7 @@ def test_ava_deref_local_merges_and_requests():
     kinds = [type(m) for m in c.buffer]
     assert kinds == [Update, Req]
     (rd,) = [a for r, a in actions if r == "E-AVADEREF1"]
-    assert rd.source == ("local", 1) and list(rd.snapshot) == []
+    assert rd.source == ("local", 1) and log_events(rd.snapshot) == []
 
 
 def test_ava_assign_merges_with_store():

@@ -9,7 +9,8 @@ from operator import or_
 from hypothesis import given, settings, strategies as st
 
 import step_oracle
-from conftest import CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, load, subterms
+from conftest import (CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, load, log_events,
+                      subterms)
 from ctrd.lattice import NatMax
 import ctrd.abstract_exec
 import ctrd.runtime_cloud
@@ -119,9 +120,9 @@ def test_free_names_is_cached_on_the_node():
 def _check_logs(cfg, logs, where) -> None:
     """Each server log, listed newest first, is its tuple log, and the
     common log, listed in (client, n) order, is their intersection."""
-    assert [tuple(s.seq) for s in cfg.servers] == list(logs), where
+    assert [tuple(log_events(s.seq)) for s in cfg.servers] == list(logs), where
     assert [len(s.seq) for s in cfg.servers] == list(map(len, logs)), where
-    assert tuple(cfg.common) == step_oracle.common_seq(logs), where
+    assert tuple(log_events(cfg.common)) == step_oracle.common_seq(logs), where
 
 
 def _check_snapshot(exec_, entry, logs, where) -> None:
@@ -136,9 +137,9 @@ def _check_snapshot(exec_, entry, logs, where) -> None:
         want = logs[entry.server]
     else:
         want = ()                       # served from the client's own store
-    assert tuple(snap) == want, where
+    assert tuple(log_events(snap)) == want, where
     assert exec_.history_mask(snap, "snapshot") == \
-        reduce(or_, (1 << exec_.index(e) for e in snap), 0), where
+        reduce(or_, (1 << exec_.index(e) for e in log_events(snap)), 0), where
 
 
 def test_common_log_matches_the_server_logs_on_every_run_step():

@@ -1,6 +1,9 @@
 """The one-pass `--trace` writer against the dict-building oracle in
 trace_oracle.py: the text is byte for byte `json.dumps` of the oracle's
-dicts with indent=2 and sort_keys, and parses back to them."""
+dicts with indent=2 and sort_keys, and parses back to them. Its snapshot
+handles lose nothing: replayed by `trace_v1`, they give the schema-1 file
+that listed each snapshot's events. And the file grows linearly with the
+run."""
 
 from __future__ import annotations
 
@@ -10,12 +13,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_golden
 import trace_oracle
-from conftest import RUNNABLE, RUNNABLE_COUNT, checked_config, gen, load, log_of
+from conftest import CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, gen, load, log_of
 from ctrd.cli import trace_json
 from ctrd.lattice import GSet, NatMax
 from ctrd.runtime_cloud import TraceEntry, make_scheduler, run
-from ctrd.runtime_local import Action, EventId, Log
+from ctrd.runtime_local import NO_EVENTS, Action, EventId, Log
 from ctrd.syntax import (
     CON, LABELS, BoolVal, Closure, Duplicated, LatOp, LatType, Lit, Location,
     Plain, RecordVal, UNIT, Var,
@@ -27,6 +31,24 @@ def _assert_written_as_oracle(trace: list[TraceEntry]) -> None:
     text = trace_json(trace)
     assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert json.loads(text) == want
+
+
+def _assert_handles_expand(trace: list[TraceEntry], servers: int) -> None:
+    """trace_v1 of the written file is the schema-1 file, which listed each
+    snapshot's events, byte for byte."""
+    listed = trace_oracle.trace_json(trace, listed=True)
+    assert trace_oracle.trace_v1(trace_json(trace), servers) == \
+        json.dumps(listed, indent=2, sort_keys=True) + "\n"
+
+
+def _long_run(scale: float):
+    """A run of the run-long program shape at a scale of LONG_MIX, and its
+    server count."""
+    g = gen.chain_program(11000, "long", gen.scale_mix(gen.LONG_MIX, scale), True)
+    _, _, cfg = checked_config(g.text)
+    res = run(cfg, make_scheduler("random", 5), 100_000)
+    assert res.status == "quiescent"
+    return res, g.servers
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +71,65 @@ def test_corpus_traces_are_written_as_the_oracle_writes_them():
 
 
 def test_a_long_generated_run_is_written_as_the_oracle_writes_it():
-    # a benchmark-sized let-chain program: server logs over 100 events
-    # long, whose snapshots are written from their tails' text, and
-    # deliveries that enter the common log behind later events of their
-    # own client, where a listing in (client, n) order cannot just append
-    _, _, cfg = checked_config(gen.chain_program(11000, "long", gen.LONG_MIX, True).text)
-    res = run(cfg, make_scheduler("random", 5), 100_000)
-    assert res.status == "quiescent" and res.steps > 1000
-    commons = [s for e in res.trace if (s := e.action.snapshot) and s.event is None]
+    # a benchmark-sized let-chain program: server logs over 100 events long
+    res, _ = _long_run(1)
+    assert res.steps > 1000
     assert max(len(e.action.snapshot or ()) for e in res.trace) > 100
-    assert any(x.client == e.client and x.n > e.n
-               for before, after in zip(commons, commons[1:])
-               for e in set(after) - set(before) for x in before)
     _assert_written_as_oracle(res.trace)
+
+
+# ---------------------------------------------------------------------------
+# the handles lose nothing
+
+def test_handles_expand_to_the_listed_snapshots_on_the_corpus():
+    handles = set()
+    for path in RUNNABLE:
+        _, _, cfg = checked_config(load(path))
+        for seed in (0, 1, 2):
+            res = run(cfg, make_scheduler("random", seed), 10_000)
+            handles |= {trace_oracle.snapshot_handle(e)["log"]
+                        for e in res.trace if e.action.snapshot is not None}
+            _assert_handles_expand(res.trace, len(cfg.servers))
+    assert handles == {"local", "server", "common"}
+
+
+def test_handles_expand_to_the_listed_snapshots_on_the_golden_runs(tmp_path):
+    # each golden trace file, expanded, is the listed file of its run;
+    # and a file written under --servers expands over that many servers
+    runs = [(p, t, s) for p in test_golden.PROGRAMS for t, s in test_golden.SCHEDULES]
+    runs += [(p, "seed0", ["--seed", "0"]) for p in test_golden.RULE_PROGRAMS]
+    for program, tag, sched in runs:
+        text = (test_golden.GOLDEN / test_golden.golden_name(program, tag, "trace.json")).read_text()
+        _, _, cfg = checked_config(load(CORPUS / (program + ".ctrd")))
+        flag, value = sched
+        res = run(cfg, make_scheduler("random", int(value)) if flag == "--seed"
+                  else make_scheduler(value), 10_000)
+        assert trace_json(res.trace) == text, (program, tag)
+        _assert_handles_expand(res.trace, len(cfg.servers))
+    for servers in (1, 4):
+        test_golden._ctrd_in(tmp_path, "run", "anomaly/mixed", [
+            "--seed", "1", "--servers", str(servers), "--trace", "trace.json"])
+        _, _, cfg = checked_config(load(CORPUS / "anomaly/mixed.ctrd"), servers)
+        res = run(cfg, make_scheduler("random", 1), 10_000)
+        assert (tmp_path / "trace.json").read_text() == trace_json(res.trace)
+        _assert_handles_expand(res.trace, servers)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1])
+def test_handles_expand_to_the_listed_snapshots_on_a_generated_run(scale):
+    res, servers = _long_run(scale)
+    _assert_handles_expand(res.trace, servers)
+
+
+def test_the_trace_file_grows_linearly_with_the_run():
+    # bytes, not time, so the bound is deterministic: a handle's size does
+    # not grow with its log's length
+    per_entry = []
+    for scale in (0.5, 2):
+        res, _ = _long_run(scale)
+        per_entry.append(len(trace_json(res.trace).encode()) / len(res.trace))
+    assert len(res.trace) > 1500
+    assert per_entry[1] <= 1.25 * per_entry[0], per_entry
 
 
 # ---------------------------------------------------------------------------
@@ -113,24 +181,22 @@ _sources = st.one_of(
 
 @st.composite
 def _snapshot_pools(draw):
-    # bases listed from masks, the common log's form, and cells pushed onto
-    # them and onto one another, so that snapshots share tails and equal
-    # logs need not be the same cells; then a base equal to another but not
-    # the same object, and one with the same mask over other clients, which
-    # lists other events
+    # NO_EVENTS, an empty server log, bases (the common log's form) and
+    # cells pushed onto them and onto one another; the entry's server
+    # picks the handle
     empty = log_of(())
     masks = draw(st.lists(st.integers(0, (1 << 24) - 1), max_size=3))
-    cells = [empty, *(Log.base(m, empty.clients) for m in masks)]
+    cells = [NO_EVENTS, empty, *(Log.base(m, empty.clients) for m in masks)]
     for e in draw(st.lists(_events, max_size=12)):
-        cells.append(Log(e, draw(st.sampled_from(cells))))
-    return cells + [Log.base(m, c) for m in masks[:1] for c in (empty.clients, (1, 3))]
+        cells.append(Log(e, draw(st.sampled_from(cells[1:]))))
+    return cells
 
 
 @st.composite
 def _traces(draw):
     # entries draw snapshots and values from small pools, so one object is
-    # met again later in the trace (the writer renders it once) alongside
-    # equal objects that are not the same one
+    # met again later in the trace (the writer renders a value once)
+    # alongside equal objects that are not the same one
     snap_pool = draw(_snapshot_pools())
     value_pool = draw(st.lists(st.none() | _values, min_size=1, max_size=3))
     snapshot = st.none() | st.sampled_from(snap_pool)
@@ -202,9 +268,17 @@ def test_zero_counts_are_written():
     assert (written["step"], written["client"], written["server"], written["nodes"]) == (0, 0, 0, 0)
 
 
-def test_empty_snapshot_and_source_forms():
-    empty = replace(_FULL, action=replace(_FULL.action, snapshot=log_of(())))
-    _assert_written_as_oracle([empty])
-    assert json.loads(trace_json([empty]))[0]["action"]["snapshot"] == []
+def test_each_snapshot_handle_and_the_source_forms():
+    # an entry with a server names its log, any other the common log, and
+    # NO_EVENTS is a local read's; an empty server log is not NO_EVENTS
+    cases = [(log_of(()), 0, {"len": 0, "log": "server", "server": 0}),
+             (_FULL.action.snapshot, 2, {"len": 2, "log": "server", "server": 2}),
+             (log_of(()), None, {"len": 0, "log": "common"}),
+             (Log.base(0b101, (1, 2)), None, {"len": 2, "log": "common"}),
+             (NO_EVENTS, None, {"len": 0, "log": "local"})]
+    for snapshot, server, handle in cases:
+        entry = replace(_FULL, server=server, action=replace(_FULL.action, snapshot=snapshot))
+        _assert_written_as_oracle([entry])
+        assert json.loads(trace_json([entry]))[0]["action"]["snapshot"] == handle
     for source in [("local", 0), ("servers",), ()]:
         _assert_written_as_oracle([replace(_FULL, action=replace(_FULL.action, source=source))])

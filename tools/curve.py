@@ -179,10 +179,11 @@ def trace_curve(args) -> tuple[dict, list]:
     point runs `gen.chain_program(PROGRAM_SEED, ..., scale_mix(LONG_MIX, F),
     True)`, the run-long program shape at scale factor F, once under the
     random scheduler seeded with SCHEDULER_SEED, and times
-    `ctrd.cli.trace_json` on its trace. It reports the entries, the event
-    ids listed by all snapshots together (synchronized rules record the
-    whole common or server log, so this sum is what the file grows with),
-    the MB written and the rendering time."""
+    `ctrd.cli.trace_json` on its trace. It reports the entries, the lengths
+    of the in-memory snapshot logs summed (`snapshot_elements`; the file
+    names each log by a handle of fixed size, so this sum no longer
+    measures it), the MB written, the rendering time, and bytes and ms per
+    entry."""
     factors, traces = numbers(args.factors), []
     for f in factors:
         g = gen.chain_program(PROGRAM_SEED, f"long{f}", gen.scale_mix(gen.LONG_MIX, f), True)
@@ -194,11 +195,13 @@ def trace_curve(args) -> tuple[dict, list]:
     points = []
     for f, tr, t in zip(factors, traces, got):
         text, secs = t["render"]
+        size = len(text.encode("utf-8"))
         points.append({"factor": f, "entries": len(tr),
                        "snapshot_elements": sum(len(e.action.snapshot) for e in tr
                                                 if e.action.snapshot is not None),
-                       "mb": len(text.encode("utf-8")) / 1e6,
-                       **spread("ms", [x * 1e3 for x in secs])})
+                       "mb": size / 1e6, "bytes_per_entry": size / len(tr),
+                       **spread("ms", [x * 1e3 for x in secs]),
+                       **spread("ms_per_entry", [x * 1e3 / len(tr) for x in secs])})
     return {"program": "bench/gen.chain_program, LONG_MIX scaled",
             "program_seed": PROGRAM_SEED, "scheduler": "random",
             "seed": SCHEDULER_SEED}, points
