@@ -538,7 +538,8 @@ def test_a_run_and_an_explore_leave_no_cyclic_garbage(capsys):
     # closures that refer to themselves, and explore empties its intern
     # table, which keys messages that keep (table, int): what a run or a
     # search drops, reference counting frees, with the collector off.
-    # The flags are parsed first, as argparse leaves cycles of its own.
+    # The flags are parsed first: building the parser, once per process,
+    # leaves cycles of argparse's own.
     run = cli._parser().parse_args(["run", str(CORPUS / "clone" / "chain3_clone.ctrd"),
                                     "--seed", "1", "--check", "sc-con,ec"])
     search = cli._parser().parse_args(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"),

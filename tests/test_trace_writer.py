@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import test_golden
 import trace_oracle
-from conftest import CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, gen, load, log_of
+from conftest import (CORPUS, RUNNABLE, RUNNABLE_COUNT, checked_config, gen, load, log_events,
+                      log_of)
 from ctrd.cli import trace_json
 from ctrd.lattice import GSet, NatMax
 from ctrd.runtime_cloud import TraceEntry, make_scheduler, run
@@ -71,10 +72,18 @@ def test_corpus_traces_are_written_as_the_oracle_writes_them():
 
 
 def test_a_long_generated_run_is_written_as_the_oracle_writes_it():
-    # a benchmark-sized let-chain program: server logs over 100 events long
+    # a benchmark-sized let-chain program: server logs over 100 events
+    # long, and deliveries that enter the common log behind later events of
+    # their own client, so that trace_v1 must sort what it lists of the
+    # common log in (client, n) order, not just append (this run is
+    # expanded at scale 1 below)
     res, _ = _long_run(1)
     assert res.steps > 1000
+    commons = [log_events(s) for e in res.trace if (s := e.action.snapshot) and s.event is None]
     assert max(len(e.action.snapshot or ()) for e in res.trace) > 100
+    assert any(x.client == e.client and x.n > e.n
+               for before, after in zip(commons, commons[1:])
+               for e in set(after) - set(before) for x in before)
     _assert_written_as_oracle(res.trace)
 
 
