@@ -298,7 +298,7 @@ def record(trace: Iterable) -> AbstractExecution:
     clients whose events it holds when no recorded log holds an event."""
     trace = list(trace)
     exec_ = AbstractExecution(next(
-        (e.action.snapshot.clients for e in trace if e.action.snapshot),
+        (s.clients for e in trace if (s := e.action.snapshot) and s.len),
         [e.action.event.client for e in trace if e.action.event is not None]))
     for entry in trace:
         fold_entry(exec_, entry)

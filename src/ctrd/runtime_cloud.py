@@ -53,16 +53,53 @@ class Server(Interned):
     or a delivery's snapshot mask, check_ec, check_wf, the common log) sees
     only which events it holds, so the order they arrived in is left to run
     and --trace. A server is a value: a step that changes one builds a new
-    Server and never writes a store in place, so configurations share
-    servers and the int key_id keeps for its key stays exact."""
+    Server and never writes a store in place, so configurations and slots
+    share servers and the int key_id keeps for its key stays exact.
+
+    Once keyed, a server caches in _next its successor per sync write
+    (event, writes), install (None, writes) and delivery (message int,
+    target), emptied when keyed against another table. It is exact: each
+    transition is a pure function of the server and those arguments, and
+    builds its Log cell on the old one. Unkeyed (run) it stays None."""
 
     store: dict[Location, object]       # Location -> LabeledValue
     seq: Log                            # newest first
     _table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _id: int = field(default=0, init=False, repr=False, compare=False)
+    _next: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def key(self):
         return (sorted_items(self.store), self.seq.mask)
+
+    def key_id(self, table: dict) -> int:
+        if self._table is not table:
+            self._next = {}     # its message ints are the old table's
+        return Interned.key_id(self, table)
+
+    def written(self, writes: dict, nu: Optional[EventId]) -> "Server":
+        """This server once writes are written and sync write nu, if any,
+        is pushed onto its log."""
+        cache = self._next
+        nxt = cache.get(key := (nu, *writes.items())) if cache is not None else None
+        if nxt is None:
+            nxt = Server({**self.store, **writes}, self.seq if nu is None else Log(nu, self.seq))
+            if cache is not None:
+                cache[key] = nxt
+        return nxt
+
+    def delivered(self, m: Update, target: Location) -> "Server":
+        """This server once it has joined update m into target; the global
+        map sends one message to different targets under a creation race."""
+        cache = self._next
+        nxt = cache.get(key := (message_id(m, self._table), target)) \
+            if cache is not None else None
+        if nxt is None:
+            store = dict(self.store)
+            join_into(store, target, raise_label(m.value, m.effect))
+            nxt = Server(store, Log(m.event, self.seq))
+            if cache is not None:
+                cache[key] = nxt
+        return nxt
 
 
 class CloudConfig:
@@ -73,6 +110,10 @@ class CloudConfig:
     copy() shares them, and a step puts a new one in place of each part it
     changes and writes none in place. copy() shares the clients too; a
     handler steps the one plain copy own_client takes of its client.
+    Slots may share one server (initial_config puts one in all): a step
+    maps each distinct server once (write_servers), and in a search takes a
+    keyed server's successor from its cache, so key reads the int that
+    server keeps rather than hashing its store again.
 
     common, the events present in every server's log, is the AND of the
     server log masks; it is read where a rule records it and left out of
@@ -127,13 +168,20 @@ class CloudConfig:
         if ident in self.id_typing and o not in self.store_typing:
             self.store_typing = {**self.store_typing, o: self.id_typing[ident]}
 
+    def write_servers(self, writes: dict, nu: Optional[EventId] = None) -> None:
+        """Put s.written(writes, nu) in place of each server s, once per
+        distinct object, so slots that shared a server share its successor."""
+        made: dict = {}     # id(s) -> its successor, a Server and so true
+        self.servers = [made.get(id(s)) or made.setdefault(id(s), s.written(writes, nu))
+                        for s in self.servers]
+
     def sync_write(self, client: ClientState, writes: dict) -> tuple[EventId, Log]:
         """Write every replica of writes' locations and push the client's
-        next event onto every server log, one cell each, in one step;
-        returns the event and the common log as it stood before, the
-        snapshot the synchronized rules record."""
+        next event onto every server log, one cell each, in one step
+        (write_servers); returns the event and the common log as it stood
+        before, the snapshot the synchronized rules record."""
         nu, pre_common = client.fresh_event(), self.common
-        self.servers = [Server({**s.store, **writes}, Log(nu, s.seq)) for s in self.servers]
+        self.write_servers(writes, nu)
         return nu, pre_common
 
     # -- keys ----------------------------------------------------------------
@@ -170,7 +218,7 @@ def initial_config(program: Program, id_types: dict[Identifier, Type],
     return CloudConfig(
         clients={cid: initial_client(cid, term) for cid, term in program.clients},
         mailbox=(),
-        servers=[Server({}, empty) for _ in range(n)],
+        servers=[Server({}, empty)] * n,     # one value in every slot
         global_ids={},
         store_typing={},
         id_typing=dict(id_types),
@@ -424,7 +472,7 @@ def _cloud_redex(cfg: CloudConfig, client: ClientState) -> tuple[CloudConfig, Tr
         case FlexRead(label=Label.CON, term=Lit(value=Plain(raw=o))):
             # consistent read: merge every replica, install the merged state
             merged = _joined_replicas(cfg, o)
-            cfg.servers = [Server({**s.store, o: merged}, s.seq) for s in cfg.servers]
+            cfg.write_servers({o: merged})
             join_into(client.store, o, merged)
             result = Plain(merged.raw, CON)
             act = Action(eff, "rd", CON, client.fresh_event(), o, result,
@@ -482,10 +530,8 @@ def _deliver_update(cfg: CloudConfig, ch: Choice) -> tuple[CloudConfig, TraceEnt
         if m.ident not in cfg.global_ids:
             cfg.global_ids = {**cfg.global_ids, m.ident: m.location}
         target = cfg.global_ids[m.ident]
-    store = dict(server.store)
-    join_into(store, target, raise_label(m.value, m.effect))
     cfg.servers = cfg.servers[:]
-    cfg.servers[r] = Server(store, Log(m.event, server.seq))
+    cfg.servers[r] = server.delivered(m, target)
     act = Action(m.effect, "wr", AVA, m.event, target, m.value, snapshot=server.seq)
     return cfg, TraceEntry(0, "E-PROCESS-UPDATE", act, server=r)
 

@@ -97,9 +97,6 @@ class Log:
         return e.client in self.clients and e.n >= 1 and bool(
             self.mask >> event_bit(self.clients, e) & 1)
 
-    def __len__(self) -> int:
-        return self.len
-
 
 # what a read served from the client's own store sees of the server logs
 NO_EVENTS = Log.base(0, ())

@@ -197,7 +197,7 @@ def test_clone_single_node_matches_con_ref():
     o_ref = ref_res.config.global_ids[ident]
     for s_c, s_r in zip(clone_res.config.servers, ref_res.config.servers):
         assert s_c.store[o_clone] == s_r.store[o_ref]
-        assert len(s_c.seq) == len(s_r.seq) == 1
+        assert s_c.seq.len == s_r.seq.len == 1
     assert clone_res.config.clients[1].term.value == Plain(o_clone, CON)
 
 

@@ -18,7 +18,7 @@ def _runs():
 def test_server_logs_hold_each_event_once():
     for path, res in _runs():
         for s in res.config.servers:
-            assert len(s.seq) == len(set(log_events(s.seq))), path.name
+            assert s.seq.len == len(set(log_events(s.seq))), path.name
 
 
 def test_effect_never_exceeds_written_level():

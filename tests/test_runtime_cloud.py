@@ -12,7 +12,7 @@ import explore_oracle
 import step_oracle
 from conftest import CORPUS, RUNNABLE, checked_config, corpus_files, load, log_events
 from ctrd.abstract_exec import check_ec, record
-from ctrd.cli import trace_json
+from ctrd.cli import main, trace_json
 from ctrd.lattice import NatMax
 from ctrd.parser import parse_term
 from ctrd.record import replace
@@ -439,7 +439,7 @@ def test_common_log_is_what_every_server_log_holds(program):
             (program, choice, entry.rule)
         if entry.rule in step_oracle.COMMON_LOG_RULES:
             assert tuple(log_events(entry.action.snapshot)) == common, (program, choice, entry.rule)
-        grew |= len(nxt.common) > len(cfg.common)
+        grew |= nxt.common.len > cfg.common.len
     assert grew, program
 
 
@@ -886,6 +886,43 @@ def test_no_step_writes_a_server_store_in_place(path, monkeypatch):
     monkeypatch.setattr(ctrd.runtime_cloud, "Server",
                         lambda store, seq: Server(MappingProxyType(store), seq))
     assert summaries() == expected
+
+
+def test_a_search_builds_each_server_state_once(monkeypatch, capsys):
+    # the explore-anomaly search: the initial slots hold one server, a sync
+    # write maps each distinct server once, and a keyed server keeps its
+    # successors, so a server is keyed once, not once per configuration
+    # that holds it (205 keys for 6 server states without the sharing). The one
+    # key over 6: client 1's con write c1:4 and the delivery of its ava
+    # write c1:3 reach one store and log mask in either order, and the two
+    # orders are two Log cells (run and --trace read the order), so two
+    # servers
+    keys = []
+    key = Server.key
+    monkeypatch.setattr(Server, "key", lambda s: keys.append(key(s)) or keys[-1])
+    assert main(["explore", str(CORPUS / "anomaly" / "mixed.ctrd"), "--servers", "5",
+                 "--max-depth", "24", "--check", "sc,sc-con,ec"]) == 3
+    assert '"states": 109' in capsys.readouterr().out
+    assert (len(keys), len(set(keys))) == (7, 6)
+
+
+@pytest.mark.parametrize("path", RUNNABLE, ids=[f"{p.parent.name}/{p.stem}" for p in RUNNABLE])
+def test_a_run_keeps_no_successor_cache(path):
+    # only a search keys servers, and only a keyed server caches: a run
+    # builds no cache, so its memory is what it was without one
+    _, _, cfg = checked_config(load(path))
+    res = run(cfg, make_scheduler("random", 0), 10_000)
+    assert all(s._next is None for s in [*cfg.servers, *res.config.servers])
+
+
+def test_slots_that_share_a_server_share_its_successor():
+    _, _, cfg = checked_config(
+        "servers 3; client 1 { let p = ref@con(nat 0 @con, (con,1)) in p := nat 1 @con }")
+    assert len({id(s) for s in cfg.servers}) == 1
+    res = run(cfg, make_scheduler("drain-fair"), 100)
+    assert {"E-CONREF", "E-CONASSIGN"} <= {e.rule for e in res.trace}
+    assert len({id(s) for s in res.config.servers}) == 1
+    assert res.config.servers[0].seq.len == 2
 
 
 def test_wf_detects_untyped_location():

@@ -121,7 +121,7 @@ def _check_logs(cfg, logs, where) -> None:
     """Each server log, listed newest first, is its tuple log, and the
     common log, listed in (client, n) order, is their intersection."""
     assert [tuple(log_events(s.seq)) for s in cfg.servers] == list(logs), where
-    assert [len(s.seq) for s in cfg.servers] == list(map(len, logs)), where
+    assert [s.seq.len for s in cfg.servers] == list(map(len, logs)), where
     assert tuple(log_events(cfg.common)) == step_oracle.common_seq(logs), where
 
 

@@ -79,8 +79,8 @@ def test_a_long_generated_run_is_written_as_the_oracle_writes_it():
     # expanded at scale 1 below)
     res, _ = _long_run(1)
     assert res.steps > 1000
-    commons = [log_events(s) for e in res.trace if (s := e.action.snapshot) and s.event is None]
-    assert max(len(e.action.snapshot or ()) for e in res.trace) > 100
+    commons = [log_events(s) for e in res.trace if (s := e.action.snapshot) and s.len and s.event is None]
+    assert max(e.action.snapshot.len for e in res.trace if e.action.snapshot) > 100
     assert any(x.client == e.client and x.n > e.n
                for before, after in zip(commons, commons[1:])
                for e in set(after) - set(before) for x in before)

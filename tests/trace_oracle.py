@@ -31,8 +31,8 @@ def snapshot_handle(e: TraceEntry) -> dict:
     if snap is NO_EVENTS:
         return {"log": "local", "len": 0}
     if e.server is None:
-        return {"log": "common", "len": len(snap)}
-    return {"log": "server", "server": e.server, "len": len(snap)}
+        return {"log": "common", "len": snap.len}
+    return {"log": "server", "server": e.server, "len": snap.len}
 
 
 def action_json(a: Action, snapshot=None) -> dict:

@@ -48,7 +48,7 @@ import gen  # noqa: E402
 from ctrd import cli  # noqa: E402
 from ctrd.abstract_exec import ar_chain, check_sc, project_con, record  # noqa: E402
 from ctrd.parser import parse_program, tokenize  # noqa: E402
-from ctrd.runtime_cloud import explore, initial_config, make_scheduler, run  # noqa: E402
+from ctrd.runtime_cloud import Server, explore, initial_config, make_scheduler, run  # noqa: E402
 from ctrd.typecheck import check_program  # noqa: E402
 
 MIXED = "corpus/anomaly/mixed.ctrd"
@@ -138,7 +138,9 @@ def explore_curve(args) -> tuple[dict, list]:
     servers. Each point explores --program, a path from the repository
     root, with that many servers to --max-depth. The longest trace of the
     default, corpus/anomaly/mixed.ctrd, is 18 steps, so the default depth
-    of 24 cuts none."""
+    of 24 cuts none. server_keys counts the Server.key calls of one more,
+    untimed search: a server keyed once per search is keyed once per
+    server state."""
     prog = checked((ROOT / args.program).read_text(encoding="utf-8"))
     servers = numbers(args.servers, int)
     got = timed(servers, lambda n: {"explore": partial(
@@ -146,9 +148,13 @@ def explore_curve(args) -> tuple[dict, list]:
     points = []
     for n, t in zip(servers, got):
         s, secs = t["explore"]
+        keys, key = [], Server.key
+        with mock.patch.object(Server, "key", lambda server: keys.append(1) or key(server)):
+            explore(initial_config(*prog, n), args.max_depth)
         points.append({"servers": n, "states": s.states, "traces": s.traces,
                        "truncated": s.truncated, "steps": s.steps, **spread("seconds", secs),
-                       **spread("states_per_s", [s.states / x for x in secs])})
+                       **spread("states_per_s", [s.states / x for x in secs]),
+                       "server_keys": len(keys)})
     return {"program": args.program, "max_depth": args.max_depth}, points
 
 
@@ -197,7 +203,7 @@ def trace_curve(args) -> tuple[dict, list]:
         text, secs = t["render"]
         size = len(text.encode("utf-8"))
         points.append({"factor": f, "entries": len(tr),
-                       "snapshot_elements": sum(len(e.action.snapshot) for e in tr
+                       "snapshot_elements": sum(e.action.snapshot.len for e in tr
                                                 if e.action.snapshot is not None),
                        "mb": size / 1e6, "bytes_per_entry": size / len(tr),
                        **spread("ms", [x * 1e3 for x in secs]),
